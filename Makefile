@@ -3,9 +3,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint analyze ruff mypy bench bench-quick trace-demo fuzz fuzz-quick batch-check codegen-check gap-check cache-smoke serve-smoke
+.PHONY: check test lint analyze ruff mypy bench bench-quick trace-demo fuzz fuzz-quick codegen-check gap-check cache-smoke serve-smoke
 
-check: test ruff mypy lint analyze fuzz-quick batch-check codegen-check gap-check cache-smoke serve-smoke
+check: test ruff mypy lint analyze fuzz-quick codegen-check gap-check cache-smoke serve-smoke
 
 # Scheduler-service smoke: boot `repro serve` as a real subprocess,
 # fire a concurrent zipf-skewed loadgen burst at it, and gate on
@@ -65,18 +65,6 @@ fuzz:
 fuzz-quick:
 	$(PYTHON) -m repro.cli fuzz --seeds 60 --quick --jobs 0 \
 		--failures-dir fuzz-failures
-
-# Batch-compiler equivalence gate: the property suite (500+ case fuzz
-# matrix, paper experiments, batch-shape edge cases), then a wide
-# batchcompile-oracle campaign — every generated case compiled by the
-# structure-of-arrays engine and cross-checked byte-for-byte against
-# the reference schedulers.  Failures shrink into fuzz-batch-failures/
-# (a CI artifact).
-batch-check:
-	$(PYTHON) -m pytest tests/schedule/test_batch_equivalence.py -q
-	$(PYTHON) -m repro.cli fuzz --seeds 10000 --quick --jobs 0 \
-		--no-functional --oracle batchcompile \
-		--failures-dir fuzz-batch-failures
 
 # Templated-codegen equivalence gate: the golden property suite (500+
 # program fuzz matrix, paper experiments, broken-schedule fallback,

@@ -15,9 +15,6 @@ from repro.core.metrics import total_data_size
 from repro.errors import InfeasibleScheduleError
 from repro.obs.metrics import time_stage
 from repro.schedule.base import DataSchedulerBase, ScheduleOptions
-from repro.schedule.basic import BasicScheduler
-from repro.schedule.complete import CompleteDataScheduler
-from repro.schedule.data_scheduler import DataScheduler
 from repro.schedule.plan import Schedule
 from repro.sim.engine import Simulator
 from repro.sim.report import SimulationReport
@@ -156,15 +153,11 @@ def run_scheduler(
     trace: bool = True,
     dataflow=None,
     cache=None,
-    codegen_engine: str = "auto",
 ) -> SchedulerOutcome:
     """Schedule, lower, simulate; package the outcome.
 
     ``trace=False`` skips recording the per-transfer DMA trace; the
     report's aggregate statistics are identical.
-    ``codegen_engine`` selects the program-generation backend
-    (``auto``/``templated``/``reference``); the backends are
-    byte-identical, so the outcome does not depend on it.
 
     *cache* (a :class:`~repro.cache.CacheStore`) memoizes the whole
     outcome — including infeasible verdicts — across processes and
@@ -205,7 +198,7 @@ def run_scheduler(
             cache.put(key, outcome)
         return outcome
     with time_stage("codegen", scope=scope):
-        program = generate_program(schedule, engine=codegen_engine)
+        program = generate_program(schedule)
     machine = MorphoSysM1(architecture)
     with time_stage("simulate", scope=scope):
         report = Simulator(machine, trace=trace).run(program)
@@ -225,31 +218,25 @@ def run_pipeline_batch(
     *,
     trace: bool = True,
     cache=None,
-    engine: str = "batch",
 ) -> list:
     """The batch front-end shared by the corpus/sweep/fuzz drivers.
 
     *items* is a sequence of ``(scheduler_name, application, clustering,
     architecture, options, dataflow)`` pipeline problems.  Cache hits
     (same :func:`~repro.cache.keys.outcome_key` as
-    :func:`run_scheduler`) skip everything; the misses are compiled in
-    **one** :func:`repro.schedule.batch.compile_many` call under
-    *engine*, then lowered and simulated per case.  Outcomes — cached,
-    batch-compiled, or reference-compiled — are byte-identical to
-    :func:`run_scheduler`'s, so drivers can batch freely without
-    changing any result (equivalence-tested in
+    :func:`run_scheduler`) skip everything; the misses are scheduled
+    in **one** :func:`repro.schedule.batch.compile_many` call, then
+    lowered and simulated per case.  Outcomes — cached or fresh — are
+    byte-identical to :func:`run_scheduler`'s, so drivers can batch
+    freely without changing any result (equivalence-tested in
     ``tests/schedule/test_batch_equivalence.py``).
 
-    Scheduling time lands in metrics scope ``batch`` (per-stage:
-    layout/rf/keeps/finalize); codegen and simulation keep the
-    per-scheduler ``pipeline.<name>`` scopes of the per-case path.
+    Every stage (schedule, codegen, simulate) reports into the
+    per-scheduler ``pipeline.<name>`` metrics scope, as in the per-case
+    path.
     """
     from repro.schedule.batch import CompileRequest, compile_many
 
-    # `--engine reference` reverts the whole cold path, codegen
-    # included; any other engine pairs the batch scheduler with the
-    # templated backend.
-    codegen_engine = "reference" if engine == "reference" else "auto"
     outcomes: list = [None] * len(items)
     keys: list = [None] * len(items)
     misses: list = []
@@ -281,7 +268,7 @@ def run_pipeline_batch(
         )
         for index in misses
     ]
-    results = compile_many(requests, engine=engine)
+    results = compile_many(requests)
     for index, result in zip(misses, results):
         name, _, _, architecture, _, _ = items[index]
         if result.error is not None:
@@ -294,9 +281,7 @@ def run_pipeline_batch(
         else:
             scope = f"pipeline.{name}"
             with time_stage("codegen", scope=scope):
-                program = generate_program(
-                    result.schedule, engine=codegen_engine
-                )
+                program = generate_program(result.schedule)
             machine = MorphoSysM1(architecture)
             with time_stage("simulate", scope=scope):
                 report = Simulator(machine, trace=trace).run(program)
@@ -333,7 +318,6 @@ def compare_workloads(
     options: Optional[ScheduleOptions] = None,
     trace: bool = True,
     cache=None,
-    engine: str = "batch",
 ) -> list:
     """Batched :func:`compare_workload`: one row per ``(application,
     clustering, architecture, name)`` entry, all scheduling problems
@@ -348,9 +332,7 @@ def compare_workloads(
         for application, clustering, architecture, _, dataflow in prepared
         for scheduler in _SCHEDULER_NAMES
     ]
-    outcomes = run_pipeline_batch(
-        items, trace=trace, cache=cache, engine=engine
-    )
+    outcomes = run_pipeline_batch(items, trace=trace, cache=cache)
     rows = []
     for index, (application, clustering, architecture, name,
                 dataflow) in enumerate(prepared):
@@ -371,42 +353,12 @@ def compare_workload(
     workload_name: Optional[str] = None,
     trace: bool = True,
     cache=None,
-    engine: str = "batch",
 ) -> ComparisonRow:
-    """Run Basic, DS and CDS on one workload and collect the row.
-
-    ``engine='batch'`` (default) compiles the three scheduling problems
-    through the structure-of-arrays batch engine;
-    ``engine='reference'`` runs the historical per-case scheduler
-    path.  Both produce byte-identical rows.
-    """
-    if engine == "batch":
-        return compare_workloads(
-            [(application, clustering, architecture, workload_name)],
-            options=options, trace=trace, cache=cache, engine=engine,
-        )[0]
-    if engine != "reference":
-        raise ValueError(f"unknown engine {engine!r}")
-    dataflow = analyze_dataflow(application, clustering)
-    basic = run_scheduler(
-        BasicScheduler(architecture, options), application, clustering,
-        architecture, trace=trace, dataflow=dataflow, cache=cache,
-        codegen_engine="reference",
-    )
-    ds = run_scheduler(
-        DataScheduler(architecture, options), application, clustering,
-        architecture, trace=trace, dataflow=dataflow, cache=cache,
-        codegen_engine="reference",
-    )
-    cds = run_scheduler(
-        CompleteDataScheduler(architecture, options), application, clustering,
-        architecture, trace=trace, dataflow=dataflow, cache=cache,
-        codegen_engine="reference",
-    )
-    return _assemble_row(
-        workload_name or application.name, architecture, clustering,
-        dataflow, basic, ds, cds,
-    )
+    """Run Basic, DS and CDS on one workload and collect the row."""
+    return compare_workloads(
+        [(application, clustering, architecture, workload_name)],
+        options=options, trace=trace, cache=cache,
+    )[0]
 
 
 def compare_experiment(

@@ -124,7 +124,7 @@ def _seed_chunk(task):
     per-scheduler outcomes are additionally cached under their own
     content keys, so other drivers touching the same workloads hit too.
     """
-    seeds, fb, iterations, cache_dir, engine = task
+    seeds, fb, iterations, cache_dir = task
     architecture = Architecture.m1(fb)
     cache = None
     if cache_dir is not None:
@@ -158,7 +158,7 @@ def _seed_chunk(task):
                 (application, clustering, architecture, None)
                 for _, application, clustering in pending
             ],
-            trace=False, cache=cache, engine=engine,
+            trace=False, cache=cache,
         )
         for (seed, _, _), row in zip(pending, rows):
             outcome = _row_outcome(row)
@@ -175,15 +175,13 @@ def corpus_study(
     iterations: int = 6,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    engine: str = "batch",
 ) -> CorpusStats:
     """Run the three-scheduler comparison over seeded random workloads.
 
     ``jobs`` partitions the seeds over worker processes (``None``/``1``
     = serial, ``0`` = one per CPU); the resulting stats are identical
     either way.  Each worker batch-compiles its whole share of cache
-    misses in one :mod:`repro.schedule.batch` pass (``engine='batch'``;
-    ``'reference'`` keeps the per-case scheduler).  ``cache_dir``
+    misses in one :mod:`repro.schedule.batch` call.  ``cache_dir``
     enables the persistent pipeline cache: reruns over unchanged seeds
     (and unchanged code) are served from disk with byte-identical
     results.
@@ -195,7 +193,7 @@ def corpus_study(
     chunks = [seeds[i::n_chunks] for i in range(n_chunks)]
     chunk_outcomes = parallel_map(
         _seed_chunk,
-        [(chunk, fb, iterations, cache_dir, engine) for chunk in chunks],
+        [(chunk, fb, iterations, cache_dir) for chunk in chunks],
         jobs=jobs,
     )
     by_seed = {}

@@ -59,10 +59,9 @@ def _sweep_chunk(task) -> List[SweepPoint]:
     """One worker's share of FB sizes (top-level: picklable).
 
     The chunk's scheduling problems — three schedulers at every size —
-    compile in one batch; sizes may differ per request because the
-    batch tables carry a per-case capacity.
+    compile in one batch.
     """
-    application, clustering, words_list, cache_dir, engine = task
+    application, clustering, words_list, cache_dir = task
     cache = None
     if cache_dir is not None:
         from repro.cache import CacheStore
@@ -73,7 +72,7 @@ def _sweep_chunk(task) -> List[SweepPoint]:
             (application, clustering, Architecture.m1(words), None)
             for words in words_list
         ],
-        cache=cache, engine=engine,
+        cache=cache,
     )
     return [
         _row_to_point(row, words)
@@ -89,7 +88,6 @@ def sweep_fb_sizes(
     architecture_factory: Callable[[int], Architecture] = None,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    engine: str = "batch",
 ) -> List[SweepPoint]:
     """Run the three-scheduler comparison at each frame-buffer size.
 
@@ -99,11 +97,10 @@ def sweep_fb_sizes(
 
     ``jobs`` partitions the sizes over worker processes (``None``/``1``
     = serial, ``0`` = one per CPU) with identical results; each
-    worker's share compiles in one :mod:`repro.schedule.batch` pass
-    (``engine='reference'`` keeps the per-case scheduler).  A custom
-    ``architecture_factory`` (often a closure, not picklable) forces
-    the serial, uncached path.  ``cache_dir`` enables the persistent
-    pipeline cache for the standard-architecture path.
+    worker's share compiles in one :mod:`repro.schedule.batch` call.
+    A custom ``architecture_factory`` (often a closure, not picklable)
+    forces the serial, uncached path.  ``cache_dir`` enables the
+    persistent pipeline cache for the standard-architecture path.
     """
     words_list = [parse_size(size) for size in fb_sizes]
     if architecture_factory is None:
@@ -116,7 +113,7 @@ def sweep_fb_sizes(
         chunk_points = parallel_map(
             _sweep_chunk,
             [
-                (application, clustering, chunk, cache_dir, engine)
+                (application, clustering, chunk, cache_dir)
                 for chunk in chunks
             ],
             jobs=jobs,
@@ -128,8 +125,7 @@ def sweep_fb_sizes(
     points: List[SweepPoint] = []
     for words in words_list:
         row = compare_workload(
-            application, clustering, architecture_factory(words),
-            engine=engine,
+            application, clustering, architecture_factory(words)
         )
         points.append(_row_to_point(row, words))
     return points

@@ -22,12 +22,6 @@ which compares two independent computations of the same fact:
 ``trace``
     Decision tracing never changes a schedule: trace-on and trace-off
     runs are equal.
-``batchcompile``
-    The structure-of-arrays batch compiler
-    (:mod:`repro.schedule.batch`) produces byte-identical schedules —
-    same RF, keeps, cluster plans — and identical
-    infeasibility payloads as the per-case reference scheduler, for
-    all three schedulers.
 ``exactgap``
     The branch-and-bound exact retention/RF solver
     (:mod:`repro.schedule.exact`) agrees with the greedy CDS on
@@ -109,7 +103,6 @@ ORACLE_NAMES: Tuple[str, ...] = (
     "traffic",
     "engine",
     "trace",
-    "batchcompile",
     "exactgap",
     "progequiv",
     "freelist",
@@ -373,10 +366,6 @@ def _run_oracles_uncached(
             case, runs, architecture, application, clustering, dataflow,
             enabled,
         ))
-    if "batchcompile" in enabled:
-        failures.extend(_check_batchcompile(
-            case, runs, architecture, application, clustering, dataflow,
-        ))
     if "exactgap" in enabled:
         failures.extend(_check_exactgap(
             case, runs, architecture, application, clustering, dataflow,
@@ -545,65 +534,6 @@ def _check_equivalences(case, runs, architecture, application, clustering,
                     f"{len(reference.schedule.keeps)})",
                     scheduler=scheduler_cls.name,
                 ))
-    return failures
-
-
-def _check_batchcompile(case, runs, architecture, application, clustering,
-                        dataflow) -> List[OracleFailure]:
-    """The batch engine must reproduce every reference schedule exactly.
-
-    Re-compiles the case's three scheduling problems through
-    ``engine='batch'`` (one :func:`~repro.schedule.batch.compile_many`
-    call) and demands byte-identical schedules and identical
-    infeasibility payloads (message, cluster, word counts) against the
-    per-case runs.
-    """
-    from repro.schedule.batch import CompileRequest, compile_many
-
-    failures = []
-    names = [cls.name for cls in _SCHEDULERS]
-    results = compile_many(
-        [
-            CompileRequest(
-                scheduler=name, application=application,
-                architecture=architecture, clustering=clustering,
-                dataflow=dataflow,
-            )
-            for name in names
-        ],
-        engine="batch",
-    )
-    for name, result in zip(names, results):
-        reference = runs[name]
-        if (result.schedule is None) != (reference.schedule is None):
-            failures.append(OracleFailure(
-                "batchcompile", case.name,
-                f"feasibility flips under the batch engine: "
-                f"{result.error or reference.error}",
-                scheduler=name,
-            ))
-        elif result.schedule is None:
-            got = result.error
-            want = reference.error
-            if (
-                (str(got), got.cluster, got.required, got.available)
-                != (str(want), want.cluster, want.required, want.available)
-            ):
-                failures.append(OracleFailure(
-                    "batchcompile", case.name,
-                    f"infeasibility payload diverges under the batch "
-                    f"engine: {got!r} vs {want!r}",
-                    scheduler=name,
-                ))
-        elif result.schedule != reference.schedule:
-            failures.append(OracleFailure(
-                "batchcompile", case.name,
-                f"schedule changes under the batch engine "
-                f"(rf {result.schedule.rf} vs {reference.schedule.rf}, "
-                f"keeps {len(result.schedule.keeps)} vs "
-                f"{len(reference.schedule.keeps)})",
-                scheduler=name,
-            ))
     return failures
 
 

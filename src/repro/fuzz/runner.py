@@ -150,10 +150,7 @@ def run_fuzz(
             verdicts of unchanged cases are replayed from disk on
             warm reruns (byte-identical to a cold run).
         oracles: restrict the campaign to a subset of
-            :data:`~repro.fuzz.oracles.ORACLE_NAMES` — e.g.
-            ``("batchcompile",)`` runs the wide batch-vs-reference
-            compile sweep without simulation, cheap enough for a
-            10k-case CI pass.
+            :data:`~repro.fuzz.oracles.ORACLE_NAMES`.
 
     Returns:
         A :class:`FuzzReport`; ``report.ok`` is the pass/fail verdict.

@@ -370,22 +370,14 @@ def derive_cluster_plans(
     dataflow: DataflowInfo,
     keeps: Sequence[KeepDecision],
     occupancy: Dict[int, int],
-    *,
-    skeleton: Optional[Tuple[Tuple, ...]] = None,
 ) -> Tuple[ClusterPlan, ...]:
     """Derive per-cluster load/keep/store/retain lists from a decision.
 
-    Shared by the per-case schedulers (via :meth:`DataSchedulerBase.
-    _build_schedule`) and the batch compiler's finalizer
-    (:mod:`repro.schedule.batch`): both must emit byte-identical plans
-    for one ``(keeps, occupancy)`` decision, so there is exactly one
-    implementation of the derivation.  ``skeleton`` (from
-    :func:`derive_plan_skeleton` on the *same* ``(dataflow, keeps)``)
-    skips re-walking the object graph — the batch compiler shares one
-    no-keep skeleton across the Basic and DS requests of a workload.
+    Called by every scheduler via :meth:`DataSchedulerBase.
+    _build_schedule`: the occupancy-independent rows come from
+    :func:`derive_plan_skeleton`, and *occupancy* fills in each plan's
+    ``peak_occupancy``.
     """
-    if skeleton is None:
-        skeleton = derive_plan_skeleton(dataflow, keeps)
     return tuple(
         ClusterPlan(
             cluster_index=index,
@@ -396,7 +388,8 @@ def derive_cluster_plans(
             retained_outputs=retained,
             peak_occupancy=occupancy[index],
         )
-        for index, fb_set, loads, kept_inputs, stores, retained in skeleton
+        for index, fb_set, loads, kept_inputs, stores, retained
+        in derive_plan_skeleton(dataflow, keeps)
     )
 
 
@@ -487,7 +480,6 @@ def assemble_schedule(
     fb_set_words: int,
     context_block_words: int,
     overlap_transfers: bool = True,
-    skeleton: Optional[Tuple[Tuple, ...]] = None,
 ) -> Schedule:
     """Assemble the final :class:`Schedule` from a validated decision."""
     return Schedule(
@@ -497,9 +489,7 @@ def assemble_schedule(
         dataflow=dataflow,
         rf=rf,
         keeps=tuple(keeps),
-        cluster_plans=derive_cluster_plans(
-            dataflow, keeps, occupancy, skeleton=skeleton
-        ),
+        cluster_plans=derive_cluster_plans(dataflow, keeps, occupancy),
         contexts_per_iteration=contexts_per_iteration,
         fb_set_words=fb_set_words,
         context_block_words=context_block_words,

@@ -1,31 +1,19 @@
-"""Structure-of-arrays batch compile engine.
+"""Batch compile front-end: many scheduling problems in one call.
 
-One :class:`BatchCompiler` call schedules *many* cases at once: the
-per-cluster/per-kernel occupancy coefficients of every case are laid
-out as padded NumPy integer tables (:mod:`~repro.schedule.batch.tables`),
-the common-RF search runs as one lockstep bisection over the whole
-batch, TF ranking is a single ``lexsort`` over all candidates, and the
-paper's greedy keep acceptance advances rank-by-rank across all cases
-simultaneously (:mod:`~repro.schedule.batch.engine`).  Accepted plans
-are finalized through the same plan-derivation code as the per-case
-schedulers (:func:`repro.schedule.base.derive_cluster_plans`), so
-``engine='batch'`` schedules are byte-identical to the reference —
-the same oracle pattern as ``occupancy_engine='naive'`` and the
-vectorized simulator.
+:func:`compile_many` runs each :class:`CompileRequest` through its
+per-case scheduler and captures infeasibility per request, so the
+corpus, sweep, fuzz and service drivers schedule a batch of misses in
+one step.
 """
 
 from repro.schedule.batch.compiler import (
-    BatchCompiler,
     CompileRequest,
     CompileResult,
-    batch_supported,
     compile_many,
 )
 
 __all__ = [
-    "BatchCompiler",
     "CompileRequest",
     "CompileResult",
-    "batch_supported",
     "compile_many",
 ]

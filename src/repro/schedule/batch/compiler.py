@@ -1,32 +1,14 @@
-"""Batch compile driver: many scheduling problems, one engine pass.
+"""Batch compile driver: many scheduling problems, one call.
 
-:meth:`BatchCompiler.compile_many` takes a list of
-:class:`CompileRequest` (scheduler name + workload + architecture +
-options) and produces one :class:`CompileResult` per request, in order.
-Requests whose options the fast path does not model — decision traces,
-strict lint/hazard self-checks, the joint RF ablation, cross-set
-retention — run the reference per-case scheduler instead
-(``CompileResult.engine == 'reference'``); everything else flows
-through the structure-of-arrays engine:
+:func:`compile_many` takes a list of :class:`CompileRequest`
+(scheduler name + workload + architecture + options) and produces one
+:class:`CompileResult` per request, in order, by running each request
+through its per-case scheduler.  Requests over the same application
+and clustering share one dataflow analysis.
 
-1. **Layout** — one :class:`~repro.schedule.batch.tables.CaseTables`
-   per distinct dataflow (requests for several schedulers over one
-   workload share it).
-2. **RF** — distinct ``(workload, capacity, rf_cap)`` problems are
-   stacked and bisected in lockstep; a DS and a CDS request over the
-   same workload resolve one shared search.
-3. **Keeps** — CDS cases rank their retention candidates in one
-   batched sort and run the paper's greedy acceptance rank-by-rank
-   across the batch.
-4. **Finalize** — accepted decisions flow through the same
-   :func:`repro.schedule.base.derive_cluster_plans` as the per-case
-   schedulers, so batch schedules are byte-identical to the reference.
-
-Infeasible cases never poison their batch neighbors: the case is
-re-run on the reference scheduler so its
-:class:`~repro.errors.InfeasibleScheduleError` payload (message,
-cluster, word counts) is identical by construction, and the error is
-captured in that case's :class:`CompileResult`.
+Infeasible cases never poison their batch neighbors: each
+:class:`~repro.errors.InfeasibleScheduleError` is captured in that
+request's :class:`CompileResult`.
 """
 
 from __future__ import annotations
@@ -34,38 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.arch.params import Architecture
 from repro.core.application import Application
 from repro.core.cluster import Clustering
 from repro.core.dataflow import DataflowInfo, analyze_dataflow
 from repro.errors import InfeasibleScheduleError
-from repro.obs.metrics import inc, time_stage
-from repro.schedule.base import (
-    DataSchedulerBase,
-    ScheduleOptions,
-    assemble_schedule,
-    derive_plan_skeleton,
-)
+from repro.obs.metrics import time_stage
+from repro.schedule.base import ScheduleOptions
 from repro.schedule.basic import BasicScheduler
-from repro.schedule.batch.engine import (
-    batch_max_common_rf,
-    batch_occupancies,
-    batch_select_keeps,
-    rank_candidates_batch,
-)
-from repro.schedule.batch.tables import BatchTables, CaseTables, build_keep_delta
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
 from repro.schedule.plan import Schedule
-from repro.schedule.tf import retention_candidates
 
 __all__ = [
-    "BatchCompiler",
     "CompileRequest",
     "CompileResult",
-    "batch_supported",
     "compile_many",
 ]
 
@@ -75,15 +40,12 @@ _SCHEDULERS = {
     "cds": CompleteDataScheduler,
 }
 
-_SCOPE = "batch"
-
 
 @dataclass
 class CompileRequest:
     """One scheduling problem: which scheduler, on what, under which
-    options.  ``clustering`` defaults to one cluster per kernel and
-    ``dataflow`` is analyzed on demand — both exactly as
-    :meth:`~repro.schedule.base.DataSchedulerBase.schedule` would."""
+    options.  ``clustering`` and ``dataflow`` default exactly as in
+    :meth:`~repro.schedule.base.DataSchedulerBase.schedule`."""
 
     scheduler: str
     application: Application
@@ -104,134 +66,26 @@ class CompileRequest:
 
 @dataclass
 class CompileResult:
-    """Outcome of one request: a schedule or the infeasibility error.
-
-    ``engine`` records which path produced it: ``'batch'`` (fast path)
-    or ``'reference'`` (per-case fallback — unsupported options, or an
-    infeasible case re-run for its exact diagnostic).
-    """
+    """Outcome of one request: a schedule or the infeasibility error."""
 
     schedule: Optional[Schedule]
     error: Optional[InfeasibleScheduleError]
-    engine: str
-
-    @property
-    def feasible(self) -> bool:
-        return self.schedule is not None
-
-    def unwrap(self) -> Schedule:
-        """The schedule, raising the captured error when infeasible."""
-        if self.error is not None:
-            raise self.error
-        assert self.schedule is not None
-        return self.schedule
 
 
-def batch_supported(scheduler: str, options: ScheduleOptions) -> bool:
-    """True if the fast path models this request exactly.
+def compile_many(requests: Sequence[CompileRequest]) -> List[CompileResult]:
+    """One :class:`CompileResult` per request, in request order.
 
-    The excluded options either observe *how* decisions are reached
-    (``decision_trace`` records per-probe events the lockstep search
-    does not replay), re-enter the scheduler per candidate RF
-    (``rf_policy='joint'``), add post-build self-checks
-    (``strict_lint``/``strict_hazards``), or extend retention across
-    FB sets (``cross_set_retention``).  All fall back to the reference
-    scheduler — correctness first, speed second.
+    Scheduling time lands in metrics scope ``pipeline.<scheduler>``
+    (stage ``schedule``), as in
+    :func:`~repro.analysis.compare.run_scheduler`.
     """
-    return (
-        scheduler in _SCHEDULERS
-        and not options.decision_trace
-        and not options.strict_lint
-        and not options.strict_hazards
-        and not options.cross_set_retention
-        and options.rf_policy == "max_then_keep"
-    )
-
-
-class BatchCompiler:
-    """Compiles batches of scheduling problems through the SoA engine."""
-
-    def compile_many(
-        self, requests: Sequence[CompileRequest]
-    ) -> List[CompileResult]:
-        """One :class:`CompileResult` per request, in request order."""
-        results: List[Optional[CompileResult]] = [None] * len(requests)
-        if not requests:
-            return []
-        inc("batch.requests", len(requests), scope=_SCOPE)
-        # No-keep plan skeletons per dataflow: the Basic and DS requests
-        # of one workload (and keep-free CDS outcomes) differ only in
-        # occupancy, so the load/store derivation runs once.
-        self._skeletons: Dict[int, tuple] = {}
-
-        fast: List[Tuple[int, CompileRequest, DataSchedulerBase]] = []
-        with time_stage("layout", scope=_SCOPE):
-            dataflows: Dict[Tuple[int, int], DataflowInfo] = {}
-            # The static checks depend only on (dataflow, fb_set_words,
-            # context_block_words) — requests for several schedulers over
-            # one workload share a single pass.
-            static: Dict[
-                Tuple[int, int, int], Optional[InfeasibleScheduleError]
-            ] = {}
-            for i, request in enumerate(requests):
-                self._resolve(request, dataflows)
-                if not batch_supported(request.scheduler, request.options):
-                    inc("batch.fallback", scope=_SCOPE)
-                    results[i] = self._reference(request)
-                    continue
-                scheduler = _SCHEDULERS[request.scheduler](
-                    request.architecture, request.options
-                )
-                key = (
-                    id(request.dataflow),
-                    request.architecture.fb_set_words,
-                    request.architecture.context_block_words,
-                )
-                if key not in static:
-                    try:
-                        scheduler._check_static_capacities(request.dataflow)
-                        static[key] = None
-                    except InfeasibleScheduleError as exc:
-                        static[key] = exc
-                error = static[key]
-                if error is not None:
-                    inc("batch.infeasible", scope=_SCOPE)
-                    results[i] = CompileResult(None, error, engine="batch")
-                    continue
-                fast.append((i, request, scheduler))
-
-            tables: Dict[int, CaseTables] = {}
-            for _, request, _ in fast:
-                key = id(request.dataflow)
-                if key not in tables:
-                    tables[key] = CaseTables(request.dataflow)
-
-        basic = [entry for entry in fast if entry[1].scheduler == "basic"]
-        fission = [entry for entry in fast if entry[1].scheduler != "basic"]
-        for i, request, scheduler in basic:
-            results[i] = self._compile_basic(
-                request, scheduler, tables[id(request.dataflow)]
-            )
-        if fission:
-            self._compile_fission(fission, tables, results)
-
-        final = [result for result in results if result is not None]
-        assert len(final) == len(requests)
-        return final
-
-    # -- request plumbing ------------------------------------------------
-
-    @staticmethod
-    def _resolve(
-        request: CompileRequest,
-        dataflows: Dict[Tuple[int, int], DataflowInfo],
-    ) -> None:
-        """Fill in clustering/dataflow, sharing analyses across the
-        batch (requests for several schedulers over one workload pass
-        the same objects and resolve to one analysis)."""
-        if request.clustering is None:
-            request.clustering = Clustering.per_kernel(request.application)
-        if request.dataflow is None:
+    # Requests for several schedulers over one workload pass the same
+    # application and clustering objects and share one analysis.
+    dataflows: Dict[Tuple[int, int], DataflowInfo] = {}
+    results: List[CompileResult] = []
+    for request in requests:
+        dataflow = request.dataflow
+        if dataflow is None and request.clustering is not None:
             key = (id(request.application), id(request.clustering))
             dataflow = dataflows.get(key)
             if dataflow is None:
@@ -239,238 +93,17 @@ class BatchCompiler:
                     request.application, request.clustering
                 )
                 dataflows[key] = dataflow
-            request.dataflow = dataflow
-        elif (request.dataflow.application is not request.application
-                or request.dataflow.clustering is not request.clustering):
-            raise ValueError(
-                "dataflow was analysed for a different application or "
-                "clustering"
-            )
-
-    def _reference(self, request: CompileRequest) -> CompileResult:
-        """Run the per-case scheduler; capture infeasibility."""
         scheduler = _SCHEDULERS[request.scheduler](
             request.architecture, request.options
         )
         try:
-            schedule = scheduler.schedule(
-                request.application, request.clustering,
-                dataflow=request.dataflow,
-            )
+            with time_stage("schedule", scope=f"pipeline.{scheduler.name}"):
+                schedule = scheduler.schedule(
+                    request.application, request.clustering,
+                    dataflow=dataflow,
+                )
         except InfeasibleScheduleError as exc:
-            return CompileResult(None, exc, engine="reference")
-        return CompileResult(schedule, None, engine="reference")
-
-    def _infeasible(self, request: CompileRequest) -> CompileResult:
-        """Re-run an infeasible case on the reference scheduler so the
-        diagnostic payload is identical by construction."""
-        inc("batch.infeasible", scope=_SCOPE)
-        result = self._reference(request)
-        if result.error is None:
-            # The batch engine judged the case infeasible but the
-            # reference disagreed — a batch bug.  Surface the (correct)
-            # reference schedule and count the divergence; the
-            # equivalence suite and the batchcompile oracle turn this
-            # counter into a hard failure.
-            inc("batch.mismatch", scope=_SCOPE)
-        return result
-
-    # -- per-scheduler fast paths ----------------------------------------
-
-    def _compile_basic(
-        self,
-        request: CompileRequest,
-        scheduler: DataSchedulerBase,
-        case: CaseTables,
-    ) -> CompileResult:
-        """Basic Scheduler: RF = 1, no keeps, full-footprint occupancy."""
-        fbs = request.architecture.fb_set_words
-        if np.any(case.footprint > fbs):
-            return self._infeasible(request)
-        occupancy = {
-            index: int(case.footprint[index])
-            for index in range(case.n_clusters)
-        }
-        return self._finalize(
-            request, rf=1, keeps=(), occupancy=occupancy,
-            contexts_per_iteration=True, overlap_transfers=False,
-        )
-
-    def _compile_fission(
-        self,
-        entries: List[Tuple[int, CompileRequest, DataSchedulerBase]],
-        tables: Dict[int, CaseTables],
-        results: List[Optional[CompileResult]],
-    ) -> None:
-        """DS + CDS requests: shared RF search, then CDS keep selection."""
-        # Distinct RF problems: a DS and a CDS request over the same
-        # workload/capacity/cap resolve one search.
-        problem_rows: Dict[Tuple[int, int, int], int] = {}
-        stack_rows: List[Tuple[CaseTables, int, int]] = []
-        entry_problem: List[int] = []
-        for _, request, _ in entries:
-            case = tables[id(request.dataflow)]
-            cap = (
-                request.options.rf_cap if request.options.rf_cap > 0
-                else request.application.total_iterations
-            )
-            key = (id(case), request.architecture.fb_set_words, cap)
-            row = problem_rows.get(key)
-            if row is None:
-                row = len(stack_rows)
-                problem_rows[key] = row
-                stack_rows.append(
-                    (case, request.architecture.fb_set_words, cap)
-                )
-            entry_problem.append(row)
-
-        with time_stage("rf", scope=_SCOPE):
-            batch = BatchTables.stack(stack_rows)
-            rf_by_problem = batch_max_common_rf(batch)
-            ds_occ = batch_occupancies(
-                batch, np.maximum(rf_by_problem, 1)
-            )
-
-        cds_entries: List[Tuple[int, CompileRequest, CaseTables, int]] = []
-        for entry_idx, (i, request, _) in enumerate(entries):
-            problem = entry_problem[entry_idx]
-            rf = int(rf_by_problem[problem])
-            if rf == 0:
-                results[i] = self._infeasible(request)
-                continue
-            case = tables[id(request.dataflow)]
-            if request.scheduler == "ds":
-                occupancy = {
-                    index: int(ds_occ[problem, index])
-                    for index in range(case.n_clusters)
-                }
-                results[i] = self._finalize(
-                    request, rf=rf, keeps=(), occupancy=occupancy,
-                    contexts_per_iteration=False,
-                )
-            else:
-                cds_entries.append((i, request, case, rf))
-        if cds_entries:
-            self._compile_cds(cds_entries, results)
-
-    def _compile_cds(
-        self,
-        entries: List[Tuple[int, CompileRequest, CaseTables, int]],
-        results: List[Optional[CompileResult]],
-    ) -> None:
-        """CDS keep selection: batched TF ranking + lockstep acceptance."""
-        with time_stage("keeps", scope=_SCOPE):
-            case_candidates = [
-                retention_candidates(request.dataflow)
-                for _, request, _, _ in entries
-            ]
-            # All fast-path requests share one keep_policy per call
-            # site in practice, but rank per-policy groups to be exact.
-            orders: List[List[int]] = [[] for _ in entries]
-            by_policy: Dict[str, List[int]] = {}
-            for row, (_, request, _, _) in enumerate(entries):
-                by_policy.setdefault(
-                    request.options.keep_policy, []
-                ).append(row)
-            for policy, rows in by_policy.items():
-                ranked = rank_candidates_batch(
-                    [case_candidates[row] for row in rows], policy
-                )
-                for sub, row in enumerate(rows):
-                    orders[row] = ranked[sub]
-
-            ranked_candidates = [
-                [case_candidates[row][pos] for pos in orders[row]]
-                for row in range(len(entries))
-            ]
-            ranked_deltas = [
-                [build_keep_delta(case, cand) for cand in cands]
-                for (_, _, case, _), cands in zip(entries, ranked_candidates)
-            ]
-            state = BatchTables.stack([
-                (case, request.architecture.fb_set_words, rf)
-                for _, request, case, rf in entries
-            ])
-            rf_vec = np.asarray(
-                [rf for _, _, _, rf in entries], dtype=np.int64
-            )
-            accepted = batch_select_keeps(state, rf_vec, ranked_deltas)
-            inc(
-                "batch.keep_trials",
-                sum(len(cands) for cands in ranked_candidates),
-                scope=_SCOPE,
-            )
-            final_occ = batch_occupancies(state, rf_vec)
-
-        for row, (i, request, case, rf) in enumerate(entries):
-            keeps = tuple(
-                ranked_candidates[row][step] for step in accepted[row]
-            )
-            occupancy = {
-                index: int(final_occ[row, index])
-                for index in range(case.n_clusters)
-            }
-            results[i] = self._finalize(
-                request, rf=rf, keeps=keeps, occupancy=occupancy,
-                contexts_per_iteration=False,
-            )
-
-    # -- finalize ---------------------------------------------------------
-
-    def _finalize(
-        self,
-        request: CompileRequest,
-        *,
-        rf: int,
-        keeps: tuple,
-        occupancy: Dict[int, int],
-        contexts_per_iteration: bool,
-        overlap_transfers: bool = True,
-    ) -> CompileResult:
-        with time_stage("finalize", scope=_SCOPE):
-            if keeps:
-                skeleton = derive_plan_skeleton(request.dataflow, keeps)
-            else:
-                key = id(request.dataflow)
-                skeleton = self._skeletons.get(key)
-                if skeleton is None:
-                    skeleton = derive_plan_skeleton(request.dataflow, ())
-                    self._skeletons[key] = skeleton
-            schedule = assemble_schedule(
-                request.scheduler,
-                request.dataflow,
-                rf=rf,
-                keeps=keeps,
-                occupancy=occupancy,
-                contexts_per_iteration=contexts_per_iteration,
-                fb_set_words=request.architecture.fb_set_words,
-                context_block_words=request.architecture.context_block_words,
-                overlap_transfers=overlap_transfers,
-                skeleton=skeleton,
-            )
-        inc("batch.fastpath", scope=_SCOPE)
-        return CompileResult(schedule, None, engine="batch")
-
-
-def compile_many(
-    requests: Sequence[CompileRequest],
-    *,
-    engine: str = "batch",
-) -> List[CompileResult]:
-    """Compile a batch under the chosen engine.
-
-    ``engine='batch'`` runs the structure-of-arrays fast path;
-    ``engine='reference'`` runs every request through the per-case
-    scheduler — the equivalence oracle's other half.
-    """
-    if engine not in ("batch", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    compiler = BatchCompiler()
-    if engine == "reference":
-        dataflows: Dict[Tuple[int, int], DataflowInfo] = {}
-        out: List[CompileResult] = []
-        for request in requests:
-            compiler._resolve(request, dataflows)
-            out.append(compiler._reference(request))
-        return out
-    return compiler.compile_many(requests)
+            results.append(CompileResult(None, exc))
+        else:
+            results.append(CompileResult(schedule, None))
+    return results

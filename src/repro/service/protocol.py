@@ -9,7 +9,7 @@ to know lives here:
   scheduler (``basic``/``ds``/``cds``), optional
   :class:`~repro.schedule.base.ScheduleOptions` overrides, a ``trace``
   flag and an ``fb_words`` override.  A ``/v1/batch`` body carries a
-  list of such case dicts plus shared ``trace``/``engine`` settings.
+  list of such case dicts plus a shared ``trace`` setting.
 * **Execution.**  :func:`execute_request` is the worker entry point —
   a top-level picklable function so the server can dispatch it into a
   :class:`~repro.analysis.parallel.WorkerPool` of either mode.  It
@@ -75,7 +75,7 @@ _OPTION_FIELDS = frozenset(
 _SCHEDULE_KEYS = frozenset(
     ("workload", "experiment", "scheduler", "options", "trace", "fb_words")
 )
-_BATCH_KEYS = frozenset(("cases", "trace", "engine"))
+_BATCH_KEYS = frozenset(("cases", "trace"))
 _CASE_KEYS = frozenset(
     ("workload", "experiment", "scheduler", "options", "fb_words")
 )
@@ -302,11 +302,6 @@ def _execute_batch(body: Dict[str, Any],
     if not isinstance(cases, list) or not cases:
         raise ServiceError(400, "cases must be a non-empty JSON array")
     trace = _parse_trace(body)
-    engine = body.get("engine", "batch")
-    if engine not in ("batch", "reference"):
-        raise ServiceError(
-            400, f"unknown engine {engine!r}; known: batch, reference"
-        )
     names = []
     items = []
     for index, case_body in enumerate(cases):
@@ -321,7 +316,7 @@ def _execute_batch(body: Dict[str, Any],
              options, None)
         )
     outcomes = run_pipeline_batch(
-        items, trace=trace, cache=_make_cache(cache_dir), engine=engine,
+        items, trace=trace, cache=_make_cache(cache_dir),
     )
     results = [
         outcome_payload(outcome, workload=name)

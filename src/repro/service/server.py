@@ -32,10 +32,11 @@ counters in ``tests/service/test_service.py``.
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.analysis.parallel import WorkerPool
 from repro.obs.metrics import MetricsRegistry
@@ -142,7 +143,11 @@ class SchedulerService:
         self._pool = WorkerPool(jobs=jobs, mode=mode)
         self._mode = mode
         self._inflight: Dict[str, "asyncio.Future"] = {}
-        self._latencies: List[float] = []
+        # Rolling window: /v1/metrics percentiles describe the newest
+        # requests, not the first ones the server ever saw.
+        self._latencies: Deque[float] = collections.deque(
+            maxlen=_MAX_RECORDED_LATENCIES
+        )
         self._started = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
 
@@ -212,8 +217,7 @@ class SchedulerService:
 
     def _record_latency(self, seconds: float) -> None:
         self.registry.inc("requests", scope="service")
-        if len(self._latencies) < _MAX_RECORDED_LATENCIES:
-            self._latencies.append(seconds)
+        self._latencies.append(seconds)
 
     # -- routing -------------------------------------------------------
 

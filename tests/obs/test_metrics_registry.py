@@ -146,13 +146,8 @@ class TestPipelineIntegration:
         finally:
             set_metrics_active(False)
         timers = get_registry().timers
-        # Scheduling runs through the batch front-end (scope "batch");
-        # codegen and simulation stay per-scheduler pipeline stages.
-        for stage in ("layout", "rf", "keeps", "finalize"):
-            key = f"batch/{stage}"
-            assert key in timers, key
         for scheduler in ("basic", "ds", "cds"):
-            for stage in ("codegen", "simulate"):
+            for stage in ("schedule", "codegen", "simulate"):
                 key = f"pipeline.{scheduler}/{stage}"
                 assert key in timers, key
                 assert timers[key]["count"] == 1

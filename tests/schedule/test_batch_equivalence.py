@@ -1,100 +1,89 @@
-"""Batch compiler vs. reference schedulers: byte-identical, always.
+"""The batch driver equals the per-case pipeline, outcome for outcome.
 
-The structure-of-arrays batch engine (:mod:`repro.schedule.batch`)
-promises the same contract the incremental occupancy engine does:
-``compile_many(requests, engine='batch')`` produces **exactly** the
-schedules the per-case schedulers would — same RF, same keeps in the
-same order, same cluster plans — and, for infeasible cases, the same
-:class:`~repro.errors.InfeasibleScheduleError` payload (message,
-cluster, word counts).  Infeasible cases must never poison their batch
-neighbors.  These tests enforce the contract over the fuzz generator
-matrix (500+ cases), the paper experiments, an options matrix, and the
-batch-shape edge cases (empty, single, all-infeasible, mixed).
+:func:`~repro.analysis.compare.run_pipeline_batch` (cache lookups, one
+:func:`~repro.schedule.batch.compile_many` over the misses, then
+codegen and simulation per miss) must return exactly the outcomes of
+:func:`~repro.analysis.compare.run_scheduler` run item by item — same
+schedules, same simulation reports, same
+:class:`~repro.errors.InfeasibleScheduleError` payloads — with the
+cache off and on.  Infeasible items must never perturb their batch
+neighbors.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.compare import run_pipeline_batch, run_scheduler
 from repro.arch.params import Architecture
+from repro.cache import CacheStore
 from repro.errors import InfeasibleScheduleError
-from repro.fuzz.case import FuzzCase
-from repro.fuzz.generator import generate_case, regime_names
+from repro.fuzz.generator import generate_case
 from repro.schedule.base import ScheduleOptions
-from repro.schedule.batch.compiler import CompileRequest, compile_many
+from repro.schedule.batch import compile_many
+from repro.service.protocol import SCHEDULERS
 from repro.workloads.random_gen import random_application
 from repro.workloads.spec import paper_experiments
 
-_SCHEDULERS = ("basic", "ds", "cds")
+_NAMES = ("basic", "ds", "cds")
 
 
-def _error_payload(error):
-    return (str(error), error.cluster, error.required, error.available)
-
-
-def _fingerprint(result):
-    """One comparable value per result: error payload or schedule."""
-    if result.error is not None:
-        return ("infeasible", _error_payload(result.error))
-    schedule = result.schedule
-    return (
-        "feasible", schedule.rf, schedule.keeps, schedule.cluster_plans,
-        schedule.contexts_per_iteration, schedule.overlap_transfers,
-    )
-
-
-def _assert_batch_matches_reference(requests):
-    batch = compile_many(requests, engine="batch")
-    reference = compile_many(requests, engine="reference")
-    assert len(batch) == len(reference) == len(requests)
-    for index, (b, r) in enumerate(zip(batch, reference)):
-        assert _fingerprint(b) == _fingerprint(r), (
-            f"request {index} ({requests[index].scheduler}) diverged"
-        )
-        # Full schedule equality, not just the fingerprint: every field
-        # of the dataclass tree must agree.
-        if b.schedule is not None:
-            assert b.schedule == r.schedule, (
-                f"request {index}: schedules differ beyond fingerprint"
-            )
-    return batch
-
-
-def _case_requests(case: FuzzCase):
-    application, clustering = case.build()
-    architecture = case.architecture()
+def _items(application, clustering, architecture, options=None):
     return [
-        CompileRequest(name, application, architecture,
-                       clustering=clustering)
-        for name in _SCHEDULERS
+        (name, application, clustering, architecture, options, None)
+        for name in _NAMES
     ]
 
 
-def test_fuzz_matrix_byte_identical():
-    """The acceptance matrix: every regime x 35 seeds x 3 schedulers
-    (525+ compile problems) in ONE batch, compared case by case."""
-    requests = []
-    for regime in regime_names():
-        for seed in range(35):
-            requests.extend(_case_requests(generate_case(regime, seed)))
-    assert len(requests) >= 500
-    results = _assert_batch_matches_reference(requests)
-    # The matrix must exercise both outcomes, or it proves nothing.
-    assert any(r.feasible for r in results)
-    assert any(not r.feasible for r in results)
+def _doomed_items():
+    """One tiny_fb case squeezed to 64 words: all three infeasible."""
+    case = generate_case("tiny_fb", 0)
+    case.fb_words = 64
+    application, clustering = case.build()
+    return _items(application, clustering, case.architecture())
 
 
-def test_paper_experiments_byte_identical():
-    requests = []
+def _fingerprint(outcome):
+    error = outcome.error
+    payload = None if error is None else (
+        str(error), error.cluster, error.required, error.available
+    )
+    return (outcome, payload)
+
+
+def _per_item(items):
+    return [
+        run_scheduler(
+            SCHEDULERS[name](architecture, options), application,
+            clustering, architecture, trace=False, dataflow=dataflow,
+        )
+        for name, application, clustering, architecture, options, dataflow
+        in items
+    ]
+
+
+def _assert_batch_matches_per_item(items, cache_dir=None):
+    """Compare cache off, then (with *cache_dir*) a cold and a warm
+    cached batch, against the per-item pipeline."""
+    expected = [_fingerprint(outcome) for outcome in _per_item(items)]
+    runs = [run_pipeline_batch(items, trace=False)]
+    if cache_dir is not None:
+        store = CacheStore(cache_dir)
+        runs.append(run_pipeline_batch(items, trace=False, cache=store))
+        runs.append(run_pipeline_batch(items, trace=False, cache=store))
+        assert store.hits == len(items)
+    for outcomes in runs:
+        assert [_fingerprint(outcome) for outcome in outcomes] == expected
+    return runs[0]
+
+
+def test_paper_experiments_byte_identical(tmp_path):
+    items = []
     for spec in paper_experiments():
         application, clustering = spec.build()
-        architecture = Architecture.m1(spec.fb)
-        requests.extend(
-            CompileRequest(name, application, architecture,
-                           clustering=clustering)
-            for name in _SCHEDULERS
+        items.extend(
+            _items(application, clustering, Architecture.m1(spec.fb))
         )
-    results = _assert_batch_matches_reference(requests)
-    assert all(r.feasible for r in results)
+    outcomes = _assert_batch_matches_per_item(items, tmp_path)
+    assert all(outcome.feasible for outcome in outcomes)
 
 
 @settings(max_examples=30, deadline=None)
@@ -106,67 +95,51 @@ def test_paper_experiments_byte_identical():
 )
 def test_options_matrix_byte_identical(seed, fb, rf_cap, keep_policy):
     application, clustering = random_application(seed, iterations=4)
-    architecture = Architecture.m1(fb)
     options = ScheduleOptions(rf_cap=rf_cap, keep_policy=keep_policy)
-    _assert_batch_matches_reference([
-        CompileRequest(name, application, architecture,
-                       clustering=clustering, options=options)
-        for name in _SCHEDULERS
-    ])
+    _assert_batch_matches_per_item(
+        _items(application, clustering, Architecture.m1(fb), options)
+    )
 
 
 def test_empty_batch():
     assert compile_many([]) == []
+    assert run_pipeline_batch([]) == []
 
 
 def test_single_case_batch():
     application, clustering = random_application(7, iterations=4)
-    results = _assert_batch_matches_reference([
-        CompileRequest("cds", application, Architecture.m1("4K"),
-                       clustering=clustering)
-    ])
-    assert len(results) == 1 and results[0].feasible
+    outcomes = _assert_batch_matches_per_item(
+        _items(application, clustering, Architecture.m1("4K"))[2:]
+    )
+    assert len(outcomes) == 1 and outcomes[0].feasible
 
 
-def test_all_infeasible_batch():
-    """Every case infeasible: identical error payloads, no schedule."""
-    requests = []
+def test_all_infeasible_batch(tmp_path):
+    """Every item infeasible: identical error payloads, no schedule."""
+    items = []
     for seed in range(5):
         case = generate_case("tiny_fb", seed)
         case.fb_words = 64
-        requests.extend(_case_requests(case))
-    results = _assert_batch_matches_reference(requests)
-    assert all(not r.feasible for r in results)
-    for result in results:
-        assert isinstance(result.error, InfeasibleScheduleError)
-        with pytest.raises(InfeasibleScheduleError):
-            result.unwrap()
+        application, clustering = case.build()
+        items.extend(_items(application, clustering, case.architecture()))
+    outcomes = _assert_batch_matches_per_item(items, tmp_path)
+    for outcome in outcomes:
+        assert not outcome.feasible
+        assert isinstance(outcome.error, InfeasibleScheduleError)
 
 
-def test_mixed_batch_no_neighbor_poisoning():
-    """Feasible cases schedule identically whether or not infeasible
-    cases share their batch — an infeasible neighbor must not perturb
-    the lockstep RF search or keep acceptance of the survivors."""
-    feasible_app, feasible_cl = random_application(11, iterations=4)
-    architecture = Architecture.m1("4K")
-    feasible = [
-        CompileRequest(name, feasible_app, architecture,
-                       clustering=feasible_cl)
-        for name in _SCHEDULERS
-    ]
-    doomed_case = generate_case("tiny_fb", 0)
-    doomed_case.fb_words = 64
-    doomed = _case_requests(doomed_case)
+def test_mixed_batch_no_neighbor_poisoning(tmp_path):
+    """Feasible items come out identical whether or not infeasible
+    items sit before, between and after them in the batch."""
+    application, clustering = random_application(11, iterations=4)
+    feasible = _items(application, clustering, Architecture.m1("4K"))
+    doomed = _doomed_items()
+    mixed = [doomed[0], feasible[0], doomed[1], feasible[1],
+             feasible[2], doomed[2]]
 
-    alone = compile_many(feasible, engine="batch")
-    # Infeasible requests interleaved before, between, and after.
-    mixed_requests = [doomed[0], feasible[0], doomed[1], feasible[1],
-                      feasible[2], doomed[2]]
-    mixed = compile_many(mixed_requests, engine="batch")
-    survivors = [mixed[1], mixed[3], mixed[4]]
-    for solo, shared in zip(alone, survivors):
-        assert solo.feasible and shared.feasible
-        assert solo.schedule == shared.schedule
+    alone = run_pipeline_batch(feasible, trace=False)
+    shared = _assert_batch_matches_per_item(mixed, tmp_path)
+    assert [shared[1], shared[3], shared[4]] == alone
+    assert all(outcome.feasible for outcome in alone)
     for index in (0, 2, 5):
-        assert not mixed[index].feasible
-    _assert_batch_matches_reference(mixed_requests)
+        assert not shared[index].feasible

@@ -26,7 +26,8 @@ from repro.lint.diagnostics import Diagnostic, Severity
 from repro.schedule.base import DataSchedulerBase, ScheduleOptions
 from repro.service.loadgen import _post_bytes, _read_response
 from repro.service.protocol import SCHEDULERS, encode_json, outcome_payload
-from repro.service.server import ServerThread
+from repro.service import server as server_module
+from repro.service.server import SchedulerService, ServerThread
 from repro.workloads.spec import paper_experiments
 
 
@@ -299,6 +300,24 @@ def test_metrics_endpoint_shape(server):
     assert "timers" in payload["metrics"]
 
 
+def test_metrics_latency_window_rolls(monkeypatch):
+    """Past the window, p50/max describe the newest requests instead of
+    freezing on the first ones."""
+    monkeypatch.setattr(server_module, "_MAX_RECORDED_LATENCIES", 4)
+    service = SchedulerService(jobs=1)
+    try:
+        for millis in range(1, 11):
+            service._record_latency(millis / 1000.0)
+        latency = service._metrics_payload()["service"]["latency"]
+    finally:
+        asyncio.run(service.aclose())
+    assert service.registry.counter("requests", scope="service") == 10
+    assert latency["count"] == 4
+    assert latency["max_s"] == 0.010
+    assert latency["p50_s"] == 0.008
+    assert latency["mean_s"] == pytest.approx(0.0085)
+
+
 @pytest.mark.parametrize(
     "body, fragment",
     [
@@ -336,7 +355,7 @@ def test_batch_bad_requests(server):
     )
     payload = json.loads(raw)
     assert status == 400
-    assert "unknown engine" in payload["error"]["message"]
+    assert "unknown request key(s): engine" in payload["error"]["message"]
 
 
 def test_unknown_route_and_wrong_method(server):

@@ -85,9 +85,7 @@ class TestRunProfile:
         assert main(["run", "E1", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "pipeline profile" in out
-        # Scheduling runs through the batch front-end; codegen and
-        # simulation remain per-scheduler pipeline stages.
-        assert "batch/finalize" in out
+        assert "pipeline.cds/schedule" in out
         assert "pipeline.basic/simulate" in out
 
     def test_profile_leaves_collection_off_afterwards(self):
