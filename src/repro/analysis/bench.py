@@ -22,9 +22,10 @@ cases:
   ``BENCH_service.json`` via ``repro bench --service-output``.
 
 The ``simulate`` stage times the analysis drivers' hot path — the
-vectorized timeline evaluator with tracing and re-verification off;
+event-driven engine with tracing and re-verification off, so each
+visit's transfer groups are accounted as whole DMA channel blocks;
 ``simulate_traced`` times the default interactive configuration (full
-per-transfer trace + program verification) on the reference engine.
+per-transfer trace + program verification) on the same engine.
 The ``codegen``/``verify`` stages are pinned to the reference codegen
 backend for cross-baseline continuity; ``codegen_templated`` and
 ``verify_fast`` time the template-compiled generator (with full visit
@@ -179,13 +180,13 @@ def _experiment_stage_fns(spec) -> Dict[str, Callable[[], object]]:
         "verify": lambda: verify_program(reference),
         "verify_fast": lambda: verify_program(templated),
         "lint": lambda: lint_schedule(schedule),
-        # The batch-driver hot path: vectorized timeline, no trace, no
+        # The batch-driver hot path: trace-off block accounting, no
         # re-verification (verify/lint are timed as their own stages).
         "simulate": lambda: Simulator(
             MorphoSysM1(architecture), trace=False, verify=False
         ).run(reference),
-        # The interactive default: full per-transfer trace via the
-        # reference event-driven engine, plus program verification.
+        # The interactive default: full per-transfer trace plus
+        # program verification.
         "simulate_traced": lambda: Simulator(
             MorphoSysM1(architecture)
         ).run(reference),

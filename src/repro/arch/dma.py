@@ -16,7 +16,7 @@ stamps; the channel serialises everything and accumulates statistics by
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.arch.params import TimingModel
 from repro.errors import SimulationError
@@ -158,42 +158,6 @@ class DmaChannel:
         self._counts[key] += count
         self._cycles += duration
         return (start, finish)
-
-    def account(
-        self,
-        kind: TransferKind,
-        *,
-        words: int,
-        count: int,
-        cycles: int,
-        busy_until: Optional[int] = None,
-    ) -> None:
-        """Fold a pre-resolved batch of transfers into the statistics.
-
-        The vectorized timeline evaluator resolves the whole DMA
-        timeline outside the channel and lands the aggregate traffic —
-        and the final ``busy_until`` — in one call per transfer kind.
-        The numbers must be exactly what the equivalent
-        :meth:`request` / :meth:`request_block` sequence would have
-        accumulated; the usual accounting guards apply.
-        """
-        if words < 0:
-            raise SimulationError(f"negative transfer size {words}")
-        if count < 0:
-            raise SimulationError(f"negative transfer count {count}")
-        if cycles < 0:
-            raise SimulationError(f"negative busy cycles {cycles}")
-        key = kind._value_
-        self._words[key] += words
-        self._counts[key] += count
-        self._cycles += cycles
-        if busy_until is not None:
-            if busy_until < self.busy_until:
-                raise SimulationError(
-                    f"busy_until moving backwards: {busy_until} < "
-                    f"{self.busy_until}"
-                )
-            self.busy_until = busy_until
 
     # -- statistics ---------------------------------------------------------
 

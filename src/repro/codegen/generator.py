@@ -19,7 +19,6 @@ the order the cluster needs it.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.ops import LoadContext, LoadData, RunKernel, StoreData, Visit, VisitOps
@@ -160,41 +159,10 @@ def generate_program(
     return Program(schedule=schedule, visits=tuple(visits))
 
 
-# Cluster codegen facts (load order + per-parity context loads) are
-# pure functions of the cluster plan, the keep set and the dataflow.
-# They are memoized so repeated ``generate_program`` calls over the
-# same workload — warm corpus replays, service followers, the three
-# schedulers of one comparison sharing an application/clustering —
-# skip the O(kernels x loads) ordering work even on the reference
-# path.  Keys carry content (plan loads, keeps, kernel names) plus the
-# identity of the application/clustering objects; weak references
-# guard against id() reuse after garbage collection.
-_FACTS_MEMO: Dict[tuple, tuple] = {}
-_FACTS_MEMO_CAP = 4096
-
-
 def cluster_codegen_facts(
     schedule: Schedule, cluster
 ) -> Tuple[Tuple[str, ...], Tuple[Tuple[LoadContext, ...], ...]]:
     """``(load_order, context_loads_per_cm_block)`` for one cluster."""
-    plan = schedule.plan_for(cluster.index)
-    key = (
-        cluster.index,
-        cluster.fb_set,
-        cluster.kernel_names,
-        plan.loads,
-        schedule.keeps,
-        id(schedule.application),
-        id(schedule.clustering),
-    )
-    entry = _FACTS_MEMO.get(key)
-    if entry is not None:
-        app_ref, clustering_ref, facts = entry
-        if (
-            app_ref() is schedule.application
-            and clustering_ref() is schedule.clustering
-        ):
-            return facts
     order = _load_order(schedule, cluster)
     context_loads = tuple(
         tuple(
@@ -207,15 +175,7 @@ def cluster_codegen_facts(
         )
         for block in (0, 1)
     )
-    facts = (order, context_loads)
-    if len(_FACTS_MEMO) >= _FACTS_MEMO_CAP:
-        _FACTS_MEMO.clear()
-    _FACTS_MEMO[key] = (
-        weakref.ref(schedule.application),
-        weakref.ref(schedule.clustering),
-        facts,
-    )
-    return facts
+    return order, context_loads
 
 
 def _load_order(schedule: Schedule, cluster) -> Tuple[str, ...]:

@@ -67,11 +67,20 @@ class _ProtocolError(Exception):
     """Unparseable HTTP framing; the connection is dropped."""
 
 
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One line; a line over the reader's limit is a protocol error."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        # StreamReader.readline reports an overlong line as ValueError.
+        raise _ProtocolError(f"line too long: {exc}") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """One framed request, or ``None`` on a clean EOF between requests."""
-    line = await reader.readline()
+    line = await _readline(reader)
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
@@ -80,7 +89,7 @@ async def _read_request(
     method, path, _version = parts
     headers: Dict[str, str] = {}
     while True:
-        header = await reader.readline()
+        header = await _readline(reader)
         if header in (b"\r\n", b"\n"):
             break
         if not header:

@@ -13,7 +13,7 @@ reference execution — proving the schedule preserves semantics, not
 just capacity constraints.
 """
 
-from repro.sim.batch import simulate_many, simulate_program
+from repro.sim.batch import simulate_program
 from repro.sim.engine import Simulator
 from repro.sim.functional import (
     populate_external_inputs,
@@ -28,7 +28,6 @@ __all__ = [
     "VisitTiming",
     "populate_external_inputs",
     "reference_outputs",
-    "simulate_many",
     "simulate_program",
     "surrogate_kernel",
 ]

@@ -1,17 +1,16 @@
-"""Batch simulation helpers for analysis drivers.
+"""Batch simulation helper for analysis drivers.
 
 The ablation/sweep/corpus drivers and the fuzz runner all follow the
 same shape: lower a schedule, build a fresh machine, simulate, keep the
 :class:`~repro.sim.report.SimulationReport`.  :func:`simulate_program`
-captures that shape once — defaulting to the vectorized hot path
-(``trace=False``, ``verify=False``) — and :func:`simulate_many` maps it
-over a batch of programs so callers get one report per program without
-re-spelling the machine/simulator plumbing.
+captures that shape once, with the per-transfer trace and the program
+re-verification off by default, so the event-driven engine accounts
+each visit's transfer groups as whole channel blocks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
@@ -20,7 +19,7 @@ from repro.schedule.context_scheduler import DmaPolicy
 from repro.sim.engine import Simulator
 from repro.sim.report import SimulationReport
 
-__all__ = ["simulate_program", "simulate_many"]
+__all__ = ["simulate_program"]
 
 
 def simulate_program(
@@ -31,7 +30,6 @@ def simulate_program(
     dma_policy: DmaPolicy = DmaPolicy.CONTEXTS_FIRST,
     trace: bool = False,
     verify: bool = False,
-    engine: str = "auto",
 ) -> SimulationReport:
     """Simulate one lowered program on a fresh (or given) machine.
 
@@ -46,33 +44,5 @@ def simulate_program(
         dma_policy=dma_policy,
         trace=trace,
         verify=verify,
-        engine=engine,
     )
     return simulator.run(program)
-
-
-def simulate_many(
-    programs: Iterable[Program],
-    architecture: Architecture,
-    *,
-    dma_policy: DmaPolicy = DmaPolicy.CONTEXTS_FIRST,
-    trace: bool = False,
-    verify: bool = False,
-    engine: str = "auto",
-) -> List[SimulationReport]:
-    """Simulate a batch of programs, one fresh machine per program.
-
-    Each program gets its own machine so DMA statistics and memory
-    state never bleed between batch entries.
-    """
-    return [
-        simulate_program(
-            program,
-            architecture,
-            dma_policy=dma_policy,
-            trace=trace,
-            verify=verify,
-            engine=engine,
-        )
-        for program in programs
-    ]

@@ -18,22 +18,16 @@ Timing model (paper section 2's structural constraints):
 * within one overlap window the :class:`ContextScheduler` policy orders
   contexts / stores / loads (default: contexts first, per [4]).
 
+With the per-transfer trace on, every transfer walks through the DMA
+channel item by item.  With it off, each visit's context, load and
+store group is accounted as one contiguous channel block
+(:meth:`DmaChannel.request_block`).  The timeline and the aggregate
+statistics are identical either way; ``tests/sim/test_trace_equivalence.py``
+and the ``simengine`` fuzz oracle compare the two.
+
 Functional mode additionally moves real values through the machine's
 external memory and checks every final output against the reference
 execution.
-
-Two engines resolve the timing recurrence:
-
-* the **vectorized** engine (:mod:`repro.sim.vectorized`) precomputes
-  per-visit transfer groups into NumPy arrays and resolves the
-  recurrence in one tight scalar loop — the default whenever the
-  per-transfer trace is off and functional mode is not requested;
-* the **reference** engine (this module's :meth:`Simulator._execute`)
-  walks every transfer through the DMA channel item by item — the only
-  engine that can record the trace or move functional values, and the
-  equivalence oracle for the vectorized one (the ``simengine`` fuzz
-  oracle and ``tests/sim/test_vectorized_equivalence.py`` assert the
-  two produce byte-identical :class:`VisitTiming` rows and reports).
 """
 
 from __future__ import annotations
@@ -59,11 +53,8 @@ from repro.sim.functional import (
     reference_outputs,
 )
 from repro.sim.report import SimulationReport, VisitTiming
-from repro.sim.vectorized import evaluate_timeline, tables_for
 
 __all__ = ["Simulator"]
-
-_ENGINES = ("auto", "vectorized", "reference")
 
 
 class Simulator:
@@ -77,13 +68,6 @@ class Simulator:
         trace: record the per-transfer DMA trace (and its labels) in
             the report.  Aggregate statistics are exact either way;
             bulk analysis drivers turn tracing off for speed.
-        engine: ``"auto"`` (default) resolves the timing recurrence
-            with the vectorized evaluator whenever the trace is off and
-            functional mode is not requested, falling back to the
-            reference engine otherwise; ``"vectorized"`` forces the
-            fast path (and rejects trace/functional runs, which need
-            per-item execution); ``"reference"`` forces the item-by-
-            item engine — the equivalence oracle.
     """
 
     def __init__(
@@ -93,17 +77,11 @@ class Simulator:
         dma_policy: DmaPolicy = DmaPolicy.CONTEXTS_FIRST,
         verify: bool = True,
         trace: bool = True,
-        engine: str = "auto",
     ):
-        if engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}"
-            )
         self.machine = machine
         self.context_scheduler = ContextScheduler(dma_policy)
         self.verify = verify
         self.trace = trace
-        self.engine = engine
         #: After a functional run: total words brought in by data loads,
         #: and the subset never read by any kernel before eviction or
         #: program end.  ``None`` until a functional run completes.
@@ -158,7 +136,6 @@ class Simulator:
         else:
             self._populate_accounting(application)
 
-        use_vectorized = self._wants_vectorized(functional)
         # The tracing mode is set only for the duration of this run and
         # restored afterwards: the DMA channel is shared machine state,
         # and a constructor side effect would let two simulators over
@@ -170,10 +147,7 @@ class Simulator:
             self._dead_words = 0
             self._loaded_words = 0
         try:
-            if use_vectorized:
-                timings = self._execute_vectorized(program)
-            else:
-                timings = self._execute(program, functional, impls)
+            timings = self._execute(program, functional, impls)
         finally:
             self.machine.dma.record_trace = dma_record_trace
 
@@ -210,42 +184,7 @@ class Simulator:
             functional_verified=verified,
         )
 
-    # -- engine selection -------------------------------------------------
-
-    def _wants_vectorized(self, functional: bool) -> bool:
-        """Whether this run resolves timing via the vectorized path."""
-        if self.engine == "reference":
-            return False
-        incompatible = self.trace or functional
-        if self.engine == "vectorized":
-            if incompatible:
-                raise SimulationError(
-                    "engine='vectorized' resolves timing in bulk: it "
-                    "records no per-transfer trace and moves no "
-                    "functional values; use trace=False and "
-                    "functional=False (or engine='auto'/'reference')"
-                )
-            return True
-        return not incompatible
-
-    def _execute_vectorized(self, program: Program) -> List[VisitTiming]:
-        """Bulk timing resolution (see :mod:`repro.sim.vectorized`)."""
-        if not program.visits:
-            return []
-        dma = self.machine.dma
-        tables = tables_for(program, dma.timing)
-        timings, busy_until = evaluate_timeline(
-            program, tables, self.context_scheduler.policy, dma.busy_until
-        )
-        last = TransferKind.DATA_STORE
-        for kind, (words, count, cycles) in tables.totals.items():
-            dma.account(
-                kind, words=words, count=count, cycles=cycles,
-                busy_until=busy_until if kind is last else None,
-            )
-        return timings
-
-    # -- reference engine -------------------------------------------------
+    # -- timing engine ----------------------------------------------------
 
     def _execute(
         self,

@@ -365,3 +365,26 @@ def test_unknown_route_and_wrong_method(server):
     assert status == 405
     status, raw = request(server, "/v1/schedule")
     assert status == 405
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"GET /" + b"x" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+        b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"y" * (70 * 1024)
+        + b"\r\n\r\n",
+    ],
+    ids=["request_line", "header"],
+)
+def test_overlong_line_is_a_protocol_error(raw):
+    """A line over the StreamReader's 64 KiB limit is dropped as bad
+    framing, not leaked as ``ValueError`` from the connection task."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await server_module._read_request(reader)
+
+    with pytest.raises(server_module._ProtocolError, match="too long"):
+        asyncio.run(read())

@@ -1,11 +1,18 @@
-"""Trace-off fast path vs. traced simulation: identical aggregates.
+"""Trace-off block accounting vs. traced simulation: identical reports.
 
 ``Simulator(machine, trace=False)`` skips recording the per-transfer
-DMA trace (the corpus study runs this way); the timing model must be
-unaffected.  Every scalar in the report — makespan, stalls, DMA busy
-time, traffic words and operation counts — must match the traced run
-exactly; only the trace itself may differ.
+DMA trace (the corpus study and the service run this way) and accounts
+each visit's context/load/store group as one contiguous channel block.
+The timing model must be unaffected: every report field — makespan,
+stalls, DMA busy time, traffic words and operation counts, and every
+per-visit :class:`~repro.sim.report.VisitTiming` — must match the
+traced run exactly; only the trace itself may differ.
+``tests/sim/test_vectorized_equivalence.py`` runs the same comparison
+over the fuzz generator matrix, all three schedulers and every DMA
+policy.
 """
+
+import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,33 +21,31 @@ from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.errors import InfeasibleScheduleError
 from repro.schedule.complete import CompleteDataScheduler
+from repro.schedule.context_scheduler import DmaPolicy
 from repro.sim.engine import Simulator
 from repro.workloads.random_gen import random_application
 from repro.workloads.spec import paper_experiments
 
-SCALARS = (
-    "total_cycles",
-    "compute_cycles",
-    "rc_stall_cycles",
-    "dma_busy_cycles",
-    "data_load_words",
-    "data_store_words",
-    "context_words",
-    "data_load_count",
-    "data_store_count",
-    "context_load_count",
-)
+
+def simulate(architecture, program, trace, policy=DmaPolicy.CONTEXTS_FIRST):
+    return Simulator(
+        MorphoSysM1(architecture), dma_policy=policy, trace=trace,
+        verify=False,
+    ).run(program)
 
 
-def _run(architecture, program, trace):
-    return Simulator(MorphoSysM1(architecture), trace=trace).run(program)
-
-
-def _assert_aggregates_match(architecture, program):
-    traced = _run(architecture, program, True)
-    untraced = _run(architecture, program, False)
-    for name in SCALARS:
-        assert getattr(traced, name) == getattr(untraced, name), name
+def assert_trace_invariant(
+    architecture, program, label="", policy=DmaPolicy.CONTEXTS_FIRST
+):
+    """Trace on and off yield the same report (per-visit timings
+    included); only the trace itself differs."""
+    traced = simulate(architecture, program, True, policy)
+    untraced = simulate(architecture, program, False, policy)
+    for field in dataclasses.fields(traced):
+        if field.name != "transfers":
+            assert getattr(traced, field.name) == getattr(
+                untraced, field.name
+            ), f"{label}: {field.name} diverges"
     assert traced.transfers
     assert not untraced.transfers
 
@@ -54,7 +59,7 @@ def test_paper_experiments_trace_off_aggregates_match():
                 application, clustering
             )
         )
-        _assert_aggregates_match(architecture, program)
+        assert_trace_invariant(architecture, program, spec.id)
 
 
 @settings(max_examples=20, deadline=None)
@@ -71,4 +76,4 @@ def test_random_workloads_trace_off_aggregates_match(seed, fb):
         )
     except InfeasibleScheduleError:
         return
-    _assert_aggregates_match(architecture, generate_program(schedule))
+    assert_trace_invariant(architecture, generate_program(schedule))

@@ -1,33 +1,32 @@
-"""Vectorized timeline evaluator ≡ reference event-driven engine.
+"""Trace-off block accounting ≡ traced per-transfer walk, in breadth.
 
-Mirrors the ``incremental ≡ naive`` occupancy-engine pattern: the
-vectorized fast path must produce byte-identical
-:class:`~repro.sim.report.SimulationReport`\\ s — every aggregate and
-every per-visit :class:`~repro.sim.report.VisitTiming` — across the
-fuzz generator matrix, the paper experiments, every DMA policy, and
-the serial (non-pipelined) Basic schedule shape.  On top, the timing
-invariants any correct report must satisfy are property-tested.
+Extends ``tests/sim/test_trace_equivalence.py`` to the fuzz generator
+matrix, the paper experiments under all three schedulers (including
+the serial, non-pipelined Basic schedule shape) and every DMA policy:
+the untraced report must equal the traced one field for field, per-visit
+timings included.  On top, the timing invariants any correct report
+must satisfy are checked.  (The module keeps its name from when it
+compared a second, vectorized timing engine against this one.)
 """
 
 import pytest
 
-from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
-from repro.errors import InfeasibleScheduleError, SimulationError
+from repro.errors import InfeasibleScheduleError
 from repro.fuzz.generator import generate_case, regime_names
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.context_scheduler import DmaPolicy
 from repro.schedule.data_scheduler import DataScheduler
-from repro.sim.engine import Simulator
 from repro.workloads.spec import paper_experiments
+from tests.sim.test_trace_equivalence import assert_trace_invariant, simulate
 
 SCHEDULERS = (BasicScheduler, DataScheduler, CompleteDataScheduler)
 
 
-def _programs(application, clustering, architecture):
-    """One lowered program per feasible scheduler."""
+def lowered_programs(application, clustering, architecture):
+    """``(scheduler name, program)`` for every feasible scheduler."""
     programs = []
     for scheduler_cls in SCHEDULERS:
         try:
@@ -40,20 +39,6 @@ def _programs(application, clustering, architecture):
     return programs
 
 
-def _run(program, architecture, engine, policy=DmaPolicy.CONTEXTS_FIRST):
-    return Simulator(
-        MorphoSysM1(architecture), dma_policy=policy, trace=False,
-        verify=False, engine=engine,
-    ).run(program)
-
-
-def _assert_identical(reference, vectorized, label):
-    assert reference.visits == vectorized.visits, (
-        f"{label}: per-visit timings diverge"
-    )
-    assert reference == vectorized, f"{label}: reports diverge"
-
-
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("regime", regime_names())
     @pytest.mark.parametrize("seed", [0, 3, 11, 42])
@@ -64,13 +49,11 @@ class TestEquivalenceMatrix:
         except Exception:
             pytest.skip("case does not build")
         architecture = case.architecture()
-        for name, program in _programs(
+        for name, program in lowered_programs(
             application, clustering, architecture
         ):
-            _assert_identical(
-                _run(program, architecture, "reference"),
-                _run(program, architecture, "vectorized"),
-                f"{regime}/{seed}/{name}",
+            assert_trace_invariant(
+                architecture, program, f"{regime}/{seed}/{name}"
             )
 
     @pytest.mark.parametrize(
@@ -79,14 +62,10 @@ class TestEquivalenceMatrix:
     def test_paper_experiments(self, spec):
         application, clustering = spec.build()
         architecture = Architecture.m1(spec.fb)
-        for name, program in _programs(
+        for name, program in lowered_programs(
             application, clustering, architecture
         ):
-            _assert_identical(
-                _run(program, architecture, "reference"),
-                _run(program, architecture, "vectorized"),
-                f"{spec.id}/{name}",
-            )
+            assert_trace_invariant(architecture, program, f"{spec.id}/{name}")
 
     @pytest.mark.parametrize("policy", list(DmaPolicy))
     def test_every_dma_policy(self, policy):
@@ -95,30 +74,28 @@ class TestEquivalenceMatrix:
         )
         application, clustering = spec.build()
         architecture = Architecture.m1(spec.fb)
-        for name, program in _programs(
+        for name, program in lowered_programs(
             application, clustering, architecture
         ):
-            _assert_identical(
-                _run(program, architecture, "reference", policy),
-                _run(program, architecture, "vectorized", policy),
-                f"{policy.value}/{name}",
+            assert_trace_invariant(
+                architecture, program, f"{policy.value}/{name}", policy
             )
 
 
 class TestTimingInvariants:
-    """Properties any valid report must satisfy, on the fast path."""
+    """Properties any valid report must satisfy."""
 
     def _reports(self):
         for spec in paper_experiments():
             application, clustering = spec.build()
             architecture = Architecture.m1(spec.fb)
-            for name, program in _programs(
+            for name, program in lowered_programs(
                 application, clustering, architecture
             ):
                 yield (
                     f"{spec.id}/{name}",
                     architecture,
-                    _run(program, architecture, "auto"),
+                    simulate(architecture, program, True),
                 )
 
     def test_total_at_least_compute(self):
@@ -128,7 +105,7 @@ class TestTimingInvariants:
     def test_dma_busy_matches_summed_transfer_costs(self):
         """``dma_busy_cycles`` is exactly the linear timing model summed
         over every transfer: one setup per transfer plus the per-word
-        cost of each kind."""
+        cost of each kind — and the traced transfers' durations."""
         for label, architecture, report in self._reports():
             timing = architecture.timing
             count = (
@@ -143,6 +120,10 @@ class TestTimingInvariants:
                 + report.context_words * timing.context_word_cycles
             )
             assert report.dma_busy_cycles == expected, label
+            assert len(report.transfers) == count, label
+            assert sum(
+                t.finish - t.start for t in report.transfers
+            ) == expected, label
 
     def test_total_bounded_by_serial_sum(self):
         """Overlap can only shorten a run: the makespan never exceeds
@@ -154,39 +135,3 @@ class TestTimingInvariants:
                 + report.dma_busy_cycles
                 + report.rc_stall_cycles
             ), label
-
-
-class TestEngineSelection:
-    def _program(self):
-        spec = next(iter(paper_experiments()))
-        application, clustering = spec.build()
-        architecture = Architecture.m1(spec.fb)
-        schedule = CompleteDataScheduler(architecture).schedule(
-            application, clustering
-        )
-        return generate_program(schedule), architecture
-
-    def test_unknown_engine_rejected(self):
-        program, architecture = self._program()
-        with pytest.raises(ValueError, match="unknown engine"):
-            Simulator(MorphoSysM1(architecture), engine="warp")
-
-    def test_vectorized_engine_refuses_tracing(self):
-        program, architecture = self._program()
-        simulator = Simulator(
-            MorphoSysM1(architecture), trace=True, engine="vectorized"
-        )
-        with pytest.raises(SimulationError, match="vectorized"):
-            simulator.run(program)
-
-    def test_auto_with_trace_matches_reference(self):
-        """``auto`` falls back to the reference engine under tracing —
-        and the traced run's aggregates match the vectorized ones."""
-        program, architecture = self._program()
-        traced = Simulator(
-            MorphoSysM1(architecture), trace=True, engine="auto"
-        ).run(program)
-        fast = _run(program, architecture, "vectorized")
-        assert traced.visits == fast.visits
-        assert traced.total_cycles == fast.total_cycles
-        assert traced.dma_busy_cycles == fast.dma_busy_cycles
