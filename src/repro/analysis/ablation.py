@@ -15,10 +15,10 @@ DESIGN.md calls out four decisions worth isolating:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.parallel import PlanMemo
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.core.application import Application
@@ -27,6 +27,7 @@ from repro.errors import InfeasibleScheduleError
 from repro.schedule.base import ScheduleOptions
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.context_scheduler import DmaPolicy
+from repro.schedule.plan import Schedule
 from repro.sim.batch import simulate_program
 from repro.workloads.spec import ExperimentSpec
 
@@ -65,9 +66,11 @@ def _run_cds(
     *,
     variant: str,
     dma_policy: DmaPolicy = DmaPolicy.CONTEXTS_FIRST,
-    memo: Optional[PlanMemo] = None,
+    plan: Optional[Callable[[], Schedule]] = None,
     cache=None,
 ) -> AblationResult:
+    """Schedule with the CDS (or call *plan*, a zero-argument
+    scheduling closure shared across variants) and simulate."""
     key = None
     if cache is not None:
         from repro.cache import (
@@ -89,11 +92,8 @@ def _run_cds(
         if cached is not None:
             return cached
     try:
-        if memo is not None:
-            schedule = memo.schedule(
-                CompleteDataScheduler, application, clustering,
-                architecture, options=options,
-            )
+        if plan is not None:
+            schedule = plan()
         else:
             schedule = CompleteDataScheduler(architecture, options).schedule(
                 application, clustering
@@ -164,16 +164,22 @@ def dma_policy_ablation(
     """Context-scheduler orderings inside overlap windows.
 
     The schedule is invariant across DMA policies (they differ only in
-    simulation), so the variants share one plan through a
-    :class:`~repro.analysis.parallel.PlanMemo`.
+    simulation), so the variants share one cached plan closure: at most
+    one scheduling pass per call, none when every variant is a
+    persistent-cache hit.  An infeasible plan raises and is not cached.
     """
     application, clustering = spec.build()
     architecture = Architecture.m1(spec.fb)
-    memo = PlanMemo()
+    options = ScheduleOptions()
+    plan = functools.cache(
+        lambda: CompleteDataScheduler(architecture, options).schedule(
+            application, clustering
+        )
+    )
     return [
         _run_cds(
-            application, clustering, architecture, ScheduleOptions(),
-            variant=f"dma={policy.value}", dma_policy=policy, memo=memo,
+            application, clustering, architecture, options,
+            variant=f"dma={policy.value}", dma_policy=policy, plan=plan,
             cache=cache,
         )
         for policy in DmaPolicy

@@ -1,4 +1,4 @@
-"""Parallel analysis driver and the schedule-plan memo cache.
+"""Parallel analysis driver.
 
 The analysis layer's drivers — :func:`~repro.analysis.corpus.corpus_study`
 over its seeds, :func:`~repro.analysis.sweep.sweep_fb_sizes` over its
@@ -11,15 +11,6 @@ it.  ``jobs=None`` or ``jobs=1`` keeps the historical serial path —
 bit-for-bit, since both paths run the same top-level worker per item —
 and the equivalence tests assert serial and parallel outputs are
 identical.
-
-:class:`PlanMemo` is a content-hash memo for schedule plans: the key
-(:func:`plan_key`) digests the workload structure, the architecture
-parameters and the schedule options, so any two pipeline runs over
-identical configurations share one scheduling pass.  The DMA-policy
-ablation, for example, simulates three policies over one CDS plan — with
-a shared memo the plan is computed once.  Keys depend only on content,
-never on object identity or enumeration order, which makes the cache
-safe to use from drivers that shuffle or fan out their work.
 """
 
 from __future__ import annotations
@@ -33,16 +24,9 @@ from concurrent.futures import (
 )
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
-from repro.arch.params import Architecture
-from repro.core.application import Application
-from repro.core.cluster import Clustering
-from repro.schedule.base import ScheduleOptions
-
 __all__ = [
     "default_jobs",
     "parallel_map",
-    "plan_key",
-    "PlanMemo",
     "run_all_ablations",
     "WorkerPool",
 ]
@@ -240,91 +224,6 @@ class WorkerPool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# -- content-hash schedule-plan memo -------------------------------------
-
-
-def plan_key(
-    scheduler_name: str,
-    application: Application,
-    clustering: Clustering,
-    architecture: Architecture,
-    options: ScheduleOptions,
-) -> str:
-    """Content hash identifying one scheduling problem.
-
-    Equal keys guarantee byte-identical schedules: every input the
-    schedulers read — workload structure, architecture parameters,
-    options — is digested; object identities and discovery order are
-    not.  The canonical fingerprints live in :mod:`repro.cache.keys`,
-    shared with the persistent on-disk store.
-    """
-    from repro.cache.keys import (
-        arch_fingerprint,
-        digest,
-        options_fingerprint,
-        workload_fingerprint,
-    )
-
-    return digest((
-        scheduler_name,
-        workload_fingerprint(application, clustering),
-        arch_fingerprint(architecture),
-        options_fingerprint(options),
-    ))
-
-
-class PlanMemo:
-    """Schedule-plan cache keyed by :func:`plan_key`.
-
-    One memo is process-local (it is not shared across
-    :func:`parallel_map` workers); drivers create one per fan-out unit
-    so repeated identical configurations inside that unit — e.g. the
-    DMA-policy ablation's one plan simulated under three policies —
-    schedule once.
-
-    The cached :class:`~repro.schedule.plan.Schedule` references the
-    application/clustering objects of the *first* call that computed
-    it; since equal keys imply structurally identical workloads, every
-    downstream consumer (codegen, allocation, simulation) produces
-    identical results either way.
-    """
-
-    def __init__(self) -> None:
-        self._plans: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def schedule(
-        self,
-        scheduler_cls,
-        application: Application,
-        clustering: Clustering,
-        architecture: Architecture,
-        *,
-        options: Optional[ScheduleOptions] = None,
-    ):
-        """The scheduler's plan for this configuration, memoised.
-
-        Infeasible configurations are *not* cached — the scheduler's
-        exception propagates and a retry recomputes.
-        """
-        options = options or ScheduleOptions()
-        key = plan_key(
-            scheduler_cls.name, application, clustering, architecture,
-            options,
-        )
-        plan = self._plans.get(key)
-        if plan is None:
-            self.misses += 1
-            plan = scheduler_cls(architecture, options).schedule(
-                application, clustering
-            )
-            self._plans[key] = plan
-        else:
-            self.hits += 1
-        return plan
 
 
 # -- ablation fan-out ----------------------------------------------------

@@ -5,8 +5,7 @@ two processes that build structurally identical workloads under the
 same architecture and options derive the same key, which is what lets
 the on-disk store in :mod:`repro.cache.store` be shared across worker
 processes and across runs.  :func:`workload_fingerprint` is the
-canonical description the in-process :class:`~repro.analysis.parallel.
-PlanMemo` already keyed on; the persistent keys extend it with the full
+canonical workload description; the keys combine it with the full
 option set and the simulation-side knobs (DMA policy, tracing) so a hit
 guarantees a byte-identical :class:`~repro.sim.report.SimulationReport`,
 not just a byte-identical schedule.
@@ -98,11 +97,10 @@ def arch_fingerprint(architecture: Architecture) -> tuple:
 def options_fingerprint(options: ScheduleOptions) -> tuple:
     """Every :class:`ScheduleOptions` field, in declaration order.
 
-    Unlike the in-process plan memo — which may omit fields that cannot
-    change the plan — the persistent cache digests *all* fields: a hit
-    must reproduce the full outcome (including attached decision traces
-    and lint behaviour), and a new field added without updating this
-    fingerprint would poison caches silently.
+    The persistent cache digests *all* fields, even those that cannot
+    change the plan: a hit must reproduce the full outcome (including
+    attached decision traces and lint behaviour), and a new field added
+    without updating this fingerprint would poison caches silently.
     """
     return (
         options.rf_cap,
@@ -111,7 +109,6 @@ def options_fingerprint(options: ScheduleOptions) -> tuple:
         options.cross_set_retention,
         options.strict_lint,
         options.strict_hazards,
-        options.occupancy_engine,
         options.decision_trace,
     )
 

@@ -2,8 +2,7 @@
 
 :class:`CacheStore` memoizes expensive pipeline products — schedules,
 programs, simulation reports, oracle verdicts — on disk, keyed by the
-content hashes of :mod:`repro.cache.keys`.  Unlike the in-process
-:class:`~repro.analysis.parallel.PlanMemo` it survives across worker
+content hashes of :mod:`repro.cache.keys`.  It survives across worker
 processes and across runs, which is what makes warm campaign reruns
 (corpus, sweep, ablation, fuzz) skip compile+sim entirely.
 

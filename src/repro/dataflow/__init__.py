@@ -19,6 +19,7 @@ only samples dynamically:
 """
 
 from repro.dataflow.analyzer import (
+    analyze_ir,
     analyze_program,
     analyze_schedule,
     build_ir,
@@ -44,6 +45,7 @@ __all__ = [
     "ProgramIR",
     "ValueLifetime",
     "VisitNodes",
+    "analyze_ir",
     "analyze_program",
     "analyze_schedule",
     "build_ir",

@@ -13,8 +13,7 @@ package, and module-level imports in the other direction would cycle.
 
 from __future__ import annotations
 
-import weakref
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.codegen.program import Program
 from repro.dataflow.hazards import HappensBefore
@@ -27,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.schedule.plan import Schedule
 
 __all__ = [
+    "analyze_ir",
     "analyze_program",
     "analyze_schedule",
     "build_ir",
@@ -35,68 +35,6 @@ __all__ = [
 ]
 
 _POLICY_NAMES = {policy.name.lower(): policy for policy in DmaPolicy}
-
-
-class _ProgramAnalysis:
-    """Memoized default-allocation IR and happens-before graphs for one
-    program object.
-
-    Analyzing one program under several DMA policies (``repro analyze
-    --policy sound``, the ``hazards`` fuzz oracle) used to rebuild the
-    allocation maps and the whole def-use IR per policy; the IR is
-    policy-independent, and the happens-before closure only depends on
-    (program, policy).  Entries are keyed by program identity and
-    evicted by a weak-reference finalizer — a ``Program`` is not
-    hashable, but its lowering is pure, so identity is the right key.
-    """
-
-    __slots__ = ("ref", "allocations", "ir", "hb_by_policy")
-
-    def __init__(self) -> None:
-        self.ref: Optional[weakref.ref] = None
-        self.allocations: Optional[Sequence[object]] = None
-        self.ir: Optional[ProgramIR] = None
-        self.hb_by_policy: Dict[DmaPolicy, HappensBefore] = {}
-
-
-_ANALYSIS_MEMO: Dict[int, _ProgramAnalysis] = {}
-
-
-def _analysis_for(program: Program) -> _ProgramAnalysis:
-    key = id(program)
-    entry = _ANALYSIS_MEMO.get(key)
-    if entry is not None and entry.ref is not None and entry.ref() is program:
-        return entry
-    entry = _ProgramAnalysis()
-
-    def _evict(_ref: object, key: int = key, entry: _ProgramAnalysis = entry) -> None:
-        if _ANALYSIS_MEMO.get(key) is entry:
-            del _ANALYSIS_MEMO[key]
-
-    entry.ref = weakref.ref(program, _evict)
-    _ANALYSIS_MEMO[key] = entry
-    return entry
-
-
-def _ir_for(program: Program) -> ProgramIR:
-    """The default-allocation IR of *program*, memoized per program."""
-    entry = _analysis_for(program)
-    if entry.ir is None:
-        from repro.alloc.allocator import FrameBufferAllocator
-
-        entry.allocations = FrameBufferAllocator(program.schedule).allocate()
-        entry.ir = lower_program(program, allocations=entry.allocations)
-    return entry.ir
-
-
-def _happens_before_for(program: Program, ir: ProgramIR,
-                        policy: DmaPolicy) -> HappensBefore:
-    """The happens-before closure for (program, policy), memoized."""
-    entry = _analysis_for(program)
-    hb = entry.hb_by_policy.get(policy)
-    if hb is None:
-        hb = entry.hb_by_policy[policy] = HappensBefore.build(ir, policy=policy)
-    return hb
 
 
 def parse_policy(text: str) -> DmaPolicy:
@@ -128,19 +66,29 @@ def analyze_program(
             graph for.
         collector: collector to accumulate into (fresh when omitted);
             carries severity overrides and suppressions.
+
+    Callers analyzing one program under several policies lower it once
+    with :func:`build_ir` and call :func:`analyze_ir` per policy.
     """
+    return analyze_ir(
+        build_ir(program, allocations=allocations),
+        policy=policy, collector=collector,
+    )
+
+
+def analyze_ir(
+    ir: ProgramIR,
+    *,
+    policy: DmaPolicy = DmaPolicy.CONTEXTS_FIRST,
+    collector: Optional["DiagnosticCollector"] = None,
+) -> "DiagnosticCollector":
+    """Run the hazard passes over an already-lowered program under one
+    DMA *policy*; arguments as for :func:`analyze_program`."""
     import repro.lint  # noqa: F401  (registers the HAZ/DFA rules)
     from repro.lint.diagnostics import Diagnostic, DiagnosticCollector
     from repro.lint.registry import RULES
 
-    if allocations is None:
-        # Default-allocation analysis: share the IR and the per-policy
-        # happens-before graphs across calls on the same program.
-        ir = _ir_for(program)
-        hb = _happens_before_for(program, ir, policy)
-    else:
-        ir = lower_program(program, allocations=allocations)
-        hb = HappensBefore.build(ir, policy=policy)
+    hb = HappensBefore.build(ir, policy=policy)
     if collector is None:
         collector = DiagnosticCollector()
     for code in HAZARD_RULES:
@@ -193,5 +141,7 @@ def build_ir(
 ) -> ProgramIR:
     """Convenience wrapper: allocations + lowering in one call."""
     if allocations is None:
-        return _ir_for(program)
+        from repro.alloc.allocator import FrameBufferAllocator
+
+        allocations = FrameBufferAllocator(program.schedule).allocate()
     return lower_program(program, allocations=allocations)

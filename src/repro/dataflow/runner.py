@@ -115,7 +115,7 @@ def analyze_targets(
         policies: DMA policies to build the happens-before graph for.
         corpus_dir: where ``"corpus"`` reproducers live.
     """
-    from repro.dataflow.analyzer import analyze_program
+    from repro.dataflow.analyzer import analyze_ir, build_ir
 
     results: List[AnalysisResult] = []
     for label, application, clustering, architecture in _workloads(
@@ -144,8 +144,9 @@ def analyze_targets(
                         reason=f"codegen failed: {exc}",
                     ))
                 continue
+            ir = build_ir(program)
             for policy in policies:
-                collector = analyze_program(program, policy=policy)
+                collector = analyze_ir(ir, policy=policy)
                 results.append(AnalysisResult(
                     target=label, scheduler=scheduler, policy=policy,
                     collector=collector,

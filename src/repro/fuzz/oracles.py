@@ -17,8 +17,10 @@ which compares two independent computations of the same fact:
     Words moved (data + context) obey CDS <= DS <= Basic, and data
     words alone obey the same ordering.
 ``engine``
-    The incremental occupancy engine and the naive reference sweep
-    produce byte-identical schedules (and agree on infeasibility).
+    The incremental occupancy engine and the naive
+    :class:`~repro.schedule.occupancy.ReferenceOccupancy`, swapped in
+    by subclassing each scheduler, produce byte-identical schedules
+    (and agree on infeasibility).
 ``trace``
     Decision tracing never changes a schedule: trace-on and trace-off
     runs are equal.
@@ -85,6 +87,7 @@ from repro.schedule.base import ScheduleOptions
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
+from repro.schedule.occupancy import ReferenceOccupancy
 from repro.sim.batch import simulate_program
 from repro.sim.engine import Simulator
 from repro.units import format_words_pair
@@ -114,6 +117,16 @@ ORACLE_NAMES: Tuple[str, ...] = (
 )
 
 _SCHEDULERS = (BasicScheduler, DataScheduler, CompleteDataScheduler)
+
+# The ``engine`` oracle's side: each scheduler on the naive occupancy
+# reference, substituted through the ``occupancy_cls`` seam.
+_REFERENCE_SCHEDULERS = {
+    cls: type(
+        f"Reference{cls.__name__}", (cls,),
+        {"occupancy_cls": ReferenceOccupancy},
+    )
+    for cls in _SCHEDULERS
+}
 
 
 @dataclass(frozen=True)
@@ -501,23 +514,22 @@ def _check_traffic(case, runs) -> List[OracleFailure]:
 
 def _check_equivalences(case, runs, architecture, application, clustering,
                         dataflow, enabled) -> List[OracleFailure]:
-    """Trace on/off and incremental/naive must not change schedules."""
+    """Trace on/off and the reference occupancy engine must not change
+    schedules."""
     failures = []
     variants = []
     if "trace" in enabled:
-        variants.append(("trace", ScheduleOptions()))
+        variants.append(("trace", "decision_trace off", False))
     if "engine" in enabled:
-        variants.append(("engine", ScheduleOptions(occupancy_engine="naive")))
+        variants.append(("engine", "naive occupancy engine", True))
     for scheduler_cls in _SCHEDULERS:
         reference = runs[scheduler_cls.name]
-        for oracle, options in variants:
+        for oracle, label, naive in variants:
             schedule, error = _schedule_only(
-                scheduler_cls, architecture, options, application,
+                _REFERENCE_SCHEDULERS[scheduler_cls] if naive
+                else scheduler_cls,
+                architecture, ScheduleOptions(), application,
                 clustering, dataflow,
-            )
-            label = (
-                "decision_trace off" if oracle == "trace"
-                else "naive occupancy engine"
             )
             if (schedule is None) != (reference.schedule is None):
                 failures.append(OracleFailure(
@@ -768,16 +780,19 @@ def _check_hazards(case, runs) -> List[OracleFailure]:
     always-sound policies are asserted clean here; the others remain
     reachable through ``repro analyze --policy``.
     """
-    from repro.dataflow.analyzer import analyze_program
+    from repro.dataflow.analyzer import analyze_ir, build_ir
     from repro.schedule.context_scheduler import DmaPolicy
 
     failures = []
     for run in runs.values():
         if run.program is None:
             continue
+        ir = None
         for policy in (DmaPolicy.CONTEXTS_FIRST, DmaPolicy.STORES_FIRST):
             try:
-                collector = analyze_program(run.program, policy=policy)
+                if ir is None:
+                    ir = build_ir(run.program)
+                collector = analyze_ir(ir, policy=policy)
             except ReproError as exc:
                 failures.append(OracleFailure(
                     "hazards", case.name,

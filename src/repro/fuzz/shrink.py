@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional
 
+from repro.errors import ReproError
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.oracles import run_oracles
 
@@ -127,7 +128,14 @@ def _still_fails(candidate: FuzzCase, oracle: str,
         candidate.build()
     except Exception:
         return False
-    return any(failure.oracle == oracle for failure in check(candidate))
+    # A reduction can yield a case that builds but that the pipeline
+    # rejects (e.g. a result left without a consumer); it does not
+    # reproduce the finding.
+    try:
+        failures = check(candidate)
+    except ReproError:
+        return False
+    return any(failure.oracle == oracle for failure in failures)
 
 
 def shrink_case(

@@ -18,11 +18,7 @@ from repro.arch.params import Architecture
 from repro.core.application import Application
 from repro.core.cluster import Clustering
 from repro.core.dataflow import DataflowInfo, analyze_dataflow
-from repro.core.metrics import (
-    KeepDecision,
-    cluster_data_size_naive,
-    cluster_footprint,
-)
+from repro.core.metrics import KeepDecision, cluster_footprint
 from repro.core.reuse import SharedData, SharedResult
 from repro.errors import InfeasibleScheduleError
 from repro.schedule.occupancy import OccupancyEngine
@@ -58,13 +54,6 @@ class ScheduleOptions:
             work.  Requires an architecture with
             ``fb_cross_set_access=True``; the Complete Data Scheduler
             rejects the combination otherwise.
-        occupancy_engine: ``"incremental"`` (default) uses the memoised
-            :class:`~repro.schedule.occupancy.OccupancyEngine` for RF
-            search, keep acceptance, and capacity validation;
-            ``"naive"`` recomputes every ``DS(C_c)`` from scratch with
-            the reference event sweep.  Both produce byte-identical
-            schedules (property-tested); the naive path exists as the
-            equivalence oracle and for debugging.
         strict_lint: after building the schedule, run the
             application- and schedule-layer lint passes over it and
             raise :class:`~repro.errors.LintError` if any
@@ -94,20 +83,27 @@ class ScheduleOptions:
     cross_set_retention: bool = False
     strict_lint: bool = False
     strict_hazards: bool = False
-    occupancy_engine: str = "incremental"
     decision_trace: bool = False
 
     def __post_init__(self) -> None:
+        # JSON requests reach this constructor directly, so types are
+        # checked here, not trusted: bool is an int subclass, and a
+        # truthy string must not silently switch a check on.
+        if not isinstance(self.rf_cap, int) or isinstance(self.rf_cap, bool):
+            raise ValueError(
+                f"rf_cap must be an integer, got {self.rf_cap!r}"
+            )
+        for flag in ("cross_set_retention", "strict_lint",
+                     "strict_hazards", "decision_trace"):
+            value = getattr(self, flag)
+            if not isinstance(value, bool):
+                raise ValueError(f"{flag} must be a boolean, got {value!r}")
         if self.rf_cap < 0:
             raise ValueError(f"rf_cap must be >= 0, got {self.rf_cap}")
         if self.keep_policy not in ("tf", "size", "fifo"):
             raise ValueError(f"unknown keep_policy {self.keep_policy!r}")
         if self.rf_policy not in ("max_then_keep", "joint"):
             raise ValueError(f"unknown rf_policy {self.rf_policy!r}")
-        if self.occupancy_engine not in ("incremental", "naive"):
-            raise ValueError(
-                f"unknown occupancy_engine {self.occupancy_engine!r}"
-            )
 
 
 class DataSchedulerBase(abc.ABC):
@@ -115,13 +111,16 @@ class DataSchedulerBase(abc.ABC):
 
     #: Short identifier used in schedules and reports.
     name: str = "base"
+    #: Occupancy engine built per :meth:`schedule` call.  Equivalence
+    #: tests and the ``engine`` fuzz oracle subclass a scheduler with
+    #: :class:`~repro.schedule.occupancy.ReferenceOccupancy` here.
+    occupancy_cls = OccupancyEngine
 
     def __init__(self, architecture: Architecture,
                  options: Optional[ScheduleOptions] = None):
         self.architecture = architecture
         self.options = options or ScheduleOptions()
-        #: Per-call incremental occupancy engine (None in naive mode or
-        #: outside :meth:`schedule`).
+        #: Per-call occupancy engine (None outside :meth:`schedule`).
         self._engine: Optional[OccupancyEngine] = None
         #: Per-call decision recorder (None unless
         #: ``options.decision_trace`` and inside :meth:`schedule`).
@@ -171,13 +170,10 @@ class DataSchedulerBase(abc.ABC):
             self._decisions = DecisionTrace()
         else:
             self._decisions = None
-        if self.options.occupancy_engine == "incremental":
-            self._engine = OccupancyEngine(
-                dataflow, self.architecture.fb_set_words
-            )
-            self._engine.recorder = self._decisions
-        else:
-            self._engine = None
+        self._engine = self.occupancy_cls(
+            dataflow, self.architecture.fb_set_words
+        )
+        self._engine.recorder = self._decisions
         try:
             schedule = self._schedule(dataflow)
             if self._decisions is not None:
@@ -198,17 +194,6 @@ class DataSchedulerBase(abc.ABC):
         """Record one decision when tracing is on (one check when off)."""
         if self._decisions is not None:
             self._decisions.record(kind, subject, **detail)
-
-    def _rf_probe_hook(self):
-        """Probe callback for the naive RF search, or None when off."""
-        if self._decisions is None:
-            return None
-        recorder = self._decisions
-
-        def probe(rf: int, ok: bool) -> None:
-            recorder.record("rf.probe", rf=rf, fits=ok)
-
-        return probe
 
     def _self_lint(self, schedule: Schedule) -> None:
         """Run the schedule-layer lint passes; raise on any error."""
@@ -304,19 +289,15 @@ class DataSchedulerBase(abc.ABC):
 
         Shared by the Data and Complete Data Schedulers for the
         ``max_common_rf == 0`` case.  The occupancy numbers come from
-        whichever engine the scheduler is running (incremental or the
-        naive reference sweep), so the message always matches the
-        verdict that produced it.
+        the scheduler's own occupancy engine, so the message always
+        matches the verdict that produced it.
         """
         fbs = self.architecture.fb_set_words
         engine = self._engine
-
-        def occupancy_of(index: int) -> int:
-            if engine is not None:
-                return engine.occupancy(index, 1, ())
-            return cluster_data_size_naive(dataflow, index, 1, ())
-        worst = max(dataflow.clustering, key=lambda c: occupancy_of(c.index))
-        peak = occupancy_of(worst.index)
+        worst = max(
+            dataflow.clustering, key=lambda c: engine.occupancy(c.index, 1, ())
+        )
+        peak = engine.occupancy(worst.index, 1, ())
         need, capacity = format_words_pair(peak, fbs)
         raise InfeasibleScheduleError(
             f"{self.name}: cluster {worst.name} needs {need} even at RF=1 "
@@ -342,16 +323,11 @@ class DataSchedulerBase(abc.ABC):
                 dataflow, rf, keeps,
                 lambda index: cluster_footprint(dataflow, index),
             )
-        elif self._engine is not None:
+        else:
             engine = self._engine
             occupancy = self._require_cluster_fit(
                 dataflow, rf, keeps,
                 lambda index: engine.occupancy(index, rf, keeps),
-            )
-        else:
-            occupancy = self._require_cluster_fit(
-                dataflow, rf, keeps,
-                lambda index: cluster_data_size_naive(dataflow, index, rf, keeps),
             )
         return assemble_schedule(
             self.name,

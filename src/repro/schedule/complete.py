@@ -23,19 +23,14 @@ the order may still fit.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.core.dataflow import DataflowInfo
-from repro.core.metrics import (
-    KeepDecision,
-    cluster_data_size_naive,
-    total_data_size,
-)
+from repro.core.metrics import KeepDecision, total_data_size
 from repro.errors import InfeasibleScheduleError
 from repro.schedule.base import DataSchedulerBase
 from repro.schedule.estimate import estimate_execution_cycles
 from repro.schedule.plan import Schedule
-from repro.schedule.rf import max_common_rf
 from repro.schedule.tf import rank_by_time_factor, retention_candidates
 
 __all__ = ["CompleteDataScheduler"]
@@ -62,19 +57,7 @@ class CompleteDataScheduler(DataSchedulerBase):
     # -- RF ------------------------------------------------------------------
 
     def _max_rf(self, dataflow: DataflowInfo) -> int:
-        if self._engine is not None:
-            rf = self._engine.max_common_rf(
-                keeps=(), max_rf=self.options.rf_cap
-            )
-        else:
-            rf = max_common_rf(
-                dataflow,
-                self.architecture.fb_set_words,
-                keeps=(),
-                max_rf=self.options.rf_cap,
-                occupancy_fn=cluster_data_size_naive,
-                probe=self._rf_probe_hook(),
-            )
+        rf = self._engine.max_common_rf(keeps=(), max_rf=self.options.rf_cap)
         self._record(
             "rf.result", rf=rf, rf_cap=self.options.rf_cap,
             total_iterations=dataflow.application.total_iterations,
@@ -126,66 +109,15 @@ class CompleteDataScheduler(DataSchedulerBase):
     ) -> Tuple[KeepDecision, ...]:
         """Greedy TF-ordered acceptance at a fixed RF.
 
-        The incremental engine keeps per-cluster running ``DS(C_c)``
+        The occupancy engine keeps per-cluster running ``DS(C_c)``
         totals so each trial touches only the candidate's affected
-        clusters; the naive path recomputes the candidate's whole FB
-        set per trial with the reference sweep.  Both are exact and
-        produce identical keep sets (property-tested).
+        clusters.
         """
-        if self._engine is not None:
-            engine = self._engine
-            engine.begin_keep_selection(rf)
-            for candidate in self._ranked_candidates(dataflow):
-                engine.try_keep(candidate)
-            return engine.accepted
-        fbs = self.architecture.fb_set_words
-        accepted: List[KeepDecision] = []
+        engine = self._engine
+        engine.begin_keep_selection(rf)
         for candidate in self._ranked_candidates(dataflow):
-            trial = accepted + [candidate]
-            fits = self._fits_set(dataflow, candidate.fb_set, rf, trial, fbs)
-            if self._decisions is not None:
-                occupancies = {
-                    cluster.index: cluster_data_size_naive(
-                        dataflow, cluster.index, rf, trial
-                    )
-                    for cluster in dataflow.clustering.on_set(candidate.fb_set)
-                }
-                self._record(
-                    "keep.accept" if fits else "keep.reject",
-                    candidate.name,
-                    keep=candidate.label,
-                    fb_set=candidate.fb_set,
-                    rf=rf,
-                    size=candidate.size,
-                    words_avoided=candidate.words_avoided,
-                    occupancies=occupancies,
-                    fb_set_words=fbs,
-                    reason=(
-                        "fits every cluster of the set" if fits
-                        else "DS(C_c) > FBS with this keep"
-                    ),
-                )
-            if fits:
-                accepted.append(candidate)
-        return tuple(accepted)
-
-    @staticmethod
-    def _fits_set(
-        dataflow: DataflowInfo,
-        fb_set: int,
-        rf: int,
-        keeps: Sequence[KeepDecision],
-        fbs: int,
-    ) -> bool:
-        """``DS(C_c) <= FBS`` for every cluster of one FB set.
-
-        Clusters of the other set are unaffected by a keep on this set,
-        so only this set needs re-checking.  (Naive reference path.)
-        """
-        return all(
-            cluster_data_size_naive(dataflow, cluster.index, rf, keeps) <= fbs
-            for cluster in dataflow.clustering.on_set(fb_set)
-        )
+            engine.try_keep(candidate)
+        return engine.accepted
 
     # -- joint RF/keep exploration (ablation) --------------------------------
 

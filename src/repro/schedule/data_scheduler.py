@@ -16,10 +16,8 @@ outbound results.
 from __future__ import annotations
 
 from repro.core.dataflow import DataflowInfo
-from repro.core.metrics import cluster_data_size_naive
 from repro.schedule.base import DataSchedulerBase
 from repro.schedule.plan import Schedule
-from repro.schedule.rf import max_common_rf
 
 __all__ = ["DataScheduler"]
 
@@ -30,19 +28,7 @@ class DataScheduler(DataSchedulerBase):
     name = "ds"
 
     def _schedule(self, dataflow: DataflowInfo) -> Schedule:
-        if self._engine is not None:
-            rf = self._engine.max_common_rf(
-                keeps=(), max_rf=self.options.rf_cap
-            )
-        else:
-            rf = max_common_rf(
-                dataflow,
-                self.architecture.fb_set_words,
-                keeps=(),
-                max_rf=self.options.rf_cap,
-                occupancy_fn=cluster_data_size_naive,
-                probe=self._rf_probe_hook(),
-            )
+        rf = self._engine.max_common_rf(keeps=(), max_rf=self.options.rf_cap)
         self._record(
             "rf.result", rf=rf, rf_cap=self.options.rf_cap,
             total_iterations=dataflow.application.total_iterations,

@@ -24,7 +24,6 @@ from repro.schedule.exact.solver import (
     ExactRetentionSolver,
     ExactSolution,
 )
-from repro.schedule.occupancy import OccupancyEngine
 from repro.schedule.plan import Schedule
 
 __all__ = ["ExactDataScheduler"]
@@ -66,15 +65,9 @@ class ExactDataScheduler(DataSchedulerBase):
                 f"architecture with fb_cross_set_access "
                 f"({self.architecture.name} lacks it)"
             )
-        # The solver needs the memoised sweep decomposition even when
-        # the scheduler runs in naive mode; a private engine produces
-        # the same verdicts (property-tested equivalence).
-        engine = self._engine or OccupancyEngine(
-            dataflow, self.architecture.fb_set_words
-        )
         solver = ExactRetentionSolver(
             dataflow,
-            engine=engine,
+            engine=self._engine,
             rf_cap=self.options.rf_cap,
             keep_policy=self.options.keep_policy,
             cross_set=cross_set,

@@ -23,9 +23,12 @@ two structural facts instead:
    bookkeeping answers for all untouched clusters in O(1).
 
 The engine is exact, not approximate: every accept/reject decision and
-every reported occupancy equals the naive recomputation bit for bit
-(property-tested against :func:`cluster_data_size_naive`-backed
-selection in ``tests/schedule/test_occupancy_equivalence.py``).
+every reported occupancy equals the naive recomputation bit for bit.
+:class:`ReferenceOccupancy` is that recomputation behind the same
+interface; the equivalence tests
+(``tests/schedule/test_occupancy_equivalence.py``) and the ``engine``
+fuzz oracle swap it in by subclassing a scheduler with
+``occupancy_cls = ReferenceOccupancy``.
 
 One engine instance serves one ``DataflowInfo``; ``rf_policy="joint"``
 re-enters keep selection once per candidate RF and shares the same
@@ -39,11 +42,13 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 from repro.core.dataflow import DataflowInfo
 from repro.core.metrics import (
     KeepDecision,
+    cluster_data_size_naive,
     cluster_sweep_peak,
     resident_keep_words,
 )
+from repro.schedule.rf import largest_feasible_rf, max_common_rf
 
-__all__ = ["OccupancyEngine"]
+__all__ = ["OccupancyEngine", "ReferenceOccupancy"]
 
 
 class OccupancyEngine:
@@ -109,9 +114,9 @@ class OccupancyEngine:
 
     def max_common_rf(self, keeps: Sequence[KeepDecision] = (),
                       max_rf: int = 0) -> int:
-        """Highest common reuse factor — the same gallop + bisection as
-        :func:`repro.schedule.rf.max_common_rf`, with every cluster
-        sweep served from the memo.
+        """Highest common reuse factor — the gallop + bisection of
+        :func:`repro.schedule.rf.largest_feasible_rf`, with every
+        cluster sweep served from the memo.
 
         Probe verdicts are memoised per ``(keep set, rf)``: a repeated
         search over the same keep set (the joint-RF sweep re-enters
@@ -137,25 +142,7 @@ class OccupancyEngine:
             max_rf if max_rf > 0
             else self.dataflow.application.total_iterations
         )
-        if cap < 1 or not check(1):
-            return 0
-        low = 1
-        high = 1
-        while high < cap and check(min(high * 2, cap)):
-            high = min(high * 2, cap)
-            low = high
-        if high >= cap:
-            return cap
-        # The gallop already judged min(high * 2, cap) infeasible; reuse
-        # that verdict instead of re-probing (see repro.schedule.rf).
-        high = min(high * 2, cap)
-        while high - low > 1:
-            mid = (low + high) // 2
-            if check(mid):
-                low = mid
-            else:
-                high = mid
-        return low
+        return largest_feasible_rf(check, cap)
 
     # -- incremental keep selection -------------------------------------
 
@@ -278,3 +265,86 @@ class OccupancyEngine:
             fb_set_words=self.fb_set_words,
             reason=reason,
         )
+
+
+class ReferenceOccupancy:
+    """Naive drop-in for :class:`OccupancyEngine`: every ``DS(C_c)``
+    recomputed from scratch with the reference event sweep
+    (:func:`~repro.core.metrics.cluster_data_size_naive`).
+
+    No product path uses it.  It offers the members the greedy
+    schedulers call (``occupancy``, ``max_common_rf``,
+    ``begin_keep_selection``, ``try_keep``, ``accepted``) plus the
+    ``recorder`` slot, and records the same ``rf.probe`` and
+    ``keep.accept``/``keep.reject`` events, so a scheduler subclass
+    with ``occupancy_cls = ReferenceOccupancy`` must reproduce the
+    product schedule exactly.
+    """
+
+    def __init__(self, dataflow: DataflowInfo, fb_set_words: int):
+        self.dataflow = dataflow
+        self.fb_set_words = fb_set_words
+        self.recorder = None
+        self._rf = 0
+        self._accepted: List[KeepDecision] = []
+
+    def occupancy(self, cluster_index: int, rf: int,
+                  keeps: Sequence[KeepDecision] = ()) -> int:
+        return cluster_data_size_naive(self.dataflow, cluster_index, rf, keeps)
+
+    def max_common_rf(self, keeps: Sequence[KeepDecision] = (),
+                      max_rf: int = 0) -> int:
+        recorder = self.recorder
+
+        def probe(rf: int, ok: bool) -> None:
+            if recorder is not None:
+                recorder.record("rf.probe", rf=rf, fits=ok)
+
+        return max_common_rf(
+            self.dataflow, self.fb_set_words, keeps=keeps, max_rf=max_rf,
+            occupancy_fn=cluster_data_size_naive, probe=probe,
+        )
+
+    def begin_keep_selection(self, rf: int) -> None:
+        if rf < 1:
+            raise ValueError(f"rf must be >= 1, got {rf}")
+        self._rf = rf
+        self._accepted = []
+
+    @property
+    def accepted(self) -> Tuple[KeepDecision, ...]:
+        return tuple(self._accepted)
+
+    def try_keep(self, candidate: KeepDecision) -> bool:
+        """Accept *candidate* iff ``DS(C_c) <= FBS`` for every cluster
+        of its FB set with the accepted keeps plus this one.  Clusters
+        of the other set are unaffected by a keep on this set, so only
+        this set is re-checked."""
+        if self._rf < 1:
+            raise RuntimeError("begin_keep_selection() must run first")
+        rf = self._rf
+        trial = self._accepted + [candidate]
+        occupancies = {
+            cluster.index: self.occupancy(cluster.index, rf, trial)
+            for cluster in self.dataflow.clustering.on_set(candidate.fb_set)
+        }
+        fits = all(occ <= self.fb_set_words for occ in occupancies.values())
+        if self.recorder is not None:
+            self.recorder.record(
+                "keep.accept" if fits else "keep.reject",
+                candidate.name,
+                keep=candidate.label,
+                fb_set=candidate.fb_set,
+                rf=rf,
+                size=candidate.size,
+                words_avoided=candidate.words_avoided,
+                occupancies=occupancies,
+                fb_set_words=self.fb_set_words,
+                reason=(
+                    "fits every cluster of the set" if fits
+                    else "DS(C_c) > FBS with this keep"
+                ),
+            )
+        if fits:
+            self._accepted.append(candidate)
+        return fits

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 from repro.core.dataflow import DataflowInfo
 from repro.core.metrics import KeepDecision, cluster_data_size
 
-__all__ = ["fits", "max_common_rf"]
+__all__ = ["fits", "largest_feasible_rf", "max_common_rf"]
 
 OccupancyFn = Callable[[DataflowInfo, int, int, Sequence[KeepDecision]], int]
 
@@ -37,9 +37,10 @@ def fits(
     """True if every cluster's ``DS(C_c, rf, keeps)`` fits one FB set.
 
     ``occupancy_fn`` defaults to the closed-form
-    :func:`~repro.core.metrics.cluster_data_size`; the naive-mode
-    schedulers pass :func:`~repro.core.metrics.cluster_data_size_naive`
-    to keep a fully independent reference path.
+    :func:`~repro.core.metrics.cluster_data_size`;
+    :class:`~repro.schedule.occupancy.ReferenceOccupancy` passes
+    :func:`~repro.core.metrics.cluster_data_size_naive` to keep a fully
+    independent reference path.
     """
     return all(
         occupancy_fn(dataflow, cluster.index, rf, keeps) <= fb_set_words
@@ -81,6 +82,17 @@ def max_common_rf(
         return ok
 
     cap = max_rf if max_rf > 0 else dataflow.application.total_iterations
+    return largest_feasible_rf(check, cap)
+
+
+def largest_feasible_rf(check: Callable[[int], bool], cap: int) -> int:
+    """The gallop + bisection behind every common-RF search.
+
+    Returns the largest ``rf`` in ``1..cap`` with ``check(rf)`` true,
+    assuming feasibility is monotone (true up to some bound, false
+    beyond it), or ``0`` if ``check(1)`` fails.  Each ``rf`` is checked
+    at most once, so callers may record every call as one probe.
+    """
     if cap < 1 or not check(1):
         return 0
     # Gallop to an infeasible upper bound.
@@ -95,7 +107,7 @@ def max_common_rf(
     # value is already known infeasible — re-probing it would waste an
     # occupancy sweep and emit a duplicate rf.probe trace event.
     high = min(high * 2, cap)
-    # Invariant: fits(low), not fits(high).
+    # Invariant: check(low), not check(high).
     while high - low > 1:
         mid = (low + high) // 2
         if check(mid):
@@ -103,4 +115,3 @@ def max_common_rf(
         else:
             high = mid
     return low
-

@@ -150,6 +150,16 @@ class TestAblation:
         results = dma_policy_ablation(specs_by_id["E1"])
         assert len(results) == 4  # contexts/loads/stores-first + adaptive
 
+    def test_dma_policy_infeasible_plan_is_not_cached(self, specs_by_id,
+                                                      schedule_calls):
+        import dataclasses
+
+        tiny = dataclasses.replace(specs_by_id["MPEG"], fb="64")
+        results = dma_policy_ablation(tiny)
+        assert not any(result.feasible for result in results)
+        # Every variant retried the failed plan.
+        assert len(schedule_calls) == len(results)
+
     def test_render(self, specs_by_id):
         results = keep_policy_ablation(specs_by_id["E1"])
         text = render_ablation(results)

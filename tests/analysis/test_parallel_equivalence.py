@@ -1,29 +1,27 @@
-"""Serial vs. parallel analysis drivers, and the schedule-plan memo.
+"""Serial vs. parallel analysis drivers.
 
 ``--jobs`` fans corpus studies, FB-size sweeps, and ablations over a
 process pool; the contract is that the serial and parallel paths run
 the same top-level worker per item and therefore produce identical
-results.  :func:`~repro.analysis.parallel.plan_key` must depend only on
+results.  The persistent cache's outcome key must depend only on
 content — identical workloads rebuilt from scratch hash identically —
-so :class:`~repro.analysis.parallel.PlanMemo` can deduplicate
-scheduling work across sweep points.
+so workers can share scheduling work through it.
 """
 
 import pytest
 
+from repro.analysis.ablation import dma_policy_ablation
 from repro.analysis.corpus import corpus_study
 from repro.analysis.parallel import (
-    PlanMemo,
     default_jobs,
     parallel_map,
-    plan_key,
     run_all_ablations,
 )
 from repro.analysis.sweep import sweep_fb_sizes
 from repro.arch.params import Architecture
-from repro.errors import InfeasibleScheduleError
+from repro.cache import CacheStore, outcome_key
 from repro.schedule.base import ScheduleOptions
-from repro.schedule.complete import CompleteDataScheduler
+from repro.schedule.context_scheduler import DmaPolicy
 from repro.workloads.random_gen import random_application
 from repro.workloads.spec import paper_experiments
 
@@ -77,97 +75,66 @@ class TestDriverEquivalence:
 
 
 class TestPlanKey:
+    """The persistent cache's outcome key, which lets parallel workers
+    share scheduling work, depends only on content."""
+
     def test_identity_free(self):
         """The same workload built twice hashes to the same key."""
         first_app, first_clustering = random_application(7, iterations=4)
         second_app, second_clustering = random_application(7, iterations=4)
         assert first_app is not second_app
         architecture = Architecture.m1("4K")
-        options = ScheduleOptions()
-        assert plan_key(
-            "cds", first_app, first_clustering, architecture, options
-        ) == plan_key(
-            "cds", second_app, second_clustering, architecture, options
+        assert outcome_key(
+            "cds", first_app, first_clustering, architecture,
+            options=ScheduleOptions(), trace=False,
+        ) == outcome_key(
+            "cds", second_app, second_clustering, architecture,
+            options=ScheduleOptions(), trace=False,
         )
 
     def test_sensitive_to_every_input(self):
         application, clustering = random_application(7, iterations=4)
-        base = plan_key(
+        base = outcome_key(
             "cds", application, clustering, Architecture.m1("4K"),
-            ScheduleOptions(),
+            options=ScheduleOptions(), trace=False,
         )
         other_app, other_clustering = random_application(8, iterations=4)
-        assert base != plan_key(
+        assert base != outcome_key(
             "cds", other_app, other_clustering, Architecture.m1("4K"),
-            ScheduleOptions(),
+            options=ScheduleOptions(), trace=False,
         )
-        assert base != plan_key(
+        assert base != outcome_key(
             "ds", application, clustering, Architecture.m1("4K"),
-            ScheduleOptions(),
+            options=ScheduleOptions(), trace=False,
         )
-        assert base != plan_key(
+        assert base != outcome_key(
             "cds", application, clustering, Architecture.m1("2K"),
-            ScheduleOptions(),
+            options=ScheduleOptions(), trace=False,
         )
-        assert base != plan_key(
+        assert base != outcome_key(
             "cds", application, clustering, Architecture.m1("4K"),
-            ScheduleOptions(rf_cap=2),
+            options=ScheduleOptions(rf_cap=2), trace=False,
         )
 
 
 class TestPlanMemo:
-    def test_hit_returns_same_plan(self):
-        application, clustering = _experiment("MPEG").build()
-        architecture = Architecture.m1("4K")
-        memo = PlanMemo()
-        first = memo.schedule(
-            CompleteDataScheduler, application, clustering, architecture
-        )
-        second = memo.schedule(
-            CompleteDataScheduler, application, clustering, architecture
-        )
-        assert first is second
-        assert (memo.misses, memo.hits) == (1, 1)
+    """The DMA-policy ablation's variants share one plan."""
 
-    def test_rebuilt_workload_hits(self):
-        """Content hashing: a structurally equal workload rebuilt from
-        its spec reuses the cached plan."""
+    def test_hit_returns_same_plan(self, schedule_calls):
+        results = dma_policy_ablation(_experiment("MPEG"))
+        assert len(results) == len(DmaPolicy)
+        assert all(result.feasible for result in results)
+        assert len(schedule_calls) == 1
+
+    def test_rebuilt_workload_hits(self, schedule_calls, tmp_path):
+        """Content hashing: a second call rebuilds the workload from its
+        spec and reuses the persistent cache's entries."""
         target = _experiment("MPEG")
-        architecture = Architecture.m1("4K")
-        memo = PlanMemo()
-        memo.schedule(
-            CompleteDataScheduler, *target.build(), architecture
-        )
-        memo.schedule(
-            CompleteDataScheduler, *target.build(), architecture
-        )
-        assert (memo.misses, memo.hits) == (1, 1)
-
-    def test_distinct_options_miss(self):
-        application, clustering = _experiment("MPEG").build()
-        architecture = Architecture.m1("4K")
-        memo = PlanMemo()
-        memo.schedule(
-            CompleteDataScheduler, application, clustering, architecture
-        )
-        memo.schedule(
-            CompleteDataScheduler, application, clustering, architecture,
-            options=ScheduleOptions(rf_policy="joint"),
-        )
-        assert (memo.misses, memo.hits) == (2, 0)
-
-    def test_infeasible_not_cached(self):
-        application, clustering = _experiment("MPEG").build()
-        tiny = Architecture.m1(64)
-        memo = PlanMemo()
-        for _ in range(2):
-            with pytest.raises(InfeasibleScheduleError):
-                memo.schedule(
-                    CompleteDataScheduler, application, clustering, tiny
-                )
-        # Both attempts recompute: the failure was never cached.
-        assert (memo.misses, memo.hits) == (2, 0)
-        assert not memo._plans
+        cache = CacheStore(tmp_path)
+        fresh = dma_policy_ablation(target, cache=cache)
+        schedule_calls.clear()
+        assert dma_policy_ablation(target, cache=cache) == fresh
+        assert schedule_calls == []
 
 
 class TestJobsValidation:

@@ -133,3 +133,19 @@ def m1_medium():
 @pytest.fixture
 def m1_large():
     return Architecture.m1("8K")
+
+
+@pytest.fixture
+def schedule_calls(monkeypatch):
+    """Count ``CompleteDataScheduler.schedule`` calls."""
+    from repro.schedule.complete import CompleteDataScheduler
+
+    calls = []
+    real_schedule = CompleteDataScheduler.schedule
+
+    def counting_schedule(self, *args, **kwargs):
+        calls.append(1)
+        return real_schedule(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompleteDataScheduler, "schedule", counting_schedule)
+    return calls

@@ -160,19 +160,17 @@ def test_hazards_oracle_flags_hazardous_program(monkeypatch):
     from repro.fuzz.generator import generate_case
     from repro.fuzz.oracles import run_oracles
 
-    real_analyze = analyzer_module.analyze_program
+    real_build_ir = analyzer_module.build_ir
 
-    def sabotaged_analyze(program, **kwargs):
+    def sabotaged_build_ir(program, **kwargs):
         tiny = dataclasses.replace(
             program.schedule, context_block_words=1
         )
-        return real_analyze(
+        return real_build_ir(
             dataclasses.replace(program, schedule=tiny), **kwargs
         )
 
-    monkeypatch.setattr(
-        analyzer_module, "analyze_program", sabotaged_analyze
-    )
+    monkeypatch.setattr(analyzer_module, "build_ir", sabotaged_build_ir)
     case = generate_case("baseline", 3)
     failures = run_oracles(case, oracles=("hazards",))
     assert failures

@@ -96,3 +96,52 @@ def test_shrunk_reproducer_roundtrips_to_corpus_json(tmp_path):
     again = FuzzCase.load(path)
     assert again.failing_oracle == "synthetic"
     again.build()
+
+
+# A reduced candidate captured from a shrink of a real ``engine``
+# finding: it builds, but ``mid_2_0`` is produced and never consumed,
+# so dataflow analysis rejects it inside the oracle run.
+_DEAD_INTERMEDIATE = {
+    "name": "tiny-fb-56", "total_iterations": 13,
+    "objects": {
+        "table0": {"size": 95, "invariant": False},
+        "table1": {"size": 193, "invariant": False},
+        "in_0_0": {"size": 121, "invariant": False},
+        "out_0": {"size": 160, "invariant": False},
+        "xres0": {"size": 118, "invariant": False},
+        "xres1": {"size": 88, "invariant": False},
+        "in_2_0": {"size": 39, "invariant": False},
+        "mid_2_0": {"size": 164, "invariant": False},
+        "mid_2_1": {"size": 27, "invariant": False},
+        "in_2_2": {"size": 82, "invariant": False},
+        "out_2": {"size": 73, "invariant": False},
+    },
+    "kernels": [
+        {"name": "c0k0", "context_words": 148, "cycles": 756,
+         "inputs": ["in_0_0", "table0", "table1"], "outputs": ["out_0"]},
+        {"name": "c2k0", "context_words": 23, "cycles": 718,
+         "inputs": ["in_2_0", "table1", "xres0", "xres1"],
+         "outputs": ["mid_2_0"]},
+        {"name": "c2k2", "context_words": 24, "cycles": 831,
+         "inputs": ["in_2_2", "mid_2_1"], "outputs": ["out_2"]},
+    ],
+    "finals": ["out_0", "out_2"],
+    "groups": [["c0k0"], ["c2k0", "c2k2"]],
+    "fb_sets": [0, 0],
+    "fb_words": 781,
+    "regime": "tiny_fb",
+    "seed": 56,
+}
+
+
+def test_candidate_the_pipeline_rejects_does_not_reproduce():
+    """A ReproError while checking a candidate means "does not
+    reproduce", not a crash of the whole campaign."""
+    from repro.fuzz.oracles import run_oracles
+    from repro.fuzz.shrink import _still_fails
+
+    candidate = FuzzCase.from_dict(_DEAD_INTERMEDIATE)
+    assert not _still_fails(
+        candidate, "engine",
+        lambda c: run_oracles(c, oracles=("engine",)),
+    )

@@ -19,15 +19,17 @@ from repro.schedule.base import ScheduleOptions
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
+from repro.schedule.occupancy import ReferenceOccupancy
 from repro.sim.engine import Simulator
 from repro.workloads.spec import paper_experiments
 
 
-def _traced_cds(spec, **option_overrides):
+def _traced_cds(spec, scheduler_cls=CompleteDataScheduler,
+                **option_overrides):
     application, clustering = spec.build()
     architecture = Architecture.m1(spec.fb)
     options = ScheduleOptions(decision_trace=True, **option_overrides)
-    schedule = CompleteDataScheduler(architecture, options).schedule(
+    schedule = scheduler_cls(architecture, options).schedule(
         application, clustering
     )
     return architecture, schedule
@@ -116,9 +118,14 @@ class TestCompletenessOnPaperExperiments:
 
     def test_both_occupancy_engines_record_keep_decisions(self):
         spec = next(s for s in paper_experiments() if s.id == "ATR-FI")
+        reference = type(
+            "ReferenceCompleteDataScheduler", (CompleteDataScheduler,),
+            {"occupancy_cls": ReferenceOccupancy},
+        )
         traces = {}
-        for engine in ("incremental", "naive"):
-            _, schedule = _traced_cds(spec, occupancy_engine=engine)
+        for engine, scheduler_cls in (("incremental", CompleteDataScheduler),
+                                      ("naive", reference)):
+            _, schedule = _traced_cds(spec, scheduler_cls)
             assert schedule.decisions.accepted_keeps(), engine
             traces[engine] = {
                 (d.kind, d.subject)

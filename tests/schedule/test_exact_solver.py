@@ -23,7 +23,7 @@ from repro.schedule.exact import (
     ExactRetentionSolver,
     TrafficModel,
 )
-from repro.schedule.occupancy import OccupancyEngine
+from repro.schedule.occupancy import OccupancyEngine, ReferenceOccupancy
 from repro.schedule.tf import retention_candidates
 from repro.workloads.random_gen import random_application
 
@@ -32,6 +32,9 @@ def _materialised_total(architecture, dataflow, rf, keeps):
     """Real TransferSummary total for one (rf, keeps), or None when the
     pair does not fit a frame-buffer set (naive occupancy path)."""
     scheduler = CompleteDataScheduler(architecture)
+    scheduler._engine = ReferenceOccupancy(
+        dataflow, architecture.fb_set_words
+    )
     try:
         schedule = scheduler._build_schedule(
             dataflow, rf=rf, keeps=keeps, contexts_per_iteration=False

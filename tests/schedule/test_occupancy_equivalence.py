@@ -1,19 +1,16 @@
 """Property-based equivalence: incremental occupancy engine vs. naive.
 
-``ScheduleOptions(occupancy_engine="incremental")`` (the default)
-serves RF search, keep acceptance, and capacity validation from the
-memoised :class:`~repro.schedule.occupancy.OccupancyEngine`;
-``"naive"`` recomputes every ``DS(C_c)`` from scratch.  The perf
-overhaul's contract is that the two paths produce **byte-identical**
-schedules — same RF, same keeps in the same order, same cluster plans —
-agree on infeasibility, and that everything downstream (allocation)
-is therefore identical too.  These tests enforce that contract over
+The schedulers serve RF search, keep acceptance, and capacity
+validation from the memoised
+:class:`~repro.schedule.occupancy.OccupancyEngine`; a scheduler
+subclass with ``occupancy_cls = ReferenceOccupancy`` recomputes every
+``DS(C_c)`` from scratch.  The contract is that the two produce
+**byte-identical** schedules — same RF, same keeps in the same order,
+same cluster plans — agree on infeasibility, and that everything
+downstream (allocation) is therefore identical too.  These tests enforce that contract over
 random workloads across frame-buffer sizes and scheduler policies.
 """
 
-import dataclasses
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.alloc.allocator import FrameBufferAllocator
@@ -25,6 +22,7 @@ from repro.lint.runner import lint_schedule
 from repro.schedule.base import ScheduleOptions
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
+from repro.schedule.occupancy import ReferenceOccupancy
 from repro.workloads.random_gen import random_application
 from repro.workloads.spec import paper_experiments
 
@@ -42,6 +40,14 @@ def _outcome(scheduler_cls, application, clustering, architecture,
     return schedule
 
 
+def _reference(scheduler_cls):
+    """*scheduler_cls* on the naive reference occupancy engine."""
+    return type(
+        f"Reference{scheduler_cls.__name__}", (scheduler_cls,),
+        {"occupancy_cls": ReferenceOccupancy},
+    )
+
+
 def _fingerprint(schedule):
     return (schedule.rf, schedule.keeps, schedule.cluster_plans)
 
@@ -50,11 +56,11 @@ def _assert_engines_agree(scheduler_cls, application, clustering,
                           architecture, **option_overrides):
     incremental = _outcome(
         scheduler_cls, application, clustering, architecture,
-        occupancy_engine="incremental", **option_overrides,
+        **option_overrides,
     )
     naive = _outcome(
-        scheduler_cls, application, clustering, architecture,
-        occupancy_engine="naive", **option_overrides,
+        _reference(scheduler_cls), application, clustering, architecture,
+        **option_overrides,
     )
     assert (incremental is None) == (naive is None)
     if incremental is None:
@@ -162,11 +168,3 @@ def test_cds_schedules_are_lint_clean(seed, fb):
         return
     collector = lint_schedule(schedule)
     assert not collector.has_errors, [str(d) for d in collector.errors]
-
-
-def test_naive_engine_rejected_values():
-    with pytest.raises(ValueError, match="occupancy_engine"):
-        ScheduleOptions(occupancy_engine="bogus")
-    # dataclasses.replace re-validates via __post_init__.
-    with pytest.raises(ValueError):
-        dataclasses.replace(ScheduleOptions(), occupancy_engine="fast")

@@ -4,8 +4,9 @@ Regression for the gallop hand-off bug: after the gallop loop exited on
 a failed ``check(min(high * 2, cap))``, the binary-search seeding
 re-probed that same value — a wasted occupancy sweep and a duplicate
 ``rf.probe`` decision-trace event (seed 7 at 2K emitted ``(4, False)``
-twice).  Both the naive search (:func:`repro.schedule.rf.max_common_rf`)
-and the incremental engine
+twice).  Both the naive search (:func:`repro.schedule.rf.max_common_rf`,
+behind :class:`~repro.schedule.occupancy.ReferenceOccupancy`) and the
+incremental engine
 (:meth:`repro.schedule.occupancy.OccupancyEngine.max_common_rf`) had
 the bug.
 """
@@ -16,13 +17,19 @@ from repro.arch.params import Architecture
 from repro.schedule.base import ScheduleOptions
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
+from repro.schedule.occupancy import ReferenceOccupancy
 from repro.workloads.random_gen import random_application
 
 
 def _probe_sequence(seed, fb_words, *, engine, scheduler_cls=DataScheduler):
     application, clustering = random_application(seed)
     architecture = Architecture.m1(fb_words)
-    options = ScheduleOptions(decision_trace=True, occupancy_engine=engine)
+    options = ScheduleOptions(decision_trace=True)
+    if engine == "naive":
+        scheduler_cls = type(
+            f"Reference{scheduler_cls.__name__}", (scheduler_cls,),
+            {"occupancy_cls": ReferenceOccupancy},
+        )
     schedule = scheduler_cls(architecture, options).schedule(
         application, clustering
     )

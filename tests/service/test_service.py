@@ -25,7 +25,12 @@ from repro.errors import InfeasibleScheduleError, LintError
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.schedule.base import DataSchedulerBase, ScheduleOptions
 from repro.service.loadgen import _post_bytes, _read_response
-from repro.service.protocol import SCHEDULERS, encode_json, outcome_payload
+from repro.service.protocol import (
+    SCHEDULERS,
+    encode_json,
+    execute_request,
+    outcome_payload,
+)
 from repro.service import server as server_module
 from repro.service.server import SchedulerService, ServerThread
 from repro.workloads.spec import paper_experiments
@@ -342,6 +347,30 @@ def test_bad_requests_are_400(server, body, fragment):
     assert status == 400
     assert payload["ok"] is False
     assert fragment in payload["error"]["message"]
+
+
+def test_removed_occupancy_engine_option_is_400():
+    """The naive occupancy reference is a test seam, not an option."""
+    status, payload, _ = execute_request("schedule", {
+        "experiment": "MPEG", "options": {"occupancy_engine": "naive"},
+    })
+    assert status == 400
+    assert payload["error"]["message"] == (
+        "unknown option(s): occupancy_engine"
+    )
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"rf_cap": 2.5}, {"rf_cap": True}, {"strict_lint": "no"}],
+    ids=["float_rf_cap", "bool_rf_cap", "string_strict_lint"],
+)
+def test_wrongly_typed_options_are_400(options):
+    status, payload, _ = execute_request(
+        "schedule", {"experiment": "MPEG", "options": options}
+    )
+    assert status == 400, payload
+    assert payload["error"]["message"].startswith("invalid options: ")
 
 
 def test_batch_bad_requests(server):
