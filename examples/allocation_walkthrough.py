@@ -75,7 +75,7 @@ def main() -> None:
     print(schedule.describe())
     print()
 
-    allocation = FrameBufferAllocator(schedule).allocate_set(0)
+    allocation = FrameBufferAllocator(schedule, snapshots=True).allocate_set(0)
     capacity = allocation.capacity_words
     print(f"FB set 0 ({capacity} words), address 0 left -> {capacity} right")
     print("legend: each region marked by the first letter of its name\n")

@@ -108,6 +108,7 @@ class AllocationMap:
     capacity_words: int
     rf: int
     records: List[AllocationRecord] = field(default_factory=list)
+    #: Filled only by ``FrameBufferAllocator(..., snapshots=True)``.
     snapshots: List[Snapshot] = field(default_factory=list)
 
     @property
@@ -207,6 +208,11 @@ class FrameBufferAllocator:
             fuzz harness injects a wrapper that mirrors every operation
             onto :class:`~repro.alloc.reference.ReferenceFreeBlockList`
             and asserts the two agree.
+        snapshots: record a labelled :class:`Snapshot` of the set's live
+            regions after each load, execution and store phase (the
+            Figure-5 sequence ``repro alloc`` prints).  Off by default:
+            each snapshot copies every live region, and only renderers
+            read them, so :attr:`AllocationMap.snapshots` stays empty.
     """
 
     #: Process-wide default for ``debug_invariants`` when the caller
@@ -217,7 +223,8 @@ class FrameBufferAllocator:
     def __init__(self, schedule: Schedule, *, allow_split: bool = True,
                  fit_policy: str = "first",
                  debug_invariants: Optional[bool] = None,
-                 decisions=None, free_list_factory=None):
+                 decisions=None, free_list_factory=None,
+                 snapshots: bool = False):
         if fit_policy not in ("first", "best"):
             raise AllocationError(f"unknown fit_policy {fit_policy!r}")
         self.schedule = schedule
@@ -225,6 +232,7 @@ class FrameBufferAllocator:
         self.fit_policy = fit_policy
         self.decisions = decisions
         self.free_list_factory = free_list_factory
+        self.snapshots = snapshots
         if debug_invariants is None:
             debug_invariants = self.default_debug_invariants
         self.debug_invariants = debug_invariants
@@ -237,7 +245,8 @@ class FrameBufferAllocator:
                              best_fit=(self.fit_policy == "best"),
                              debug_invariants=self.debug_invariants,
                              decisions=self.decisions,
-                             free_list_factory=self.free_list_factory)
+                             free_list_factory=self.free_list_factory,
+                             snapshots=self.snapshots)
         return run.execute()
 
     def allocate(self) -> Tuple[AllocationMap, AllocationMap]:
@@ -250,7 +259,8 @@ class _SetAllocation:
 
     def __init__(self, schedule: Schedule, fb_set: int, allow_split: bool,
                  *, best_fit: bool = False, debug_invariants: bool = False,
-                 decisions=None, free_list_factory=None):
+                 decisions=None, free_list_factory=None,
+                 snapshots: bool = False):
         self.schedule = schedule
         self.dataflow: DataflowInfo = schedule.dataflow
         self.fb_set = fb_set
@@ -258,6 +268,7 @@ class _SetAllocation:
         self.best_fit = best_fit
         self.debug_invariants = debug_invariants
         self.decisions = decisions
+        self.snapshots = snapshots
         self.rf = schedule.rf
         self.capacity = schedule.fb_set_words
         if free_list_factory is None:
@@ -569,6 +580,8 @@ class _SetAllocation:
         )
 
     def _snapshot(self, label: str) -> None:
+        if not self.snapshots:
+            return
         regions = tuple(
             (name, instance, self.regions.extents_of(name, instance))
             for (name, instance) in self.regions.live_regions()

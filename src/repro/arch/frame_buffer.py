@@ -15,6 +15,7 @@ in the test suite.  :class:`FrameBuffer` bundles two sets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,6 +71,10 @@ class FrameBufferSet:
         self.capacity_words = capacity_words
         self.set_index = set_index
         self._regions: Dict[Tuple[str, int], Tuple[Extent, ...]] = {}
+        # Starts and ends of every bound extent, in address order (the
+        # O(log n) overlap check; bound extents are pairwise disjoint).
+        self._starts: List[int] = []
+        self._ends: List[int] = []
         self._words: Optional[np.ndarray] = (
             np.zeros(capacity_words, dtype=np.int64) if functional else None
         )
@@ -80,8 +85,9 @@ class FrameBufferSet:
         """Register a region occupying *extents*.
 
         Raises:
-            AllocationError: on overlap with a live region, duplicate
-                binding, or out-of-range extents.
+            AllocationError: on overlap with a live region or between
+                the region's own extents, duplicate binding, or
+                out-of-range extents.
         """
         key = (name, instance)
         if key in self._regions:
@@ -99,6 +105,36 @@ class FrameBufferSet:
                     f"set{self.set_index}: extent {extent} of {name}#{instance} "
                     f"exceeds capacity {self.capacity_words}"
                 )
+        if self._clashes(extents):
+            self._raise_overlap(name, instance, extents)
+        ordered = sorted(extents, key=lambda extent: extent.start)
+        for below, above in zip(ordered, ordered[1:]):
+            if below.overlaps(above):
+                raise AllocationError(
+                    f"set{self.set_index}: {name}#{instance} extents "
+                    f"{below} and {above} overlap each other"
+                )
+        self._regions[key] = extents
+        for extent in ordered:
+            at = bisect_left(self._starts, extent.start)
+            self._starts.insert(at, extent.start)
+            self._ends.insert(at, extent.end)
+
+    def _clashes(self, extents: Tuple[Extent, ...]) -> bool:
+        """True if any extent overlaps a bound one (via the index)."""
+        starts = self._starts
+        ends = self._ends
+        for extent in extents:
+            # Bound extents are disjoint, so of those starting before
+            # this one ends, only the last can reach past its start.
+            below = bisect_left(starts, extent.end)
+            if below and ends[below - 1] > extent.start:
+                return True
+        return False
+
+    def _raise_overlap(self, name: str, instance: int,
+                       extents: Tuple[Extent, ...]) -> None:
+        """Name the first clash in binding order (a linear scan)."""
         for other_key, other_extents in self._regions.items():
             for extent in extents:
                 for other in other_extents:
@@ -108,17 +144,21 @@ class FrameBufferSet:
                             f"{extent} overlaps {other_key[0]}#{other_key[1]} "
                             f"extent {other}"
                         )
-        self._regions[key] = extents
 
     def release(self, name: str, instance: int) -> Tuple[Extent, ...]:
         """Unregister a region, returning its extents."""
         key = (name, instance)
         try:
-            return self._regions.pop(key)
+            extents = self._regions.pop(key)
         except KeyError:
             raise AllocationError(
                 f"set{self.set_index}: region {name}#{instance} is not bound"
             ) from None
+        for extent in extents:
+            at = bisect_left(self._starts, extent.start)
+            del self._starts[at]
+            del self._ends[at]
+        return extents
 
     def is_bound(self, name: str, instance: int) -> bool:
         """True if the region is currently live."""
@@ -154,6 +194,8 @@ class FrameBufferSet:
     def clear(self) -> None:
         """Drop all regions (used between schedules)."""
         self._regions.clear()
+        self._starts = []
+        self._ends = []
         if self._words is not None:
             self._words[:] = 0
 

@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from repro.analysis.ablation import render_ablation
 from repro.analysis.compare import compare_experiment
@@ -114,19 +115,34 @@ def _cmd_figure6(_args) -> None:
     print(render_figure6())
 
 
-def _cmd_run(args) -> None:
+@contextmanager
+def _collecting_metrics(enabled: bool) -> Iterator[None]:
+    """Collect into a fresh global metrics registry when *enabled*."""
     from repro.obs.metrics import get_registry, set_metrics_active
 
-    profile = getattr(args, "profile", False)
-    if profile:
-        get_registry().reset()
-        set_metrics_active(True)
-    spec = _find_spec(args.experiment)
+    if not enabled:
+        yield
+        return
+    get_registry().reset()
+    set_metrics_active(True)
     try:
-        row = compare_experiment(spec)
+        yield
     finally:
-        if profile:
-            set_metrics_active(False)
+        set_metrics_active(False)
+
+
+def _print_profile() -> None:
+    from repro.obs.metrics import get_registry
+
+    print("\npipeline profile (metrics registry):")
+    print(get_registry().render())
+
+
+def _cmd_run(args) -> None:
+    profile = getattr(args, "profile", False)
+    spec = _find_spec(args.experiment)
+    with _collecting_metrics(profile):
+        row = compare_experiment(spec)
     print(f"experiment {spec.id} on {row.architecture}")
     for outcome in (row.basic, row.ds, row.cds):
         if not outcome.feasible:
@@ -143,8 +159,7 @@ def _cmd_run(args) -> None:
     print(f"CDS improvement: {row.cds_improvement_pct:.1f}%"
           if row.cds_improvement_pct is not None else "CDS improvement: n/a")
     if profile:
-        print("\npipeline profile (metrics registry):")
-        print(get_registry().render())
+        _print_profile()
 
 
 def _cmd_trace(args) -> int:
@@ -268,11 +283,15 @@ def _cmd_sweep(args) -> None:
 def _cmd_corpus(args) -> None:
     from repro.analysis.corpus import corpus_study
 
-    stats = corpus_study(
-        range(args.seeds), fb=args.fb, iterations=args.iterations,
-        jobs=args.jobs, cache_dir=args.cache_dir,
-    )
+    profile = getattr(args, "profile", False)
+    with _collecting_metrics(profile):
+        stats = corpus_study(
+            range(args.seeds), fb=args.fb, iterations=args.iterations,
+            jobs=args.jobs, cache_dir=args.cache_dir,
+        )
     print(stats.summary())
+    if profile:
+        _print_profile()
 
 
 def _cmd_alloc(args) -> None:
@@ -285,7 +304,7 @@ def _cmd_alloc(args) -> None:
     schedule = CompleteDataScheduler(architecture).schedule(
         application, clustering
     )
-    allocator = FrameBufferAllocator(schedule)
+    allocator = FrameBufferAllocator(schedule, snapshots=True)
     for fb_set in (0, 1):
         allocation = allocator.allocate_set(fb_set)
         print(f"\n=== FB set {fb_set} "
@@ -697,6 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "default serial)")
     corpus.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="persistent pipeline cache directory")
+    corpus.add_argument("--profile", action="store_true",
+                        help="collect and print per-stage pipeline and "
+                             "analysis metrics")
     corpus.set_defaults(func=_cmd_corpus)
     tinyrisc = sub.add_parser(
         "tinyrisc", help="emit the TinyRISC control program"

@@ -19,6 +19,7 @@ from repro.codegen.program import Program
 from repro.dataflow.hazards import HappensBefore
 from repro.dataflow.ir import ProgramIR, lower_program
 from repro.dataflow.passes import HAZARD_RULES, run_hazard_passes
+from repro.obs.metrics import time_stage
 from repro.schedule.context_scheduler import DmaPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,7 +89,8 @@ def analyze_ir(
     from repro.lint.diagnostics import Diagnostic, DiagnosticCollector
     from repro.lint.registry import RULES
 
-    hb = HappensBefore.build(ir, policy=policy)
+    with time_stage("happens_before", scope="analysis"):
+        hb = HappensBefore.build(ir, policy=policy)
     if collector is None:
         collector = DiagnosticCollector()
     for code in HAZARD_RULES:
@@ -107,7 +109,8 @@ def analyze_ir(
             details=details,
         ))
 
-    run_hazard_passes(ir, hb, emit)
+    with time_stage("hazard_passes", scope="analysis"):
+        run_hazard_passes(ir, hb, emit)
     return collector
 
 
@@ -143,5 +146,7 @@ def build_ir(
     if allocations is None:
         from repro.alloc.allocator import FrameBufferAllocator
 
-        allocations = FrameBufferAllocator(program.schedule).allocate()
-    return lower_program(program, allocations=allocations)
+        with time_stage("allocate", scope="analysis"):
+            allocations = FrameBufferAllocator(program.schedule).allocate()
+    with time_stage("lower", scope="analysis"):
+        return lower_program(program, allocations=allocations)

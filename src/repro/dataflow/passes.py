@@ -22,10 +22,27 @@ location=..., cost_words=..., **details)`` callable:
 * ``DFA002`` **retention liveness** — keep decisions whose retained
   values survive a drain but are never read afterwards: the retention
   buys none of its claimed traffic savings.
+
+Costs, with *n* the live segments (or extents) of one address space
+and *k* those an access actually overlaps:
+
+* ``HAZ001`` is O(log n + k) per access: a bisect-indexed interval map
+  spliced in place, plus one happens-before query per predecessor;
+* ``HAZ002`` is O(log n + c) per extent, *c* being the live extents
+  that start within the set's longest extent before it (every overlap
+  among them), plus O(log n) per value to expire and insert;
+* ``HAZ003`` sorts the 2V residency events of V values once, O(V log V);
+* ``DFA001`` is one pass over the values, ``DFA002`` one pass over the
+  nodes plus the kept values' uses.
+
+:mod:`repro.dataflow.reference` keeps the original linear-scan HAZ001
+map and HAZ002 loop as the equivalence oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.dataflow.hazards import HappensBefore
@@ -48,64 +65,76 @@ HAZARD_RULES: Tuple[str, ...] = (
 
 Emit = Callable[..., object]
 
+#: One interval-map segment: ``(start, end, writer, readers)``.
+_Segment = Tuple[int, int, Optional[int], Tuple[int, ...]]
+
 
 class _IntervalMap:
     """Last-accessor state per word over one address space.
 
     Segments are disjoint, sorted ``[start, end)`` ranges, each holding
     the last writing node and the reading nodes since that write.
+    ``_starts`` mirrors the segment starts for :mod:`bisect`; adjacent
+    segments are never merged, so the list equals the reference map's
+    (:class:`~repro.dataflow.reference.ReferenceIntervalMap`) after
+    every access.
     """
 
-    __slots__ = ("_segments",)
+    __slots__ = ("_starts", "_segments")
 
     def __init__(self) -> None:
-        # (start, end, writer, readers)
-        self._segments: List[Tuple[int, int, Optional[int], Tuple[int, ...]]] = []
+        self._starts: List[int] = []
+        self._segments: List[_Segment] = []
 
     def access(
         self, start: int, end: int, node: int, write: bool
     ) -> Dict[int, int]:
         """Record an access; return predecessor nodes -> words shared."""
         preds: Dict[int, int] = {}
-        kept: List[Tuple[int, int, Optional[int], Tuple[int, ...]]] = []
-        for seg_start, seg_end, writer, readers in self._segments:
-            lo = max(start, seg_start)
-            hi = min(end, seg_end)
-            if lo >= hi:
-                kept.append((seg_start, seg_end, writer, readers))
-                continue
+        segments = self._segments
+        # First segment ending after *start* (ends ascend with starts).
+        first = bisect_right(self._starts, start) - 1
+        if first < 0 or segments[first][1] <= start:
+            first += 1
+        # Replacement pieces in address order: left remnant, the
+        # written segment or the read pieces, right remnant.
+        pieces: List[_Segment] = []
+        right: Optional[_Segment] = None
+        cursor = start
+        last = first
+        count = len(segments)
+        while last < count:
+            seg_start, seg_end, writer, readers = segments[last]
+            if seg_start >= end:
+                break
+            last += 1
+            lo = start if start > seg_start else seg_start
+            hi = end if end < seg_end else seg_end
             words = hi - lo
             if writer is not None and writer != node:
                 preds[writer] = preds.get(writer, 0) + words
+            if seg_start < lo:
+                pieces.append((seg_start, lo, writer, readers))
             if write:
                 for reader in readers:
                     if reader != node:
                         preds[reader] = preds.get(reader, 0) + words
-            # Non-overlapping remnants keep their old state.
-            if seg_start < lo:
-                kept.append((seg_start, lo, writer, readers))
-            if hi < seg_end:
-                kept.append((hi, seg_end, writer, readers))
-            if not write:
-                kept.append((lo, hi, writer, readers + (node,)))
-        if write:
-            kept.append((start, end, node, ()))
-        else:
-            # Reads over previously untouched words.
-            covered = sorted(
-                (max(start, s), min(end, e))
-                for s, e, _, _ in self._segments
-                if max(start, s) < min(end, e)
-            )
-            cursor = start
-            for lo, hi in covered:
+            else:
                 if cursor < lo:
-                    kept.append((cursor, lo, None, (node,)))
-                cursor = max(cursor, hi)
-            if cursor < end:
-                kept.append((cursor, end, None, (node,)))
-        kept.sort(key=lambda seg: seg[0])
-        self._segments = kept
+                    pieces.append((cursor, lo, None, (node,)))
+                pieces.append((lo, hi, writer, readers + (node,)))
+                cursor = hi
+            if hi < seg_end:
+                right = (hi, seg_end, writer, readers)
+        if write:
+            pieces.append((start, end, node, ()))
+        elif cursor < end:
+            # Reads over previously untouched words.
+            pieces.append((cursor, end, None, (node,)))
+        if right is not None:
+            pieces.append(right)
+        segments[first:last] = pieces
+        self._starts[first:last] = [piece[0] for piece in pieces]
         return preds
 
 
@@ -168,33 +197,51 @@ def check_interference(ir: ProgramIR, emit: Emit) -> None:
             if value.fb_set == fb_set and value.extents
         ]
         placed.sort(key=lambda value: value.def_pos)
-        active: List[ValueLifetime] = []
-        for value in placed:
-            active = [
-                other for other in active
-                if other.release_pos > value.def_pos
-            ]
-            for other in active:
+        maxlen = max(
+            (extent.size for value in placed for extent in value.extents),
+            default=0,
+        )
+        # Live values: a heap by release position, and their extents
+        # as ``(start, order, k, end)`` in address order, where *order*
+        # is the value's index in *placed* (the active-list order).
+        expiry: List[Tuple[int, int]] = []
+        live: List[Tuple[int, int, int, int]] = []
+        for order, value in enumerate(placed):
+            while expiry and expiry[0][0] <= value.def_pos:
+                _, gone = heappop(expiry)
+                for k, extent in enumerate(placed[gone].extents):
+                    del live[bisect_left(live, (extent.start, gone, k))]
+            hits: Set[int] = set()
+            for a in value.extents:
+                # An extent overlapping *a* starts within maxlen of it.
+                lo = bisect_left(live, (a.start - maxlen + 1,))
+                hi = bisect_left(live, (a.end,))
+                for _, other, _, b_end in live[lo:hi]:
+                    if b_end > a.start:
+                        hits.add(other)
+            for other_order in sorted(hits):
+                other = placed[other_order]
                 overlap = sum(
                     min(a.end, b.end) - max(a.start, b.start)
                     for a in value.extents
                     for b in other.extents
                     if a.overlaps(b)
                 )
-                if overlap:
-                    emit(
-                        "HAZ002",
-                        f"{value.name}#{value.instance} and "
-                        f"{other.name}#{other.instance} are live "
-                        f"simultaneously on {overlap} shared word(s) of "
-                        f"FB set {fb_set}",
-                        location=f"visit {value.def_visit}",
-                        cost_words=overlap,
-                        first=f"{other.name}#{other.instance}",
-                        second=f"{value.name}#{value.instance}",
-                        fb_set=fb_set,
-                    )
-            active.append(value)
+                emit(
+                    "HAZ002",
+                    f"{value.name}#{value.instance} and "
+                    f"{other.name}#{other.instance} are live "
+                    f"simultaneously on {overlap} shared word(s) of "
+                    f"FB set {fb_set}",
+                    location=f"visit {value.def_visit}",
+                    cost_words=overlap,
+                    first=f"{other.name}#{other.instance}",
+                    second=f"{value.name}#{value.instance}",
+                    fb_set=fb_set,
+                )
+            heappush(expiry, (value.release_pos, order))
+            for k, extent in enumerate(value.extents):
+                insort(live, (extent.start, order, k, extent.end))
 
 
 def check_dead_transfers(ir: ProgramIR, emit: Emit) -> None:

@@ -779,8 +779,17 @@ def _check_hazards(case, runs) -> List[OracleFailure]:
     is capacity-sound but not placement-sound, so only the two
     always-sound policies are asserted clean here; the others remain
     reachable through ``repro analyze --policy``.
+
+    Each lowered program is also replayed through the linear reference
+    structures of :mod:`repro.dataflow.reference`: every access through
+    both HAZ001 interval maps (equal predecessors and segment lists)
+    and both HAZ002 implementations (equal emits).
     """
     from repro.dataflow.analyzer import analyze_ir, build_ir
+    from repro.dataflow.reference import (
+        interference_mismatch,
+        interval_map_mismatch,
+    )
     from repro.schedule.context_scheduler import DmaPolicy
 
     failures = []
@@ -792,6 +801,15 @@ def _check_hazards(case, runs) -> List[OracleFailure]:
             try:
                 if ir is None:
                     ir = build_ir(run.program)
+                    for mismatch in (interval_map_mismatch(ir),
+                                     interference_mismatch(ir)):
+                        if mismatch is not None:
+                            failures.append(OracleFailure(
+                                "hazards", case.name,
+                                f"pass diverges from its reference: "
+                                f"{mismatch}",
+                                scheduler=run.scheduler,
+                            ))
                 collector = analyze_ir(ir, policy=policy)
             except ReproError as exc:
                 failures.append(OracleFailure(

@@ -87,11 +87,23 @@ class TestBasicProperties:
 
     def test_snapshots_have_labels(self, sharing_app, sharing_clustering):
         schedule = _cds_schedule(sharing_app, sharing_clustering, "1K")
-        allocation = FrameBufferAllocator(schedule).allocate_set(0)
+        allocation = FrameBufferAllocator(
+            schedule, snapshots=True
+        ).allocate_set(0)
         labels = [s.label for s in allocation.snapshots]
         assert any("input data" in label for label in labels)
         assert any("execution" in label for label in labels)
         assert any("stores complete" in label for label in labels)
+
+    def test_snapshots_are_opt_in(self, sharing_app, sharing_clustering):
+        schedule = _cds_schedule(sharing_app, sharing_clustering, "1K")
+        default = FrameBufferAllocator(schedule).allocate_set(0)
+        recorded = FrameBufferAllocator(
+            schedule, snapshots=True
+        ).allocate_set(0)
+        assert default.snapshots == []
+        assert recorded.snapshots
+        assert default.records == recorded.records
 
     def test_record_for_missing(self, sharing_app, sharing_clustering):
         schedule = _cds_schedule(sharing_app, sharing_clustering, "1K")

@@ -91,7 +91,9 @@ def figure5_schedule():
 
 @pytest.fixture(scope="module")
 def figure5_allocation(figure5_schedule):
-    return FrameBufferAllocator(figure5_schedule).allocate_set(0)
+    return FrameBufferAllocator(
+        figure5_schedule, snapshots=True
+    ).allocate_set(0)
 
 
 class TestFigure5:

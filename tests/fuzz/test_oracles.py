@@ -278,6 +278,49 @@ def test_progequiv_oracle_flags_divergent_stamping(monkeypatch):
     assert any("differs from reference" in f.message for f in failures)
 
 
+def _paper_e1_case():
+    spec = next(s for s in paper_experiments() if s.id == "E1")
+    application, clustering = spec.build()
+    return FuzzCase.from_workload(
+        application, clustering, spec.fb_words, name="paper-E1"
+    )
+
+
+def test_hazards_oracle_flags_divergent_interval_map(monkeypatch):
+    """Plant: the indexed HAZ001 map forgets every reader."""
+    from repro.dataflow.passes import _IntervalMap
+
+    original = _IntervalMap.access
+
+    def forgetful(self, start, end, node, write):
+        preds = original(self, start, end, node, write)
+        self._segments[:] = [
+            (seg_start, seg_end, writer, ())
+            for seg_start, seg_end, writer, _ in self._segments
+        ]
+        return preds
+
+    monkeypatch.setattr(_IntervalMap, "access", forgetful)
+    failures = run_oracles(_paper_e1_case(), oracles=("hazards",))
+    assert failures, "a divergent interval map must fire"
+    assert any("diverges from its reference" in f.message for f in failures)
+
+
+def test_hazards_oracle_flags_divergent_interference(monkeypatch):
+    """Plant: the HAZ002 sweep reports a phantom overlap."""
+    import repro.dataflow.passes as passes
+
+    def phantom(ir, emit):
+        emit("HAZ002", "phantom", location="visit 0", cost_words=1)
+
+    monkeypatch.setattr(passes, "check_interference", phantom)
+    failures = run_oracles(_paper_e1_case(), oracles=("hazards",))
+    assert any(
+        "diverges from its reference" in f.message and "HAZ002" in f.message
+        for f in failures
+    )
+
+
 def test_oracle_names_are_stable():
     assert set(ORACLE_NAMES) == {
         "probes", "diagnostics", "feasibility", "traffic", "engine",

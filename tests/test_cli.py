@@ -94,6 +94,21 @@ class TestRunProfile:
         assert main(["run", "E1", "--profile"]) == 0
         assert metrics_active() is False
 
+    def test_corpus_profile_lists_analysis_stages(self, capsys):
+        from repro.obs.metrics import metrics_active
+
+        assert main(["corpus", "--seeds", "2", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "pipeline profile" in out
+        for stage in ("allocate", "lower", "happens_before",
+                      "hazard_passes"):
+            assert f"analysis/{stage}" in out
+        assert metrics_active() is False
+
+    def test_corpus_without_profile_prints_no_timers(self, capsys):
+        assert main(["corpus", "--seeds", "2"]) == 0
+        assert "pipeline profile" not in capsys.readouterr().out
+
 
 class TestTraceCommand:
     def test_chrome_output_is_valid_trace_event_json(self, capsys):
