@@ -57,6 +57,7 @@ from repro.alloc.allocator import FrameBufferAllocator
 from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
+from repro.codegen.reference import reference_generate_program
 from repro.codegen.verifier import verify_program
 from repro.core.dataflow import analyze_dataflow
 from repro.schedule.complete import CompleteDataScheduler
@@ -161,11 +162,11 @@ def _experiment_stage_fns(spec) -> Dict[str, Callable[[], object]]:
         application, clustering
     )
     allocator = FrameBufferAllocator(schedule, debug_invariants=False)
-    reference = generate_program(schedule, engine="reference")
-    templated = generate_program(schedule, engine="templated")
+    reference = reference_generate_program(schedule)
+    templated = generate_program(schedule)
 
     def _templated_codegen() -> None:
-        program = generate_program(schedule, engine="templated")
+        program = generate_program(schedule)
         if len(program.visits):
             program.visits[0]  # force template stamping of every visit
 
@@ -175,7 +176,7 @@ def _experiment_stage_fns(spec) -> Dict[str, Callable[[], object]]:
             application, clustering
         ),
         "alloc": allocator.allocate,
-        "codegen": lambda: generate_program(schedule, engine="reference"),
+        "codegen": lambda: reference_generate_program(schedule),
         "codegen_templated": _templated_codegen,
         "verify": lambda: verify_program(reference),
         "verify_fast": lambda: verify_program(templated),

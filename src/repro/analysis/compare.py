@@ -365,11 +365,17 @@ def compare_experiment(
     spec: ExperimentSpec,
     *,
     options: Optional[ScheduleOptions] = None,
+    trace: bool = False,
 ) -> ComparisonRow:
-    """Run one Table-1 experiment at its paper frame-buffer size."""
+    """Run one Table-1 experiment at its paper frame-buffer size.
+
+    The per-transfer DMA trace is off unless *trace* is set: only the
+    Gantt chart of ``repro run --gantt`` reads it, while cycles, words
+    and RF are exact either way.
+    """
     application, clustering = spec.build()
     architecture = Architecture.m1(spec.fb)
     return compare_workload(
         application, clustering, architecture,
-        options=options, workload_name=spec.id,
+        options=options, workload_name=spec.id, trace=trace,
     )

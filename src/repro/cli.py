@@ -142,7 +142,7 @@ def _cmd_run(args) -> None:
     profile = getattr(args, "profile", False)
     spec = _find_spec(args.experiment)
     with _collecting_metrics(profile):
-        row = compare_experiment(spec)
+        row = compare_experiment(spec, trace=args.gantt)
     print(f"experiment {spec.id} on {row.architecture}")
     for outcome in (row.basic, row.ds, row.cds):
         if not outcome.feasible:

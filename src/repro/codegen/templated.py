@@ -2,7 +2,7 @@
 
 Visits are round-invariant per cluster: between two visits of the same
 cluster only the visit index, the iteration window and the CM-block
-parity change.  The reference generator (:mod:`repro.codegen.generator`)
+parity change.  The reference generator (:mod:`repro.codegen.reference`)
 still re-emits every leaf op ``rounds x clusters`` times; this backend
 compiles each cluster **once** into a :class:`ClusterTemplate` — load
 order, context loads, kernel launches and stores as small per-cluster
@@ -14,8 +14,9 @@ downstream consumers (simulator, verifier, hazard IR, tests that slice
 ``program.visits``) see exactly the tuple of :class:`VisitOps` the
 reference generator would have produced — materialized on first access
 and byte-identical (the golden suite and the ``progequiv`` fuzz oracle
-enforce this).  Consumers that never touch the ops — notably the fast
-verifier (:mod:`repro.codegen.fastverify`) — read the templates
+enforce this).  Consumers that never touch the ops — the fast
+verifier (:mod:`repro.codegen.fastverify`) and untraced accounting
+runs of the simulator (:mod:`repro.sim.engine`) — read the templates
 directly and skip materialization entirely.
 """
 
@@ -270,8 +271,8 @@ class TemplateVisits(Sequence):
 def generate_templated_program(
     schedule: Schedule, *, reuse_resident_contexts: bool = False
 ) -> Program:
-    """Template-compiled equivalent of the reference
-    :func:`repro.codegen.generator.generate_program`."""
+    """Template-compiled equivalent of the eager
+    :func:`repro.codegen.reference.reference_generate_program`."""
     templates = build_templates(schedule)
     flags = _context_flags(schedule, len(templates), reuse_resident_contexts)
     return Program(

@@ -57,7 +57,9 @@ which compares two independent computations of the same fact:
     Re-simulating with the per-transfer DMA trace on reproduces the
     untraced pipeline report field for field (per-visit timings
     included, the trace itself excepted): the trace-off block
-    accounting and the item-by-item channel walk agree.
+    accounting and the item-by-item channel walk agree.  Simulating
+    the program with its visits materialised into a plain tuple
+    reproduces the template-driven pipeline report exactly.
 ``functional``
     Functional simulation reproduces the application's reference
     outputs.
@@ -671,6 +673,7 @@ def _check_progequiv(case, runs) -> List[OracleFailure]:
     to the reference backend on every feasible schedule, under both
     context-reuse modes: same :class:`Program` (visits included), the
     same ordered violation list, and the same generation errors."""
+    from repro.codegen.reference import reference_generate_program
     from repro.codegen.verifier import (
         collect_program_violations,
         iter_program_violations,
@@ -686,16 +689,14 @@ def _check_progequiv(case, runs) -> List[OracleFailure]:
             reference = templated = None
             ref_error = tpl_error = None
             try:
-                reference = generate_program(
+                reference = reference_generate_program(
                     run.schedule, reuse_resident_contexts=reuse,
-                    engine="reference",
                 )
             except CodegenError as exc:
                 ref_error = str(exc)
             try:
                 templated = generate_program(
                     run.schedule, reuse_resident_contexts=reuse,
-                    engine="templated",
                 )
             except CodegenError as exc:
                 tpl_error = str(exc)
@@ -833,16 +834,38 @@ def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
     """The traced and untraced simulation paths must agree exactly.
 
     The pipeline reports above ran with the per-transfer trace off,
-    so the engine accounted each visit's transfer groups as whole
-    channel blocks (``request_block``).  Re-simulating with the trace
-    on walks every transfer through the channel one by one and must
-    reproduce every :class:`~repro.sim.report.SimulationReport` field
-    except the trace itself, per-visit timings included.
+    so the engine timed the template-compiled program from its
+    per-cluster templates and accounted each visit's transfer groups
+    as whole channel blocks (``request_block``).  Re-simulating with
+    the trace on walks every transfer through the channel one by one
+    and must reproduce every :class:`~repro.sim.report.SimulationReport`
+    field except the trace itself, per-visit timings included.  The
+    same program with its visits materialised into a plain tuple is
+    timed from its ops and must reproduce the report exactly.
     """
     failures = []
     for run in runs.values():
         if run.program is None or run.report is None:
             continue
+        materialised = dataclasses.replace(
+            run.program, visits=tuple(run.program.visits)
+        )
+        from_ops = simulate_program(
+            materialised, architecture, trace=False, verify=False,
+        )
+        if from_ops != run.report:
+            diverging = [
+                field.name
+                for field in dataclasses.fields(from_ops)
+                if getattr(from_ops, field.name)
+                != getattr(run.report, field.name)
+            ]
+            failures.append(OracleFailure(
+                "simengine", case.name,
+                f"template-driven and materialised-op simulations "
+                f"diverge on {diverging}",
+                scheduler=run.scheduler,
+            ))
         traced = simulate_program(
             run.program, architecture, trace=True, verify=False,
         )

@@ -18,12 +18,17 @@ Timing model (paper section 2's structural constraints):
 * within one overlap window the :class:`ContextScheduler` policy orders
   contexts / stores / loads (default: contexts first, per [4]).
 
+The timing loop reads one row per visit (cluster, set, iteration
+count, compute cycles and its context/load/store transfer groups).  A
+template-compiled program yields its rows from the per-cluster codegen
+templates, so an untraced accounting run never stamps the visit ops.
 With the per-transfer trace on, every transfer walks through the DMA
-channel item by item.  With it off, each visit's context, load and
-store group is accounted as one contiguous channel block
-(:meth:`DmaChannel.request_block`).  The timeline and the aggregate
-statistics are identical either way; ``tests/sim/test_trace_equivalence.py``
-and the ``simengine`` fuzz oracle compare the two.
+channel item by item under its own label.  With it off, each visit's
+context, load and store group is accounted as one contiguous channel
+block (:meth:`DmaChannel.request_block`).  The timeline and the
+aggregate statistics are identical either way;
+``tests/sim/test_trace_equivalence.py`` and the ``simengine`` fuzz
+oracle compare the two, and templated against materialised programs.
 
 Functional mode additionally moves real values through the machine's
 external memory and checks every final output against the reference
@@ -39,6 +44,7 @@ import numpy as np
 from repro.arch.dma import TransferKind
 from repro.arch.machine import MorphoSysM1
 from repro.codegen.program import Program
+from repro.codegen.templated import ClusterTemplate, TemplateVisits
 from repro.codegen.verifier import verify_program
 from repro.errors import SimulationError
 from repro.schedule.context_scheduler import (
@@ -133,8 +139,6 @@ class Simulator:
             golden = reference_outputs(
                 application, self.machine.external_memory, impls
             )
-        else:
-            self._populate_accounting(application)
 
         # The tracing mode is set only for the duration of this run and
         # restored afterwards: the DMA channel is shared machine state,
@@ -186,6 +190,59 @@ class Simulator:
 
     # -- timing engine ----------------------------------------------------
 
+    def _visit_rows(self, visits) -> List[Tuple]:
+        """One row per visit: ``(index, round_index, cluster_index,
+        fb_set, n_iters, compute_cycles, ctx, ld, st)``, where ``ctx``,
+        ``ld`` and ``st`` are the visit's context, data-load and store
+        groups as ``(words, duration, count)``.
+
+        Group totals depend only on the cluster and the round's
+        iteration count.  A template-compiled program yields them from
+        its :class:`ClusterTemplate` tables, once per (cluster, round
+        length), without stamping a single op.  Any other visit
+        sequence (the reference generator, pickled programs, fuzz
+        mutations) is summed from its ops, memoised the same way.
+        """
+        timing = self.machine.dma.timing
+        ctx_cycles = timing.context_transfer_cycles
+        data_cycles = timing.data_transfer_cycles
+        if isinstance(visits, TemplateVisits):
+            return _template_rows(visits, ctx_cycles, data_cycles)
+
+        memo: Dict[Tuple[str, int, int], Tuple[int, int, int]] = {}
+
+        def totals(tag, cluster_index, variant, items, cycles_of):
+            key = (tag, cluster_index, variant)
+            found = memo.get(key)
+            if found is None:
+                words = 0
+                duration = 0
+                for item in items:
+                    words += item.words
+                    duration += cycles_of(item.words)
+                found = (words, duration, len(items))
+                memo[key] = found
+            return found
+
+        rows = []
+        for ops in visits:
+            visit = ops.visit
+            cluster_index = visit.cluster_index
+            n_iters = len(visit.iterations)
+            rows.append((
+                visit.index, visit.round_index, cluster_index,
+                visit.fb_set, n_iters, ops.compute_cycles,
+                # Context words never vary with the round, only with
+                # block residency (empty when reused).
+                totals("ctx", cluster_index, len(ops.context_loads),
+                       ops.context_loads, ctx_cycles),
+                totals("ld", cluster_index, n_iters,
+                       ops.data_loads, data_cycles),
+                totals("st", cluster_index, n_iters,
+                       ops.stores, data_cycles),
+            ))
+        return rows
+
     def _execute(
         self,
         program: Program,
@@ -195,75 +252,41 @@ class Simulator:
         visits = program.visits
         if not visits:
             return []
+        rows = self._visit_rows(visits)
         dma = self.machine.dma
         fb_values: Tuple[Dict, Dict] = ({}, {})
 
-        count = len(visits)
+        count = len(rows)
         prep_finish = [0] * count
         compute_end = [0] * count
         stores_issued = [False] * count
         timings: List[VisitTiming] = []
 
         def last_same_set_end(index: int) -> int:
-            fb_set = visits[index].visit.fb_set
+            fb_set = rows[index][3]
             for prev in range(index - 1, -1, -1):
-                if visits[prev].visit.fb_set == fb_set:
+                if rows[prev][3] == fb_set:
                     return compute_end[prev]
             return 0
 
-        loads_before_contexts = (
-            self.context_scheduler.policy is DmaPolicy.LOADS_FIRST
-        )
+        policy = self.context_scheduler.policy
+        loads_before_contexts = policy is DmaPolicy.LOADS_FIRST
+        adaptive = policy is DmaPolicy.ADAPTIVE
         trace = self.trace
 
-        # Fast path (trace off): back-to-back requests at one earliest
+        # With the trace off, back-to-back requests at one earliest
         # start occupy one contiguous timeline block, so each visit's
         # context/load/store group is accounted in O(1) via
-        # request_block.  Group totals depend only on the cluster and
-        # the round's iteration count, so they are memoised and laid
-        # out per visit up front.
-        groups: List[Tuple] = []
-        if not trace:
-            timing = dma.timing
-            memo: Dict[Tuple[str, int, int], Tuple[int, int, int]] = {}
-
-            def totals(tag, cluster_index, variant, items, cycles_of):
-                key = (tag, cluster_index, variant)
-                found = memo.get(key)
-                if found is None:
-                    words = 0
-                    duration = 0
-                    for item in items:
-                        words += item.words
-                        duration += cycles_of(item.words)
-                    found = (words, duration, len(items))
-                    memo[key] = found
-                return found
-
-            ctx_cycles = timing.context_transfer_cycles
-            data_cycles = timing.data_transfer_cycles
-            for ops in visits:
-                cluster_index = ops.visit.cluster_index
-                n_iters = len(ops.visit.iterations)
-                groups.append((
-                    # Context words never vary with the round, only
-                    # with block residency (empty when reused).
-                    totals("ctx", cluster_index, len(ops.context_loads),
-                           ops.context_loads, ctx_cycles),
-                    totals("ld", cluster_index, n_iters,
-                           ops.data_loads, data_cycles),
-                    totals("st", cluster_index, n_iters,
-                           ops.stores, data_cycles),
-                ))
+        # request_block from its row.  With it on, every transfer
+        # walks through the channel under its own label.
 
         def issue_prep(index: int, earliest: int) -> None:
-            ops = visits[index]
             finish = earliest
             set_free = last_same_set_end(index)
 
             def issue_contexts() -> int:
                 if not trace:
-                    words, duration, count = groups[index][0]
+                    words, duration, count = rows[index][6]
                     if count == 0:
                         return earliest
                     _, done = dma.request_block(
@@ -272,7 +295,7 @@ class Simulator:
                     )
                     return done
                 done_at = earliest
-                for load in ops.context_loads:
+                for load in visits[index].context_loads:
                     _, done = dma.request(
                         TransferKind.CONTEXT_LOAD,
                         load.words,
@@ -285,7 +308,7 @@ class Simulator:
             def issue_loads() -> int:
                 start_at = max(earliest, set_free)
                 if not trace:
-                    words, duration, count = groups[index][1]
+                    words, duration, count = rows[index][7]
                     if count == 0:
                         return earliest
                     _, done = dma.request_block(
@@ -294,7 +317,7 @@ class Simulator:
                     )
                     return done
                 done_at = earliest
-                for load in ops.data_loads:
+                for load in visits[index].data_loads:
                     _, done = dma.request(
                         TransferKind.DATA_LOAD,
                         load.words,
@@ -314,17 +337,16 @@ class Simulator:
             if stores_issued[index]:
                 return
             stores_issued[index] = True
-            ops = visits[index]
             earliest = compute_end[index]
             if not trace:
-                words, duration, count = groups[index][2]
+                words, duration, count = rows[index][8]
                 if count:
                     dma.request_block(
                         TransferKind.DATA_STORE, words, duration,
                         count, earliest,
                     )
                 return
-            for store in ops.stores:
+            for store in visits[index].stores:
                 dma.request(
                     TransferKind.DATA_STORE,
                     store.words,
@@ -336,7 +358,8 @@ class Simulator:
         if pipelined:
             issue_prep(0, 0)
         for index in range(count):
-            ops = visits[index]
+            (visit_index, round_index, cluster_index, fb_set, _,
+             compute_cycles, _, _, _) = rows[index]
             previous_end = compute_end[index - 1] if index else 0
             if not pipelined:
                 # Serial mode (Basic Scheduler): the previous visit's
@@ -346,12 +369,13 @@ class Simulator:
                     issue_stores(index - 1)
                 issue_prep(index, previous_end)
             start = max(prep_finish[index], previous_end)
-            end = start + ops.compute_cycles
+            end = start + compute_cycles
             compute_end[index] = end
             if functional:
                 # Functional data movement follows strict program order
                 # (the verifier's order); DMA timing is tracked
                 # independently below.
+                ops = visits[index]
                 for load in ops.data_loads:
                     self._do_load(load, fb_values)
                 self._do_compute(program, index, fb_values, impls)
@@ -360,10 +384,10 @@ class Simulator:
                 self._drain_set(program, index, fb_values)
             timings.append(
                 VisitTiming(
-                    index=ops.visit.index,
-                    round_index=ops.visit.round_index,
-                    cluster_index=ops.visit.cluster_index,
-                    fb_set=ops.visit.fb_set,
+                    index=visit_index,
+                    round_index=round_index,
+                    cluster_index=cluster_index,
+                    fb_set=fb_set,
                     prep_finish=prep_finish[index],
                     compute_start=start,
                     compute_end=end,
@@ -377,20 +401,18 @@ class Simulator:
             if not pipelined:
                 continue
             if index + 1 < count:
-                same_set_next = (
-                    visits[index + 1].visit.fb_set == ops.visit.fb_set
-                )
-                policy = self.context_scheduler.policy
-                loads_first = policy is DmaPolicy.LOADS_FIRST
-                if policy is DmaPolicy.ADAPTIVE and index > 0:
+                same_set_next = rows[index + 1][3] == fb_set
+                loads_first = loads_before_contexts
+                if adaptive and index > 0:
                     # Sound reordering: loads may overtake the previous
                     # visit's stores when the set has room for both the
                     # departing results and the arriving working set.
+                    departing = rows[index - 1]
                     loads_first = loads_may_precede_stores(
                         program.schedule,
-                        visits[index - 1].visit.cluster_index,
-                        visits[index + 1].visit.cluster_index,
-                        len(visits[index - 1].visit.iterations),
+                        departing[2],
+                        rows[index + 1][2],
+                        departing[4],
                     )
                 if same_set_next:
                     # The next visit reuses this set: its loads must
@@ -421,24 +443,6 @@ class Simulator:
             stall += max(0, timing.compute_start - previous_end)
             previous_end = timing.compute_end
         return stall
-
-    # -- accounting-mode support --------------------------------------------
-
-    def _populate_accounting(self, application) -> None:
-        """Ensure external inputs exist (size-only) so loads are legal."""
-        memory = self.machine.external_memory
-        exists = memory.exists
-        put = memory.put
-        for name in application.external_inputs():
-            obj = application.object(name)
-            size = obj.size
-            instances = (
-                (0,) if obj.invariant
-                else range(application.total_iterations)
-            )
-            for iteration in instances:
-                if not exists(name, iteration):
-                    put(name, iteration, size=size)
 
     # -- functional data movement ---------------------------------------
 
@@ -536,3 +540,62 @@ class Simulator:
                     f"differs from the reference execution"
                 )
         return True
+
+
+def _template_rows(
+    visits: TemplateVisits, ctx_cycles, data_cycles
+) -> List[Tuple]:
+    """:meth:`Simulator._visit_rows` straight from the codegen
+    templates: per-cluster group totals scaled by the round length."""
+    schedule = visits.schedule
+    flags = visits.context_flags
+    no_contexts = (0, 0, 0)
+    clusters = []
+    for template in visits.templates:
+        contexts = template.context_loads[0]
+        clusters.append((
+            template,
+            (template.context_total,
+             sum(ctx_cycles(load.words) for load in contexts),
+             len(contexts)),
+            {},
+        ))
+    rows = []
+    index = 0
+    for round_index in range(schedule.rounds):
+        n_iters = schedule.iterations_in_round(round_index)
+        for template, contexts, by_length in clusters:
+            groups = by_length.get(n_iters)
+            if groups is None:
+                groups = by_length[n_iters] = _template_groups(
+                    template, n_iters, data_cycles
+                )
+            reused = flags is not None and not flags[index]
+            rows.append((
+                index, round_index, template.cluster_index,
+                template.fb_set, n_iters, groups[0],
+                no_contexts if reused else contexts, groups[1], groups[2],
+            ))
+            index += 1
+    return rows
+
+
+def _template_groups(
+    template: ClusterTemplate, n_iters: int, data_cycles
+) -> Tuple[int, Tuple[int, int, int], Tuple[int, int, int]]:
+    """``(compute_cycles, ld, st)`` of one visit of *template* over
+    *n_iters* iterations.  Invariant loads move once per visit, every
+    other load and every store once per iteration."""
+    words = duration = count = 0
+    for _, size, fixed in template.loads:
+        times = len(fixed) if fixed else n_iters
+        words += size * times
+        duration += data_cycles(size) * times
+        count += times
+    stores = (
+        n_iters * sum(size for _, size in template.stores),
+        n_iters * sum(data_cycles(size) for _, size in template.stores),
+        n_iters * len(template.stores),
+    )
+    compute = n_iters * sum(cycles for _, cycles in template.compute)
+    return compute, (words, duration, count), stores

@@ -1,5 +1,7 @@
 """Tests for the comparison/reporting layer (Table 1 / Figure 6)."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.ablation import (
@@ -32,6 +34,17 @@ class TestCompare:
         assert e1_row.n_clusters == 4
         assert e1_row.max_kernels_per_cluster == 2
         assert e1_row.fb_words == 1024
+
+    def test_untraced_by_default(self, e1_row, specs_by_id):
+        # Table 1 and `repro run` read cycles, words and RF only; the
+        # per-transfer trace is recorded only on request.
+        for outcome in (e1_row.basic, e1_row.ds, e1_row.cds):
+            assert outcome.report.transfers == ()
+        traced = compare_experiment(specs_by_id["E1"], trace=True)
+        assert traced.cds.report.transfers
+        assert dataclasses.replace(
+            traced.cds.report, transfers=()
+        ) == e1_row.cds.report
 
     def test_all_feasible(self, e1_row):
         assert e1_row.basic.feasible

@@ -1,9 +1,9 @@
 """Template-compiled codegen vs. the reference generator: byte-identical.
 
 The template backend (:mod:`repro.codegen.templated`) promises the same
-contract the batch compiler does for schedules: ``generate_program(...,
-engine='templated')`` produces **exactly** the program the reference
-generator emits — same visits, same ops in the same order, under both
+contract the batch compiler does for schedules: ``generate_program``
+produces **exactly** the program the eager reference generator
+(:func:`repro.codegen.reference.reference_generate_program`) emits — same visits, same ops in the same order, under both
 context-reuse modes — and the vectorized fast verifier returns exactly
 the violation list (and first-violation error) the reference replay
 does, clean programs and broken ones alike.  These tests enforce the
@@ -19,6 +19,7 @@ import pytest
 from repro.arch.params import Architecture
 from repro.codegen.fastverify import fast_violation_free
 from repro.codegen.generator import generate_program
+from repro.codegen.reference import reference_generate_program
 from repro.codegen.templated import TemplateVisits
 from repro.codegen.verifier import (
     collect_program_violations,
@@ -50,12 +51,10 @@ def _schedules_of(application, clustering, architecture):
 
 def _assert_equivalent(schedule, *, reuse=False, label=""):
     """Reference and templated programs agree in every observable way."""
-    reference = generate_program(
-        schedule, reuse_resident_contexts=reuse, engine="reference"
+    reference = reference_generate_program(
+        schedule, reuse_resident_contexts=reuse
     )
-    templated = generate_program(
-        schedule, reuse_resident_contexts=reuse, engine="templated"
-    )
+    templated = generate_program(schedule, reuse_resident_contexts=reuse)
     assert isinstance(templated.visits, TemplateVisits), label
     assert isinstance(reference.visits, tuple), label
     # Equality in both directions: Program's dataclass __eq__ compares
@@ -193,8 +192,8 @@ def test_template_visits_sequence_protocol():
     schedule = CompleteDataScheduler(Architecture.m1(big.fb)).schedule(
         application, clustering
     )
-    templated = generate_program(schedule, engine="templated")
-    reference = generate_program(schedule, engine="reference")
+    templated = generate_program(schedule)
+    reference = reference_generate_program(schedule)
     visits = templated.visits
     assert len(visits) == len(reference.visits)
     # Slices are plain tuples so callers can splice mutated visits.
@@ -213,8 +212,8 @@ def test_template_visits_sequence_protocol():
 
 def test_template_visits_pickle_round_trip():
     schedule = _single_visit_schedule()
-    templated = generate_program(schedule, engine="templated")
-    reference = generate_program(schedule, engine="reference")
+    templated = generate_program(schedule)
+    reference = reference_generate_program(schedule)
     restored = pickle.loads(pickle.dumps(templated))
     # Transported programs are indistinguishable from reference ones.
     assert isinstance(restored.visits, tuple)
@@ -230,16 +229,18 @@ def test_fast_verify_does_not_materialize():
     schedule = CompleteDataScheduler(Architecture.m1(big.fb)).schedule(
         application, clustering
     )
-    templated = generate_program(schedule, engine="templated")
+    templated = generate_program(schedule)
     assert len(templated.visits) > 0          # count needs no stamping
     assert fast_violation_free(templated)
     verify_program(templated)
     assert templated.visits._ops is None, "fast verify materialized ops"
 
 
-def test_generate_program_engine_validation():
+def test_generate_program_is_templated_and_takes_no_engine():
+    """One product generator: always templated, no backend switch."""
     schedule = _single_visit_schedule()
-    with pytest.raises(ValueError):
-        generate_program(schedule, engine="nonsense")
-    auto = generate_program(schedule, engine="auto")
-    assert isinstance(auto.visits, TemplateVisits)
+    with pytest.raises(TypeError):
+        generate_program(schedule, engine="reference")
+    program = generate_program(schedule)
+    assert isinstance(program.visits, TemplateVisits)
+    assert isinstance(reference_generate_program(schedule).visits, tuple)

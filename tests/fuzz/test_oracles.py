@@ -278,6 +278,29 @@ def test_progequiv_oracle_flags_divergent_stamping(monkeypatch):
     assert any("differs from reference" in f.message for f in failures)
 
 
+def test_simengine_oracle_flags_divergent_template_rows(monkeypatch):
+    """Plant: the template-driven timing rows overcount every store."""
+    import repro.sim.engine as engine
+
+    original = engine._template_groups
+
+    def lying_groups(template, n_iters, data_cycles):
+        compute, loads, (words, duration, count) = original(
+            template, n_iters, data_cycles
+        )
+        return compute, loads, (words + 1, duration + 1, count)
+
+    monkeypatch.setattr(engine, "_template_groups", lying_groups)
+    spec = next(s for s in paper_experiments() if s.id == "E1")
+    application, clustering = spec.build()
+    case = FuzzCase.from_workload(
+        application, clustering, spec.fb_words, name="paper-E1"
+    )
+    failures = run_oracles(case, oracles=("simengine",))
+    assert failures, "lying template rows must fire"
+    assert any("materialised-op" in f.message for f in failures)
+
+
 def _paper_e1_case():
     spec = next(s for s in paper_experiments() if s.id == "E1")
     application, clustering = spec.build()

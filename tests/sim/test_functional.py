@@ -155,3 +155,31 @@ class TestEndToEnd:
             kernel_impls={"k2": doubler},
         )
         assert report.functional_verified is True
+
+
+class TestAccountingLeavesMemoryUntouched:
+    def test_accounting_then_functional_on_one_machine(
+        self, sharing_app, sharing_clustering
+    ):
+        """An accounting run writes nothing to external memory, so a
+        functional run on the same machine afterwards still seeds real
+        inputs and verifies."""
+        arch = Architecture.m1("2K")
+        program = generate_program(
+            CompleteDataScheduler(arch).schedule(
+                sharing_app, sharing_clustering
+            )
+        )
+        machine = MorphoSysM1(arch)
+        accounting = Simulator(machine).run(program, functional=False)
+        assert accounting.functional_verified is None
+        memory = machine.external_memory
+        assert not any(
+            memory.instances_of(name) for name in sharing_app.objects
+        )
+        assert memory.words_read == memory.words_written == 0
+
+        machine.dma.reset()
+        report = Simulator(machine).run(program, functional=True)
+        assert report.functional_verified is True
+        assert report.total_cycles == accounting.total_cycles

@@ -22,6 +22,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "DMA" in out
 
+    def test_run_gantt_draws_the_dma_trace(self, capsys):
+        # ``run`` simulates untraced unless --gantt asks for the chart;
+        # then every scheduler's DMA row is a drawn bar.
+        assert main(["run", "E1", "--gantt"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("  DMA  |") == 3
+        assert "(trace disabled)" not in out
+
     def test_run_case_insensitive(self, capsys):
         assert main(["run", "e1"]) == 0
 
