@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint analyze ruff mypy bench bench-quick trace-demo fuzz fuzz-quick codegen-check gap-check cache-smoke serve-smoke
+.PHONY: check test lint analyze ruff mypy perf-gate trace-demo fuzz fuzz-quick codegen-check gap-check cache-smoke serve-smoke
 
 check: test ruff mypy lint analyze fuzz-quick codegen-check gap-check cache-smoke serve-smoke
 
@@ -91,21 +91,12 @@ gap-check:
 		--failures-dir fuzz-gap-failures
 	$(PYTHON) -m repro.cli gap --seeds 25 --output gap-table.json
 
-# Full pipeline benchmark; refreshes the committed baseline.  The
-# speedup column diffs against the recorded BENCH_baseline.json
-# (refresh it with `repro bench --baseline BENCH_baseline.json
-# --update-baseline` when re-anchoring the trajectory).
-bench:
-	$(PYTHON) -m repro.cli bench --output BENCH_pipeline.json \
-		--service-output BENCH_service.json \
-		--baseline BENCH_baseline.json
-
-# CI's quick-mode benchmark, gated against the committed baseline.
-bench-quick:
-	$(PYTHON) -m repro.cli bench --quick --output BENCH_quick.json \
-		--service-output BENCH_service_quick.json \
-		--baseline BENCH_baseline.json \
-		--compare BENCH_pipeline.json --max-regression 25
+# CI's regression gate: the repository benchmark (perfbench) run on
+# BASE (default: the last commit) and on this tree; fails when an
+# end-to-end metric is worse by more than its BENCHMARK.json bound.
+BASE ?= HEAD
+perf-gate:
+	$(PYTHON) tools/perf_gate.py $(BASE)
 
 # Sample Chrome trace_event export — open trace_ATR-FI.json at
 # https://ui.perfetto.dev or in chrome://tracing.
@@ -116,7 +107,7 @@ trace-demo:
 # ships neither, and nothing may be pip-installed into it.
 ruff:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests; \
+		ruff check src tests tools; \
 	else \
 		echo "ruff not installed; skipping"; \
 	fi

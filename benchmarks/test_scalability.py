@@ -33,8 +33,8 @@ def test_cds_scheduling_scales(benchmark, clusters):
 
 
 def test_cds_scheduling_large(benchmark):
-    """The ``repro bench`` "cds_large" scalability configuration: a
-    32-cluster / 64-iteration workload on a 16K frame buffer."""
+    """CDS scheduling of a 32-cluster / 64-iteration workload on a 16K
+    frame buffer."""
     application, clustering = random_application(
         123, max_clusters=32, iterations=64
     )
@@ -44,8 +44,9 @@ def test_cds_scheduling_large(benchmark):
 
 
 def test_corpus_study_throughput(benchmark):
-    """The ``repro bench`` "corpus" configuration: the three-scheduler
-    study over 20 seeded workloads at 16K / 48 iterations."""
+    """The three-scheduler corpus study over 20 seeded workloads at
+    16K / 48 iterations (``perfbench``'s ``corpus_cold`` runs one seed
+    per op at the same size)."""
     from repro.analysis.corpus import corpus_study
 
     stats = benchmark(corpus_study, range(20), fb="16K", iterations=48)

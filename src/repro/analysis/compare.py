@@ -14,6 +14,7 @@ from repro.core.dataflow import analyze_dataflow
 from repro.core.metrics import total_data_size
 from repro.errors import InfeasibleScheduleError
 from repro.obs.metrics import time_stage
+from repro.schedule import SCHEDULERS
 from repro.schedule.base import DataSchedulerBase, ScheduleOptions
 from repro.schedule.plan import Schedule
 from repro.sim.engine import Simulator
@@ -28,8 +29,6 @@ __all__ = [
     "compare_workloads",
     "compare_experiment",
 ]
-
-_SCHEDULER_NAMES = ("basic", "ds", "cds")
 
 
 @dataclass(frozen=True)
@@ -330,7 +329,7 @@ def compare_workloads(
     items = [
         (scheduler, application, clustering, architecture, options, dataflow)
         for application, clustering, architecture, _, dataflow in prepared
-        for scheduler in _SCHEDULER_NAMES
+        for scheduler in SCHEDULERS
     ]
     outcomes = run_pipeline_batch(items, trace=trace, cache=cache)
     rows = []

@@ -47,8 +47,7 @@ class _MetricsWorker:
     workers.  Each call collects into the worker process's own registry
     (reset per item, so pool reuse cannot leak samples between items)
     and ships the snapshot back for the parent to merge — the
-    per-worker rollup behind ``repro bench`` / ``--profile`` with
-    ``--jobs``.
+    per-worker rollup behind ``repro corpus --profile --jobs``.
     """
 
     def __init__(self, fn: Callable[[_T], _R]):

@@ -11,8 +11,6 @@ Commands:
   (Figure 5 style) for the CDS schedule of an experiment;
 * ``sweep <exp>`` — trace RF/traffic/makespan against the FB size;
 * ``corpus`` — robustness study over seeded random workloads;
-* ``bench``   — time each pipeline stage and the scalability configs,
-  writing/checking ``BENCH_pipeline.json``;
 * ``trace <exp>`` — export one experiment's simulated timeline (and the
   scheduler's decision trace) as Chrome ``trace_event`` JSON for
   Perfetto / ``chrome://tracing``, raw JSON, or text;
@@ -57,6 +55,7 @@ from repro.analysis.table1 import build_table1, render_table1
 from repro.alloc.allocator import FrameBufferAllocator
 from repro.fuzz.generator import regime_names
 from repro.fuzz.oracles import ORACLE_NAMES
+from repro.schedule import SCHEDULERS
 from repro.workloads.spec import ExperimentSpec, paper_experiments
 
 __all__ = ["main"]
@@ -175,21 +174,13 @@ def _cmd_trace(args) -> int:
         validate_chrome_trace,
     )
     from repro.schedule.base import ScheduleOptions
-    from repro.schedule.basic import BasicScheduler
-    from repro.schedule.complete import CompleteDataScheduler
-    from repro.schedule.data_scheduler import DataScheduler
     from repro.sim.engine import Simulator
 
-    schedulers = {
-        "basic": BasicScheduler,
-        "ds": DataScheduler,
-        "cds": CompleteDataScheduler,
-    }
     spec = _find_spec(args.experiment)
     application, clustering = spec.build()
     architecture = Architecture.m1(spec.fb)
     options = ScheduleOptions(decision_trace=True)
-    schedule = schedulers[args.scheduler](architecture, options).schedule(
+    schedule = SCHEDULERS[args.scheduler](architecture, options).schedule(
         application, clustering
     )
     # Extend the scheduler's decision trace with the Figure-4
@@ -318,95 +309,6 @@ def _cmd_alloc(args) -> None:
             print(f"  {snapshot.label:<40} [{regions}]")
 
 
-def _cmd_bench(args) -> int:
-    import json
-    import os
-
-    from repro.analysis.bench import (
-        STAGES,
-        baseline_payload,
-        compare_bench,
-        load_baseline,
-        profile_stages,
-        render_bench,
-        run_bench,
-    )
-
-    if args.profile_stages:
-        # Diagnostic mode: cProfile the requested stages and exit —
-        # no timed bench run, no baseline bookkeeping.
-        if args.profile_stages.strip().lower() == "all":
-            names = list(STAGES)
-        else:
-            names = [
-                name.strip() for name in args.profile_stages.split(",")
-                if name.strip()
-            ]
-        try:
-            print(profile_stages(names, top=args.profile_top))
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        return 0
-
-    # Load the comparison baseline up front: a bad --compare path
-    # should fail before the (expensive) measurement, not after.
-    baseline = None
-    if args.compare:
-        try:
-            with open(args.compare, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"cannot read baseline {args.compare}: {exc}")
-    # The speedup-column reference: a recorded baseline file when given
-    # (and present), else the embedded pre-overhaul literal.  With
-    # --update-baseline a missing file is expected — this run records
-    # it.
-    reference = None
-    reference_source = "pre-overhaul"
-    if args.baseline and os.path.exists(args.baseline):
-        try:
-            reference = load_baseline(args.baseline)
-            reference_source = args.baseline
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"cannot read baseline {args.baseline}: {exc}")
-    elif args.baseline and not args.update_baseline:
-        raise SystemExit(f"baseline file {args.baseline} does not exist "
-                         f"(record one with --update-baseline)")
-    payload = run_bench(
-        quick=args.quick, baseline=reference,
-        baseline_source=reference_source,
-    )
-    print(render_bench(payload))
-    if args.update_baseline:
-        target = args.baseline or "BENCH_baseline.json"
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(baseline_payload(payload), handle, indent=2)
-            handle.write("\n")
-        print(f"\nrecorded baseline {target}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"\nwrote {args.output}")
-    if args.service_output:
-        with open(args.service_output, "w", encoding="utf-8") as handle:
-            json.dump(payload.get("service", {}), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.service_output}")
-    if baseline is not None:
-        problems = compare_bench(
-            payload, baseline, max_regression_pct=args.max_regression
-        )
-        if problems:
-            print(f"\nREGRESSIONS vs {args.compare}:")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print(f"\nno regressions vs {args.compare} "
-              f"(limit +{args.max_regression:.0f}%)")
-    return 0
-
-
 def _cmd_lint(args) -> int:
     import json
 
@@ -464,14 +366,13 @@ def _cmd_analyze(args) -> int:
 
     from repro.dataflow.analyzer import parse_policy
     from repro.dataflow.runner import (
-        SCHEDULER_NAMES,
         analyze_targets,
         render_analysis_json,
         render_analysis_text,
     )
 
     schedulers = (
-        list(SCHEDULER_NAMES) if args.scheduler == "all"
+        list(SCHEDULERS) if args.scheduler == "all"
         else [args.scheduler]
     )
     if args.policy == "sound":
@@ -671,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
              "JSON / text)",
     )
     trace.add_argument("experiment")
-    trace.add_argument("--scheduler", choices=("basic", "ds", "cds"),
+    trace.add_argument("--scheduler", choices=tuple(SCHEDULERS),
                        default="cds", help="scheduler to trace")
     trace.add_argument("--format", choices=("chrome", "json", "text"),
                        default="chrome",
@@ -727,39 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     tinyrisc.add_argument("--lines", type=int, default=40,
                           help="listing lines to print (0 = all)")
     tinyrisc.set_defaults(func=_cmd_tinyrisc)
-    bench = sub.add_parser(
-        "bench", help="time the compile pipeline stage by stage"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="fewer repeats (CI mode)")
-    bench.add_argument("--output", metavar="PATH", default=None,
-                       help="write the JSON payload (BENCH_pipeline.json)")
-    bench.add_argument("--compare", metavar="PATH", default=None,
-                       help="baseline JSON to compare against "
-                            "(exit 1 on regression)")
-    bench.add_argument("--baseline", metavar="PATH", default=None,
-                       help="recorded baseline file for the speedup "
-                            "column (default: the embedded pre-overhaul "
-                            "literal)")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="record this run as the --baseline file "
-                            "(default BENCH_baseline.json)")
-    bench.add_argument("--max-regression", type=float, default=25.0,
-                       metavar="PCT",
-                       help="allowed regression vs --compare baseline "
-                            "(default 25%%)")
-    bench.add_argument("--profile-stages", metavar="STAGES", default=None,
-                       help="cProfile the named stages (comma-separated, "
-                            "or 'all') over the bundled experiments and "
-                            "exit instead of running the timed bench")
-    bench.add_argument("--profile-top", type=int, default=25,
-                       metavar="N",
-                       help="rows per stage in the --profile-stages "
-                            "report (default 25)")
-    bench.add_argument("--service-output", metavar="PATH", default=None,
-                       help="write the service loadgen payload "
-                            "(BENCH_service.json)")
-    bench.set_defaults(func=_cmd_bench)
     lint = sub.add_parser(
         "lint",
         help="static-analysis lint of an experiment's full pipeline",
@@ -768,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="experiment id (see `repro list`), WAVELET, or `all`",
     )
-    lint.add_argument("--scheduler", choices=("basic", "ds", "cds"),
+    lint.add_argument("--scheduler", choices=tuple(SCHEDULERS),
                       default="cds", help="scheduler under lint")
     lint.add_argument("--json", action="store_true",
                       help="machine-readable report")
@@ -793,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
              "or `corpus` (pinned reproducers)",
     )
     analyze.add_argument("--scheduler",
-                         choices=("basic", "ds", "cds", "all"),
+                         choices=(*SCHEDULERS, "all"),
                          default="cds", help="scheduler(s) to analyze")
     analyze.add_argument("--policy",
                          choices=("contexts_first", "stores_first",
@@ -923,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "service for the run)")
     loadgen.add_argument("--port", type=int, default=None,
                          help="target port (required with --host)")
-    loadgen.add_argument("--scheduler", choices=("basic", "ds", "cds"),
+    loadgen.add_argument("--scheduler", choices=tuple(SCHEDULERS),
                          default="cds", help="scheduler to request")
     loadgen.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="cache directory for the self-hosted "
@@ -935,8 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="self-hosted worker pool kind "
                               "(default thread)")
     loadgen.add_argument("--output", metavar="PATH", default=None,
-                         help="write the JSON payload "
-                              "(BENCH_service.json)")
+                         help="write the JSON payload")
     loadgen.add_argument("--check", action="store_true",
                          help="exit 1 unless the smoke gate passes "
                               "(healthz ok, zero errors, cache "

@@ -6,8 +6,7 @@ backend (:mod:`repro.codegen.templated`).  It emits every leaf op of
 every visit up front — ``rounds x clusters`` stamped visits — which
 makes it easy to audit and therefore the oracle the ``progequiv`` fuzz
 oracle and ``tests/codegen/test_templated_equivalence.py`` drive against
-the templated backend, and the baseline the ``codegen`` bench stage
-times.
+the templated backend.
 
 No product path uses this function; :func:`generate_program` is
 byte-identical and compiles each cluster only once.

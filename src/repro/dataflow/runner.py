@@ -23,9 +23,6 @@ __all__ = [
     "render_analysis_text",
 ]
 
-#: Scheduler names accepted by ``repro analyze --scheduler``.
-SCHEDULER_NAMES = ("basic", "ds", "cds")
-
 
 @dataclasses.dataclass
 class AnalysisResult:
@@ -48,18 +45,6 @@ class AnalysisResult:
     @property
     def has_errors(self) -> bool:
         return self.collector is not None and self.collector.has_errors
-
-
-def _scheduler_class(name: str):
-    from repro.schedule.basic import BasicScheduler
-    from repro.schedule.complete import CompleteDataScheduler
-    from repro.schedule.data_scheduler import DataScheduler
-
-    return {
-        "basic": BasicScheduler,
-        "ds": DataScheduler,
-        "cds": CompleteDataScheduler,
-    }[name]
 
 
 def corpus_cases(corpus_dir) -> List[Tuple[str, object]]:
@@ -116,6 +101,7 @@ def analyze_targets(
         corpus_dir: where ``"corpus"`` reproducers live.
     """
     from repro.dataflow.analyzer import analyze_ir, build_ir
+    from repro.schedule import SCHEDULERS
 
     results: List[AnalysisResult] = []
     for label, application, clustering, architecture in _workloads(
@@ -123,7 +109,7 @@ def analyze_targets(
     ):
         for scheduler in schedulers:
             try:
-                schedule = _scheduler_class(scheduler)(
+                schedule = SCHEDULERS[scheduler](
                     architecture
                 ).schedule(application, clustering)
             except ReproError as exc:

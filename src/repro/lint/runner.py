@@ -37,8 +37,6 @@ __all__ = [
     "corrupt_schedule",
 ]
 
-_SCHEDULERS = ("basic", "ds", "cds")
-
 
 @dataclasses.dataclass(frozen=True)
 class LintTarget:
@@ -88,20 +86,13 @@ def resolve_target(name: str) -> LintTarget:
 
 
 def _scheduler_for(name: str, architecture: Architecture):
-    from repro.schedule.basic import BasicScheduler
-    from repro.schedule.complete import CompleteDataScheduler
-    from repro.schedule.data_scheduler import DataScheduler
+    from repro.schedule import SCHEDULERS
 
-    classes = {
-        "basic": BasicScheduler,
-        "ds": DataScheduler,
-        "cds": CompleteDataScheduler,
-    }
-    if name not in classes:
+    if name not in SCHEDULERS:
         raise ReproError(
-            f"unknown scheduler {name!r}; known: {', '.join(_SCHEDULERS)}"
+            f"unknown scheduler {name!r}; known: {', '.join(SCHEDULERS)}"
         )
-    return classes[name](architecture)
+    return SCHEDULERS[name](architecture)
 
 
 def build_lint_context(

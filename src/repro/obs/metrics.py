@@ -2,8 +2,8 @@
 
 The pipeline stages (:func:`repro.analysis.compare.run_scheduler`), the
 parallel analysis drivers (:func:`repro.analysis.parallel.parallel_map`,
-with per-worker rollup), the CLI entry points (``repro bench``,
-``repro run --profile``), and the scheduler service
+with per-worker rollup), the CLI entry points (``repro run --profile``,
+``repro corpus --profile``), and the scheduler service
 (:mod:`repro.service`) report into :class:`MetricsRegistry` instances.
 
 Collection is **off by default**: the module-level :func:`time_stage`

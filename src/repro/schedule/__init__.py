@@ -7,6 +7,8 @@ context scheduler [4] (DMA ordering) and the kernel scheduler [7]
 (cluster-partition exploration).
 """
 
+from typing import Dict, Type
+
 from repro.schedule.base import DataSchedulerBase, ScheduleOptions
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
@@ -18,6 +20,7 @@ from repro.schedule.rf import max_common_rf
 from repro.schedule.tf import rank_by_time_factor, time_factor
 
 __all__ = [
+    "SCHEDULERS",
     "BasicScheduler",
     "ClusterPlan",
     "CompleteDataScheduler",
@@ -33,3 +36,11 @@ __all__ = [
     "rank_by_time_factor",
     "time_factor",
 ]
+
+#: The three schedulers by the short names the CLI, the service and the
+#: batch drivers accept, in the order the paper compares them.
+SCHEDULERS: Dict[str, Type[DataSchedulerBase]] = {
+    "basic": BasicScheduler,
+    "ds": DataScheduler,
+    "cds": CompleteDataScheduler,
+}

@@ -22,10 +22,8 @@ from repro.core.cluster import Clustering
 from repro.core.dataflow import DataflowInfo, analyze_dataflow
 from repro.errors import InfeasibleScheduleError
 from repro.obs.metrics import time_stage
+from repro.schedule import SCHEDULERS
 from repro.schedule.base import ScheduleOptions
-from repro.schedule.basic import BasicScheduler
-from repro.schedule.complete import CompleteDataScheduler
-from repro.schedule.data_scheduler import DataScheduler
 from repro.schedule.plan import Schedule
 
 __all__ = [
@@ -33,12 +31,6 @@ __all__ = [
     "CompileResult",
     "compile_many",
 ]
-
-_SCHEDULERS = {
-    "basic": BasicScheduler,
-    "ds": DataScheduler,
-    "cds": CompleteDataScheduler,
-}
 
 
 @dataclass
@@ -55,10 +47,10 @@ class CompileRequest:
     dataflow: Optional[DataflowInfo] = None
 
     def __post_init__(self) -> None:
-        if self.scheduler not in _SCHEDULERS:
+        if self.scheduler not in SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; "
-                f"expected one of {sorted(_SCHEDULERS)}"
+                f"expected one of {sorted(SCHEDULERS)}"
             )
         if self.options is None:
             self.options = ScheduleOptions()
@@ -93,7 +85,7 @@ def compile_many(requests: Sequence[CompileRequest]) -> List[CompileResult]:
                     request.application, request.clustering
                 )
                 dataflows[key] = dataflow
-        scheduler = _SCHEDULERS[request.scheduler](
+        scheduler = SCHEDULERS[request.scheduler](
             request.architecture, request.options
         )
         try:

@@ -10,8 +10,7 @@ service:
 * :mod:`repro.service.server` — the HTTP front-end with single-flight
   dedup over a shared :class:`~repro.cache.CacheStore` and a
   :class:`~repro.analysis.parallel.WorkerPool` fan-out;
-* :mod:`repro.service.loadgen` — zipf-skewed concurrent load harness;
-* :mod:`repro.service.bench` — the ``BENCH_service.json`` campaign.
+* :mod:`repro.service.loadgen` — zipf-skewed concurrent load harness.
 
 See ``docs/service.md`` for the endpoint and schema reference.
 """

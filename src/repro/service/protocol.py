@@ -46,10 +46,8 @@ from repro.errors import LintError, ReproError
 from repro.fuzz.case import FuzzCase
 from repro.obs import metrics
 from repro.obs.trace import report_to_dict
+from repro.schedule import SCHEDULERS
 from repro.schedule.base import ScheduleOptions
-from repro.schedule.basic import BasicScheduler
-from repro.schedule.complete import CompleteDataScheduler
-from repro.schedule.data_scheduler import DataScheduler
 
 __all__ = [
     "SCHEDULERS",
@@ -61,12 +59,6 @@ __all__ = [
     "percentile",
     "request_key",
 ]
-
-SCHEDULERS = {
-    "basic": BasicScheduler,
-    "ds": DataScheduler,
-    "cds": CompleteDataScheduler,
-}
 
 _OPTION_FIELDS = frozenset(
     field.name for field in dataclasses.fields(ScheduleOptions)

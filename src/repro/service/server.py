@@ -355,8 +355,8 @@ async def run_server(
 class ServerThread:
     """A service running on its own event loop in a daemon thread.
 
-    The self-hosting harness used by the loadgen driver, the service
-    bench and the test suite: :meth:`start` returns ``(host, port)``
+    The self-hosting harness used by the loadgen driver and the test
+    suite: :meth:`start` returns ``(host, port)``
     once the socket is bound, :meth:`stop` tears the loop and worker
     pool down.  ``service`` stays accessible for in-process assertions
     (metrics counters, single-flight state).

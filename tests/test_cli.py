@@ -193,16 +193,3 @@ class TestCacheCli:
         with pytest.raises(SystemExit, match="refusing"):
             main(["cache", "clear", "--cache-dir", str(foreign)])
         assert (foreign / "keep.txt").exists()
-
-
-class TestBenchBaselineFlags:
-    def test_missing_baseline_file_rejected_before_measuring(self, tmp_path):
-        with pytest.raises(SystemExit, match="does not exist"):
-            main(["bench", "--quick",
-                  "--baseline", str(tmp_path / "missing.json")])
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        with pytest.raises(SystemExit, match="cannot read baseline"):
-            main(["bench", "--quick", "--baseline", str(bad)])
