@@ -19,6 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.core.application import Application
@@ -28,7 +29,7 @@ from repro.schedule.base import ScheduleOptions
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.context_scheduler import DmaPolicy
 from repro.schedule.plan import Schedule
-from repro.sim.batch import simulate_program
+from repro.sim.engine import Simulator
 from repro.workloads.spec import ExperimentSpec
 
 __all__ = [
@@ -108,9 +109,10 @@ def _run_cds(
             cache.put(key, result)
         return result
     program = generate_program(schedule)
-    report = simulate_program(
-        program, architecture, dma_policy=dma_policy, verify=True,
-    )
+    report = Simulator(
+        MorphoSysM1(architecture), dma_policy=dma_policy,
+        trace=False, verify=True,
+    ).run(program)
     result = AblationResult(
         workload=application.name,
         variant=variant,

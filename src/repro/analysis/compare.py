@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
@@ -24,9 +24,8 @@ from repro.workloads.spec import ExperimentSpec
 __all__ = [
     "SchedulerOutcome",
     "ComparisonRow",
-    "run_pipeline_batch",
+    "run_scheduler",
     "compare_workload",
-    "compare_workloads",
     "compare_experiment",
 ]
 
@@ -212,137 +211,6 @@ def run_scheduler(
     return outcome
 
 
-def run_pipeline_batch(
-    items,
-    *,
-    trace: bool = True,
-    cache=None,
-) -> list:
-    """The batch front-end shared by the corpus/sweep/fuzz drivers.
-
-    *items* is a sequence of ``(scheduler_name, application, clustering,
-    architecture, options, dataflow)`` pipeline problems.  Cache hits
-    (same :func:`~repro.cache.keys.outcome_key` as
-    :func:`run_scheduler`) skip everything; the misses are scheduled
-    in **one** :func:`repro.schedule.batch.compile_many` call, then
-    lowered and simulated per case.  Outcomes — cached or fresh — are
-    byte-identical to :func:`run_scheduler`'s, so drivers can batch
-    freely without changing any result (equivalence-tested in
-    ``tests/schedule/test_batch_equivalence.py``).
-
-    Every stage (schedule, codegen, simulate) reports into the
-    per-scheduler ``pipeline.<name>`` metrics scope, as in the per-case
-    path.
-    """
-    from repro.schedule.batch import CompileRequest, compile_many
-
-    outcomes: list = [None] * len(items)
-    keys: list = [None] * len(items)
-    misses: list = []
-    if cache is not None:
-        from repro.cache import outcome_key
-
-        for index, (name, application, clustering, architecture,
-                    options, dataflow) in enumerate(items):
-            keys[index] = outcome_key(
-                name, application, clustering, architecture,
-                options=options or ScheduleOptions(), trace=trace,
-            )
-            cached = cache.get(keys[index])
-            if cached is not None:
-                outcomes[index] = cached
-            else:
-                misses.append(index)
-    else:
-        misses = list(range(len(items)))
-
-    requests = [
-        CompileRequest(
-            scheduler=items[index][0],
-            application=items[index][1],
-            architecture=items[index][3],
-            clustering=items[index][2],
-            options=items[index][4],
-            dataflow=items[index][5],
-        )
-        for index in misses
-    ]
-    results = compile_many(requests)
-    for index, result in zip(misses, results):
-        name, _, _, architecture, _, _ = items[index]
-        if result.error is not None:
-            outcome = SchedulerOutcome(
-                scheduler=name,
-                feasible=False,
-                infeasible_reason=str(result.error),
-                error=result.error,
-            )
-        else:
-            scope = f"pipeline.{name}"
-            with time_stage("codegen", scope=scope):
-                program = generate_program(result.schedule)
-            machine = MorphoSysM1(architecture)
-            with time_stage("simulate", scope=scope):
-                report = Simulator(machine, trace=trace).run(program)
-            outcome = SchedulerOutcome(
-                scheduler=name,
-                feasible=True,
-                schedule=result.schedule,
-                report=report,
-            )
-        if cache is not None:
-            cache.put(keys[index], outcome.for_transport())
-        outcomes[index] = outcome
-    return outcomes
-
-
-def _assemble_row(workload_name, architecture, clustering, dataflow,
-                  basic, ds, cds) -> ComparisonRow:
-    return ComparisonRow(
-        workload=workload_name,
-        architecture=architecture.name,
-        fb_words=architecture.fb_set_words,
-        n_clusters=len(clustering),
-        max_kernels_per_cluster=max(clustering.sizes()),
-        total_data_words=total_data_size(dataflow),
-        basic=basic,
-        ds=ds,
-        cds=cds,
-    )
-
-
-def compare_workloads(
-    workloads,
-    *,
-    options: Optional[ScheduleOptions] = None,
-    trace: bool = True,
-    cache=None,
-) -> list:
-    """Batched :func:`compare_workload`: one row per ``(application,
-    clustering, architecture, name)`` entry, all scheduling problems
-    compiled in one batch."""
-    prepared = [
-        (application, clustering, architecture, name,
-         analyze_dataflow(application, clustering))
-        for application, clustering, architecture, name in workloads
-    ]
-    items = [
-        (scheduler, application, clustering, architecture, options, dataflow)
-        for application, clustering, architecture, _, dataflow in prepared
-        for scheduler in SCHEDULERS
-    ]
-    outcomes = run_pipeline_batch(items, trace=trace, cache=cache)
-    rows = []
-    for index, (application, clustering, architecture, name,
-                dataflow) in enumerate(prepared):
-        basic, ds, cds = outcomes[3 * index: 3 * index + 3]
-        rows.append(_assemble_row(
-            name or application.name, architecture, clustering, dataflow,
-            basic, ds, cds,
-        ))
-    return rows
-
-
 def compare_workload(
     application: Application,
     clustering: Clustering,
@@ -353,11 +221,30 @@ def compare_workload(
     trace: bool = True,
     cache=None,
 ) -> ComparisonRow:
-    """Run Basic, DS and CDS on one workload and collect the row."""
-    return compare_workloads(
-        [(application, clustering, architecture, workload_name)],
-        options=options, trace=trace, cache=cache,
-    )[0]
+    """Run Basic, DS and CDS on one workload and collect the row.
+
+    The three schedulers share one dataflow analysis; each runs through
+    :func:`run_scheduler` (cache, schedule, codegen, simulate).
+    """
+    dataflow = analyze_dataflow(application, clustering)
+    basic, ds, cds = (
+        run_scheduler(
+            scheduler_cls(architecture, options), application, clustering,
+            architecture, trace=trace, dataflow=dataflow, cache=cache,
+        )
+        for scheduler_cls in SCHEDULERS.values()
+    )
+    return ComparisonRow(
+        workload=workload_name or application.name,
+        architecture=architecture.name,
+        fb_words=architecture.fb_set_words,
+        n_clusters=len(clustering),
+        max_kernels_per_cluster=max(clustering.sizes()),
+        total_data_words=total_data_size(dataflow),
+        basic=basic,
+        ds=ds,
+        cds=cds,
+    )
 
 
 def compare_experiment(

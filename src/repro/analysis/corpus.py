@@ -13,8 +13,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.analysis.compare import compare_workloads
-from repro.analysis.parallel import default_jobs, parallel_map
+from repro.analysis.compare import compare_workload
+from repro.analysis.parallel import parallel_map
 from repro.arch.params import Architecture
 from repro.units import SizeLike
 from repro.workloads.random_gen import random_application
@@ -109,63 +109,44 @@ def _row_outcome(row):
     )
 
 
-def _seed_chunk(task):
-    """One worker's share of seeds, reduced to picklable aggregates.
+def _seed_outcome(task):
+    """One seed, reduced to picklable aggregates.
 
     Top-level so :func:`parallel_map` can ship it to worker processes;
-    the serial path runs the same function over one chunk holding every
-    seed, so serial and parallel studies are identical by construction.
+    the serial path runs the same function per seed, so serial and
+    parallel studies are identical by construction.
 
     With a cache directory, the reduced aggregates are memoised per
     ``(seed, fb, iterations)`` — a warm rerun skips the generator, the
-    schedulers and the simulator for every unchanged seed.  Cache
-    *misses* are compiled together through the batch front-end
-    (:func:`~repro.analysis.compare.compare_workloads`); their
-    per-scheduler outcomes are additionally cached under their own
-    content keys, so other drivers touching the same workloads hit too.
+    schedulers and the simulator for every unchanged seed.  On a miss
+    the per-scheduler outcomes are additionally cached under their own
+    content keys (:func:`~repro.analysis.compare.run_scheduler`), so
+    other drivers touching the same workloads hit too.
     """
-    seeds, fb, iterations, cache_dir = task
+    seed, fb, iterations, cache_dir = task
     architecture = Architecture.m1(fb)
-    cache = None
+    cache = seed_key = None
     if cache_dir is not None:
         from repro.cache import CacheStore, digest
 
         cache = CacheStore(cache_dir)
-    outcomes: dict = {}
-    pending = []
-    seed_keys = {}
-    for seed in seeds:
-        if cache is not None:
-            seed_keys[seed] = digest((
-                "corpus_seed", seed, architecture.fb_set_words, iterations,
-            ))
-            cached = cache.get(seed_keys[seed])
-            if cached is not None:
-                # Wrapped in a 1-tuple: ``None`` (infeasible seed) is a
-                # legitimate outcome but the store's miss sentinel.
-                outcomes[seed] = cached[0]
-                continue
-        application, clustering = random_application(
-            seed, iterations=iterations
-        )
-        pending.append((seed, application, clustering))
-
-    if pending:
-        # The study consumes aggregates only, so the per-transfer DMA
-        # trace is not recorded.
-        rows = compare_workloads(
-            [
-                (application, clustering, architecture, None)
-                for _, application, clustering in pending
-            ],
-            trace=False, cache=cache,
-        )
-        for (seed, _, _), row in zip(pending, rows):
-            outcome = _row_outcome(row)
-            if cache is not None:
-                cache.put(seed_keys[seed], (outcome,))
-            outcomes[seed] = outcome
-    return [outcomes[seed] for seed in seeds]
+        seed_key = digest((
+            "corpus_seed", seed, architecture.fb_set_words, iterations,
+        ))
+        cached = cache.get(seed_key)
+        if cached is not None:
+            # Wrapped in a 1-tuple: ``None`` (infeasible seed) is a
+            # legitimate outcome but the store's miss sentinel.
+            return cached[0]
+    application, clustering = random_application(seed, iterations=iterations)
+    # The study consumes aggregates only, so the per-transfer DMA trace
+    # is not recorded.
+    outcome = _row_outcome(compare_workload(
+        application, clustering, architecture, trace=False, cache=cache,
+    ))
+    if cache is not None:
+        cache.put(seed_key, (outcome,))
+    return outcome
 
 
 def corpus_study(
@@ -178,29 +159,19 @@ def corpus_study(
 ) -> CorpusStats:
     """Run the three-scheduler comparison over seeded random workloads.
 
-    ``jobs`` partitions the seeds over worker processes (``None``/``1``
-    = serial, ``0`` = one per CPU); the resulting stats are identical
-    either way.  Each worker batch-compiles its whole share of cache
-    misses in one :mod:`repro.schedule.batch` call.  ``cache_dir``
-    enables the persistent pipeline cache: reruns over unchanged seeds
-    (and unchanged code) are served from disk with byte-identical
-    results.
+    ``jobs`` spreads the seeds, one task each, over worker processes
+    (``None``/``1`` = serial, ``0`` = one per CPU); the resulting stats
+    are identical either way.  ``cache_dir`` enables the persistent
+    pipeline cache: reruns over unchanged seeds (and unchanged code)
+    are served from disk with byte-identical results.
     """
     stats = CorpusStats(seeds_total=len(seeds))
-    seeds = list(seeds)
-    workers = 1 if jobs in (None, 1) else (jobs if jobs > 0 else default_jobs())
-    n_chunks = max(1, min(workers, len(seeds)))
-    chunks = [seeds[i::n_chunks] for i in range(n_chunks)]
-    chunk_outcomes = parallel_map(
-        _seed_chunk,
-        [(chunk, fb, iterations, cache_dir) for chunk in chunks],
+    outcomes = parallel_map(
+        _seed_outcome,
+        [(seed, fb, iterations, cache_dir) for seed in seeds],
         jobs=jobs,
     )
-    by_seed = {}
-    for chunk, results in zip(chunks, chunk_outcomes):
-        by_seed.update(zip(chunk, results))
-    for seed in seeds:
-        outcome = by_seed[seed]
+    for outcome in outcomes:
         if outcome is None:
             stats.infeasible += 1
             continue

@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import (
     Executor,
-    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
@@ -148,12 +147,13 @@ def _drain_pool(
 
 
 class WorkerPool:
-    """A persistent :func:`parallel_map`-style worker pool.
+    """A persistent worker pool: one executor for a caller's lifetime.
 
     ``parallel_map`` spins an executor up and down per call — right for
     batch drivers, wasteful for a long-lived caller dispatching many
     small units.  The scheduler service keeps one ``WorkerPool`` for
-    its whole lifetime and fans requests out over it; ``close()`` (or
+    its whole lifetime and dispatches requests onto :attr:`executor`
+    (``loop.run_in_executor``); ``close()`` (or
     the context manager) reaps the workers, cancelling anything still
     queued.
 
@@ -189,30 +189,6 @@ class WorkerPool:
     def executor(self) -> Executor:
         """The underlying executor (for ``loop.run_in_executor``)."""
         return self._executor
-
-    def submit(self, fn: Callable[..., _R], *args) -> "Future[_R]":
-        """Schedule one call; returns its ``concurrent.futures.Future``."""
-        return self._executor.submit(fn, *args)
-
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        items: Iterable[_T],
-        *,
-        chunksize: int = 1,
-    ) -> List[_R]:
-        """:func:`parallel_map` over this pool's persistent workers.
-
-        Unlike :func:`parallel_map` the pool survives the call; an
-        error still cancels this map's queued items (the result
-        iterator cancels its remaining futures when the exception
-        unwinds), so a failed map cannot keep the shared workers busy
-        behind later callers.
-        """
-        items = list(items)
-        if not items:
-            return []
-        return list(self._executor.map(fn, items, chunksize=chunksize))
 
     def close(self) -> None:
         """Reap the workers; queued-but-unstarted work is cancelled."""

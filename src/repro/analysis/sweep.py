@@ -11,10 +11,10 @@ volume, traffic and makespan as functions of the frame-buffer set size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
-from repro.analysis.compare import compare_workload, compare_workloads
-from repro.analysis.parallel import default_jobs, parallel_map
+from repro.analysis.compare import compare_workload
+from repro.analysis.parallel import parallel_map
 from repro.arch.params import Architecture
 from repro.core.application import Application
 from repro.core.cluster import Clustering
@@ -55,29 +55,18 @@ def _row_to_point(row, words: int) -> SweepPoint:
     )
 
 
-def _sweep_chunk(task) -> List[SweepPoint]:
-    """One worker's share of FB sizes (top-level: picklable).
-
-    The chunk's scheduling problems — three schedulers at every size —
-    compile in one batch.
-    """
-    application, clustering, words_list, cache_dir = task
+def _sweep_point(task) -> SweepPoint:
+    """One FB size of the sweep (top-level: picklable)."""
+    application, clustering, words, cache_dir = task
     cache = None
     if cache_dir is not None:
         from repro.cache import CacheStore
 
         cache = CacheStore(cache_dir)
-    rows = compare_workloads(
-        [
-            (application, clustering, Architecture.m1(words), None)
-            for words in words_list
-        ],
-        cache=cache,
+    row = compare_workload(
+        application, clustering, Architecture.m1(words), cache=cache,
     )
-    return [
-        _row_to_point(row, words)
-        for row, words in zip(rows, words_list)
-    ]
+    return _row_to_point(row, words)
 
 
 def sweep_fb_sizes(
@@ -95,33 +84,22 @@ def sweep_fb_sizes(
     feasibility flags cleared) rather than raising, so the caller can
     plot the feasibility frontier.
 
-    ``jobs`` partitions the sizes over worker processes (``None``/``1``
-    = serial, ``0`` = one per CPU) with identical results; each
-    worker's share compiles in one :mod:`repro.schedule.batch` call.
-    A custom ``architecture_factory`` (often a closure, not picklable)
-    forces the serial, uncached path.  ``cache_dir`` enables the
+    ``jobs`` spreads the sizes, one task each, over worker processes
+    (``None``/``1`` = serial, ``0`` = one per CPU) with identical
+    results.  A custom ``architecture_factory`` (often a closure, not
+    picklable) forces the serial, uncached path.  ``cache_dir`` enables the
     persistent pipeline cache for the standard-architecture path.
     """
     words_list = [parse_size(size) for size in fb_sizes]
     if architecture_factory is None:
-        workers = (
-            1 if jobs in (None, 1)
-            else (jobs if jobs > 0 else default_jobs())
-        )
-        n_chunks = max(1, min(workers, len(words_list)))
-        chunks = [words_list[i::n_chunks] for i in range(n_chunks)]
-        chunk_points = parallel_map(
-            _sweep_chunk,
+        return parallel_map(
+            _sweep_point,
             [
-                (application, clustering, chunk, cache_dir)
-                for chunk in chunks
+                (application, clustering, words, cache_dir)
+                for words in words_list
             ],
             jobs=jobs,
         )
-        by_words = {}
-        for chunk, points in zip(chunks, chunk_points):
-            by_words.update(zip(chunk, points))
-        return [by_words[words] for words in words_list]
     points: List[SweepPoint] = []
     for words in words_list:
         row = compare_workload(

@@ -90,7 +90,6 @@ from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
 from repro.schedule.occupancy import ReferenceOccupancy
-from repro.sim.batch import simulate_program
 from repro.sim.engine import Simulator
 from repro.units import format_words_pair
 
@@ -358,9 +357,9 @@ def _run_oracles_uncached(
         if run.schedule is not None:
             try:
                 run.program = generate_program(run.schedule)
-                run.report = simulate_program(
-                    run.program, architecture, trace=False, verify=True,
-                )
+                run.report = Simulator(
+                    MorphoSysM1(architecture), trace=False, verify=True,
+                ).run(run.program)
             except ReproError as exc:
                 failures.append(OracleFailure(
                     "verifier", case.name,
@@ -850,9 +849,9 @@ def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
         materialised = dataclasses.replace(
             run.program, visits=tuple(run.program.visits)
         )
-        from_ops = simulate_program(
-            materialised, architecture, trace=False, verify=False,
-        )
+        from_ops = Simulator(
+            MorphoSysM1(architecture), trace=False, verify=False,
+        ).run(materialised)
         if from_ops != run.report:
             diverging = [
                 field.name
@@ -866,9 +865,9 @@ def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
                 f"diverge on {diverging}",
                 scheduler=run.scheduler,
             ))
-        traced = simulate_program(
-            run.program, architecture, trace=True, verify=False,
-        )
+        traced = Simulator(
+            MorphoSysM1(architecture), trace=True, verify=False,
+        ).run(run.program)
         diverging = [
             field.name
             for field in dataclasses.fields(traced)

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 #: The three schedulers by the short names the CLI, the service and the
-#: batch drivers accept, in the order the paper compares them.
+#: analysis drivers accept, in the order the paper compares them.
 SCHEDULERS: Dict[str, Type[DataSchedulerBase]] = {
     "basic": BasicScheduler,
     "ds": DataScheduler,

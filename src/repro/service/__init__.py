@@ -1,9 +1,8 @@
 """Scheduler-as-a-service: async batch API over the repro pipeline.
 
 A dependency-free asyncio HTTP/JSON server that exposes the exact CLI
-pipeline (:func:`~repro.analysis.compare.run_scheduler` /
-:func:`~repro.analysis.compare.run_pipeline_batch`) as a long-lived
-service:
+pipeline (:func:`~repro.analysis.compare.run_scheduler`, once per
+case) as a long-lived service:
 
 * :mod:`repro.service.protocol` — request schema, worker-side
   execution, canonical JSON encoding (byte-identical to the CLI path);

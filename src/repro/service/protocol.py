@@ -14,8 +14,7 @@ to know lives here:
   a top-level picklable function so the server can dispatch it into a
   :class:`~repro.analysis.parallel.WorkerPool` of either mode.  It
   runs the exact CLI pipeline (:func:`~repro.analysis.compare.
-  run_scheduler` per case, :func:`~repro.analysis.compare.
-  run_pipeline_batch` for batches) under a
+  run_scheduler`, once per case of a batch) under a
   :func:`~repro.obs.metrics.request_scope`, so per-request stage
   timings come back as a picklable snapshot instead of polluting a
   process-global registry.
@@ -40,7 +39,7 @@ import json
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.compare import run_pipeline_batch, run_scheduler
+from repro.analysis.compare import run_scheduler
 from repro.arch.params import Architecture
 from repro.errors import LintError, ReproError
 from repro.fuzz.case import FuzzCase
@@ -294,25 +293,24 @@ def _execute_batch(body: Dict[str, Any],
     if not isinstance(cases, list) or not cases:
         raise ServiceError(400, "cases must be a non-empty JSON array")
     trace = _parse_trace(body)
-    names = []
-    items = []
+    parsed = []
     for index, case_body in enumerate(cases):
         if not isinstance(case_body, dict):
             raise ServiceError(400, f"cases[{index}] must be a JSON object")
         _reject_unknown_keys(case_body, _CASE_KEYS, f"cases[{index}]")
-        (name, application, clustering, architecture, scheduler_name,
-         options) = _parse_case(case_body)
-        names.append(name)
-        items.append(
-            (scheduler_name, application, clustering, architecture,
-             options, None)
-        )
-    outcomes = run_pipeline_batch(
-        items, trace=trace, cache=_make_cache(cache_dir),
-    )
+        parsed.append(_parse_case(case_body))
+    cache = _make_cache(cache_dir)
     results = [
-        outcome_payload(outcome, workload=name)
-        for name, outcome in zip(names, outcomes)
+        outcome_payload(
+            run_scheduler(
+                SCHEDULERS[scheduler_name](architecture, options),
+                application, clustering, architecture,
+                trace=trace, cache=cache,
+            ),
+            workload=name,
+        )
+        for (name, application, clustering, architecture, scheduler_name,
+             options) in parsed
     ]
     return 200, {"ok": True, "count": len(results), "results": results}
 

@@ -5,9 +5,8 @@ has no web framework): one :func:`asyncio.start_server` accept loop,
 keep-alive request framing via ``Content-Length``, and four routes:
 
 * ``POST /v1/schedule`` — one workload through one scheduler.
-* ``POST /v1/batch``    — many cases through
-  :func:`~repro.analysis.compare.run_pipeline_batch` /
-  ``schedule.batch.compile_many``.
+* ``POST /v1/batch``    — many cases, each through
+  :func:`~repro.analysis.compare.run_scheduler` in request order.
 * ``GET  /v1/metrics``  — the service's merged metrics registry plus
   latency percentiles and single-flight counters.
 * ``GET  /v1/healthz``  — liveness.

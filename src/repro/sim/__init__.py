@@ -13,7 +13,6 @@ reference execution — proving the schedule preserves semantics, not
 just capacity constraints.
 """
 
-from repro.sim.batch import simulate_program
 from repro.sim.engine import Simulator
 from repro.sim.functional import (
     populate_external_inputs,
@@ -28,6 +27,5 @@ __all__ = [
     "VisitTiming",
     "populate_external_inputs",
     "reference_outputs",
-    "simulate_program",
     "surrogate_kernel",
 ]

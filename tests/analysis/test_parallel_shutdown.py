@@ -74,17 +74,19 @@ def _sleep_return(seconds):
 class TestWorkerPool:
     def test_thread_map_returns_results(self):
         with WorkerPool(jobs=2, mode="thread") as pool:
-            assert pool.map(_divide, [1, 1, 1]) == [1, 1, 1]
+            assert list(pool.executor.map(_divide, [1, 1, 1])) == [1, 1, 1]
 
     def test_map_error_leaves_pool_usable(self):
         with WorkerPool(jobs=2, mode="thread") as pool:
             with pytest.raises(ZeroDivisionError):
-                pool.map(_divide, [1, 0, 1])
-            assert pool.submit(_divide, 1).result() == 1
+                list(pool.executor.map(_divide, [1, 0, 1]))
+            assert pool.executor.submit(_divide, 1).result() == 1
 
     def test_close_cancels_queued_work(self):
         pool = WorkerPool(jobs=1, mode="thread")
-        futures = [pool.submit(_sleep_return, 0.2) for _ in range(20)]
+        futures = [
+            pool.executor.submit(_sleep_return, 0.2) for _ in range(20)
+        ]
         time.sleep(0.05)
         started = time.perf_counter()
         pool.close()
@@ -95,7 +97,7 @@ class TestWorkerPool:
 
     def test_process_mode_roundtrip(self):
         with WorkerPool(jobs=2, mode="process") as pool:
-            assert pool.map(_divide, [1, 1]) == [1, 1]
+            assert list(pool.executor.map(_divide, [1, 1])) == [1, 1]
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

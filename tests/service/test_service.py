@@ -3,9 +3,8 @@
 The load-bearing properties:
 
 * responses are **byte-identical** to the CLI pipeline
-  (:func:`repro.analysis.compare.run_scheduler` /
-  :func:`~repro.analysis.compare.run_pipeline_batch`) serialised
-  through the same canonical encoder;
+  (:func:`repro.analysis.compare.run_scheduler`, once per batch case)
+  serialised through the same canonical encoder;
 * infeasible and lint-error payloads round-trip the same structured
   numbers (``required``/``available``, diagnostic codes) the CLI
   renders;
@@ -19,7 +18,7 @@ import tempfile
 
 import pytest
 
-from repro.analysis.compare import run_pipeline_batch, run_scheduler
+from repro.analysis.compare import run_scheduler
 from repro.arch.params import Architecture
 from repro.errors import InfeasibleScheduleError, LintError
 from repro.lint.diagnostics import Diagnostic, Severity
@@ -187,11 +186,15 @@ def test_lint_error_round_trips_as_422(server, monkeypatch):
 
 
 def test_batch_byte_identical_to_pipeline_batch(server):
-    """The batch endpoint equals ``run_pipeline_batch`` payloads."""
+    """The batch endpoint equals per-case ``run_scheduler`` payloads.
+
+    The infeasible MPEG-at-1K case sits between feasible ones: its
+    verdict must not perturb its neighbours."""
     cases = [
         {"experiment": "E1"},
-        {"experiment": "E2", "scheduler": "ds"},
         {"experiment": "MPEG", "fb_words": "1K", "scheduler": "basic"},
+        {"experiment": "E2", "scheduler": "ds"},
+        {"experiment": "E3", "options": {"rf_cap": 1}},
     ]
     status, body = request(
         server, "/v1/batch", "POST",
@@ -199,29 +202,53 @@ def test_batch_byte_identical_to_pipeline_batch(server):
     )
     assert status == 200
 
-    items = []
-    names = []
+    results = []
     for case in cases:
         spec = _spec(case["experiment"])
         application, clustering = spec.build()
         architecture = Architecture.m1(case.get("fb_words", spec.fb))
-        items.append(
-            (case.get("scheduler", "cds"), application, clustering,
-             architecture, ScheduleOptions(), None)
+        options = ScheduleOptions(**case.get("options", {}))
+        outcome = run_scheduler(
+            SCHEDULERS[case.get("scheduler", "cds")](architecture, options),
+            application, clustering, architecture, trace=False,
         )
-        names.append(spec.id)
-    outcomes = run_pipeline_batch(items, trace=False)
+        results.append(outcome_payload(outcome, workload=spec.id))
+    assert [result["feasible"] for result in results] == [
+        True, False, True, True,
+    ]
     expected = encode_json(
-        {
-            "ok": True,
-            "count": len(outcomes),
-            "results": [
-                outcome_payload(outcome, workload=name)
-                for name, outcome in zip(names, outcomes)
-            ],
-        }
+        {"ok": True, "count": len(results), "results": results}
     )
     assert body == expected
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_cached_batch_replays_identical_bytes(tmp_path, trace):
+    """A cached batch run twice, with one case duplicated, serves the
+    uncached bytes every time; the duplicate and the rerun are cache
+    hits."""
+    body = {
+        "cases": [
+            {"experiment": "E1"},
+            {"experiment": "MPEG", "fb_words": "1K", "scheduler": "basic"},
+            {"experiment": "E1"},
+        ],
+        "trace": trace,
+    }
+    status, payload, _ = execute_request("batch", body)
+    assert status == 200
+    expected = encode_json(payload)
+    assert payload["results"][0] == payload["results"][2]
+
+    hits = []
+    for _ in range(2):
+        status, payload, snapshot = execute_request(
+            "batch", body, str(tmp_path)
+        )
+        assert status == 200
+        assert encode_json(payload) == expected
+        hits.append(snapshot["counters"].get("cache/cache.hit", 0))
+    assert hits == [1, 3]
 
 
 def test_concurrent_identical_requests_compile_once():
