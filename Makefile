@@ -10,21 +10,29 @@ check: test ruff mypy lint analyze fuzz-quick codegen-check gap-check cache-smok
 # Scheduler-service smoke: boot `repro serve` as a real subprocess,
 # fire a concurrent zipf-skewed loadgen burst at it, and gate on
 # healthz + zero errors + cache hit-rate (the --check assertions,
-# which include at least one cached replay).
-serve-smoke:
-	rm -rf .serve-smoke-cache
+# which include at least one cached replay).  Run once per worker
+# mode, each with its own port and cache directory; the default
+# process mode's workers are killed before the server itself.
+# $(call serve_smoke,MODE,PORT,CACHE_DIR)
+define serve_smoke
+	rm -rf $(3)
 	@set -e; \
-	$(PYTHON) -m repro.cli serve --port 8799 \
-		--cache-dir .serve-smoke-cache --mode thread --jobs 4 & \
+	$(PYTHON) -m repro.cli serve --port $(2) \
+		--cache-dir $(3) --mode $(1) --jobs 4 & \
 	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
+	trap 'pkill -P $$pid 2>/dev/null || true; kill $$pid 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 100); do \
-		if $(PYTHON) -c "import socket; socket.create_connection(('127.0.0.1', 8799), 0.5).close()" 2>/dev/null; then break; fi; \
+		if $(PYTHON) -c "import socket; socket.create_connection(('127.0.0.1', $(2)), 0.5).close()" 2>/dev/null; then break; fi; \
 		sleep 0.2; \
 	done; \
-	$(PYTHON) -m repro.cli loadgen --host 127.0.0.1 --port 8799 \
+	$(PYTHON) -m repro.cli loadgen --host 127.0.0.1 --port $(2) \
 		--clients 100 --requests 3 --distinct 8 --check
-	rm -rf .serve-smoke-cache
+	rm -rf $(3)
+endef
+
+serve-smoke:
+	$(call serve_smoke,thread,8799,.serve-smoke-cache)
+	$(call serve_smoke,process,8798,.serve-smoke-cache-process)
 
 # Persistent-cache smoke: fill a throwaway cache directory, check the
 # stats/clear plumbing end to end.

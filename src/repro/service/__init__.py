@@ -6,8 +6,9 @@ case) as a long-lived service:
 
 * :mod:`repro.service.protocol` — request schema, worker-side
   execution, canonical JSON encoding (byte-identical to the CLI path);
-* :mod:`repro.service.server` — the HTTP front-end with single-flight
-  dedup over a shared :class:`~repro.cache.CacheStore` and a
+* :mod:`repro.service.server` — the HTTP front-end: stored response
+  bytes and outcomes in a shared :class:`~repro.cache.CacheStore`,
+  single-flight dedup and a
   :class:`~repro.analysis.parallel.WorkerPool` fan-out;
 * :mod:`repro.service.loadgen` — zipf-skewed concurrent load harness.
 

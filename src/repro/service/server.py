@@ -13,19 +13,30 @@ keep-alive request framing via ``Content-Length``, and four routes:
 
 Compute never runs on the event loop: parsed requests are dispatched
 into a :class:`~repro.analysis.parallel.WorkerPool` (thread or process
-mode) running :func:`~repro.service.protocol.execute_request`, and the
-per-request metrics snapshot each worker returns is merged into the
-service-global registry.
+mode) running :func:`execute_and_store`, and the per-request metrics
+snapshot each worker returns is merged into the service-global
+registry.
 
-**Single-flight.**  Concurrent identical requests (same endpoint +
-canonical body, :func:`~repro.service.protocol.request_key`) coalesce
-onto one in-flight computation: the first becomes the *leader* and
-executes; the rest are *followers* that await the leader's future and
-share its response payload.  Combined with the shared
-:class:`~repro.cache.CacheStore` (content-fingerprint keys, so hits
-survive across requests, processes and restarts), N concurrent
-identical requests compile exactly once — asserted down to the metrics
-counters in ``tests/service/test_service.py``.
+A request for ``/v1/schedule`` or ``/v1/batch`` meets three layers,
+all keyed by content:
+
+* **Stored responses.**  With a ``cache_dir``, the canonical body of
+  every ``200`` reply is kept in the :class:`~repro.cache.CacheStore`
+  under a digest of the request's
+  :func:`~repro.service.protocol.request_key`.  A repeat is answered
+  from those bytes on the event loop — one small file read, with no
+  worker, decode, unpickle or re-encode.
+* **Single-flight.**  Concurrent identical requests (same endpoint +
+  canonical body) coalesce onto one in-flight computation: the first
+  becomes the *leader* and executes; the rest are *followers* that
+  await the leader's future and share its response bytes.
+* **Outcome cache.**  The leader's worker runs the pipeline against
+  the same store's outcome entries, so a workload already compiled
+  under another request body (or another batch) is not compiled again.
+
+Together, N concurrent identical requests compile exactly once —
+asserted down to the metrics counters in
+``tests/service/test_service.py``.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ import time
 from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.analysis.parallel import WorkerPool
+from repro.cache import CacheStore, digest
 from repro.obs.metrics import MetricsRegistry
 from repro.service.protocol import (
     encode_json,
@@ -47,7 +59,7 @@ from repro.service.protocol import (
     request_key,
 )
 
-__all__ = ["SchedulerService", "ServerThread"]
+__all__ = ["SchedulerService", "ServerThread", "execute_and_store"]
 
 _MAX_BODY_BYTES = 32 * 1024 * 1024
 _MAX_RECORDED_LATENCIES = 200_000
@@ -120,14 +132,40 @@ def _response_bytes(status: int, body: bytes, *, keep_alive: bool) -> bytes:
     return head.encode("latin-1") + body
 
 
+def execute_and_store(
+    endpoint: str,
+    body: Dict[str, Any],
+    cache_dir: Optional[str],
+    response_key: Optional[str],
+) -> Tuple[int, bytes, Dict[str, Any]]:
+    """The worker entry point: execute, encode, store a ``200`` reply.
+
+    Returns ``(http_status, response_bytes, metrics_snapshot)``.  The
+    bytes are stored under *response_key* (when given) before they are
+    returned, so the next identical request is answered from the store
+    on the event loop.  Top-level, so process-mode pools can pickle it.
+    """
+    status, payload, snapshot = execute_request(endpoint, body, cache_dir)
+    encoded = encode_json(payload)
+    if status == 200 and response_key is not None:
+        CacheStore(cache_dir).put(response_key, encoded)
+    return status, encoded, snapshot
+
+
+def _error(status: int, kind: str, message: str) -> Tuple[int, bytes]:
+    return status, encode_json(error_payload(kind, message))
+
+
 class SchedulerService:
-    """The scheduler-as-a-service server: routes, pool, single-flight.
+    """The scheduler-as-a-service server: routes, stored responses,
+    single-flight, worker pool.
 
     Args:
         host/port: bind address; ``port=0`` picks an ephemeral port
             (read ``self.port`` after :meth:`start`).
         cache_dir: :class:`~repro.cache.CacheStore` root shared by all
-            requests; ``None`` disables the cross-request cache.
+            requests (outcomes and stored responses); ``None`` disables
+            the cross-request cache.
         jobs: worker-pool size (``None``/0 for the CPU-count default).
         mode: ``"thread"`` or ``"process"`` worker pool.  Thread mode
             keeps workers in-process (tests can monkeypatch scheduler
@@ -147,6 +185,9 @@ class SchedulerService:
         self.host = host
         self.port = port
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
+        self._store = (
+            CacheStore(self.cache_dir) if self.cache_dir is not None else None
+        )
         self.registry = MetricsRegistry()
         self._pool = WorkerPool(jobs=jobs, mode=mode)
         self._mode = mode
@@ -197,15 +238,13 @@ class SchedulerService:
                     break
                 method, path, headers, body = request
                 started = time.perf_counter()
-                status, payload = await self._dispatch(method, path, body)
+                status, response = await self._dispatch(method, path, body)
                 self._record_latency(time.perf_counter() - started)
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
                 )
                 writer.write(
-                    _response_bytes(
-                        status, encode_json(payload), keep_alive=keep_alive
-                    )
+                    _response_bytes(status, response, keep_alive=keep_alive)
                 )
                 await writer.drain()
                 if not keep_alive:
@@ -231,40 +270,59 @@ class SchedulerService:
 
     async def _dispatch(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, bytes]:
+        """``(status, response body)`` for one request."""
         self.registry.inc(f"http.{method} {path}", scope="service")
         if path == "/v1/healthz":
             if method != "GET":
-                return 405, error_payload("MethodNotAllowed", "use GET")
-            return 200, self._healthz_payload()
+                return _error(405, "MethodNotAllowed", "use GET")
+            return 200, encode_json(self._healthz_payload())
         if path == "/v1/metrics":
             if method != "GET":
-                return 405, error_payload("MethodNotAllowed", "use GET")
-            return 200, self._metrics_payload()
+                return _error(405, "MethodNotAllowed", "use GET")
+            return 200, encode_json(self._metrics_payload())
         if path in ("/v1/schedule", "/v1/batch"):
             if method != "POST":
-                return 405, error_payload("MethodNotAllowed", "use POST")
+                return _error(405, "MethodNotAllowed", "use POST")
             try:
                 parsed = json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, ValueError):
-                return 400, error_payload(
-                    "BadRequest", "request body is not valid JSON"
+                return _error(
+                    400, "BadRequest", "request body is not valid JSON"
                 )
             if not isinstance(parsed, dict):
-                return 400, error_payload(
-                    "BadRequest", "request body must be a JSON object"
+                return _error(
+                    400, "BadRequest", "request body must be a JSON object"
                 )
             endpoint = path.rsplit("/", 1)[1]
-            return await self._singleflight(endpoint, parsed)
-        return 404, error_payload("NotFound", f"no route for {path}")
+            return await self._compute(endpoint, parsed)
+        return _error(404, "NotFound", f"no route for {path}")
 
-    # -- single-flight dispatch ----------------------------------------
+    # -- stored responses and single-flight ----------------------------
+
+    async def _compute(
+        self, endpoint: str, body: Dict[str, Any]
+    ) -> Tuple[int, bytes]:
+        """Answer from a stored response, else through single-flight."""
+        key = request_key(endpoint, body)
+        response_key = None
+        if self._store is not None:
+            response_key = digest(("response", key))
+            stored = self._store.get(response_key)
+            if stored is not None:
+                self.registry.inc("cache.hit", scope="cache")
+                self.registry.inc("response.hit", scope="service")
+                return 200, stored
+        return await self._singleflight(key, endpoint, body, response_key)
 
     async def _singleflight(
-        self, endpoint: str, body: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
+        self,
+        key: str,
+        endpoint: str,
+        body: Dict[str, Any],
+        response_key: Optional[str],
+    ) -> Tuple[int, bytes]:
         """Coalesce concurrent identical requests onto one execution."""
-        key = request_key(endpoint, body)
         existing = self._inflight.get(key)
         if existing is not None:
             self.registry.inc("singleflight.follower", scope="service")
@@ -274,12 +332,13 @@ class SchedulerService:
         self._inflight[key] = future
         self.registry.inc("singleflight.leader", scope="service")
         try:
-            status, payload, snapshot = await loop.run_in_executor(
+            status, response, snapshot = await loop.run_in_executor(
                 self._pool.executor,
-                execute_request,
+                execute_and_store,
                 endpoint,
                 body,
                 self.cache_dir,
+                response_key,
             )
         except BaseException as exc:
             self._inflight.pop(key, None)
@@ -292,7 +351,9 @@ class SchedulerService:
             raise
         self._inflight.pop(key, None)
         self.registry.merge(snapshot)
-        result = (status, payload)
+        if status == 200 and response_key is not None:
+            self.registry.inc("response.put", scope="service")
+        result = (status, response)
         if not future.done():
             future.set_result(result)
         return result
@@ -396,6 +457,14 @@ class ServerThread:
             self._loop.run_forever()
         finally:
             self._loop.run_until_complete(self.service.aclose())
+            # Handlers still waiting on an idle keep-alive client would
+            # otherwise be destroyed with the closed loop.
+            pending = asyncio.all_tasks(self._loop)
+            for task in pending:
+                task.cancel()
+            self._loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
             self._loop.close()
 
     def stop(self) -> None:

@@ -294,7 +294,8 @@ def test_concurrent_identical_requests_compile_once():
     leaders = counters["service/singleflight.leader"]
     followers = counters.get("service/singleflight.follower", 0)
     hits = counters.get("cache/cache.hit", 0)
-    assert leaders + followers == n_clients
+    response_hits = counters.get("service/response.hit", 0)
+    assert leaders + followers + response_hits == n_clients
     assert followers + hits == n_clients - 1
 
 

@@ -7,7 +7,7 @@ The timing model must be unaffected: every report field — makespan,
 stalls, DMA busy time, traffic words and operation counts, and every
 per-visit :class:`~repro.sim.report.VisitTiming` — must match the
 traced run exactly; only the trace itself may differ.
-``tests/sim/test_vectorized_equivalence.py`` runs the same comparison
+``tests/sim/test_trace_equivalence_matrix.py`` runs the same comparison
 over the fuzz generator matrix, all three schedulers and every DMA
 policy.
 

@@ -5,8 +5,7 @@ matrix, the paper experiments under all three schedulers (including
 the serial, non-pipelined Basic schedule shape) and every DMA policy:
 the untraced report must equal the traced one field for field, per-visit
 timings included.  On top, the timing invariants any correct report
-must satisfy are checked.  (The module keeps its name from when it
-compared a second, vectorized timing engine against this one.)
+must satisfy are checked.
 """
 
 import pytest
