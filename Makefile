@@ -3,9 +3,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint analyze ruff mypy perf-gate trace-demo fuzz fuzz-quick codegen-check gap-check cache-smoke serve-smoke
+.PHONY: check test lint analyze ruff mypy perf-gate trace-demo trace-smoke fuzz fuzz-quick codegen-check gap-check cache-smoke serve-smoke
 
-check: test ruff mypy lint analyze fuzz-quick codegen-check gap-check cache-smoke serve-smoke
+check: test ruff mypy lint analyze fuzz-quick codegen-check gap-check cache-smoke serve-smoke trace-smoke
 
 # Scheduler-service smoke: boot `repro serve` as a real subprocess,
 # fire a concurrent zipf-skewed loadgen burst at it, and gate on
@@ -105,6 +105,16 @@ gap-check:
 BASE ?= HEAD
 perf-gate:
 	$(PYTHON) tools/perf_gate.py $(BASE)
+
+# Timeline export smoke: the exporter validates its own output, so a
+# non-zero exit means the emitted trace_event JSON broke the documented
+# schema; the text timeline, decision log, profile and Gantt renderers
+# must run too, and the Gantt chart must draw its DMA lane.
+trace-smoke:
+	$(PYTHON) -m repro.cli trace ATR-FI --output trace_ATR-FI.json
+	$(PYTHON) -m repro.cli trace MPEG --format text --decisions > /dev/null
+	$(PYTHON) -m repro.cli run E1 --profile > /dev/null
+	$(PYTHON) -m repro.cli run E1 --gantt | grep '  DMA  |' > /dev/null
 
 # Sample Chrome trace_event export — open trace_ATR-FI.json at
 # https://ui.perfetto.dev or in chrome://tracing.

@@ -80,10 +80,6 @@ class AllocationRecord:
         """True if the object was split across free blocks."""
         return len(self.extents) > 1
 
-    def live_at(self, step: int) -> bool:
-        """True if the instance occupies memory at logical *step*."""
-        return self.alloc_step <= step < self.free_step
-
 
 @dataclass(frozen=True)
 class Snapshot:

@@ -50,11 +50,6 @@ class AllocationStats:
         """The paper's headline allocator claim."""
         return self.splits == 0
 
-    @property
-    def fully_regular(self) -> bool:
-        """All iteration instances placed adjacently."""
-        return self.irregular_placements == 0
-
 
 def compute_stats(allocation: AllocationMap) -> AllocationStats:
     """Derive :class:`AllocationStats` from a map."""

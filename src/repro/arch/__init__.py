@@ -9,25 +9,26 @@ possible), and a TinyRISC control processor.
 
 The structural constraints that shape the scheduling problem — two FB
 sets enabling compute/transfer overlap, one shared DMA channel, finite
-CM — are modelled explicitly; the RC array is modelled functionally
-(SIMD macro-operations over NumPy arrays) so kernels can actually
-execute and be checked against golden references.
+CM — are capacities and timing in :class:`Architecture`.  The machine
+the simulator drives holds only the DMA channel and external memory;
+FB and CM residency is checked statically (the program verifier and
+the hazard IR), and the allocator places objects through one
+:class:`FrameBufferSet` region directory per set.  The RC array is
+modelled functionally (SIMD macro-operations over NumPy arrays) so
+kernels can actually execute and be checked against golden references.
 """
 
-from repro.arch.context_memory import ContextMemory
 from repro.arch.dma import DmaChannel, TransferKind
 from repro.arch.external_memory import ExternalMemory
-from repro.arch.frame_buffer import FrameBuffer, FrameBufferSet
+from repro.arch.frame_buffer import FrameBufferSet
 from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture, TimingModel
 from repro.arch.rc_array import RCArray
 
 __all__ = [
     "Architecture",
-    "ContextMemory",
     "DmaChannel",
     "ExternalMemory",
-    "FrameBuffer",
     "FrameBufferSet",
     "MorphoSysM1",
     "RCArray",

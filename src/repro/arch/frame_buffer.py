@@ -6,25 +6,23 @@ transfers.  Data from one set is used for current computation, while
 the other set stores results in the external memory and loads data for
 the next round of computation" (paper, section 2).
 
-:class:`FrameBufferSet` is a word-addressed storage with named,
+:class:`FrameBufferSet` is the region directory of one set: named,
 possibly multi-extent regions (the allocator may split an object across
 free blocks).  It tracks occupancy and enforces that regions never
 overlap — the runtime check backing the allocator's correctness proofs
-in the test suite.  :class:`FrameBuffer` bundles two sets.
+in the test suite.  The allocator keeps one directory per set.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import AllocationError, CapacityError
 from repro.units import format_size
 
-__all__ = ["Extent", "FrameBufferSet", "FrameBuffer"]
+__all__ = ["Extent", "FrameBufferSet"]
 
 
 @dataclass(frozen=True)
@@ -54,15 +52,14 @@ class Extent:
 
 
 class FrameBufferSet:
-    """One frame-buffer set: word storage plus a named-region directory.
+    """One frame-buffer set's named-region directory.
 
     Regions are identified by ``(name, instance)`` where *instance*
     distinguishes iteration copies of the same logical object under
     loop fission.
     """
 
-    def __init__(self, capacity_words: int, *, set_index: int = 0,
-                 functional: bool = False):
+    def __init__(self, capacity_words: int, *, set_index: int = 0):
         if capacity_words <= 0:
             raise CapacityError(
                 f"frame-buffer set capacity must be positive, "
@@ -75,9 +72,6 @@ class FrameBufferSet:
         # O(log n) overlap check; bound extents are pairwise disjoint).
         self._starts: List[int] = []
         self._ends: List[int] = []
-        self._words: Optional[np.ndarray] = (
-            np.zeros(capacity_words, dtype=np.int64) if functional else None
-        )
 
     # -- region directory -----------------------------------------------
 
@@ -196,40 +190,6 @@ class FrameBufferSet:
         self._regions.clear()
         self._starts = []
         self._ends = []
-        if self._words is not None:
-            self._words[:] = 0
-
-    # -- functional storage ------------------------------------------------
-
-    def _require_functional(self) -> np.ndarray:
-        if self._words is None:
-            raise AllocationError(
-                f"set{self.set_index} was created without functional storage"
-            )
-        return self._words
-
-    def write(self, name: str, instance: int, values: np.ndarray) -> None:
-        """Write values into a live region (functional mode only)."""
-        words = self._require_functional()
-        flat = np.asarray(values, dtype=np.int64).ravel()
-        extents = self.extents_of(name, instance)
-        total = sum(extent.size for extent in extents)
-        if flat.size != total:
-            raise AllocationError(
-                f"set{self.set_index}: {name}#{instance} holds {total} words, "
-                f"got {flat.size} values"
-            )
-        cursor = 0
-        for extent in extents:
-            words[extent.start:extent.end] = flat[cursor:cursor + extent.size]
-            cursor += extent.size
-
-    def read(self, name: str, instance: int) -> np.ndarray:
-        """Read a live region's values (functional mode only)."""
-        words = self._require_functional()
-        extents = self.extents_of(name, instance)
-        parts = [words[extent.start:extent.end] for extent in extents]
-        return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
 
     def __str__(self) -> str:
         return (
@@ -238,28 +198,3 @@ class FrameBufferSet:
             f"{self.occupied_words}/{self.capacity_words} words)"
         )
 
-
-class FrameBuffer:
-    """The full frame buffer: two sets of equal capacity."""
-
-    def __init__(self, set_words: int, *, functional: bool = False):
-        self.sets = (
-            FrameBufferSet(set_words, set_index=0, functional=functional),
-            FrameBufferSet(set_words, set_index=1, functional=functional),
-        )
-
-    def __getitem__(self, set_index: int) -> FrameBufferSet:
-        return self.sets[set_index]
-
-    @property
-    def set_words(self) -> int:
-        """Capacity of one set."""
-        return self.sets[0].capacity_words
-
-    def clear(self) -> None:
-        """Drop all regions in both sets."""
-        for fb_set in self.sets:
-            fb_set.clear()
-
-    def __str__(self) -> str:
-        return f"FB({self.sets[0]}, {self.sets[1]})"

@@ -1,21 +1,18 @@
-"""The assembled M1 machine: RC array + FB + CM + DMA + external memory.
+"""The assembled M1 machine: the state the simulator reads.
 
-:class:`MorphoSysM1` bundles the component models under one
-:class:`~repro.arch.params.Architecture` description.  The simulator
-(:mod:`repro.sim`) drives a machine instance; analyses that only need
+:class:`MorphoSysM1` bundles the DMA channel and external memory under
+one :class:`~repro.arch.params.Architecture` description.  The
+simulator (:mod:`repro.sim`) drives a machine instance; on-chip
+frame-buffer and context-memory residency is checked statically by the
+program verifier and the hazard IR, and analyses that only need
 capacities and timing work directly with the :class:`Architecture`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.arch.context_memory import ContextMemory
 from repro.arch.dma import DmaChannel
 from repro.arch.external_memory import ExternalMemory
-from repro.arch.frame_buffer import FrameBuffer
 from repro.arch.params import Architecture
-from repro.arch.rc_array import RCArray
 
 __all__ = ["MorphoSysM1"]
 
@@ -26,21 +23,15 @@ class MorphoSysM1:
     Args:
         architecture: capacities and timing (see
             :meth:`Architecture.m1` for the preset).
-        functional: allocate real word storage in the frame buffer so
-            programs can move and compute actual values; leave False for
-            timing-only runs (much lighter).
+        functional: the simulator's default mode: move and compute
+            actual values and check the final outputs against a
+            reference execution; leave False for timing-only runs
+            (much lighter).
     """
 
     def __init__(self, architecture: Architecture, *, functional: bool = False):
         self.architecture = architecture
         self.functional = functional
-        self.rc_array = RCArray(architecture.rc_rows, architecture.rc_cols)
-        self.frame_buffer = FrameBuffer(
-            architecture.fb_set_words, functional=functional
-        )
-        self.context_memory = ContextMemory(
-            architecture.context_block_words, architecture.context_blocks
-        )
         self.dma = DmaChannel(architecture.timing)
         self.external_memory = ExternalMemory()
 
@@ -51,12 +42,8 @@ class MorphoSysM1:
 
     def reset(self) -> None:
         """Return the machine to power-on state (drops all contents)."""
-        self.frame_buffer.clear()
-        self.context_memory.clear()
-        self.context_memory.reset_counters()
         self.dma.reset()
         self.external_memory.clear()
-        self.rc_array.reset_counters()
 
     def __str__(self) -> str:
         mode = "functional" if self.functional else "timing"

@@ -34,13 +34,12 @@ campaigns and the golden equivalence suite hold the two together.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.codegen.program import Program
 from repro.codegen.templated import ClusterTemplate, TemplateVisits
-from repro.codegen.verifier import _survivors
 
 __all__ = ["fast_violation_free"]
 
@@ -80,7 +79,7 @@ def fast_violation_free(program: Program) -> bool:
     }
     external_names = set(application.external_inputs())
     keeps_by_name = {keep.name: keep for keep in schedule.keeps}
-    survivors_memo: Dict[Tuple[int, int], Set[str]] = {}
+    survivors_memo: Dict[Tuple[int, int], FrozenSet[str]] = {}
 
     # Rounds 0, one steady-state round, and the last round decide the
     # FB verdict for every round (module docstring).
@@ -161,7 +160,7 @@ def _replay_round(
     kernel_outputs: Dict[str, Tuple[str, ...]],
     external_names: Set[str],
     keeps_by_name: Dict[str, object],
-    survivors_memo: Dict[Tuple[int, int], Set[str]],
+    survivors_memo: Dict[Tuple[int, int], FrozenSet[str]],
     application,
     schedule,
 ) -> bool:
@@ -233,7 +232,7 @@ def _replay_round(
         memo_key = (template.cluster_index, fb_set)
         survivors = survivors_memo.get(memo_key)
         if survivors is None:
-            survivors = _survivors(schedule, template.cluster_index, fb_set)
+            survivors = schedule.survivors(template.cluster_index, fb_set)
             survivors_memo[memo_key] = survivors
         present[fb_set] = {
             name: arr for name, arr in in_set.items() if name in survivors

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from repro.codegen.ops import VisitOps
 from repro.schedule.plan import Schedule
@@ -45,6 +45,16 @@ class Program:
     def total_context_words(self) -> int:
         """All context words loaded over the program."""
         return sum(visit.context_words for visit in self.visits)
+
+    @property
+    def cm_block_capacity(self) -> int:
+        """Words in one CM block: the schedule's recorded capacity, or,
+        when it has none, the largest context volume any visit loads
+        (context words per visit were checked against the block size at
+        scheduling time, so that is the strictest consistent bound)."""
+        return self.schedule.context_block_words or max(
+            (ops.context_words for ops in self.visits), default=0
+        ) or 1
 
     @property
     def total_compute_cycles(self) -> int:

@@ -310,7 +310,7 @@ class TinyRiscInterpreter:
                 # A visit refills its block wholesale: the first LDCTXT
                 # of a visit evicts the block's previous cluster (the
                 # whole-block reconfiguration model shared with the
-                # verifier and the ContextMemory component).
+                # program verifier and the hazard IR's CM accesses).
                 if not refilled_this_visit[block]:
                     block_kernels[block] = {}
                     refilled_this_visit[block] = True

@@ -31,7 +31,7 @@ actually computes values).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Set, Tuple
 
 from repro.codegen.program import Program
 from repro.errors import ProgramVerificationError
@@ -111,7 +111,7 @@ def iter_program_violations(program: Program) -> Iterator[ProgramViolation]:
     runs: Dict[Tuple[str, int], int] = {}
     cm_block_words = [0, 0]
     cm_block_kernels: List[Set[str]] = [set(), set()]
-    block_capacity = schedule.context_block_words or _block_capacity(program)
+    block_capacity = program.cm_block_capacity
     external_names = set(application.external_inputs())
     keeps_by_name = {keep.name: keep for keep in schedule.keeps}
     # Replay-invariant lookups, precomputed: each kernel's inputs with
@@ -125,7 +125,7 @@ def iter_program_violations(program: Program) -> Iterator[ProgramViolation]:
         for kernel in application.kernels
     }
     kernel_by_name = {kernel.name: kernel for kernel in application.kernels}
-    survivors_memo: Dict[Tuple[int, int], Set[str]] = {}
+    survivors_memo: Dict[Tuple[int, int], FrozenSet[str]] = {}
 
     for ops in program.visits:
         visit = ops.visit
@@ -271,7 +271,7 @@ def iter_program_violations(program: Program) -> Iterator[ProgramViolation]:
         memo_key = (visit.cluster_index, visit.fb_set)
         survivors = survivors_memo.get(memo_key)
         if survivors is None:
-            survivors = _survivors(schedule, visit.cluster_index, visit.fb_set)
+            survivors = schedule.survivors(visit.cluster_index, visit.fb_set)
             survivors_memo[memo_key] = survivors
         present[visit.fb_set] = {
             name: bucket
@@ -283,32 +283,6 @@ def iter_program_violations(program: Program) -> Iterator[ProgramViolation]:
             present = [{}, {}]
 
     yield from _check_totals(application, total_iterations, runs, stored)
-
-
-def _block_capacity(program: Program) -> int:
-    """CM block capacity recorded with the schedule's architecture."""
-    # The schedule does not carry the Architecture object; the block
-    # capacity is re-derived from the largest per-visit context volume
-    # permitted at scheduling time.  Verification uses the scheduler's
-    # invariant: context words per visit were checked against the block
-    # size, so the strictest consistent bound is the maximum seen.
-    return max(
-        (ops.context_words for ops in program.visits),
-        default=0,
-    ) or 1
-
-
-def _survivors(schedule, cluster_index: int, fb_set: int) -> Set[str]:
-    """Kept object names that remain resident in *fb_set* after the
-    cluster's visit ends."""
-    survivors: Set[str] = set()
-    for keep in schedule.keeps:
-        if keep.fb_set != fb_set:
-            continue
-        first, last = keep.span
-        if first <= cluster_index < last:
-            survivors.add(keep.name)
-    return survivors
 
 
 def _check_totals(

@@ -89,15 +89,9 @@ class ObjectInfo:
     def is_result(self) -> bool:
         return self.producer is not None
 
-    def used_by_cluster(self, cluster_index: int) -> bool:
-        return cluster_index in self.consumer_clusters
-
     def consumed_after(self, cluster_index: int) -> bool:
         """True if some cluster strictly after *cluster_index* consumes it."""
         return any(c > cluster_index for c in self.consumer_clusters)
-
-    def last_consumer_cluster(self) -> Optional[int]:
-        return self.consumer_clusters[-1] if self.consumer_clusters else None
 
 
 class DataflowInfo:

@@ -31,7 +31,7 @@ This module provides three related quantities:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.dataflow import DataflowInfo, ObjectClass
 from repro.core.reuse import SharedData, SharedResult
@@ -68,10 +68,6 @@ def cluster_footprint(dataflow: DataflowInfo, cluster_index: int) -> int:
     return sum(dataflow[name].size for name in inputs) + sum(
         dataflow[name].size for name in produced
     )
-
-
-def _kept_names_for_set(keeps: Iterable[KeepDecision], fb_set: int) -> Set[str]:
-    return {keep.name for keep in keeps if keep.fb_set == fb_set}
 
 
 def _resident_keep_words(

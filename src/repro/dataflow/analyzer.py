@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 from repro.codegen.program import Program
 from repro.dataflow.hazards import HappensBefore
 from repro.dataflow.ir import ProgramIR, lower_program
-from repro.dataflow.passes import HAZARD_RULES, run_hazard_passes
+from repro.dataflow.passes import HAZARD_RULES, Emit, run_hazard_passes
 from repro.obs.metrics import time_stage
 from repro.schedule.context_scheduler import DmaPolicy
 
@@ -31,6 +31,7 @@ __all__ = [
     "analyze_program",
     "analyze_schedule",
     "build_ir",
+    "emit_hazards",
     "hazard_errors",
     "parse_policy",
 ]
@@ -86,32 +87,29 @@ def analyze_ir(
     """Run the hazard passes over an already-lowered program under one
     DMA *policy*; arguments as for :func:`analyze_program`."""
     import repro.lint  # noqa: F401  (registers the HAZ/DFA rules)
-    from repro.lint.diagnostics import Diagnostic, DiagnosticCollector
-    from repro.lint.registry import RULES
+    from repro.lint.diagnostics import DiagnosticCollector
+    from repro.lint.registry import make_emitter
 
-    with time_stage("happens_before", scope="analysis"):
-        hb = HappensBefore.build(ir, policy=policy)
     if collector is None:
         collector = DiagnosticCollector()
     for code in HAZARD_RULES:
         collector.mark_checked(code)
+    emit_hazards(ir, make_emitter(collector), policy=policy)
+    return collector
 
-    def emit(code: str, message: str, *, location: str = "",
-             cost_words: int = 0, **details: object):
-        rule = RULES[code]
-        return collector.add(Diagnostic(
-            code=code,
-            severity=rule.severity,
-            layer=rule.layer,
-            location=location,
-            message=message,
-            cost_words=cost_words,
-            details=details,
-        ))
 
+def emit_hazards(
+    ir: ProgramIR,
+    emit: Emit,
+    *,
+    policy: DmaPolicy = DmaPolicy.CONTEXTS_FIRST,
+) -> None:
+    """Build the happens-before graph of *ir* under *policy* and report
+    every hazard-pass finding through *emit* (a lint emitter)."""
+    with time_stage("happens_before", scope="analysis"):
+        hb = HappensBefore.build(ir, policy=policy)
     with time_stage("hazard_passes", scope="analysis"):
         run_hazard_passes(ir, hb, emit)
-    return collector
 
 
 def analyze_schedule(

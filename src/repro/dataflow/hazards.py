@@ -200,9 +200,6 @@ class HappensBefore:
 
     # -- queries -----------------------------------------------------------
 
-    def is_transfer(self, node_id: int) -> bool:
-        return node_id in self.channel_pos
-
     def happens_before(self, a: int, b: int) -> bool:
         """True when every legal execution finishes *a* before *b* starts."""
         ta = a in self.channel_pos

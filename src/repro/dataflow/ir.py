@@ -19,10 +19,9 @@ can never contradict the program order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.arch.frame_buffer import Extent
-from repro.codegen.ops import VisitOps
 from repro.codegen.program import Program
 
 __all__ = [
@@ -238,7 +237,7 @@ def lower_program(
     # Survivor sets are per (cluster, FB set), not per visit: memoize
     # them like the verifier does instead of re-scanning the keep list
     # once per visit.
-    survivors_memo: Dict[Tuple[int, int], Set[str]] = {}
+    survivors_memo: Dict[Tuple[int, int], FrozenSet[str]] = {}
     # Live values per set, keyed (name, instance).
     live: List[Dict[Tuple[str, int], ValueLifetime]] = [{}, {}]
     # Kernel -> CM extent per block, rebuilt at each refill.
@@ -425,7 +424,7 @@ def lower_program(
         survivors_key = (visit.cluster_index, fb_set)
         survivors = survivors_memo.get(survivors_key)
         if survivors is None:
-            survivors = _survivors(schedule, visit.cluster_index, fb_set)
+            survivors = schedule.survivors(visit.cluster_index, fb_set)
             survivors_memo[survivors_key] = survivors
         drained = {
             key: value for key, value in in_set.items()
@@ -459,24 +458,5 @@ def lower_program(
         values=values,
         has_placement=placement is not None,
         fb_capacity=schedule.fb_set_words,
-        cm_block_capacity=schedule.context_block_words
-        or _derived_block_capacity(program.visits),
+        cm_block_capacity=program.cm_block_capacity,
     )
-
-
-def _survivors(schedule, cluster_index: int, fb_set: int) -> Set[str]:
-    """Kept names still resident in *fb_set* after the cluster's visit
-    (the verifier's survivor rule)."""
-    survivors: Set[str] = set()
-    for keep in schedule.keeps:
-        if keep.fb_set != fb_set:
-            continue
-        first, last = keep.span
-        if first <= cluster_index < last:
-            survivors.add(keep.name)
-    return survivors
-
-
-def _derived_block_capacity(visits: Sequence[VisitOps]) -> int:
-    """The verifier's fallback CM capacity when the schedule has none."""
-    return max((ops.context_words for ops in visits), default=0) or 1

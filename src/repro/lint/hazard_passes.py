@@ -10,9 +10,8 @@ run so a hazardous program can never lint clean.
 
 from __future__ import annotations
 
-from repro.dataflow.hazards import HappensBefore
-from repro.dataflow.ir import lower_program
-from repro.dataflow.passes import HAZARD_RULES, run_hazard_passes
+from repro.dataflow import analyzer
+from repro.dataflow.passes import HAZARD_RULES
 from repro.lint.diagnostics import Severity
 from repro.lint.registry import Emitter, LintContext, lint_pass, register_rule
 
@@ -51,8 +50,7 @@ register_rule(
 )
 def check_hazards(context: LintContext, emit: Emitter) -> None:
     """Run the five dataflow hazard passes over the lowered program."""
-    ir = lower_program(
+    ir = analyzer.lower_program(
         context.program, allocations=context.allocations or None
     )
-    hb = HappensBefore.build(ir)
-    run_hazard_passes(ir, hb, emit)
+    analyzer.emit_hazards(ir, emit)

@@ -44,6 +44,7 @@ __all__ = [
     "PASSES",
     "lint_pass",
     "Emitter",
+    "make_emitter",
     "run_passes",
 ]
 
@@ -181,9 +182,11 @@ def lint_pass(
     return decorator
 
 
-def _make_emitter(
+def make_emitter(
     collector: DiagnosticCollector,
 ) -> Emitter:
+    """An :data:`Emitter` that adds each finding to *collector* with
+    its rule's registered severity and layer."""
     def emit(
         code: str,
         message: str,
@@ -232,7 +235,7 @@ def run_passes(
     unknown = wanted - set(LAYERS)
     if unknown:
         raise ValueError(f"unknown lint layers: {sorted(unknown)}")
-    emit = _make_emitter(collector)
+    emit = make_emitter(collector)
     for lint in PASSES:
         if lint.layer not in wanted or not lint.runnable(context):
             continue

@@ -11,7 +11,7 @@ derives the traffic numbers reported in the paper's Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Optional, Tuple
 
 from repro.core.application import Application
 from repro.core.cluster import Clustering
@@ -155,6 +155,18 @@ class Schedule:
         """Names of all kept objects."""
         return tuple(keep.name for keep in self.keeps)
 
+    def survivors(self, cluster_index: int, fb_set: int) -> FrozenSet[str]:
+        """Kept object names still resident in *fb_set* after a visit of
+        cluster *cluster_index* ends: the keeps homed on that set whose
+        span ``(first, last)`` has ``first <= cluster_index < last``.
+        Everything else in the set is released at visit end."""
+        names = set()
+        for keep in self.keeps:
+            first, last = keep.span
+            if keep.fb_set == fb_set and first <= cluster_index < last:
+                names.add(keep.name)
+        return frozenset(names)
+
     def without_decisions(self) -> "Schedule":
         """A copy with the decision trace dropped (``self`` when there
         is none).
@@ -230,11 +242,6 @@ class TransferSummary:
     def data_words_per_iteration(self) -> float:
         """Data traffic per application iteration."""
         return self.total_data_words / self.total_iterations
-
-    @property
-    def context_words_per_iteration(self) -> float:
-        """Context traffic per application iteration."""
-        return self.total_context_words / self.total_iterations
 
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "TransferSummary":

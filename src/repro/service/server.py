@@ -74,6 +74,12 @@ _REASONS = {
 }
 
 
+def _reject_constant(name: str) -> None:
+    """Refuse ``NaN``/``Infinity``/``-Infinity``: canonical request keys
+    are encoded with ``allow_nan=False`` and could not represent them."""
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 class _ProtocolError(Exception):
     """Unparseable HTTP framing; the connection is dropped."""
 
@@ -285,8 +291,10 @@ class SchedulerService:
             if method != "POST":
                 return _error(405, "MethodNotAllowed", "use POST")
             try:
-                parsed = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
+                parsed = json.loads(
+                    body.decode("utf-8"), parse_constant=_reject_constant
+                )
+            except (UnicodeDecodeError, ValueError, RecursionError):
                 return _error(
                     400, "BadRequest", "request body is not valid JSON"
                 )

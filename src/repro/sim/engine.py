@@ -37,7 +37,7 @@ execution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -513,15 +513,9 @@ class Simulator:
         """Drop non-kept contents after a visit's stores complete."""
         schedule = program.schedule
         visit = program.visits[index].visit
-        survivors: Set[str] = set()
-        for keep in schedule.keeps:
-            if keep.fb_set != visit.fb_set:
-                continue
-            first, last = keep.span
-            if first <= visit.cluster_index < last:
-                survivors.add(keep.name)
+        survivors = schedule.survivors(visit.cluster_index, visit.fb_set)
         if visit.cluster_index == len(schedule.clustering) - 1:
-            survivors = set()
+            survivors = frozenset()
         retained = {
             key: value
             for key, value in fb_values[visit.fb_set].items()

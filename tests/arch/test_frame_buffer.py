@@ -1,9 +1,8 @@
 """Tests for the frame-buffer region model."""
 
-import numpy as np
 import pytest
 
-from repro.arch.frame_buffer import Extent, FrameBuffer, FrameBufferSet
+from repro.arch.frame_buffer import Extent, FrameBufferSet
 from repro.errors import AllocationError, CapacityError
 
 
@@ -80,48 +79,3 @@ class TestFrameBufferSet:
         fb.clear()
         assert fb.live_regions() == ()
 
-
-class TestFunctionalStorage:
-    def test_write_read_roundtrip(self):
-        fb = FrameBufferSet(1024, functional=True)
-        fb.bind("x", 0, [Extent(10, 4)])
-        fb.write("x", 0, np.array([1, 2, 3, 4]))
-        assert fb.read("x", 0).tolist() == [1, 2, 3, 4]
-
-    def test_split_region_roundtrip(self):
-        fb = FrameBufferSet(1024, functional=True)
-        fb.bind("x", 0, [Extent(0, 2), Extent(100, 2)])
-        fb.write("x", 0, np.array([7, 8, 9, 10]))
-        assert fb.read("x", 0).tolist() == [7, 8, 9, 10]
-
-    def test_size_mismatch_rejected(self):
-        fb = FrameBufferSet(1024, functional=True)
-        fb.bind("x", 0, [Extent(0, 4)])
-        with pytest.raises(AllocationError, match="words"):
-            fb.write("x", 0, np.array([1, 2]))
-
-    def test_non_functional_write_rejected(self):
-        fb = FrameBufferSet(1024)
-        fb.bind("x", 0, [Extent(0, 4)])
-        with pytest.raises(AllocationError, match="functional"):
-            fb.write("x", 0, np.array([1, 2, 3, 4]))
-
-
-class TestFrameBuffer:
-    def test_two_sets(self):
-        fb = FrameBuffer(512)
-        assert fb[0].set_index == 0
-        assert fb[1].set_index == 1
-        assert fb.set_words == 512
-
-    def test_sets_are_independent(self):
-        fb = FrameBuffer(512)
-        fb[0].bind("x", 0, [Extent(0, 100)])
-        fb[1].bind("x", 0, [Extent(0, 100)])  # same name, other set: fine
-        assert fb[0].occupied_words == fb[1].occupied_words == 100
-
-    def test_clear_clears_both(self):
-        fb = FrameBuffer(512)
-        fb[0].bind("x", 0, [Extent(0, 100)])
-        fb.clear()
-        assert fb[0].occupied_words == 0

@@ -377,6 +377,43 @@ def test_bad_requests_are_400(server, body, fragment):
     assert fragment in payload["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"experiment":"E1","fb_words":NaN}',
+        b'{"experiment":"E1","options":{"rf_cap":Infinity}}',
+        b"[" * 100000 + b"]" * 100000,
+    ],
+    ids=["nan", "infinity", "over_deep"],
+)
+def test_unencodable_json_is_400_on_a_live_connection(server, body):
+    """Non-finite constants and over-deep nesting answer 400, and the
+    keep-alive connection goes on to serve the next request."""
+
+    async def exchange():
+        reader, writer = await asyncio.open_connection(
+            server.service.host, server.service.port
+        )
+        try:
+            writer.write(_post_bytes("/v1/schedule", body))
+            await writer.drain()
+            rejected = await _read_response(reader)
+            writer.write(_post_bytes(
+                "/v1/schedule", encode_json({"experiment": "E1"})
+            ))
+            await writer.drain()
+            return rejected, await _read_response(reader)
+        finally:
+            writer.close()
+
+    (status, raw), (next_status, _) = asyncio.run(exchange())
+    assert status == 400
+    error = json.loads(raw)["error"]
+    assert error["type"] == "BadRequest"
+    assert error["message"] == "request body is not valid JSON"
+    assert next_status == 200
+
+
 def test_removed_occupancy_engine_option_is_400():
     """The naive occupancy reference is a test seam, not an option."""
     status, payload, _ = execute_request("schedule", {
