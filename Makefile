@@ -11,8 +11,8 @@ check: test ruff mypy lint analyze fuzz-quick codegen-check gap-check cache-smok
 # fire a concurrent zipf-skewed loadgen burst at it, and gate on
 # healthz + zero errors + cache hit-rate (the --check assertions,
 # which include at least one cached replay).  Run once per worker
-# mode, each with its own port and cache directory; the default
-# process mode's workers are killed before the server itself.
+# mode, each with its own port and cache directory; the server is
+# stopped with SIGTERM and waited for, which closes its worker pool.
 # $(call serve_smoke,MODE,PORT,CACHE_DIR)
 define serve_smoke
 	rm -rf $(3)
@@ -20,7 +20,7 @@ define serve_smoke
 	$(PYTHON) -m repro.cli serve --port $(2) \
 		--cache-dir $(3) --mode $(1) --jobs 4 & \
 	pid=$$!; \
-	trap 'pkill -P $$pid 2>/dev/null || true; kill $$pid 2>/dev/null || true' EXIT; \
+	trap 'kill $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 100); do \
 		if $(PYTHON) -c "import socket; socket.create_connection(('127.0.0.1', $(2)), 0.5).close()" 2>/dev/null; then break; fi; \
 		sleep 0.2; \

@@ -477,8 +477,9 @@ def _cmd_serve(args) -> int:
             host=args.host, port=args.port, cache_dir=args.cache_dir,
             jobs=args.jobs, mode=args.mode, ready=announce,
         ))
-    except KeyboardInterrupt:
-        print("service stopped")
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        pass  # Ctrl-C, or SIGTERM (see run_server)
+    print("service stopped")
     return 0
 
 

@@ -1,20 +1,21 @@
 """The happens-before graph between DMA transfers and kernel runs.
 
-:meth:`HappensBefore.build` replays the *issue order* of the reference
-engine (:meth:`repro.sim.engine.Simulator._execute`) for one DMA
-serialization policy, without computing a single cycle:
+:meth:`HappensBefore.build` numbers the steps of
+:func:`repro.schedule.context_scheduler.issue_order` — the same issue
+order the timing engine accounts — for one DMA serialization policy,
+without computing a single cycle:
 
 * every transfer gets a **channel position** — the single DMA channel
   serialises transfers in issue order, and completions are monotone in
   that order (``done(p) <= start(p+1)``), so position compare alone
   orders any two transfers;
 * every transfer records the **visit whose compute end directly gates
-  it** (the ``earliest`` / ``set_free`` argument the engine passes to
-  ``dma.request``): stores of visit ``v`` wait for ``compute_end(v)``,
-  the preparation of visit ``w`` issued in the pipelined window waits
-  for ``compute_end(w - 2)`` (its loads additionally for the previous
-  same-set visit's compute), serial-mode preparation for
-  ``compute_end(w - 1)``;
+  it** (its step's ``gate``): stores of visit ``v`` wait for
+  ``compute_end(v)``, the preparation of visit ``w`` issued in the
+  pipelined window waits for ``compute_end(w - 2)`` (for
+  ``compute_end(w - 1)`` when ``w`` reuses that visit's set — never
+  before the previous same-set visit's compute), serial-mode
+  preparation for ``compute_end(w - 1)``;
 * kernel runs are totally ordered (one RC array), and a visit's compute
   starts only after its preparation finished.
 
@@ -38,7 +39,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.dataflow.ir import ProgramIR
-from repro.schedule.context_scheduler import DmaPolicy, loads_may_precede_stores
+from repro.schedule.context_scheduler import (
+    RUN,
+    STORE,
+    DmaPolicy,
+    issue_order,
+)
 
 __all__ = ["HappensBefore"]
 
@@ -83,96 +89,36 @@ class HappensBefore:
         ir: ProgramIR,
         policy: DmaPolicy = DmaPolicy.CONTEXTS_FIRST,
     ) -> "HappensBefore":
-        """Mirror the reference engine's issue order for *policy*."""
+        """Number the steps of :func:`issue_order` for *policy*."""
         program = ir.program
-        schedule = program.schedule
         visits = program.visits
-        count = len(visits)
         groups = ir.visit_nodes
+        steps, loads_first_windows = issue_order(
+            program.schedule,
+            [(ops.visit.fb_set, ops.visit.cluster_index,
+              len(ops.visit.iterations)) for ops in visits],
+            policy,
+        )
 
         channel_pos: Dict[int, int] = {}
         rel: List[int] = []
         compute_seq: Dict[int, int] = {}
         compute_visit: Dict[int, int] = {}
-        lastprep = [-1] * count
-        stores_issued = [False] * count
-        loads_first_windows: List[int] = []
-
-        fb_of = [ops.visit.fb_set for ops in visits]
-
-        def prev_same(index: int) -> int:
-            fb_set = fb_of[index]
-            for prev in range(index - 1, -1, -1):
-                if fb_of[prev] == fb_set:
-                    return prev
-            return -1
-
-        def emit(node_id: int, gate: int) -> None:
-            channel_pos[node_id] = len(rel)
-            rel.append(gate)
-
-        loads_before_contexts = policy is DmaPolicy.LOADS_FIRST
-
-        def emit_prep(index: int, ctx_gate: int, load_gate: int) -> None:
-            ctx = [(node, ctx_gate) for node in groups[index].context_loads]
-            loads = [(node, load_gate) for node in groups[index].data_loads]
-            ordered = loads + ctx if loads_before_contexts else ctx + loads
-            for node, gate in ordered:
-                emit(node, gate)
-            if ordered:
-                lastprep[index] = max(lastprep[index],
-                                      channel_pos[ordered[-1][0]])
-
-        def emit_stores(index: int) -> None:
-            if index < 0 or stores_issued[index]:
-                return
-            stores_issued[index] = True
-            for node in groups[index].stores:
-                emit(node, index)
-
-        pipelined = schedule.overlap_transfers
-        if pipelined and count:
-            emit_prep(0, -1, prev_same(0))
-        seq = 0
-        for index in range(count):
-            if not pipelined:
-                emit_stores(index - 1)
-                emit_prep(index, index - 1,
-                          max(index - 1, prev_same(index)))
-            for node in groups[index].compute:
-                compute_seq[node] = seq
-                compute_visit[node] = index
-                seq += 1
-            if not pipelined:
+        lastprep = [-1] * len(visits)
+        for kind, index, gate in steps:
+            nodes = groups[index]
+            if kind == RUN:
+                for node in nodes.compute:
+                    compute_visit[node] = index
+                    compute_seq[node] = len(compute_seq)
                 continue
-            if index + 1 < count:
-                same_set_next = fb_of[index + 1] == fb_of[index]
-                loads_first = policy is DmaPolicy.LOADS_FIRST
-                if policy is DmaPolicy.ADAPTIVE and index > 0:
-                    loads_first = loads_may_precede_stores(
-                        schedule,
-                        visits[index - 1].visit.cluster_index,
-                        visits[index + 1].visit.cluster_index,
-                        len(visits[index - 1].visit.iterations),
-                    )
-                if same_set_next:
-                    emit_stores(index - 1)
-                    emit_stores(index)
-                    emit_prep(index + 1, index, index)
-                elif not loads_first:
-                    emit_stores(index - 1)
-                    emit_prep(index + 1, index - 1,
-                              max(index - 1, prev_same(index + 1)))
-                else:
-                    if index > 0:
-                        loads_first_windows.append(index)
-                    emit_prep(index + 1, index - 1,
-                              max(index - 1, prev_same(index + 1)))
-                    emit_stores(index - 1)
-            else:
-                emit_stores(index - 1)
-        if count:
-            emit_stores(count - 1)
+            group = (nodes.context_loads, nodes.data_loads,
+                     nodes.stores)[kind]
+            for node in group:
+                channel_pos[node] = len(rel)
+                rel.append(gate)
+            if group and kind != STORE:
+                lastprep[index] = len(rel) - 1
 
         maxrel: List[int] = []
         best = -1
@@ -187,7 +133,7 @@ class HappensBefore:
 
         return cls(
             policy=policy,
-            serial=not pipelined,
+            serial=not program.schedule.overlap_transfers,
             channel_pos=channel_pos,
             rel=rel,
             maxrel=maxrel,
@@ -195,7 +141,7 @@ class HappensBefore:
             compute_visit=compute_visit,
             lastprep=lastprep,
             maxprep=maxprep,
-            loads_first_windows=tuple(loads_first_windows),
+            loads_first_windows=loads_first_windows,
         )
 
     # -- queries -----------------------------------------------------------

@@ -52,7 +52,9 @@ which compares two independent computations of the same fact:
     The lowered program analyzes clean on the timing-aware hazard
     passes (:mod:`repro.dataflow`) under both always-sound DMA
     serialization policies — no DMA/compute races, no live-range
-    interference, no capacity-over-time violations.
+    interference, no capacity-over-time violations — and, under every
+    policy, the traced simulator's transfers follow the happens-before
+    graph's channel order and gates.
 ``simengine``
     Re-simulating with the per-transfer DMA trace on reproduces the
     untraced pipeline report field for field (per-visit timings
@@ -392,7 +394,7 @@ def _run_oracles_uncached(
     if "verifier" in enabled:
         failures.extend(_check_verifier(case, runs))
     if "hazards" in enabled:
-        failures.extend(_check_hazards(case, runs))
+        failures.extend(_check_hazards(case, runs, architecture))
     if "simengine" in enabled:
         failures.extend(_check_simengine(case, runs, architecture))
     if "functional" in enabled:
@@ -772,7 +774,7 @@ def _check_verifier(case, runs) -> List[OracleFailure]:
     return failures
 
 
-def _check_hazards(case, runs) -> List[OracleFailure]:
+def _check_hazards(case, runs, architecture) -> List[OracleFailure]:
     """Feasible programs must analyze clean under sound DMA policies.
 
     ``loads_first`` is the documented-unsound ablation and ``adaptive``
@@ -783,7 +785,9 @@ def _check_hazards(case, runs) -> List[OracleFailure]:
     Each lowered program is also replayed through the linear reference
     structures of :mod:`repro.dataflow.reference`: every access through
     both HAZ001 interval maps (equal predecessors and segment lists)
-    and both HAZ002 implementations (equal emits).
+    and both HAZ002 implementations (equal emits).  Under every policy,
+    the traced simulator must walk the happens-before graph's issue
+    order (:func:`_issue_order_mismatch`).
     """
     from repro.dataflow.analyzer import analyze_ir, build_ir
     from repro.dataflow.reference import (
@@ -826,7 +830,58 @@ def _check_hazards(case, runs) -> List[OracleFailure]:
                     f"{policy.name.lower()}; first: {first}",
                     scheduler=run.scheduler,
                 ))
+        if ir is None:
+            continue
+        for policy in DmaPolicy:
+            mismatch = _issue_order_mismatch(run.program, ir, architecture,
+                                             policy)
+            if mismatch is not None:
+                failures.append(OracleFailure(
+                    "hazards", case.name,
+                    f"simulator leaves the happens-before issue order "
+                    f"under {policy.name.lower()}: {mismatch}",
+                    scheduler=run.scheduler,
+                ))
     return failures
+
+
+def _issue_order_mismatch(program, ir, architecture, policy) -> Optional[str]:
+    """Where the traced simulator departs from
+    :class:`~repro.dataflow.hazards.HappensBefore`, or ``None``.
+
+    Its transfers, ordered by start, must map one-to-one and in order
+    onto the graph's channel positions (trace label <-> IR node), and
+    each must start at or after the compute end of its gating visit.
+    """
+    from repro.dataflow.hazards import HappensBefore
+    from repro.dataflow.ir import CONTEXT_LOAD, DATA_LOAD
+
+    report = Simulator(
+        MorphoSysM1(architecture), dma_policy=policy, verify=False,
+    ).run(program)
+    hb = HappensBefore.build(ir, policy)
+    transfers = sorted(report.transfers, key=lambda t: t.start)
+    nodes = sorted(hb.channel_pos, key=hb.channel_pos.__getitem__)
+    if len(transfers) != len(nodes):
+        return (f"{len(transfers)} simulated transfers, {len(nodes)} in "
+                f"the graph")
+    compute_end = [timing.compute_end for timing in report.visits]
+    for pos, (transfer, node_id) in enumerate(zip(transfers, nodes)):
+        node = ir.node(node_id)
+        op = node.op
+        if node.kind == CONTEXT_LOAD:
+            label = f"ctx:{op.kernel}@v{node.visit_index}"
+        else:
+            prefix = "ld" if node.kind == DATA_LOAD else "st"
+            label = f"{prefix}:{op.name}#{op.iteration}@v{node.visit_index}"
+        if transfer.label != label:
+            return (f"channel position {pos}: simulated {transfer.label}, "
+                    f"graph {label}")
+        gate = hb.rel[pos]
+        if gate >= 0 and transfer.start < compute_end[gate]:
+            return (f"{label} starts at {transfer.start}, before visit "
+                    f"{gate}'s compute end {compute_end[gate]}")
+    return None
 
 
 def _check_simengine(case, runs, architecture) -> List[OracleFailure]:

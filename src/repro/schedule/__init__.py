@@ -3,7 +3,7 @@
 The subpackage also contains the supporting analyses the paper's
 framework provides around the data scheduler: reuse-factor computation
 (loop fission depth), time-factor ranking of retention candidates, the
-context scheduler [4] (DMA ordering) and the kernel scheduler [7]
+context scheduler [4] (the DMA issue order) and the kernel scheduler [7]
 (cluster-partition exploration).
 """
 
@@ -12,7 +12,7 @@ from typing import Dict, Type
 from repro.schedule.base import DataSchedulerBase, ScheduleOptions
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
-from repro.schedule.context_scheduler import ContextScheduler, DmaPolicy
+from repro.schedule.context_scheduler import DmaPolicy
 from repro.schedule.data_scheduler import DataScheduler
 from repro.schedule.kernel_scheduler import KernelScheduler
 from repro.schedule.plan import ClusterPlan, Schedule, TransferSummary
@@ -24,7 +24,6 @@ __all__ = [
     "BasicScheduler",
     "ClusterPlan",
     "CompleteDataScheduler",
-    "ContextScheduler",
     "DataScheduler",
     "DataSchedulerBase",
     "DmaPolicy",

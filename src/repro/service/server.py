@@ -44,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import json
+import signal
 import threading
 import time
 from typing import Any, Deque, Dict, Optional, Tuple
@@ -410,13 +411,24 @@ async def run_server(
     mode: str = "process",
     ready=None,
 ) -> None:
-    """Start a service and serve until cancelled (the CLI entry)."""
+    """Start a service and serve until cancelled (the CLI entry).
+
+    SIGTERM cancels it too, so :meth:`SchedulerService.serve_forever`'s
+    ``finally`` closes the worker pool and no process-mode worker
+    outlives the server.
+    """
     service = SchedulerService(
         host=host, port=port, cache_dir=cache_dir, jobs=jobs, mode=mode
     )
     await service.start()
     if ready is not None:
         ready(service)
+    try:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
+    except NotImplementedError:
+        pass  # no signal support in this event loop (Windows)
     await service.serve_forever()
 
 

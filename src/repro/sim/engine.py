@@ -15,11 +15,15 @@ Timing model (paper section 2's structural constraints):
   idle then) and precede the loads of the next same-set visit, so the
   space freed by departing results is available to arriving data (the
   ordering assumed by the ``DS(C_c) <= FBS`` feasibility check);
-* within one overlap window the :class:`ContextScheduler` policy orders
-  contexts / stores / loads (default: contexts first, per [4]).
+* within one overlap window the :class:`DmaPolicy` orders the work
+  (default: stores of ``v - 1``, then contexts of ``v + 1``, then its
+  loads).
 
-The timing loop reads one row per visit (cluster, set, iteration
-count, compute cycles and its context/load/store transfer groups).  A
+The order itself is :func:`repro.schedule.context_scheduler.issue_order`
+— the same steps the happens-before graph of the hazard passes
+numbers; the engine only times them.  The timing loop reads one row
+per visit (cluster, set, iteration count, compute cycles and its
+context/load/store transfer groups).  A
 template-compiled program yields its rows from the per-cluster codegen
 templates, so an untraced accounting run never stamps the visit ops.
 With the per-transfer trace on, every transfer walks through the DMA
@@ -48,9 +52,12 @@ from repro.codegen.templated import ClusterTemplate, TemplateVisits
 from repro.codegen.verifier import verify_program
 from repro.errors import SimulationError
 from repro.schedule.context_scheduler import (
-    ContextScheduler,
+    CTX,
+    LOAD,
+    RUN,
+    STORE,
     DmaPolicy,
-    loads_may_precede_stores,
+    issue_order,
 )
 from repro.sim.functional import (
     KernelImpl,
@@ -61,6 +68,13 @@ from repro.sim.functional import (
 from repro.sim.report import SimulationReport, VisitTiming
 
 __all__ = ["Simulator"]
+
+#: The channel's transfer kind of each :func:`issue_order` step kind.
+_TRANSFER_KINDS = {
+    CTX: TransferKind.CONTEXT_LOAD,
+    LOAD: TransferKind.DATA_LOAD,
+    STORE: TransferKind.DATA_STORE,
+}
 
 
 class Simulator:
@@ -85,7 +99,7 @@ class Simulator:
         trace: bool = True,
     ):
         self.machine = machine
-        self.context_scheduler = ContextScheduler(dma_policy)
+        self.dma_policy = dma_policy
         self.verify = verify
         self.trace = trace
         #: After a functional run: total words brought in by data loads,
@@ -255,23 +269,16 @@ class Simulator:
         rows = self._visit_rows(visits)
         dma = self.machine.dma
         fb_values: Tuple[Dict, Dict] = ({}, {})
+        steps, _ = issue_order(
+            program.schedule, [(row[3], row[2], row[4]) for row in rows],
+            self.dma_policy,
+        )
 
         count = len(rows)
         prep_finish = [0] * count
-        compute_end = [0] * count
-        stores_issued = [False] * count
+        # One extra slot that stays 0: gate -1 ("no visit") reads it.
+        compute_end = [0] * (count + 1)
         timings: List[VisitTiming] = []
-
-        def last_same_set_end(index: int) -> int:
-            fb_set = rows[index][3]
-            for prev in range(index - 1, -1, -1):
-                if rows[prev][3] == fb_set:
-                    return compute_end[prev]
-            return 0
-
-        policy = self.context_scheduler.policy
-        loads_before_contexts = policy is DmaPolicy.LOADS_FIRST
-        adaptive = policy is DmaPolicy.ADAPTIVE
         trace = self.trace
 
         # With the trace off, back-to-back requests at one earliest
@@ -279,161 +286,69 @@ class Simulator:
         # context/load/store group is accounted in O(1) via
         # request_block from its row.  With it on, every transfer
         # walks through the channel under its own label.
-
-        def issue_prep(index: int, earliest: int) -> None:
-            finish = earliest
-            set_free = last_same_set_end(index)
-
-            def issue_contexts() -> int:
-                if not trace:
-                    words, duration, count = rows[index][6]
-                    if count == 0:
-                        return earliest
-                    _, done = dma.request_block(
-                        TransferKind.CONTEXT_LOAD, words, duration,
-                        count, earliest,
+        for kind, index, gate in steps:
+            if kind == RUN:
+                (visit_index, round_index, cluster_index, fb_set, _,
+                 compute_cycles, _, _, _) = rows[index]
+                start = max(prep_finish[index], compute_end[index - 1])
+                end = start + compute_cycles
+                compute_end[index] = end
+                if functional:
+                    # Functional data movement follows strict program
+                    # order (the verifier's order); DMA timing is
+                    # tracked independently.
+                    ops = visits[index]
+                    for load in ops.data_loads:
+                        self._do_load(load, fb_values)
+                    self._do_compute(program, index, fb_values, impls)
+                    for store in ops.stores:
+                        self._do_store(store, fb_values)
+                    self._drain_set(program, index, fb_values)
+                timings.append(
+                    VisitTiming(
+                        index=visit_index,
+                        round_index=round_index,
+                        cluster_index=cluster_index,
+                        fb_set=fb_set,
+                        prep_finish=prep_finish[index],
+                        compute_start=start,
+                        compute_end=end,
                     )
-                    return done
-                done_at = earliest
+                )
+                continue
+            earliest = compute_end[gate]
+            # A visit's preparation finishes no earlier than its
+            # contexts' gate, and after every non-empty group lands.
+            done = earliest if kind == CTX else 0
+            if not trace:
+                # The row holds the ctx, ld and st groups at 6, 7, 8,
+                # in CTX, LOAD, STORE order.
+                words, duration, group = rows[index][6 + kind]
+                if group:
+                    _, done = dma.request_block(
+                        _TRANSFER_KINDS[kind], words, duration, group,
+                        earliest,
+                    )
+            elif kind == CTX:
                 for load in visits[index].context_loads:
                     _, done = dma.request(
-                        TransferKind.CONTEXT_LOAD,
-                        load.words,
-                        earliest,
+                        TransferKind.CONTEXT_LOAD, load.words, earliest,
                         label=f"ctx:{load.kernel}@v{index}",
                     )
-                    done_at = max(done_at, done)
-                return done_at
-
-            def issue_loads() -> int:
-                start_at = max(earliest, set_free)
-                if not trace:
-                    words, duration, count = rows[index][7]
-                    if count == 0:
-                        return earliest
-                    _, done = dma.request_block(
-                        TransferKind.DATA_LOAD, words, duration,
-                        count, start_at,
-                    )
-                    return done
-                done_at = earliest
+            elif kind == LOAD:
                 for load in visits[index].data_loads:
                     _, done = dma.request(
-                        TransferKind.DATA_LOAD,
-                        load.words,
-                        start_at,
+                        TransferKind.DATA_LOAD, load.words, earliest,
                         label=f"ld:{load.name}#{load.iteration}@v{index}",
                     )
-                    done_at = max(done_at, done)
-                return done_at
-
-            if loads_before_contexts:
-                finish = max(finish, issue_loads(), issue_contexts())
             else:
-                finish = max(finish, issue_contexts(), issue_loads())
-            prep_finish[index] = finish
-
-        def issue_stores(index: int) -> None:
-            if stores_issued[index]:
-                return
-            stores_issued[index] = True
-            earliest = compute_end[index]
-            if not trace:
-                words, duration, count = rows[index][8]
-                if count:
-                    dma.request_block(
-                        TransferKind.DATA_STORE, words, duration,
-                        count, earliest,
+                for store in visits[index].stores:
+                    dma.request(
+                        TransferKind.DATA_STORE, store.words, earliest,
+                        label=f"st:{store.name}#{store.iteration}@v{index}",
                     )
-                return
-            for store in visits[index].stores:
-                dma.request(
-                    TransferKind.DATA_STORE,
-                    store.words,
-                    earliest,
-                    label=f"st:{store.name}#{store.iteration}@v{index}",
-                )
-
-        pipelined = program.schedule.overlap_transfers
-        if pipelined:
-            issue_prep(0, 0)
-        for index in range(count):
-            (visit_index, round_index, cluster_index, fb_set, _,
-             compute_cycles, _, _, _) = rows[index]
-            previous_end = compute_end[index - 1] if index else 0
-            if not pipelined:
-                # Serial mode (Basic Scheduler): the previous visit's
-                # stores and this visit's preparation all happen after
-                # the previous computation, before this one.
-                if index > 0:
-                    issue_stores(index - 1)
-                issue_prep(index, previous_end)
-            start = max(prep_finish[index], previous_end)
-            end = start + compute_cycles
-            compute_end[index] = end
-            if functional:
-                # Functional data movement follows strict program order
-                # (the verifier's order); DMA timing is tracked
-                # independently below.
-                ops = visits[index]
-                for load in ops.data_loads:
-                    self._do_load(load, fb_values)
-                self._do_compute(program, index, fb_values, impls)
-                for store in ops.stores:
-                    self._do_store(store, fb_values)
-                self._drain_set(program, index, fb_values)
-            timings.append(
-                VisitTiming(
-                    index=visit_index,
-                    round_index=round_index,
-                    cluster_index=cluster_index,
-                    fb_set=fb_set,
-                    prep_finish=prep_finish[index],
-                    compute_start=start,
-                    compute_end=end,
-                )
-            )
-            # Overlap window during this visit's compute: by policy,
-            # contexts for v+1 go first, then the previous visit's
-            # stores, then v+1's data loads (issue_prep handles the
-            # context/load order internally; stores are interleaved
-            # here according to set conflicts).
-            if not pipelined:
-                continue
-            if index + 1 < count:
-                same_set_next = rows[index + 1][3] == fb_set
-                loads_first = loads_before_contexts
-                if adaptive and index > 0:
-                    # Sound reordering: loads may overtake the previous
-                    # visit's stores when the set has room for both the
-                    # departing results and the arriving working set.
-                    departing = rows[index - 1]
-                    loads_first = loads_may_precede_stores(
-                        program.schedule,
-                        departing[2],
-                        rows[index + 1][2],
-                        departing[4],
-                    )
-                if same_set_next:
-                    # The next visit reuses this set: its loads must
-                    # follow this visit's compute and stores, whatever
-                    # the policy says.
-                    if index > 0:
-                        issue_stores(index - 1)
-                    issue_stores(index)
-                    issue_prep(index + 1, end)
-                elif not loads_first:
-                    if index > 0:
-                        issue_stores(index - 1)
-                    issue_prep(index + 1, previous_end)
-                else:
-                    issue_prep(index + 1, previous_end)
-                    if index > 0:
-                        issue_stores(index - 1)
-            else:
-                if index > 0:
-                    issue_stores(index - 1)
-        issue_stores(count - 1)
+            if kind != STORE and done > prep_finish[index]:
+                prep_finish[index] = done
         return timings
 
     def _stall_cycles(self, timings: List[VisitTiming]) -> int:

@@ -1,5 +1,4 @@
-"""Tests for the kernel scheduler [7], context scheduler [4] and the
-analytic estimator."""
+"""Tests for the kernel scheduler [7] and the analytic estimator."""
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.core.cluster import Clustering
 from repro.errors import InfeasibleScheduleError
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
-from repro.schedule.context_scheduler import ContextScheduler, DmaPolicy, DmaWorkItem
 from repro.schedule.data_scheduler import DataScheduler
 from repro.schedule.estimate import estimate_execution_cycles, visit_windows
 from repro.schedule.kernel_scheduler import (
@@ -86,49 +84,6 @@ class TestKernelScheduler:
         with pytest.raises(ValueError):
             KernelScheduler(m1_medium, DataScheduler(m1_medium),
                             beam_width=0)
-
-
-class TestContextScheduler:
-    def _items(self):
-        return [
-            DmaWorkItem("store", "st1", 10),
-            DmaWorkItem("load", "ld1", 10),
-            DmaWorkItem("context", "ctx1", 10),
-            DmaWorkItem("load", "ld2", 10),
-        ]
-
-    def test_contexts_first_order(self):
-        ordered = ContextScheduler(DmaPolicy.CONTEXTS_FIRST).order_window(
-            self._items()
-        )
-        assert [item.category for item in ordered] == \
-            ["context", "store", "load", "load"]
-
-    def test_loads_first_order(self):
-        ordered = ContextScheduler(DmaPolicy.LOADS_FIRST).order_window(
-            self._items()
-        )
-        assert [item.category for item in ordered] == \
-            ["load", "load", "context", "store"]
-
-    def test_stores_first_order(self):
-        ordered = ContextScheduler(DmaPolicy.STORES_FIRST).order_window(
-            self._items()
-        )
-        assert ordered[0].category == "store"
-
-    def test_stable_within_category(self):
-        ordered = ContextScheduler(DmaPolicy.CONTEXTS_FIRST).order_window(
-            self._items()
-        )
-        loads = [item.label for item in ordered if item.category == "load"]
-        assert loads == ["ld1", "ld2"]
-
-    def test_bad_item_rejected(self):
-        with pytest.raises(ValueError):
-            DmaWorkItem("teleport", "x", 10)
-        with pytest.raises(ValueError):
-            DmaWorkItem("load", "x", 0)
 
 
 class TestEstimator:
