@@ -54,12 +54,13 @@ lint:
 	$(PYTHON) -m repro.cli lint all --scheduler cds
 
 # Timing-aware hazard analysis: every experiment x scheduler under the
-# sound DMA orderings, plus the pinned fuzz reproducers, must be free
-# of HAZ findings.  The JSON reports are CI artifacts.
+# sound (default, contexts_first) DMA ordering, plus the pinned fuzz
+# reproducers, must be free of HAZ findings.  The JSON reports are CI
+# artifacts.
 analyze:
-	$(PYTHON) -m repro.cli analyze all --scheduler all --policy sound \
+	$(PYTHON) -m repro.cli analyze all --scheduler all \
 		--output analyze-report.json
-	$(PYTHON) -m repro.cli analyze corpus --policy sound \
+	$(PYTHON) -m repro.cli analyze corpus \
 		--output analyze-corpus-report.json
 
 # Differential fuzzing: adversarial workload regimes cross-checked by

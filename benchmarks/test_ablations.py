@@ -60,33 +60,30 @@ def test_rf_policy_ablation(benchmark, experiment_id):
 
 @pytest.mark.parametrize("experiment_id", _ABLATION_ROWS)
 def test_dma_policy_ablation(benchmark, experiment_id):
-    """Contexts-first ([4]) beats the other *space-sound* ordering
-    (stores-first) on every workload.
+    """Contexts-first ([4]), the one placement-sound ordering, against
+    the two orderings that let a visit's loads go before the previous
+    same-set visit's stores.
 
-    The loads-first variant can report better cycle counts, but it
-    issues a visit's loads before the previous same-set visit's stores
-    — coexisting arrivals and departures that the ``DS(C_c) <= FBS``
-    feasibility check does not budget for.  It is measured here as an
+    The loads-first variant can report better cycle counts, but its
+    coexisting arrivals and departures are not budgeted by the
+    ``DS(C_c) <= FBS`` feasibility check.  It is measured here as an
     upper bound on what relaxing the space ordering could buy, not as a
-    legal policy."""
+    legal policy.  Adaptive reorders only where the budget allows."""
     spec = _SPECS[experiment_id]
     results = benchmark(dma_policy_ablation, spec)
     by_variant = {result.variant: result for result in results}
     default = by_variant["dma=contexts_first"]
-    naive = by_variant["dma=stores_first"]
     unsound = by_variant["dma=loads_first"]
     adaptive = by_variant["dma=adaptive"]
-    assert default.feasible and naive.feasible and adaptive.feasible
-    assert default.total_cycles <= naive.total_cycles * 1.02
-    # The space-relaxed bound is never *worse* than the sound orderings.
+    assert default.feasible and adaptive.feasible
+    # The space-relaxed bound is never *worse* than the sound ordering.
     assert unsound.total_cycles <= default.total_cycles * 1.02
-    # Adaptive is sound AND at least as fast as the default; where the
-    # occupancy budget allows, it matches the relaxed bound.
+    # Adaptive is at least as fast as the default; where the occupancy
+    # budget allows, it matches the relaxed bound.
     assert adaptive.total_cycles <= default.total_cycles
     assert adaptive.total_cycles >= unsound.total_cycles
     print(
         f"\n{spec.id}: contexts_first={default.total_cycles} "
-        f"stores_first={naive.total_cycles} "
         f"adaptive={adaptive.total_cycles} "
         f"loads_first(space-relaxed bound)={unsound.total_cycles}"
     )

@@ -33,8 +33,10 @@ policy promotes.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.frame_buffer import Extent, FrameBufferSet
 from repro.alloc.free_list import FreeBlockList
@@ -147,6 +149,59 @@ class AllocationMap:
                 return record
         raise KeyError(f"no allocation record for {name}#{instance}")
 
+    def overlaps(self) -> Iterator[Tuple[
+        AllocationRecord, AllocationRecord, Extent, Extent
+    ]]:
+        """Every pair of lifetime-overlapping records that share words,
+        as ``(first, second, extent_a, extent_b)``.
+
+        Pairs come in :attr:`records` order — ``first`` at index ``i``,
+        ``second`` at ``j > i``, ascending ``(i, j)``, then extents in
+        record order — so the first pair reported is the first an
+        all-pairs scan would find.  Records are swept by ``alloc_step``;
+        each is compared only with the live extents that start within
+        one widest extent below its own.
+        """
+        records = self.records
+        widest = max(
+            (extent.size for record in records for extent in record.extents),
+            default=0,
+        )
+        live: List[Tuple[int, int, int]] = []  # (start, end, record), by start
+        ending: List[Tuple[int, int]] = []  # heap of (free_step, record)
+        clashes: Set[Tuple[int, int]] = set()
+        for index in sorted(
+            range(len(records)), key=lambda k: records[k].alloc_step
+        ):
+            record = records[index]
+            # Steps only grow along the sweep: a record freed by now
+            # overlaps nothing that comes later.
+            while ending and ending[0][0] <= record.alloc_step:
+                _, gone = heapq.heappop(ending)
+                for extent in records[gone].extents:
+                    del live[bisect_left(live, (extent.start, extent.end, gone))]
+            spans = [
+                (extent.start, extent.end, index) for extent in record.extents
+            ]
+            for start, end, _ in spans:
+                low = bisect_left(live, (start - widest + 1,))
+                high = bisect_left(live, (end,), low)
+                for _, other_end, other in live[low:high]:
+                    if (
+                        other_end > start
+                        and records[other].alloc_step < record.free_step
+                    ):
+                        clashes.add((min(other, index), max(other, index)))
+            for span in spans:
+                insort(live, span)
+            heapq.heappush(ending, (record.free_step, index))
+        for i, j in sorted(clashes):
+            first, second = records[i], records[j]
+            for extent_a in first.extents:
+                for extent_b in second.extents:
+                    if extent_a.overlaps(extent_b):
+                        yield first, second, extent_a, extent_b
+
     def verify(self) -> None:
         """Re-check that lifetime-overlapping records never share words.
 
@@ -154,32 +209,21 @@ class AllocationMap:
         :class:`~repro.arch.frame_buffer.FrameBufferSet`; this is an
         independent offline check used by the test suite.
         """
-        for i, first in enumerate(self.records):
-            for second in self.records[i + 1:]:
-                overlap_in_time = (
-                    first.alloc_step < second.free_step
-                    and second.alloc_step < first.free_step
-                )
-                if not overlap_in_time:
-                    continue
-                for extent_a in first.extents:
-                    for extent_b in second.extents:
-                        if extent_a.overlaps(extent_b):
-                            raise AllocationError(
-                                f"{first.name}#{first.instance} and "
-                                f"{second.name}#{second.instance} overlap in "
-                                f"space ({extent_a} vs {extent_b}) and time"
-                            )
+        for first, second, extent_a, extent_b in self.overlaps():
+            raise AllocationError(
+                f"{first.name}#{first.instance} and "
+                f"{second.name}#{second.instance} overlap in "
+                f"space ({extent_a} vs {extent_b}) and time"
+            )
 
 
 class FrameBufferAllocator:
     """Runs the Figure-4 algorithm for one FB set of a schedule.
 
     Args:
-        schedule: a schedule from any of the data schedulers.
-        allow_split: permit multi-extent placement when no single free
-            block fits (paper section 5); when False, such a situation
-            raises :class:`FragmentationError`.
+        schedule: a schedule from any of the data schedulers.  When no
+            single free block fits an instance, it is placed across
+            several extents (paper section 5).
         fit_policy: ``"first"`` (the paper's choice — "as data and
             result sizes are similar, the chosen allocation method is
             first-fit") or ``"best"`` (smallest sufficient block;
@@ -216,15 +260,13 @@ class FrameBufferAllocator:
     #: every allocator constructed anywhere under test self-checks.
     default_debug_invariants: bool = False
 
-    def __init__(self, schedule: Schedule, *, allow_split: bool = True,
-                 fit_policy: str = "first",
+    def __init__(self, schedule: Schedule, *, fit_policy: str = "first",
                  debug_invariants: Optional[bool] = None,
                  decisions=None, free_list_factory=None,
                  snapshots: bool = False):
         if fit_policy not in ("first", "best"):
             raise AllocationError(f"unknown fit_policy {fit_policy!r}")
         self.schedule = schedule
-        self.allow_split = allow_split
         self.fit_policy = fit_policy
         self.decisions = decisions
         self.free_list_factory = free_list_factory
@@ -237,7 +279,7 @@ class FrameBufferAllocator:
 
     def allocate_set(self, fb_set: int) -> AllocationMap:
         """Produce the :class:`AllocationMap` of one FB set's round."""
-        run = _SetAllocation(self.schedule, fb_set, self.allow_split,
+        run = _SetAllocation(self.schedule, fb_set,
                              best_fit=(self.fit_policy == "best"),
                              debug_invariants=self.debug_invariants,
                              decisions=self.decisions,
@@ -253,14 +295,13 @@ class FrameBufferAllocator:
 class _SetAllocation:
     """One execution of the Figure-4 algorithm (internal)."""
 
-    def __init__(self, schedule: Schedule, fb_set: int, allow_split: bool,
+    def __init__(self, schedule: Schedule, fb_set: int,
                  *, best_fit: bool = False, debug_invariants: bool = False,
                  decisions=None, free_list_factory=None,
                  snapshots: bool = False):
         self.schedule = schedule
         self.dataflow: DataflowInfo = schedule.dataflow
         self.fb_set = fb_set
-        self.allow_split = allow_split
         self.best_fit = best_fit
         self.debug_invariants = debug_invariants
         self.decisions = decisions
@@ -494,8 +535,6 @@ class _SetAllocation:
                         ),
                     )
             except FragmentationError:
-                if not self.allow_split:
-                    raise
                 extents = self.free_list.allocate_split(
                     size, from_high=(direction == "high")
                 )

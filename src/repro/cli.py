@@ -375,11 +375,8 @@ def _cmd_analyze(args) -> int:
         list(SCHEDULERS) if args.scheduler == "all"
         else [args.scheduler]
     )
-    if args.policy == "sound":
-        policy_names = ["contexts_first", "stores_first"]
-    elif args.policy == "all":
-        policy_names = ["contexts_first", "stores_first", "loads_first",
-                        "adaptive"]
+    if args.policy == "all":
+        policy_names = ["contexts_first", "loads_first", "adaptive"]
     else:
         policy_names = [args.policy]
     policies = [parse_policy(name) for name in policy_names]
@@ -665,14 +662,13 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=(*SCHEDULERS, "all"),
                          default="cds", help="scheduler(s) to analyze")
     analyze.add_argument("--policy",
-                         choices=("contexts_first", "stores_first",
-                                  "loads_first", "adaptive", "sound",
-                                  "all"),
+                         choices=("contexts_first", "loads_first",
+                                  "adaptive", "all"),
                          default="contexts_first",
                          help="DMA serialization policy for the "
-                              "happens-before graph (`sound` = both "
-                              "always-sound policies, `all` = every "
-                              "policy incl. the loads_first ablation)")
+                              "happens-before graph (contexts_first is "
+                              "the sound one; `all` = every policy "
+                              "incl. the loads_first ablation)")
     analyze.add_argument("--json", action="store_true",
                          help="machine-readable report on stdout")
     analyze.add_argument("--output", metavar="PATH", default=None,

@@ -6,9 +6,8 @@ template-compiled program the same replay collapses: visits of one
 cluster differ only in their iteration window, and rounds repeat a
 fixed cluster sequence, so the whole-program verdict is decided by
 
-* an integer replay of CM-block residency and capacity over the visit
-  sequence (parity and ``reuse_resident_contexts`` are the only
-  per-visit state), plus
+* a CM-capacity check per cluster template (every visit refills its
+  block with its own cluster's contexts), plus
 * an FB-set replay of **three sampled rounds** — the first (iteration
   0 is special: invariant operands read instance 0, which only round
   0's windows produce), one steady-state round, and the last (its
@@ -34,7 +33,7 @@ campaigns and the golden equivalence suite hold the two together.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import numpy as np
 
@@ -52,7 +51,6 @@ def fast_violation_free(program: Program) -> bool:
     if not isinstance(visits, TemplateVisits):
         return False
     templates = visits.templates
-    flags = visits.context_flags
     schedule = program.schedule
     application = schedule.application
     total = application.total_iterations
@@ -61,7 +59,7 @@ def fast_violation_free(program: Program) -> bool:
     if count == 0 or n_clusters == 0:
         return False
 
-    if not _context_state_clean(schedule, templates, flags, count):
+    if not _context_state_clean(schedule, templates):
         return False
     if not _final_store_totals_clean(application, templates):
         return False
@@ -99,39 +97,15 @@ def fast_violation_free(program: Program) -> bool:
 
 
 def _context_state_clean(
-    schedule,
-    templates: Tuple[ClusterTemplate, ...],
-    flags: Optional[Tuple[bool, ...]],
-    count: int,
+    schedule, templates: Tuple[ClusterTemplate, ...]
 ) -> bool:
-    """CM capacity and residency over the full visit sequence: every
-    refill must fit the block, and a visit that skips its context loads
-    must find its own cluster still resident."""
-    n_clusters = len(templates)
+    """CM capacity: every visit refills its block with its cluster's
+    contexts, so each template's refill must fit the block (with no
+    recorded capacity the reference bound is the largest refill)."""
     capacity = schedule.context_block_words
-    if not capacity:
-        # Mirror the reference's derived bound: the largest context
-        # volume any visit actually loads.
-        if flags is None:
-            loaded = [template.context_total for template in templates]
-        else:
-            loaded = [
-                templates[index % n_clusters].context_total
-                for index in range(count)
-                if flags[index]
-            ]
-        capacity = max(loaded, default=0) or 1
-    block_holds: List[Optional[int]] = [None, None]
-    for index in range(count):
-        template = templates[index % n_clusters]
-        block = index % 2
-        if flags is None or flags[index]:
-            if template.context_total > capacity:
-                return False
-            block_holds[block] = template.cluster_index
-        elif block_holds[block] != template.cluster_index:
-            return False
-    return True
+    return not capacity or all(
+        template.context_total <= capacity for template in templates
+    )
 
 
 def _final_store_totals_clean(

@@ -29,31 +29,18 @@ from repro.schedule.plan import Schedule
 __all__ = ["generate_program", "cluster_codegen_facts"]
 
 
-def generate_program(
-    schedule: Schedule,
-    *,
-    reuse_resident_contexts: bool = False,
-) -> Program:
+def generate_program(schedule: Schedule) -> Program:
     """Lower *schedule* into an executable :class:`Program`.
 
     Each cluster is compiled once into a template and its visits are
     stamped lazily (:mod:`repro.codegen.templated`); the program is
     byte-identical to the eager reference generator's
     (:mod:`repro.codegen.reference`, enforced by the equivalence suite
-    and the ``progequiv`` fuzz oracle).
-
-    Args:
-        schedule: the schedule to lower.
-        reuse_resident_contexts: skip a visit's context loads when its
-            CM block still holds exactly that cluster's contexts from
-            two visits ago (possible for applications with one or two
-            clusters, where the blocks never get displaced).  Off by
-            default — the paper's accounting assumes contexts are
-            loaded once per visit (``n/RF`` times per kernel).
+    and the ``progequiv`` fuzz oracle).  Every visit loads its
+    cluster's contexts into CM block ``index % 2`` — the paper's
+    accounting, ``n/RF`` context loads per kernel.
     """
-    return generate_templated_program(
-        schedule, reuse_resident_contexts=reuse_resident_contexts
-    )
+    return generate_templated_program(schedule)
 
 
 def cluster_codegen_facts(

@@ -14,7 +14,7 @@ byte-identical and compiles each cluster only once.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.codegen.generator import cluster_codegen_facts
 from repro.codegen.ops import LoadContext, LoadData, RunKernel, StoreData, Visit, VisitOps
@@ -25,19 +25,9 @@ from repro.schedule.plan import Schedule
 __all__ = ["reference_generate_program"]
 
 
-def reference_generate_program(
-    schedule: Schedule,
-    *,
-    reuse_resident_contexts: bool = False,
-) -> Program:
+def reference_generate_program(schedule: Schedule) -> Program:
     """Lower *schedule* eagerly into a :class:`Program` whose ``visits``
-    is a plain tuple of :class:`VisitOps`.
-
-    Args:
-        schedule: the schedule to lower.
-        reuse_resident_contexts: as for
-            :func:`~repro.codegen.generator.generate_program`.
-    """
+    is a plain tuple of :class:`VisitOps`."""
     visits: List[VisitOps] = []
     clustering = schedule.clustering
     application = schedule.application
@@ -54,7 +44,6 @@ def reference_generate_program(
 
     visit_index = 0
     next_iteration = 0
-    block_holds: List[Optional[int]] = [None, None]  # cluster per CM block
     for round_index in range(schedule.rounds):
         round_iterations = schedule.iterations_in_round(round_index)
         iterations = tuple(
@@ -71,15 +60,6 @@ def reference_generate_program(
                 iterations=iterations,
             )
             visit_index += 1
-
-            if (
-                reuse_resident_contexts
-                and block_holds[visit.cm_block] == cluster.index
-            ):
-                context_loads = ()
-            else:
-                context_loads = facts[cluster.index][1][visit.cm_block]
-                block_holds[visit.cm_block] = cluster.index
 
             # Leaf ops are built with ``tuple.__new__`` to skip the
             # validating constructors: sizes, cycles and iteration
@@ -123,7 +103,7 @@ def reference_generate_program(
             visits.append(
                 VisitOps(
                     visit=visit,
-                    context_loads=context_loads,
+                    context_loads=facts[cluster.index][1][visit.cm_block],
                     data_loads=data_loads,
                     compute=compute,
                     stores=stores,

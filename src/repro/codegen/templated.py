@@ -112,26 +112,6 @@ def build_templates(schedule: Schedule) -> Tuple[ClusterTemplate, ...]:
     return tuple(templates)
 
 
-def _context_flags(
-    schedule: Schedule, n_clusters: int, reuse: bool
-) -> Optional[Tuple[bool, ...]]:
-    """Per-visit "this visit loads contexts" flags, or ``None`` when
-    every visit does (the default accounting)."""
-    if not reuse:
-        return None
-    flags: List[bool] = []
-    block_holds: List[Optional[int]] = [None, None]
-    for index in range(schedule.rounds * n_clusters):
-        cluster_index = index % n_clusters
-        block = index % 2
-        if block_holds[block] == cluster_index:
-            flags.append(False)
-        else:
-            flags.append(True)
-            block_holds[block] = cluster_index
-    return tuple(flags)
-
-
 class TemplateVisits(Sequence):
     """Lazy visit sequence of a template-compiled program.
 
@@ -142,17 +122,15 @@ class TemplateVisits(Sequence):
     mutated visits back together as tuples).
     """
 
-    __slots__ = ("schedule", "templates", "context_flags", "_count", "_ops")
+    __slots__ = ("schedule", "templates", "_count", "_ops")
 
     def __init__(
         self,
         schedule: Schedule,
         templates: Tuple[ClusterTemplate, ...],
-        context_flags: Optional[Tuple[bool, ...]],
     ) -> None:
         self.schedule = schedule
         self.templates = templates
-        self.context_flags = context_flags
         self._count = schedule.rounds * len(templates)
         self._ops: Optional[Tuple[VisitOps, ...]] = None
 
@@ -176,7 +154,6 @@ class TemplateVisits(Sequence):
         # ops skip their validating __new__ the same way.
         schedule = self.schedule
         templates = self.templates
-        flags = self.context_flags
         new = tuple.__new__
         obj_new = object.__new__
         visits: List[VisitOps] = []
@@ -191,10 +168,7 @@ class TemplateVisits(Sequence):
             next_iteration += round_iterations
             for template in templates:
                 fb_set = template.fb_set
-                if flags is not None and not flags[visit_index]:
-                    context_loads: Tuple[LoadContext, ...] = ()
-                else:
-                    context_loads = template.context_loads[visit_index % 2]
+                context_loads = template.context_loads[visit_index % 2]
                 visit = obj_new(Visit)
                 # Frozen dataclasses veto __setattr__, but mutating
                 # the instance dict directly is allowed — and skips
@@ -268,14 +242,10 @@ class TemplateVisits(Sequence):
         return (tuple, (self.materialize(),))
 
 
-def generate_templated_program(
-    schedule: Schedule, *, reuse_resident_contexts: bool = False
-) -> Program:
+def generate_templated_program(schedule: Schedule) -> Program:
     """Template-compiled equivalent of the eager
     :func:`repro.codegen.reference.reference_generate_program`."""
-    templates = build_templates(schedule)
-    flags = _context_flags(schedule, len(templates), reuse_resident_contexts)
     return Program(
         schedule=schedule,
-        visits=TemplateVisits(schedule, templates, flags),
+        visits=TemplateVisits(schedule, build_templates(schedule)),
     )

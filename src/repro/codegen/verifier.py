@@ -142,7 +142,7 @@ def iter_program_violations(program: Program) -> Iterator[ProgramViolation]:
 
         # Context loads: the visit's block is evicted and refilled.
         # A visit without context loads relies on block residency from
-        # an earlier visit (generator's reuse_resident_contexts).
+        # an earlier visit.
         block = visit.cm_block
         if ops.context_loads:
             cm_block_words[block] = 0

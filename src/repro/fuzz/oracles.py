@@ -38,9 +38,9 @@ which compares two independent computations of the same fact:
     The template-compiled codegen backend
     (:mod:`repro.codegen.templated`) produces byte-identical
     :class:`~repro.codegen.program.Program` objects to the reference
-    generator — under both context-reuse modes — and the vectorized
-    fast verifier (:mod:`repro.codegen.fastverify`) returns the
-    identical ordered violation list the reference replay does.
+    generator, and the vectorized fast verifier
+    (:mod:`repro.codegen.fastverify`) returns the identical ordered
+    violation list the reference replay does.
 ``freelist``
     Every free-list operation of the Figure-4 allocator produces
     identical results and identical free-block state on the production
@@ -50,8 +50,8 @@ which compares two independent computations of the same fact:
     The lowered program passes static verification.
 ``hazards``
     The lowered program analyzes clean on the timing-aware hazard
-    passes (:mod:`repro.dataflow`) under both always-sound DMA
-    serialization policies — no DMA/compute races, no live-range
+    passes (:mod:`repro.dataflow`) under the sound ``contexts_first``
+    DMA serialization policy — no DMA/compute races, no live-range
     interference, no capacity-over-time violations — and, under every
     policy, the traced simulator's transfers follow the happens-before
     graph's channel order and gates.
@@ -671,9 +671,9 @@ def _check_exactgap(case, runs, architecture, application, clustering,
 
 def _check_progequiv(case, runs) -> List[OracleFailure]:
     """Templated codegen and fast verification must be byte-identical
-    to the reference backend on every feasible schedule, under both
-    context-reuse modes: same :class:`Program` (visits included), the
-    same ordered violation list, and the same generation errors."""
+    to the reference backend on every feasible schedule: same
+    :class:`Program` (visits included), the same ordered violation
+    list, and the same generation errors."""
     from repro.codegen.reference import reference_generate_program
     from repro.codegen.verifier import (
         collect_program_violations,
@@ -685,49 +685,43 @@ def _check_progequiv(case, runs) -> List[OracleFailure]:
     for run in runs.values():
         if run.schedule is None:
             continue
-        for reuse in (False, True):
-            label = "reuse_resident_contexts" if reuse else "default"
-            reference = templated = None
-            ref_error = tpl_error = None
-            try:
-                reference = reference_generate_program(
-                    run.schedule, reuse_resident_contexts=reuse,
-                )
-            except CodegenError as exc:
-                ref_error = str(exc)
-            try:
-                templated = generate_program(
-                    run.schedule, reuse_resident_contexts=reuse,
-                )
-            except CodegenError as exc:
-                tpl_error = str(exc)
-            if ref_error != tpl_error:
-                failures.append(OracleFailure(
-                    "progequiv", case.name,
-                    f"[{label}] codegen errors diverge: "
-                    f"reference={ref_error!r} templated={tpl_error!r}",
-                    scheduler=run.scheduler,
-                ))
-                continue
-            if reference is None:
-                continue
-            if templated != reference or reference != templated:
-                failures.append(OracleFailure(
-                    "progequiv", case.name,
-                    f"[{label}] templated program differs from reference",
-                    scheduler=run.scheduler,
-                ))
-                continue
-            ref_violations = list(iter_program_violations(reference))
-            fast_violations = collect_program_violations(templated)
-            if fast_violations != ref_violations:
-                failures.append(OracleFailure(
-                    "progequiv", case.name,
-                    f"[{label}] fast verifier returned "
-                    f"{len(fast_violations)} violation(s), reference replay "
-                    f"{len(ref_violations)}",
-                    scheduler=run.scheduler,
-                ))
+        reference = templated = None
+        ref_error = tpl_error = None
+        try:
+            reference = reference_generate_program(run.schedule)
+        except CodegenError as exc:
+            ref_error = str(exc)
+        try:
+            templated = generate_program(run.schedule)
+        except CodegenError as exc:
+            tpl_error = str(exc)
+        if ref_error != tpl_error:
+            failures.append(OracleFailure(
+                "progequiv", case.name,
+                f"codegen errors diverge: "
+                f"reference={ref_error!r} templated={tpl_error!r}",
+                scheduler=run.scheduler,
+            ))
+            continue
+        if reference is None:
+            continue
+        if templated != reference or reference != templated:
+            failures.append(OracleFailure(
+                "progequiv", case.name,
+                "templated program differs from reference",
+                scheduler=run.scheduler,
+            ))
+            continue
+        ref_violations = list(iter_program_violations(reference))
+        fast_violations = collect_program_violations(templated)
+        if fast_violations != ref_violations:
+            failures.append(OracleFailure(
+                "progequiv", case.name,
+                f"fast verifier returned "
+                f"{len(fast_violations)} violation(s), reference replay "
+                f"{len(ref_violations)}",
+                scheduler=run.scheduler,
+            ))
     return failures
 
 
@@ -775,12 +769,13 @@ def _check_verifier(case, runs) -> List[OracleFailure]:
 
 
 def _check_hazards(case, runs, architecture) -> List[OracleFailure]:
-    """Feasible programs must analyze clean under sound DMA policies.
+    """Feasible programs must analyze clean under the sound DMA policy.
 
-    ``loads_first`` is the documented-unsound ablation and ``adaptive``
-    is capacity-sound but not placement-sound, so only the two
-    always-sound policies are asserted clean here; the others remain
-    reachable through ``repro analyze --policy``.
+    ``contexts_first`` is the one placement-sound policy: ``loads_first``
+    is the documented-unsound ablation and ``adaptive`` respects the
+    space budget but not placement, so only ``contexts_first`` is
+    asserted clean here; the others remain reachable through
+    ``repro analyze --policy``.
 
     Each lowered program is also replayed through the linear reference
     structures of :mod:`repro.dataflow.reference`: every access through
@@ -800,36 +795,32 @@ def _check_hazards(case, runs, architecture) -> List[OracleFailure]:
     for run in runs.values():
         if run.program is None:
             continue
-        ir = None
-        for policy in (DmaPolicy.CONTEXTS_FIRST, DmaPolicy.STORES_FIRST):
-            try:
-                if ir is None:
-                    ir = build_ir(run.program)
-                    for mismatch in (interval_map_mismatch(ir),
-                                     interference_mismatch(ir)):
-                        if mismatch is not None:
-                            failures.append(OracleFailure(
-                                "hazards", case.name,
-                                f"pass diverges from its reference: "
-                                f"{mismatch}",
-                                scheduler=run.scheduler,
-                            ))
-                collector = analyze_ir(ir, policy=policy)
-            except ReproError as exc:
-                failures.append(OracleFailure(
-                    "hazards", case.name,
-                    f"analysis crashed under {policy.name.lower()}: {exc}",
-                    scheduler=run.scheduler,
-                ))
-                continue
-            if collector.has_errors:
-                first = collector.errors[0]
-                failures.append(OracleFailure(
-                    "hazards", case.name,
-                    f"{len(collector.errors)} error finding(s) under "
-                    f"{policy.name.lower()}; first: {first}",
-                    scheduler=run.scheduler,
-                ))
+        ir = collector = None
+        try:
+            ir = build_ir(run.program)
+            for mismatch in (interval_map_mismatch(ir),
+                             interference_mismatch(ir)):
+                if mismatch is not None:
+                    failures.append(OracleFailure(
+                        "hazards", case.name,
+                        f"pass diverges from its reference: {mismatch}",
+                        scheduler=run.scheduler,
+                    ))
+            collector = analyze_ir(ir)
+        except ReproError as exc:
+            failures.append(OracleFailure(
+                "hazards", case.name,
+                f"analysis crashed under contexts_first: {exc}",
+                scheduler=run.scheduler,
+            ))
+        if collector is not None and collector.has_errors:
+            first = collector.errors[0]
+            failures.append(OracleFailure(
+                "hazards", case.name,
+                f"{len(collector.errors)} error finding(s) under "
+                f"contexts_first; first: {first}",
+                scheduler=run.scheduler,
+            ))
         if ir is None:
             continue
         for policy in DmaPolicy:

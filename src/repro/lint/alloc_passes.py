@@ -132,30 +132,19 @@ def check_lifetimes(context: LintContext, emit: Emitter) -> None:
 def check_overlap(context: LintContext, emit: Emitter) -> None:
     """Offline re-check of the allocator's online exclusion property."""
     for allocation in context.allocations:
-        records = allocation.records
-        for i, first in enumerate(records):
-            for second in records[i + 1:]:
-                overlap_in_time = (
-                    first.alloc_step < second.free_step
-                    and second.alloc_step < first.free_step
-                )
-                if not overlap_in_time:
-                    continue
-                for extent_a in first.extents:
-                    for extent_b in second.extents:
-                        if extent_a.overlaps(extent_b):
-                            overlap = min(
-                                extent_a.end, extent_b.end
-                            ) - max(extent_a.start, extent_b.start)
-                            emit(
-                                "ALLOC001",
-                                f"{first.name}#{first.instance} and "
-                                f"{second.name}#{second.instance} overlap "
-                                f"in space ({extent_a} vs {extent_b}) "
-                                f"while both live",
-                                location=f"fb_set {allocation.fb_set}",
-                                cost_words=max(0, overlap),
-                            )
+        for first, second, extent_a, extent_b in allocation.overlaps():
+            overlap = min(extent_a.end, extent_b.end) - max(
+                extent_a.start, extent_b.start
+            )
+            emit(
+                "ALLOC001",
+                f"{first.name}#{first.instance} and "
+                f"{second.name}#{second.instance} overlap "
+                f"in space ({extent_a} vs {extent_b}) "
+                f"while both live",
+                location=f"fb_set {allocation.fb_set}",
+                cost_words=max(0, overlap),
+            )
 
 
 @lint_pass(

@@ -37,8 +37,7 @@ class DmaPolicy(enum.Enum):
       its data loads.  Stores precede loads so that, on the shared FB
       set, the space freed by departing results is available to the
       arriving data — the ordering that makes the ``DS(C_c) <= FBS``
-      feasibility check sufficient.
-    * ``STORES_FIRST`` — the same order: stores, contexts, loads.
+      feasibility check sufficient.  The one placement-sound policy.
     * ``LOADS_FIRST`` — data loads, then contexts, then stores
       (ablation; loads and not-yet-stored results coexist on the set
       **without** a budget check — an upper bound, not a legal policy).
@@ -46,8 +45,10 @@ class DmaPolicy(enum.Enum):
       where the frame-buffer set provably has room for the departing
       results and the arriving data simultaneously
       (:func:`loads_may_precede_stores`), stores first otherwise.
-      Sound like CONTEXTS_FIRST, fast like LOADS_FIRST where the
-      budget allows.
+      It respects the space budget but is not placement-sound: the
+      allocator places the arriving visit's data as if the departing
+      results had already left, so a deferred store can race the
+      arriving visit's run on shared words (HAZ001).
 
     Whatever the policy, when ``v + 1`` reuses ``v``'s set the window
     drains ``v - 1``'s and ``v``'s stores before ``v + 1``'s
@@ -56,7 +57,6 @@ class DmaPolicy(enum.Enum):
 
     CONTEXTS_FIRST = "contexts_first"
     LOADS_FIRST = "loads_first"
-    STORES_FIRST = "stores_first"
     ADAPTIVE = "adaptive"
 
 

@@ -63,7 +63,17 @@ from repro.service.protocol import (
 __all__ = ["SchedulerService", "ServerThread", "execute_and_store"]
 
 _MAX_BODY_BYTES = 32 * 1024 * 1024
+_MAX_HEADERS = 100
 _MAX_RECORDED_LATENCIES = 200_000
+
+#: The routes counted by name in ``/v1/metrics``; every other request
+#: shares one counter, so clients cannot add counters.
+_ROUTES = frozenset({
+    ("GET", "/v1/healthz"),
+    ("GET", "/v1/metrics"),
+    ("POST", "/v1/schedule"),
+    ("POST", "/v1/batch"),
+})
 
 _REASONS = {
     200: "OK",
@@ -106,7 +116,7 @@ async def _read_request(
         raise _ProtocolError(f"malformed request line: {line!r}")
     method, path, _version = parts
     headers: Dict[str, str] = {}
-    while True:
+    for _ in range(_MAX_HEADERS + 1):
         header = await _readline(reader)
         if header in (b"\r\n", b"\n"):
             break
@@ -116,6 +126,8 @@ async def _read_request(
         if not separator:
             raise _ProtocolError(f"malformed header: {header!r}")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise _ProtocolError(f"too many headers (over {_MAX_HEADERS})")
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:
@@ -260,6 +272,11 @@ class SchedulerService:
             _ProtocolError,
             asyncio.IncompleteReadError,
             ConnectionError,
+            # Shutdown cancels handlers parked on idle keep-alive
+            # clients.  Ending normally stops asyncio's
+            # client_connected_cb callback from reporting the cancelled
+            # task (its task.exception() raises on Python 3.11).
+            asyncio.CancelledError,
         ):
             pass
         finally:
@@ -279,7 +296,8 @@ class SchedulerService:
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, bytes]:
         """``(status, response body)`` for one request."""
-        self.registry.inc(f"http.{method} {path}", scope="service")
+        route = f"{method} {path}" if (method, path) in _ROUTES else "other"
+        self.registry.inc(f"http.{route}", scope="service")
         if path == "/v1/healthz":
             if method != "GET":
                 return _error(405, "MethodNotAllowed", "use GET")

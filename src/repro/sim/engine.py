@@ -246,8 +246,8 @@ class Simulator:
             rows.append((
                 visit.index, visit.round_index, cluster_index,
                 visit.fb_set, n_iters, ops.compute_cycles,
-                # Context words never vary with the round, only with
-                # block residency (empty when reused).
+                # Context words never vary with the round; the length
+                # keys visits whose context loads were edited.
                 totals("ctx", cluster_index, len(ops.context_loads),
                        ops.context_loads, ctx_cycles),
                 totals("ld", cluster_index, n_iters,
@@ -457,8 +457,6 @@ def _template_rows(
     """:meth:`Simulator._visit_rows` straight from the codegen
     templates: per-cluster group totals scaled by the round length."""
     schedule = visits.schedule
-    flags = visits.context_flags
-    no_contexts = (0, 0, 0)
     clusters = []
     for template in visits.templates:
         contexts = template.context_loads[0]
@@ -479,11 +477,10 @@ def _template_rows(
                 groups = by_length[n_iters] = _template_groups(
                     template, n_iters, data_cycles
                 )
-            reused = flags is not None and not flags[index]
             rows.append((
                 index, round_index, template.cluster_index,
                 template.fb_set, n_iters, groups[0],
-                no_contexts if reused else contexts, groups[1], groups[2],
+                contexts, groups[1], groups[2],
             ))
             index += 1
     return rows

@@ -161,7 +161,7 @@ class TestAblation:
 
     def test_dma_policy(self, specs_by_id):
         results = dma_policy_ablation(specs_by_id["E1"])
-        assert len(results) == 4  # contexts/loads/stores-first + adaptive
+        assert len(results) == 3  # contexts/loads-first + adaptive
 
     def test_dma_policy_infeasible_plan_is_not_cached(self, specs_by_id,
                                                       schedule_calls):

@@ -1,72 +1,36 @@
-"""Tests for the opt-in context-residency optimisation."""
+"""Every visit reloads its cluster's contexts (the paper's accounting)."""
 
-import pytest
-
-from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
-from repro.codegen.verifier import verify_program
-from repro.core.application import Application
-from repro.core.cluster import Clustering
+from repro.schedule.basic import BasicScheduler
+from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
-from repro.sim.engine import Simulator
-
-
-@pytest.fixture
-def two_cluster_schedule(chain_app, chain_clustering):
-    return DataScheduler(Architecture.m1("2K")).schedule(
-        chain_app, chain_clustering
-    )
+from repro.workloads.spec import paper_experiments
 
 
 class TestResidencyReuse:
-    def test_default_reloads_every_visit(self, two_cluster_schedule):
-        program = generate_program(two_cluster_schedule)
-        for ops in program.visits:
-            assert ops.context_loads
-
-    def test_reuse_skips_after_warmup(self, two_cluster_schedule):
-        """With two clusters the two CM blocks settle after the first
-        round; later visits load no contexts."""
-        program = generate_program(
-            two_cluster_schedule, reuse_resident_contexts=True
-        )
-        loading_visits = [
-            ops.visit.index for ops in program.visits if ops.context_loads
-        ]
-        assert loading_visits == [0, 1]
-
-    def test_reuse_program_verifies_and_runs(self, two_cluster_schedule):
-        program = generate_program(
-            two_cluster_schedule, reuse_resident_contexts=True
-        )
-        verify_program(program)
-        arch = Architecture.m1("2K")
-        machine = MorphoSysM1(arch, functional=True)
-        report = Simulator(machine).run(program, functional=True)
-        assert report.functional_verified is True
-
-    def test_reuse_saves_context_traffic_and_time(self,
-                                                  two_cluster_schedule):
-        arch = Architecture.m1("2K")
-        plain = Simulator(MorphoSysM1(arch)).run(
-            generate_program(two_cluster_schedule)
-        )
-        reused = Simulator(MorphoSysM1(arch)).run(
-            generate_program(
-                two_cluster_schedule, reuse_resident_contexts=True
-            )
-        )
-        assert reused.context_words < plain.context_words
-        assert reused.total_cycles <= plain.total_cycles
-
-    def test_three_clusters_always_displaced(self, sharing_app,
-                                             sharing_clustering):
-        """With three clusters sharing two blocks, residency never
-        survives: the optimisation changes nothing."""
-        schedule = DataScheduler(Architecture.m1("2K")).schedule(
-            sharing_app, sharing_clustering
-        )
-        plain = generate_program(schedule)
-        reused = generate_program(schedule, reuse_resident_contexts=True)
-        assert plain.total_context_words == reused.total_context_words
+    def test_default_reloads_every_visit(self):
+        """On every Table-1 experiment and scheduler, each visit loads
+        exactly its own cluster's contexts into CM block ``index % 2``:
+        ``n/RF`` loads per kernel, none skipped.  The fast verifier's
+        CM check rests on this."""
+        for spec in paper_experiments():
+            application, clustering = spec.build()
+            architecture = Architecture.m1(spec.fb)
+            for scheduler in (BasicScheduler, DataScheduler,
+                              CompleteDataScheduler):
+                schedule = scheduler(architecture).schedule(
+                    application, clustering
+                )
+                for ops in generate_program(schedule).visits:
+                    visit = ops.visit
+                    kernels = clustering.kernels_of(
+                        clustering[visit.cluster_index]
+                    )
+                    assert [
+                        (load.kernel, load.words, load.cm_block)
+                        for load in ops.context_loads
+                    ] == [
+                        (kernel.name, kernel.context_words, visit.index % 2)
+                        for kernel in kernels
+                    ], (spec.id, scheduler.__name__, visit.index)

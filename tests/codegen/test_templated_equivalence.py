@@ -3,13 +3,14 @@
 The template backend (:mod:`repro.codegen.templated`) promises the same
 contract the batch compiler does for schedules: ``generate_program``
 produces **exactly** the program the eager reference generator
-(:func:`repro.codegen.reference.reference_generate_program`) emits — same visits, same ops in the same order, under both
-context-reuse modes — and the vectorized fast verifier returns exactly
-the violation list (and first-violation error) the reference replay
-does, clean programs and broken ones alike.  These tests enforce the
-contract over the fuzz generator matrix (500+ programs), the paper
-experiments, hand-built edge cases, and deliberately broken schedules
-that force the fast verifier's reference fallback.
+(:func:`repro.codegen.reference.reference_generate_program`) emits —
+same visits, same ops in the same order — and the vectorized fast
+verifier returns exactly the violation list (and first-violation
+error) the reference replay does, clean programs and broken ones
+alike.  These tests enforce the contract over the fuzz generator
+matrix (500+ programs), the paper experiments, hand-built edge cases,
+and deliberately broken schedules that force the fast verifier's
+reference fallback.
 """
 
 import pickle
@@ -49,12 +50,10 @@ def _schedules_of(application, clustering, architecture):
             continue
 
 
-def _assert_equivalent(schedule, *, reuse=False, label=""):
+def _assert_equivalent(schedule, *, label=""):
     """Reference and templated programs agree in every observable way."""
-    reference = reference_generate_program(
-        schedule, reuse_resident_contexts=reuse
-    )
-    templated = generate_program(schedule, reuse_resident_contexts=reuse)
+    reference = reference_generate_program(schedule)
+    templated = generate_program(schedule)
     assert isinstance(templated.visits, TemplateVisits), label
     assert isinstance(reference.visits, tuple), label
     # Equality in both directions: Program's dataclass __eq__ compares
@@ -68,23 +67,19 @@ def _assert_equivalent(schedule, *, reuse=False, label=""):
 
 
 def test_fuzz_matrix_byte_identical():
-    """The acceptance matrix: every regime x 35 seeds x 3 schedulers x
-    both reuse modes — 500+ generated programs compared op by op."""
+    """The acceptance matrix: every regime x 50 seeds x 3 schedulers —
+    500+ generated programs compared op by op."""
     compared = 0
     for regime in regime_names():
-        for seed in range(35):
+        for seed in range(50):
             case = generate_case(regime, seed)
             application, clustering = case.build()
             architecture = case.architecture()
             for name, schedule in _schedules_of(
                 application, clustering, architecture
             ):
-                for reuse in (False, True):
-                    _assert_equivalent(
-                        schedule, reuse=reuse,
-                        label=f"{case.name}/{name}/reuse={reuse}",
-                    )
-                    compared += 1
+                _assert_equivalent(schedule, label=f"{case.name}/{name}")
+                compared += 1
     assert compared >= 500
 
 
@@ -96,15 +91,13 @@ def test_paper_experiments_byte_identical():
         for name, schedule in _schedules_of(
             application, clustering, architecture
         ):
-            for reuse in (False, True):
-                reference, templated = _assert_equivalent(
-                    schedule, reuse=reuse,
-                    label=f"{spec.id}/{name}/reuse={reuse}",
-                )
-                # Clean programs take the vectorized early exit.
-                assert fast_violation_free(templated)
-                verify_program(templated)
-                verify_program(reference)
+            reference, templated = _assert_equivalent(
+                schedule, label=f"{spec.id}/{name}"
+            )
+            # Clean programs take the vectorized early exit.
+            assert fast_violation_free(templated)
+            verify_program(templated)
+            verify_program(reference)
 
 
 def _single_visit_schedule():
@@ -137,21 +130,15 @@ def _compute_only_schedule():
 
 def test_single_visit_program():
     schedule = _single_visit_schedule()
-    for reuse in (False, True):
-        _, templated = _assert_equivalent(
-            schedule, reuse=reuse, label=f"single/reuse={reuse}"
-        )
-        assert len(templated.visits) == 1
-        assert fast_violation_free(templated)
+    _, templated = _assert_equivalent(schedule, label="single")
+    assert len(templated.visits) == 1
+    assert fast_violation_free(templated)
 
 
 def test_compute_only_program():
     schedule = _compute_only_schedule()
-    for reuse in (False, True):
-        _, templated = _assert_equivalent(
-            schedule, reuse=reuse, label=f"compute_only/reuse={reuse}"
-        )
-        assert all(not visit.data_loads for visit in templated.visits)
+    _, templated = _assert_equivalent(schedule, label="compute_only")
+    assert all(not visit.data_loads for visit in templated.visits)
 
 
 def test_broken_schedule_identical_violations():
@@ -171,19 +158,18 @@ def test_broken_schedule_identical_violations():
         broken = dataclasses.replace(
             schedule, cluster_plans=tuple(plans[:-1]) + (broken_plan,)
         )
-        for reuse in (False, True):
-            reference, templated = _assert_equivalent(
-                broken, reuse=reuse, label=f"{spec.id}/broken/reuse={reuse}"
-            )
-            violations = list(iter_program_violations(reference))
-            assert violations, f"{spec.id}: broken schedule verified clean"
-            assert not fast_violation_free(templated)
-            with pytest.raises(ProgramVerificationError) as via_templated:
-                verify_program(templated)
-            with pytest.raises(ProgramVerificationError) as via_reference:
-                verify_program(reference)
-            assert str(via_templated.value) == str(via_reference.value)
-            assert str(via_templated.value) == violations[0].message
+        reference, templated = _assert_equivalent(
+            broken, label=f"{spec.id}/broken"
+        )
+        violations = list(iter_program_violations(reference))
+        assert violations, f"{spec.id}: broken schedule verified clean"
+        assert not fast_violation_free(templated)
+        with pytest.raises(ProgramVerificationError) as via_templated:
+            verify_program(templated)
+        with pytest.raises(ProgramVerificationError) as via_reference:
+            verify_program(reference)
+        assert str(via_templated.value) == str(via_reference.value)
+        assert str(via_templated.value) == violations[0].message
 
 
 def test_template_visits_sequence_protocol():

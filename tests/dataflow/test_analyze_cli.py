@@ -36,10 +36,9 @@ def test_analyze_unsound_policy_fails(capsys):
 
 
 def test_analyze_all_schedulers_sound_policies(capsys):
-    assert main(["analyze", "E2", "--scheduler", "all",
-                 "--policy", "sound"]) == 0
+    assert main(["analyze", "E2", "--scheduler", "all"]) == 0
     out = capsys.readouterr().out
-    assert "6 clean, 0 with findings, 0 skipped" in out
+    assert "3 clean, 0 with findings, 0 skipped" in out
 
 
 def test_analyze_corpus(capsys):

@@ -126,14 +126,3 @@ def test_adaptive_edges_differ_from_contexts_first(e1_ds_program):
     assert default.channel_pos.keys() == adaptive.channel_pos.keys()
     if adaptive.loads_first_windows:
         assert default.channel_pos != adaptive.channel_pos
-
-
-def test_sound_policies_share_engine_issue_order(e1_ds_program):
-    """CONTEXTS_FIRST and STORES_FIRST differ only inside windows the
-    engine serialises anyway: same gates, same windows flagged (none)."""
-    ir = build_ir(e1_ds_program)
-    contexts = HappensBefore.build(ir, DmaPolicy.CONTEXTS_FIRST)
-    stores = HappensBefore.build(ir, DmaPolicy.STORES_FIRST)
-    assert contexts.loads_first_windows == ()
-    assert stores.loads_first_windows == ()
-    assert contexts.channel_pos == stores.channel_pos

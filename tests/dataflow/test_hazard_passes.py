@@ -22,12 +22,11 @@ def _codes(collector):
 @pytest.mark.parametrize("scheduler", ["basic", "ds", "cds"])
 def test_sound_policies_are_clean(scheduler):
     schedule, _ = build_schedule("E1", scheduler)
-    for policy in (DmaPolicy.CONTEXTS_FIRST, DmaPolicy.STORES_FIRST):
-        _, collector = analyze_schedule(schedule, policy=policy)
-        assert not collector.diagnostics, "\n".join(
-            str(d) for d in collector.diagnostics
-        )
-        assert set(HAZARD_RULES) <= set(collector.rules_checked)
+    _, collector = analyze_schedule(schedule, policy=DmaPolicy.CONTEXTS_FIRST)
+    assert not collector.diagnostics, "\n".join(
+        str(d) for d in collector.diagnostics
+    )
+    assert set(HAZARD_RULES) <= set(collector.rules_checked)
 
 
 def test_serial_schedule_is_clean_under_every_policy():

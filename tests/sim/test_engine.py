@@ -110,18 +110,6 @@ class TestDmaPolicies:
                           CompleteDataScheduler, dma_policy=policy)
             assert report.total_cycles > 0
 
-    def test_contexts_first_no_slower(self, sharing_app,
-                                      sharing_clustering):
-        """The [4]-style default should be at least as good as the
-        naive stores-first ordering."""
-        default = _run(sharing_app, sharing_clustering,
-                       CompleteDataScheduler,
-                       dma_policy=DmaPolicy.CONTEXTS_FIRST)
-        naive = _run(sharing_app, sharing_clustering,
-                     CompleteDataScheduler,
-                     dma_policy=DmaPolicy.STORES_FIRST)
-        assert default.total_cycles <= naive.total_cycles
-
 
 class TestReportDerived:
     def test_utilisations_bounded(self, sharing_app, sharing_clustering):

@@ -26,7 +26,6 @@ from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.codegen.templated import TemplateVisits
-from repro.core.cluster import Clustering
 from repro.errors import InfeasibleScheduleError
 from repro.schedule import BasicScheduler, DataScheduler
 from repro.schedule.complete import CompleteDataScheduler
@@ -91,26 +90,19 @@ def test_random_workloads_trace_off_aggregates_match(seed, fb):
 def assert_template_rows_match_ops(architecture, schedule, label=""):
     """A templated program and the same program with its visits
     materialised into a plain tuple simulate to equal reports, under
-    every DMA policy, both context-reuse modes and trace on and off."""
-    for reuse in (False, True):
-        templated = generate_program(
-            schedule, reuse_resident_contexts=reuse
-        )
-        assert isinstance(templated.visits, TemplateVisits)
-        materialised = dataclasses.replace(
-            templated, visits=tuple(templated.visits)
-        )
-        for policy in DmaPolicy:
-            for trace in (False, True):
-                from_templates = simulate(
-                    architecture, templated, trace, policy
-                )
-                from_ops = simulate(
-                    architecture, materialised, trace, policy
-                )
-                assert from_templates == from_ops, (
-                    f"{label}: reuse={reuse} {policy.name} trace={trace}"
-                )
+    every DMA policy and trace on and off."""
+    templated = generate_program(schedule)
+    assert isinstance(templated.visits, TemplateVisits)
+    materialised = dataclasses.replace(
+        templated, visits=tuple(templated.visits)
+    )
+    for policy in DmaPolicy:
+        for trace in (False, True):
+            from_templates = simulate(architecture, templated, trace, policy)
+            from_ops = simulate(architecture, materialised, trace, policy)
+            assert from_templates == from_ops, (
+                f"{label}: {policy.name} trace={trace}"
+            )
 
 
 def test_paper_experiments_templates_match_materialised_ops():
@@ -121,27 +113,6 @@ def test_paper_experiments_templates_match_materialised_ops():
             application, clustering
         )
         assert_template_rows_match_ops(architecture, schedule, spec.id)
-
-
-@pytest.mark.parametrize(
-    "groups", [[["k1", "k2", "k3"]], [["k1", "k2"], ["k3"]]],
-    ids=["one-cluster", "two-clusters"],
-)
-def test_resident_context_reuse_templates_match_materialised_ops(
-    sharing_app, groups
-):
-    """With one or two clusters the CM blocks are never displaced, so
-    ``reuse_resident_contexts`` zeroes the context group of later
-    visits; the template rows must zero exactly those."""
-    architecture = Architecture.m1("2K")
-    schedule = CompleteDataScheduler(architecture).schedule(
-        sharing_app, Clustering(sharing_app, groups)
-    )
-    flags = generate_program(
-        schedule, reuse_resident_contexts=True
-    ).visits.context_flags
-    assert not all(flags)
-    assert_template_rows_match_ops(architecture, schedule, str(groups))
 
 
 @settings(max_examples=15, deadline=None)
@@ -181,14 +152,11 @@ def test_untraced_accounting_never_materialises_visits(monkeypatch):
             schedule = scheduler_cls(architecture).schedule(
                 application, clustering
             )
-            for reuse in (False, True):
-                program = generate_program(
-                    schedule, reuse_resident_contexts=reuse
-                )
-                for policy in DmaPolicy:
-                    report = simulate(architecture, program, False, policy)
-                    assert len(report.visits) == len(program.visits)
-                    assert report.transfers == ()
+            program = generate_program(schedule)
+            for policy in DmaPolicy:
+                report = simulate(architecture, program, False, policy)
+                assert len(report.visits) == len(program.visits)
+                assert report.transfers == ()
     # The seam is live: anything that does materialise trips it.
     with pytest.raises(AssertionError, match="stamped"):
         simulate(architecture, program, True)
