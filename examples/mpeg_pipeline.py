@@ -32,7 +32,7 @@ def main() -> None:
     print(program.listing(max_visits=3))
     print()
 
-    machine = MorphoSysM1(architecture, functional=True)
+    machine = MorphoSysM1(architecture)
     report = Simulator(machine).run(
         program, functional=True, kernel_impls=impls, seed=7
     )

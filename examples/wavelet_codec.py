@@ -32,7 +32,7 @@ def main() -> None:
     print(schedule.describe())
     print()
 
-    machine = MorphoSysM1(architecture, functional=True)
+    machine = MorphoSysM1(architecture)
     # Feed realistic 8-bit pixel planes instead of the default
     # full-range pseudo-random words.
     import numpy as np

@@ -143,7 +143,7 @@ def validate_schedule(
 
         if functional:
             def run_functional():
-                machine = MorphoSysM1(architecture, functional=True)
+                machine = MorphoSysM1(architecture)
                 simulation = Simulator(machine).run(
                     program, functional=True
                 )

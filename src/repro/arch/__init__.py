@@ -10,10 +10,12 @@ possible), and a TinyRISC control processor.
 The structural constraints that shape the scheduling problem — two FB
 sets enabling compute/transfer overlap, one shared DMA channel, finite
 CM — are capacities and timing in :class:`Architecture`.  The machine
-the simulator drives holds only the DMA channel and external memory;
-FB and CM residency is checked statically (the program verifier and
-the hazard IR), and the allocator places objects through one
-:class:`FrameBufferSet` region directory per set.  The RC array is
+the simulator drives holds only external memory; every simulation run
+times its own :class:`DmaChannel`, one block per visit group, so no
+channel state is shared between runs.  FB and CM residency is checked
+statically (the program verifier and the hazard IR), and the allocator
+places objects through one :class:`FrameBufferSet` region directory
+per set.  The RC array is
 modelled functionally (SIMD macro-operations over NumPy arrays) so
 kernels can actually execute and be checked against golden references.
 """

@@ -56,11 +56,12 @@ which compares two independent computations of the same fact:
     policy, the traced simulator's transfers follow the happens-before
     graph's channel order and gates.
 ``simengine``
-    Re-simulating with the per-transfer DMA trace on reproduces the
-    untraced pipeline report field for field (per-visit timings
-    included, the trace itself excepted): the trace-off block
-    accounting and the item-by-item channel walk agree.  Simulating
-    the program with its visits materialised into a plain tuple
+    Re-simulating with the per-transfer DMA trace on completes — every
+    visit group's transfers, stamped from its ops, end exactly at the
+    channel block its template row timed — and reproduces the untraced
+    pipeline report field for field (per-visit timings included, the
+    trace itself excepted).  Simulating the program with its visits
+    materialised into a plain tuple, from rows summed over its ops,
     reproduces the template-driven pipeline report exactly.
 ``functional``
     Functional simulation reproduces the application's reference
@@ -85,7 +86,7 @@ from repro.arch.machine import MorphoSysM1
 from repro.codegen.generator import generate_program
 from repro.codegen.verifier import verify_program
 from repro.core.dataflow import analyze_dataflow
-from repro.errors import InfeasibleScheduleError, ReproError
+from repro.errors import InfeasibleScheduleError, ReproError, SimulationError
 from repro.fuzz.case import FuzzCase
 from repro.schedule.base import ScheduleOptions
 from repro.schedule.basic import BasicScheduler
@@ -878,15 +879,17 @@ def _issue_order_mismatch(program, ir, architecture, policy) -> Optional[str]:
 def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
     """The traced and untraced simulation paths must agree exactly.
 
-    The pipeline reports above ran with the per-transfer trace off,
-    so the engine timed the template-compiled program from its
-    per-cluster templates and accounted each visit's transfer groups
-    as whole channel blocks (``request_block``).  Re-simulating with
-    the trace on walks every transfer through the channel one by one
-    and must reproduce every :class:`~repro.sim.report.SimulationReport`
-    field except the trace itself, per-visit timings included.  The
-    same program with its visits materialised into a plain tuple is
-    timed from its ops and must reproduce the report exactly.
+    The pipeline reports above ran with the per-transfer trace off, so
+    the engine timed the template-compiled program from its
+    per-cluster template rows.  Re-simulating with the trace on times
+    the same channel blocks and stamps each group's transfers from the
+    visit's ops; a group whose ops do not fill its block exactly raises
+    :class:`~repro.errors.SimulationError`, reported here as a failure.
+    The traced run must also reproduce every
+    :class:`~repro.sim.report.SimulationReport` field except the trace
+    itself, per-visit timings included.  The same program with its
+    visits materialised into a plain tuple is timed from rows summed
+    from its ops and must reproduce the report exactly.
     """
     failures = []
     for run in runs.values():
@@ -911,9 +914,16 @@ def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
                 f"diverge on {diverging}",
                 scheduler=run.scheduler,
             ))
-        traced = Simulator(
-            MorphoSysM1(architecture), trace=True, verify=False,
-        ).run(run.program)
+        try:
+            traced = Simulator(
+                MorphoSysM1(architecture), trace=True, verify=False,
+            ).run(run.program)
+        except SimulationError as exc:
+            failures.append(OracleFailure(
+                "simengine", case.name, f"traced simulation failed: {exc}",
+                scheduler=run.scheduler,
+            ))
+            continue
         diverging = [
             field.name
             for field in dataclasses.fields(traced)
@@ -935,7 +945,7 @@ def _check_functional(case, runs, architecture) -> List[OracleFailure]:
         if run.program is None:
             continue
         try:
-            machine = MorphoSysM1(architecture, functional=True)
+            machine = MorphoSysM1(architecture)
             report = Simulator(machine).run(run.program, functional=True)
         except ReproError as exc:
             failures.append(OracleFailure(

@@ -26,13 +26,17 @@ per visit (cluster, set, iteration count, compute cycles and its
 context/load/store transfer groups).  A
 template-compiled program yields its rows from the per-cluster codegen
 templates, so an untraced accounting run never stamps the visit ops.
-With the per-transfer trace on, every transfer walks through the DMA
-channel item by item under its own label.  With it off, each visit's
-context, load and store group is accounted as one contiguous channel
-block (:meth:`DmaChannel.request_block`).  The timeline and the
-aggregate statistics are identical either way;
+Every run builds its own :class:`~repro.arch.dma.DmaChannel`, and each
+visit's context, load and store group occupies it as one contiguous
+block (:meth:`~repro.arch.dma.DmaChannel.request_block`) — one
+timeline, whether or not the trace is on.  With the per-transfer trace
+on, the group's transfers are then stamped back to back from the
+block's start, one per op under its own label; a group whose ops do
+not end exactly at the block's finish raises :class:`SimulationError`,
+so every traced run cross-checks the timing rows against the ops.
 ``tests/sim/test_trace_equivalence.py`` and the ``simengine`` fuzz
-oracle compare the two, and templated against materialised programs.
+oracle compare traced against untraced runs, and templated against
+materialised programs.
 
 Functional mode additionally moves real values through the machine's
 external memory and checks every final output against the reference
@@ -45,8 +49,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.dma import TransferKind
+from repro.arch.dma import DmaChannel, DmaTransfer, TransferKind
 from repro.arch.machine import MorphoSysM1
+from repro.arch.params import TimingModel
 from repro.codegen.program import Program
 from repro.codegen.templated import ClusterTemplate, TemplateVisits
 from repro.codegen.verifier import verify_program
@@ -81,8 +86,10 @@ class Simulator:
     """Executes a :class:`Program` on a :class:`MorphoSysM1`.
 
     Args:
-        machine: the machine instance (its DMA timeline and counters are
-            consumed; call :meth:`MorphoSysM1.reset` between runs).
+        machine: the machine instance.  Each run times a fresh DMA
+            channel, so one simulator, or several, may run any number
+            of times on one machine; a functional run reads and writes
+            its external memory.
         dma_policy: ordering of DMA work inside overlap windows.
         verify: run the static program verifier before executing.
         trace: record the per-transfer DMA trace (and its labels) in
@@ -119,7 +126,7 @@ class Simulator:
         self,
         program: Program,
         *,
-        functional: Optional[bool] = None,
+        functional: bool = False,
         kernel_impls: Optional[Mapping[str, KernelImpl]] = None,
         seed: int = 2002,
     ) -> SimulationReport:
@@ -127,8 +134,9 @@ class Simulator:
 
         Args:
             program: the lowered schedule.
-            functional: move real values (defaults to the machine's
-                ``functional`` flag).
+            functional: move and compute real values and check the
+                final outputs against a reference execution; leave False
+                for timing-only runs (much lighter).
             kernel_impls: per-kernel implementations for functional
                 mode; kernels not listed get surrogates.
             seed: seed for auto-populated external inputs (only used if
@@ -136,7 +144,6 @@ class Simulator:
         """
         if self.verify:
             verify_program(program)
-        functional = self.machine.functional if functional is None else functional
 
         application = program.schedule.application
         impls: Dict[str, KernelImpl] = {}
@@ -154,20 +161,13 @@ class Simulator:
                 application, self.machine.external_memory, impls
             )
 
-        # The tracing mode is set only for the duration of this run and
-        # restored afterwards: the DMA channel is shared machine state,
-        # and a constructor side effect would let two simulators over
-        # one machine silently flip each other's tracing.
-        dma_record_trace = self.machine.dma.record_trace
-        self.machine.dma.record_trace = self.trace
         if functional:
             self._load_watch = {}
             self._dead_words = 0
             self._loaded_words = 0
-        try:
-            timings = self._execute(program, functional, impls)
-        finally:
-            self.machine.dma.record_trace = dma_record_trace
+        dma = DmaChannel()
+        transfers: List[DmaTransfer] = []
+        timings = self._execute(program, functional, impls, dma, transfers)
 
         verified: Optional[bool] = None
         if functional:
@@ -178,7 +178,6 @@ class Simulator:
                 self._dead_words + sum(self._load_watch.values())
             )
 
-        dma = self.machine.dma
         compute_cycles = sum(t.compute_end - t.compute_start for t in timings)
         total = max(
             dma.busy_until, timings[-1].compute_end if timings else 0
@@ -198,7 +197,7 @@ class Simulator:
             data_store_count=dma.count(TransferKind.DATA_STORE),
             context_load_count=dma.count(TransferKind.CONTEXT_LOAD),
             visits=tuple(timings),
-            transfers=tuple(dma.transfers),
+            transfers=tuple(transfers),
             functional_verified=verified,
         )
 
@@ -210,50 +209,36 @@ class Simulator:
         ``ld`` and ``st`` are the visit's context, data-load and store
         groups as ``(words, duration, count)``.
 
-        Group totals depend only on the cluster and the round's
-        iteration count.  A template-compiled program yields them from
-        its :class:`ClusterTemplate` tables, once per (cluster, round
+        A template-compiled program yields its group totals from its
+        :class:`ClusterTemplate` tables, once per (cluster, round
         length), without stamping a single op.  Any other visit
         sequence (the reference generator, pickled programs, fuzz
-        mutations) is summed from its ops, memoised the same way.
+        mutations) has each visit's totals summed from its own ops, so
+        a visit edited apart from its cluster's other visits is timed
+        as it is.
         """
-        timing = self.machine.dma.timing
+        timing = self.machine.architecture.timing
         ctx_cycles = timing.context_transfer_cycles
         data_cycles = timing.data_transfer_cycles
         if isinstance(visits, TemplateVisits):
             return _template_rows(visits, ctx_cycles, data_cycles)
 
-        memo: Dict[Tuple[str, int, int], Tuple[int, int, int]] = {}
-
-        def totals(tag, cluster_index, variant, items, cycles_of):
-            key = (tag, cluster_index, variant)
-            found = memo.get(key)
-            if found is None:
-                words = 0
-                duration = 0
-                for item in items:
-                    words += item.words
-                    duration += cycles_of(item.words)
-                found = (words, duration, len(items))
-                memo[key] = found
-            return found
+        def totals(items, cycles_of):
+            return (
+                sum(item.words for item in items),
+                sum(cycles_of(item.words) for item in items),
+                len(items),
+            )
 
         rows = []
         for ops in visits:
             visit = ops.visit
-            cluster_index = visit.cluster_index
-            n_iters = len(visit.iterations)
             rows.append((
-                visit.index, visit.round_index, cluster_index,
-                visit.fb_set, n_iters, ops.compute_cycles,
-                # Context words never vary with the round; the length
-                # keys visits whose context loads were edited.
-                totals("ctx", cluster_index, len(ops.context_loads),
-                       ops.context_loads, ctx_cycles),
-                totals("ld", cluster_index, n_iters,
-                       ops.data_loads, data_cycles),
-                totals("st", cluster_index, n_iters,
-                       ops.stores, data_cycles),
+                visit.index, visit.round_index, visit.cluster_index,
+                visit.fb_set, len(visit.iterations), ops.compute_cycles,
+                totals(ops.context_loads, ctx_cycles),
+                totals(ops.data_loads, data_cycles),
+                totals(ops.stores, data_cycles),
             ))
         return rows
 
@@ -262,12 +247,16 @@ class Simulator:
         program: Program,
         functional: bool,
         impls: Mapping[str, KernelImpl],
+        dma: DmaChannel,
+        transfers: List[DmaTransfer],
     ) -> List[VisitTiming]:
+        """Time every :func:`issue_order` step on *dma*; with the trace
+        on, append each group's stamped transfers to *transfers*."""
         visits = program.visits
         if not visits:
             return []
         rows = self._visit_rows(visits)
-        dma = self.machine.dma
+        timing = self.machine.architecture.timing
         fb_values: Tuple[Dict, Dict] = ({}, {})
         steps, _ = issue_order(
             program.schedule, [(row[3], row[2], row[4]) for row in rows],
@@ -281,11 +270,9 @@ class Simulator:
         timings: List[VisitTiming] = []
         trace = self.trace
 
-        # With the trace off, back-to-back requests at one earliest
-        # start occupy one contiguous timeline block, so each visit's
-        # context/load/store group is accounted in O(1) via
-        # request_block from its row.  With it on, every transfer
-        # walks through the channel under its own label.
+        # Back-to-back transfers at one earliest start occupy one
+        # contiguous channel block, so each visit's context/load/store
+        # group is timed in O(1) via request_block from its row.
         for kind, index, gate in steps:
             if kind == RUN:
                 (visit_index, round_index, cluster_index, fb_set, _,
@@ -317,38 +304,23 @@ class Simulator:
                 )
                 continue
             earliest = compute_end[gate]
+            # The row holds the ctx, ld and st groups at 6, 7, 8, in
+            # CTX, LOAD, STORE order.
+            words, duration, group = rows[index][6 + kind]
+            start = finish = earliest
+            if group:
+                start, finish = dma.request_block(
+                    _TRANSFER_KINDS[kind], words, duration, group, earliest
+                )
+            if trace:
+                _stamp(transfers, kind, visits[index], index, start, finish,
+                       timing)
             # A visit's preparation finishes no earlier than its
             # contexts' gate, and after every non-empty group lands.
-            done = earliest if kind == CTX else 0
-            if not trace:
-                # The row holds the ctx, ld and st groups at 6, 7, 8,
-                # in CTX, LOAD, STORE order.
-                words, duration, group = rows[index][6 + kind]
-                if group:
-                    _, done = dma.request_block(
-                        _TRANSFER_KINDS[kind], words, duration, group,
-                        earliest,
-                    )
-            elif kind == CTX:
-                for load in visits[index].context_loads:
-                    _, done = dma.request(
-                        TransferKind.CONTEXT_LOAD, load.words, earliest,
-                        label=f"ctx:{load.kernel}@v{index}",
-                    )
-            elif kind == LOAD:
-                for load in visits[index].data_loads:
-                    _, done = dma.request(
-                        TransferKind.DATA_LOAD, load.words, earliest,
-                        label=f"ld:{load.name}#{load.iteration}@v{index}",
-                    )
-            else:
-                for store in visits[index].stores:
-                    dma.request(
-                        TransferKind.DATA_STORE, store.words, earliest,
-                        label=f"st:{store.name}#{store.iteration}@v{index}",
-                    )
-            if kind != STORE and done > prep_finish[index]:
-                prep_finish[index] = done
+            if (kind == CTX or (group and kind == LOAD)) and (
+                finish > prep_finish[index]
+            ):
+                prep_finish[index] = finish
         return timings
 
     def _stall_cycles(self, timings: List[VisitTiming]) -> int:
@@ -449,6 +421,52 @@ class Simulator:
                     f"differs from the reference execution"
                 )
         return True
+
+
+def _stamp(
+    transfers: List[DmaTransfer],
+    kind: int,
+    ops,
+    index: int,
+    start: int,
+    finish: int,
+    timing: TimingModel,
+) -> None:
+    """Append visit *index*'s *kind* group to *transfers*, one per op,
+    back to back from the channel block's *start*.
+
+    Raises:
+        SimulationError: the ops do not end at the block's *finish*, so
+            the visit's timing row disagrees with its ops.
+    """
+    at = start
+    if kind == CTX:
+        for load in ops.context_loads:
+            end = at + timing.context_transfer_cycles(load.words)
+            # tuple.__new__ skips the generated keyword-checking
+            # __new__; this is the hottest allocation of a traced run.
+            transfers.append(tuple.__new__(DmaTransfer, (
+                TransferKind.CONTEXT_LOAD, f"ctx:{load.kernel}@v{index}",
+                load.words, at, end,
+            )))
+            at = end
+    else:
+        transfer_kind = _TRANSFER_KINDS[kind]
+        prefix, items = (
+            ("ld", ops.data_loads) if kind == LOAD else ("st", ops.stores)
+        )
+        for item in items:
+            end = at + timing.data_transfer_cycles(item.words)
+            transfers.append(tuple.__new__(DmaTransfer, (
+                transfer_kind, f"{prefix}:{item.name}#{item.iteration}@v{index}",
+                item.words, at, end,
+            )))
+            at = end
+    if at != finish:
+        raise SimulationError(
+            f"visit {index}: its {_TRANSFER_KINDS[kind].value} ops end at "
+            f"cycle {at}, but its timing row's channel block ends at {finish}"
+        )
 
 
 def _template_rows(

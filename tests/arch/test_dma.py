@@ -6,98 +6,90 @@ from repro.arch.dma import DmaChannel, TransferKind
 from repro.arch.params import TimingModel
 from repro.errors import SimulationError
 
+TIMING = TimingModel(
+    data_word_cycles=2, context_word_cycles=3, dma_setup_cycles=10
+)
 
-def _channel():
-    return DmaChannel(TimingModel(
-        data_word_cycles=2, context_word_cycles=3, dma_setup_cycles=10
-    ))
+
+def _block(dma, kind, words, earliest, count=1):
+    """Request *count* transfers of *words* each as one block, priced
+    by :data:`TIMING` the way the simulator's timing rows price them."""
+    if kind is TransferKind.CONTEXT_LOAD:
+        cycles = TIMING.context_transfer_cycles(words)
+    else:
+        cycles = TIMING.data_transfer_cycles(words)
+    return dma.request_block(kind, words * count, cycles * count, count,
+                             earliest)
 
 
 class TestDmaChannel:
     def test_single_transfer_timing(self):
-        dma = _channel()
-        start, finish = dma.request(TransferKind.DATA_LOAD, 100, 0, "ld")
+        dma = DmaChannel()
+        start, finish = _block(dma, TransferKind.DATA_LOAD, 100, 0)
         assert start == 0
         assert finish == 10 + 200
 
     def test_context_timing_uses_context_cost(self):
-        dma = _channel()
-        _, finish = dma.request(TransferKind.CONTEXT_LOAD, 100, 0, "ctx")
+        dma = DmaChannel()
+        _, finish = _block(dma, TransferKind.CONTEXT_LOAD, 100, 0)
         assert finish == 10 + 300
+        assert dma.cycles_busy() == 10 + 300
 
     def test_serialisation(self):
-        dma = _channel()
-        _, first_finish = dma.request(TransferKind.DATA_LOAD, 10, 0, "a")
-        second_start, _ = dma.request(TransferKind.DATA_LOAD, 10, 0, "b")
+        dma = DmaChannel()
+        _, first_finish = _block(dma, TransferKind.DATA_LOAD, 10, 0)
+        second_start, _ = _block(dma, TransferKind.CONTEXT_LOAD, 10, 0)
         assert second_start == first_finish
 
     def test_earliest_start_respected(self):
-        dma = _channel()
-        start, _ = dma.request(TransferKind.DATA_STORE, 10, 500, "st")
+        dma = DmaChannel()
+        start, _ = _block(dma, TransferKind.DATA_STORE, 10, 500)
         assert start == 500
 
     def test_idle_gap_when_earliest_late(self):
-        dma = _channel()
-        dma.request(TransferKind.DATA_LOAD, 10, 0, "a")
-        start, _ = dma.request(TransferKind.DATA_LOAD, 10, 10_000, "b")
+        dma = DmaChannel()
+        _block(dma, TransferKind.DATA_LOAD, 10, 0)
+        start, _ = _block(dma, TransferKind.DATA_LOAD, 10, 10_000)
         assert start == 10_000
-
-    def test_zero_word_transfer_is_free(self):
-        dma = _channel()
-        start, finish = dma.request(TransferKind.DATA_LOAD, 0, 5, "empty")
-        assert start == finish
-        assert dma.transfers == []
+        # The idle gap is not busy time.
+        assert dma.cycles_busy() == 2 * (10 + 20)
 
     def test_negative_words_rejected(self):
+        dma = DmaChannel()
         with pytest.raises(SimulationError):
-            _channel().request(TransferKind.DATA_LOAD, -1, 0, "bad")
+            dma.request_block(TransferKind.DATA_LOAD, -1, 10, 1, 0)
+        # A rejected block leaves the timeline and statistics untouched.
+        assert dma.busy_until == 0
+        assert dma.count(TransferKind.DATA_LOAD) == 0
 
     def test_negative_earliest_rejected(self):
+        dma = DmaChannel()
         with pytest.raises(SimulationError):
-            _channel().request(TransferKind.DATA_LOAD, 1, -1, "bad")
+            dma.request_block(TransferKind.DATA_LOAD, 1, 12, 1, -1)
+        assert dma.busy_until == 0
+        assert dma.words_moved(TransferKind.DATA_LOAD) == 0
 
     def test_statistics(self):
-        dma = _channel()
-        dma.request(TransferKind.DATA_LOAD, 100, 0, "a")
-        dma.request(TransferKind.DATA_LOAD, 50, 0, "b")
-        dma.request(TransferKind.DATA_STORE, 30, 0, "c")
-        dma.request(TransferKind.CONTEXT_LOAD, 20, 0, "d")
+        dma = DmaChannel()
+        _block(dma, TransferKind.DATA_LOAD, 100, 0)
+        _block(dma, TransferKind.DATA_LOAD, 25, 0, count=2)
+        _block(dma, TransferKind.DATA_STORE, 30, 0)
+        _block(dma, TransferKind.CONTEXT_LOAD, 20, 0)
         assert dma.words_moved(TransferKind.DATA_LOAD) == 150
         assert dma.words_moved(TransferKind.DATA_STORE) == 30
         assert dma.words_moved(TransferKind.CONTEXT_LOAD) == 20
-        assert dma.count(TransferKind.DATA_LOAD) == 2
-        assert dma.cycles_busy() == sum(t.cycles for t in dma.transfers)
-        assert dma.by_kind()[TransferKind.DATA_LOAD] == 150
-
-    def test_reset(self):
-        dma = _channel()
-        dma.request(TransferKind.DATA_LOAD, 100, 0, "a")
-        dma.reset()
-        assert dma.busy_until == 0
-        assert dma.transfers == []
+        assert dma.count(TransferKind.DATA_LOAD) == 3
+        assert dma.count(TransferKind.CONTEXT_LOAD) == 1
+        assert dma.cycles_busy() == (
+            (10 + 200) + 2 * (10 + 50) + (10 + 60) + (10 + 60)
+        )
+        # Every block here was ready at 0, so the channel never idled.
+        assert dma.busy_until == dma.cycles_busy()
 
 
 class TestRequestBlock:
-    def test_equivalent_to_consecutive_requests(self):
-        traced = _channel()
-        for _ in range(3):
-            traced.request(TransferKind.DATA_LOAD, 10, 0, "x")
-        block = _channel()
-        duration = sum(t.cycles for t in traced.transfers)
-        start, finish = block.request_block(
-            TransferKind.DATA_LOAD, 30, duration, 3, 0
-        )
-        assert (start, finish) == (traced.transfers[0].start,
-                                   traced.transfers[-1].finish)
-        assert block.words_moved(TransferKind.DATA_LOAD) == \
-            traced.words_moved(TransferKind.DATA_LOAD)
-        assert block.count(TransferKind.DATA_LOAD) == \
-            traced.count(TransferKind.DATA_LOAD)
-        assert block.cycles_busy() == traced.cycles_busy()
-        assert block.busy_until == traced.busy_until
-
     def test_zero_count_or_words_is_free(self):
-        dma = _channel()
+        dma = DmaChannel()
         for words, count in ((0, 3), (30, 0)):
             start, finish = dma.request_block(
                 TransferKind.DATA_LOAD, words, 60, count, 5
@@ -107,27 +99,16 @@ class TestRequestBlock:
 
     def test_negative_words_rejected(self):
         with pytest.raises(SimulationError, match="negative transfer size"):
-            _channel().request_block(TransferKind.DATA_LOAD, -1, 10, 1, 0)
+            DmaChannel().request_block(TransferKind.DATA_LOAD, -1, 10, 1, 0)
 
     def test_negative_earliest_start_rejected(self):
         with pytest.raises(SimulationError, match="negative earliest_start"):
-            _channel().request_block(TransferKind.DATA_LOAD, 10, 10, 1, -1)
+            DmaChannel().request_block(TransferKind.DATA_LOAD, 10, 10, 1, -1)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(SimulationError, match="negative block duration"):
-            _channel().request_block(TransferKind.DATA_LOAD, 10, -1, 1, 0)
+            DmaChannel().request_block(TransferKind.DATA_LOAD, 10, -1, 1, 0)
 
     def test_negative_count_rejected(self):
         with pytest.raises(SimulationError, match="negative transfer count"):
-            _channel().request_block(TransferKind.DATA_LOAD, 10, 10, -1, 0)
-
-    def test_validation_matches_request_for_shared_arguments(self):
-        # The fast path and the traced path must agree on what they
-        # reject: same arguments, same verdict.
-        for words, earliest in ((-5, 0), (5, -2)):
-            with pytest.raises(SimulationError):
-                _channel().request(TransferKind.DATA_LOAD, words, earliest)
-            with pytest.raises(SimulationError):
-                _channel().request_block(
-                    TransferKind.DATA_LOAD, words, 10, 1, earliest
-                )
+            DmaChannel().request_block(TransferKind.DATA_LOAD, 10, 10, -1, 0)

@@ -299,6 +299,11 @@ def test_simengine_oracle_flags_divergent_template_rows(monkeypatch):
     failures = run_oracles(case, oracles=("simengine",))
     assert failures, "lying template rows must fire"
     assert any("materialised-op" in f.message for f in failures)
+    # The traced re-simulation stamps stores from the ops, which end
+    # one cycle before the lying block: a reported failure, not a crash.
+    assert any(
+        "traced simulation failed" in f.message for f in failures
+    )
 
 
 def _paper_e1_case():

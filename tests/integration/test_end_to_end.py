@@ -52,7 +52,7 @@ class TestPipelineProperty:
                 allocation.verify()
                 assert allocation.peak_words <= architecture.fb_set_words
             # Functional simulation matches the reference execution.
-            machine = MorphoSysM1(architecture, functional=True)
+            machine = MorphoSysM1(architecture)
             report = Simulator(machine).run(
                 program, functional=True, seed=seed
             )
@@ -128,6 +128,6 @@ class TestPartialLastRound:
         assert app.total_iterations % schedule.rf != 0
         program = generate_program(schedule)
         verify_program(program)
-        machine = MorphoSysM1(m1_medium, functional=True)
+        machine = MorphoSysM1(m1_medium)
         report = Simulator(machine).run(program, functional=True)
         assert report.functional_verified is True

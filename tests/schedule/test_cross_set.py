@@ -131,7 +131,7 @@ class TestExecution:
 
     def test_functional_semantics_preserved(self, cross_app, cross_arch):
         schedule = self._schedule(cross_app, cross_arch)
-        machine = MorphoSysM1(cross_arch, functional=True)
+        machine = MorphoSysM1(cross_arch)
         report = Simulator(machine).run(
             generate_program(schedule), functional=True
         )
@@ -153,7 +153,7 @@ class TestExecution:
         ).schedule(sharing_app, sharing_clustering)
         assert "r1" in schedule.keep_names()
         verify_program(generate_program(schedule))
-        machine = MorphoSysM1(arch, functional=True)
+        machine = MorphoSysM1(arch)
         report = Simulator(machine).run(
             generate_program(schedule), functional=True
         )

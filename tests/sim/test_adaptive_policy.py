@@ -78,7 +78,7 @@ class TestAdaptiveExecution:
             MorphoSysM1(arch), dma_policy=DmaPolicy.CONTEXTS_FIRST
         ).run(program)
         adaptive = Simulator(
-            MorphoSysM1(arch, functional=True),
+            MorphoSysM1(arch),
             dma_policy=DmaPolicy.ADAPTIVE,
         ).run(program, functional=True)
         assert adaptive.total_cycles <= default.total_cycles

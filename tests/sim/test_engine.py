@@ -167,40 +167,36 @@ class TestTimingModelEffects:
 
 
 class TestSharedMachineTraceFlag:
-    """Simulators must not leave their trace setting on a shared machine."""
+    """Runs on one machine must not leak channel state into each other."""
 
     def _program(self, app, clustering, fb="2K"):
         arch = Architecture.m1(fb)
         schedule = CompleteDataScheduler(arch).schedule(app, clustering)
         return arch, generate_program(schedule)
 
-    def test_constructing_a_simulator_leaves_the_machine_alone(
-        self, sharing_app, sharing_clustering
-    ):
-        arch, _ = self._program(sharing_app, sharing_clustering)
-        machine = MorphoSysM1(arch)
-        assert machine.dma.record_trace is True
-        Simulator(machine, trace=False)
-        assert machine.dma.record_trace is True
-
-    def test_run_restores_the_machine_trace_flag(
-        self, sharing_app, sharing_clustering
-    ):
-        arch, program = self._program(sharing_app, sharing_clustering)
-        machine = MorphoSysM1(arch)
-        Simulator(machine, trace=False).run(program)
-        assert machine.dma.record_trace is True
-
     def test_untraced_run_does_not_poison_a_later_traced_simulator(
         self, sharing_app, sharing_clustering
     ):
-        # The original bug: an untraced Simulator flipped the shared
-        # machine's flag at construction time, so a traced simulation of
-        # the same machine recorded nothing.
+        # Two bugs of a machine-owned DMA channel: an untraced Simulator
+        # once flipped the shared trace flag so a traced simulation of
+        # the same machine recorded nothing, and every further run on
+        # the machine added its timeline and traffic to the last one's.
         arch, program = self._program(sharing_app, sharing_clustering)
         machine = MorphoSysM1(arch)
         untraced = Simulator(machine, trace=False)
         traced = Simulator(machine, trace=True)
-        assert untraced.run(program).transfers == ()
+        first = untraced.run(program)
+        assert first.transfers == ()
         report = traced.run(program)
         assert report.transfers
+        again = traced.run(program)
+        assert again.transfers == report.transfers
+        assert untraced.run(program) == first
+        for later in (report, again):
+            for field in (
+                "total_cycles", "dma_busy_cycles",
+                "data_load_words", "data_store_words", "context_words",
+                "data_load_count", "data_store_count",
+                "context_load_count", "visits",
+            ):
+                assert getattr(later, field) == getattr(first, field), field

@@ -54,7 +54,7 @@ class TestWrongComputation:
                 outputs["r2"] = outputs["r2"] + 1
             return outputs
 
-        machine = MorphoSysM1(Architecture.m1("2K"), functional=True)
+        machine = MorphoSysM1(Architecture.m1("2K"))
         with pytest.raises(SimulationError, match="mismatch"):
             Simulator(machine).run(
                 program, functional=True, kernel_impls={"k2": flaky}
@@ -74,7 +74,7 @@ class TestWrongComputation:
                               dtype=np.int64)
             }
 
-        machine = MorphoSysM1(Architecture.m1("2K"), functional=True)
+        machine = MorphoSysM1(Architecture.m1("2K"))
         with pytest.raises(SimulationError, match="mismatch"):
             Simulator(machine).run(
                 program, functional=True, kernel_impls={"k1": leaky}
@@ -111,7 +111,7 @@ class TestCorruptedPrograms:
             ),
         )
         bad = Program(schedule=program.schedule, visits=tuple(visits))
-        machine = MorphoSysM1(Architecture.m1("2K"), functional=True)
+        machine = MorphoSysM1(Architecture.m1("2K"))
         with pytest.raises(SimulationError, match="not in set"):
             Simulator(machine, verify=False).run(bad, functional=True)
 
@@ -125,7 +125,7 @@ class TestCorruptedKeeps:
         assert schedule.keeps
         stripped = dataclasses.replace(schedule, keeps=())
         bad = Program(schedule=stripped, visits=program.visits)
-        machine = MorphoSysM1(Architecture.m1("2K"), functional=True)
+        machine = MorphoSysM1(Architecture.m1("2K"))
         with pytest.raises((SimulationError, ProgramVerificationError)):
             Simulator(machine, verify=False).run(bad, functional=True)
 
@@ -136,7 +136,7 @@ class TestSeedIsolation:
         uses those values rather than reseeding."""
         from repro.sim.functional import populate_external_inputs
         app = program.schedule.application
-        machine = MorphoSysM1(Architecture.m1("2K"), functional=True)
+        machine = MorphoSysM1(Architecture.m1("2K"))
         populate_external_inputs(app, machine.external_memory, seed=123)
         marker = machine.external_memory.get("d", 0).copy()
         report = Simulator(machine).run(program, functional=True, seed=999)

@@ -22,7 +22,7 @@ from repro.sim.functional import (
 def _functional_run(app, clustering, scheduler_cls, fb="2K", seed=11):
     arch = Architecture.m1(fb)
     schedule = scheduler_cls(arch).schedule(app, clustering)
-    machine = MorphoSysM1(arch, functional=True)
+    machine = MorphoSysM1(arch)
     return Simulator(machine).run(
         generate_program(schedule), functional=True, seed=seed
     )
@@ -148,7 +148,7 @@ class TestEndToEnd:
             del iteration
             return {"r2": np.asarray(inputs["r1"], dtype=np.int64) * 2}
 
-        machine = MorphoSysM1(arch, functional=True)
+        machine = MorphoSysM1(arch)
         report = Simulator(machine).run(
             generate_program(schedule),
             functional=True,
@@ -179,7 +179,6 @@ class TestAccountingLeavesMemoryUntouched:
         )
         assert memory.words_read == memory.words_written == 0
 
-        machine.dma.reset()
         report = Simulator(machine).run(program, functional=True)
         assert report.functional_verified is True
         assert report.total_cycles == accounting.total_cycles

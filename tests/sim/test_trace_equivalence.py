@@ -1,8 +1,8 @@
 """Trace-off block accounting vs. traced simulation: identical reports.
 
-``Simulator(machine, trace=False)`` skips recording the per-transfer
-DMA trace (the corpus study and the service run this way) and accounts
-each visit's context/load/store group as one contiguous channel block.
+``Simulator(machine, trace=False)`` skips stamping the per-transfer
+DMA trace (the corpus study and the service run this way); either way
+each visit's context/load/store group is one contiguous channel block.
 The timing model must be unaffected: every report field — makespan,
 stalls, DMA busy time, traffic words and operation counts, and every
 per-visit :class:`~repro.sim.report.VisitTiming` — must match the

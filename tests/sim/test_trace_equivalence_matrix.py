@@ -1,4 +1,4 @@
-"""Trace-off block accounting ≡ traced per-transfer walk, in breadth.
+"""Traced and untraced simulation agree, in breadth.
 
 Extends ``tests/sim/test_trace_equivalence.py`` to the fuzz generator
 matrix, the paper experiments under all three schedulers (including
@@ -10,6 +10,7 @@ must satisfy are checked.
 
 import pytest
 
+from repro.arch.dma import TransferKind
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.errors import InfeasibleScheduleError
@@ -123,6 +124,27 @@ class TestTimingInvariants:
             assert sum(
                 t.finish - t.start for t in report.transfers
             ) == expected, label
+
+    def test_transfers_sum_to_aggregates_and_never_overlap(self):
+        """The stamped trace is the aggregate statistics item by item:
+        per-kind words and counts summed over ``report.transfers`` equal
+        the report's fields, and the one channel never runs two
+        transfers at once."""
+        for label, _, report in self._reports():
+            for kind, words, count in (
+                (TransferKind.DATA_LOAD, report.data_load_words,
+                 report.data_load_count),
+                (TransferKind.DATA_STORE, report.data_store_words,
+                 report.data_store_count),
+                (TransferKind.CONTEXT_LOAD, report.context_words,
+                 report.context_load_count),
+            ):
+                of_kind = [t for t in report.transfers if t.kind is kind]
+                assert sum(t.words for t in of_kind) == words, label
+                assert len(of_kind) == count, label
+            ordered = sorted(report.transfers, key=lambda t: t.start)
+            for before, after in zip(ordered, ordered[1:]):
+                assert after.start >= before.finish, (label, before, after)
 
     def test_total_bounded_by_serial_sum(self):
         """Overlap can only shorten a run: the makespan never exceeds

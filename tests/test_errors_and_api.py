@@ -71,16 +71,12 @@ class TestPublicApi:
 
 class TestMachine:
     def test_machine_reset(self):
-        machine = repro.MorphoSysM1.m1("1K", functional=True)
+        machine = repro.MorphoSysM1.m1("1K")
         machine.external_memory.put("x", 0, size=8)
-        machine.dma.request(
-            __import__("repro.arch.dma", fromlist=["TransferKind"])
-            .TransferKind.DATA_LOAD, 8, 0, "x",
-        )
         machine.reset()
         assert not machine.external_memory.exists("x", 0)
-        assert machine.dma.busy_until == 0
 
     def test_str(self):
-        assert "functional" in str(repro.MorphoSysM1.m1(functional=True))
-        assert "timing" in str(repro.MorphoSysM1.m1())
+        text = str(repro.MorphoSysM1.m1("1K"))
+        assert text.startswith("MorphoSysM1(")
+        assert str(repro.Architecture.m1("1K")) in text

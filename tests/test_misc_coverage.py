@@ -32,7 +32,7 @@ class TestWaveletWorkload:
         schedule = CompleteDataScheduler(arch).schedule(
             application, clustering
         )
-        machine = MorphoSysM1(arch, functional=True)
+        machine = MorphoSysM1(arch)
         report = Simulator(machine).run(
             generate_program(schedule), functional=True,
             kernel_impls=impls,

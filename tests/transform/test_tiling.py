@@ -136,7 +136,7 @@ class TestSchedulability:
         schedule = DataScheduler(arch).schedule(tiled, clustering)
         program = generate_program(schedule)
         verify_program(program)
-        machine = MorphoSysM1(arch, functional=True)
+        machine = MorphoSysM1(arch)
         report = Simulator(machine).run(program, functional=True)
         assert report.functional_verified is True
 
