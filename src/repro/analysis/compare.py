@@ -13,7 +13,7 @@ from repro.core.cluster import Clustering
 from repro.core.dataflow import analyze_dataflow
 from repro.core.metrics import total_data_size
 from repro.errors import InfeasibleScheduleError
-from repro.obs.metrics import time_stage
+from repro.obs.metrics import inc, time_stage
 from repro.schedule import SCHEDULERS
 from repro.schedule.base import DataSchedulerBase, ScheduleOptions
 from repro.schedule.plan import Schedule
@@ -166,7 +166,8 @@ def run_scheduler(
 
     Each pipeline stage reports into the observability metrics registry
     (scope ``pipeline.<scheduler>``) when collection is on — a no-op
-    flag check otherwise.
+    flag check otherwise — and so do the simulator's
+    ``rounds_walked`` and ``rounds_shifted`` counters.
     """
     key = None
     if cache is not None:
@@ -198,8 +199,11 @@ def run_scheduler(
     with time_stage("codegen", scope=scope):
         program = generate_program(schedule)
     machine = MorphoSysM1(architecture)
+    simulator = Simulator(machine, trace=trace)
     with time_stage("simulate", scope=scope):
-        report = Simulator(machine, trace=trace).run(program)
+        report = simulator.run(program)
+    inc("rounds_walked", simulator.rounds_walked, scope=scope)
+    inc("rounds_shifted", simulator.rounds_shifted, scope=scope)
     outcome = SchedulerOutcome(
         scheduler=scheduler.name,
         feasible=True,

@@ -115,6 +115,35 @@ class DmaChannel:
         self._cycles += duration
         return (start, finish)
 
+    # -- periodic runs ------------------------------------------------------
+
+    def mark(self) -> Tuple[int, ...]:
+        """The timeline's end and every total, as one tuple for
+        :meth:`repeat`."""
+        return (
+            self.busy_until, self._cycles,
+            *self._words.values(), *self._counts.values(),
+        )
+
+    def repeat(self, since: Tuple[int, ...], times: int) -> None:
+        """Serve *times* more copies of the blocks served since the
+        :meth:`mark` *since*, each copy starting where the last ended.
+
+        This is what the rounds of a periodic run add when every round
+        repeats the previous one shifted by the same number of cycles:
+        the totals grow by the same amounts and the timeline's end moves
+        by the same span, *times* over.
+        """
+        busy, cycles, *totals = (
+            now + times * (now - then)
+            for now, then in zip(self.mark(), since)
+        )
+        self.busy_until = busy
+        self._cycles = cycles
+        kinds = len(self._words)
+        self._words = dict(zip(self._words, totals[:kinds]))
+        self._counts = dict(zip(self._counts, totals[kinds:]))
+
     # -- statistics ---------------------------------------------------------
 
     def words_moved(self, kind: TransferKind) -> int:

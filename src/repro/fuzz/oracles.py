@@ -881,15 +881,18 @@ def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
 
     The pipeline reports above ran with the per-transfer trace off, so
     the engine timed the template-compiled program from its
-    per-cluster template rows.  Re-simulating with the trace on times
-    the same channel blocks and stamps each group's transfers from the
-    visit's ops; a group whose ops do not fill its block exactly raises
+    per-cluster template rows, and a program of five rounds or more
+    had the rounds past its steady state stamped by shift.
+    Re-simulating with the trace on walks every visit, times the same
+    channel blocks and stamps each group's transfers from the visit's
+    ops; a group whose ops do not fill its block exactly raises
     :class:`~repro.errors.SimulationError`, reported here as a failure.
     The traced run must also reproduce every
     :class:`~repro.sim.report.SimulationReport` field except the trace
-    itself, per-visit timings included.  The same program with its
-    visits materialised into a plain tuple is timed from rows summed
-    from its ops and must reproduce the report exactly.
+    itself, per-visit timings included, so it checks every shifted
+    round.  The same program with its visits materialised into a plain
+    tuple is timed from rows summed from its ops, shifted where those
+    rows repeat, and must reproduce the report exactly.
     """
     failures = []
     for run in runs.values():

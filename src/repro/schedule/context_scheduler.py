@@ -9,10 +9,15 @@ compute window closes before the next visit's contexts and data are in
 place, the RC array stalls.
 
 :func:`issue_order` is the one statement of that order.  The timing
-engine (:meth:`repro.sim.engine.Simulator._execute`) accounts its steps
+engine (:meth:`repro.sim.engine.Simulator._walk`) accounts its steps
 on the DMA channel, and the happens-before graph
 (:meth:`repro.dataflow.hazards.HappensBefore.build`) numbers the same
 steps into channel positions.
+
+The steps of a round read only that round's visits and its two
+neighbour rounds' visits.  So leaving out a run of rounds whose rows
+equal their neighbours' leaves out exactly those rounds' steps; the
+steady-state simulator depends on this when it skips rounds.
 """
 
 from __future__ import annotations

@@ -38,6 +38,39 @@ so every traced run cross-checks the timing rows against the ops.
 oracle compare traced against untraced runs, and templated against
 materialised programs.
 
+**Steady state.**  A schedule is round-periodic: every round visits
+the same clusters on the same FB sets, and only the last round may be
+partial.  The engine applies only ``max`` and ``+`` to per-row
+constants, so its update is shift-invariant: two walks from states
+that differ by a constant shift stay that shift apart (max-plus
+periodicity; Heidergott, Olsder & van der Woude, *Max Plus at Work*).
+At a round boundary, just before the round's first visit runs, the
+state that later steps read is that visit's ``prep_finish`` and the
+channel's ``busy_until``, both measured from the previous visit's
+``compute_end``.  When the boundary state before round ``r`` equals the
+one before round ``r - 1``, round ``r`` repeats round ``r - 1`` shifted
+by the difference of their boundaries, and so does every later round
+whose steps read the same rows.  A round's steps read its neighbours'
+rows too: the next round's first preparation, and the previous round's
+last stores and sets.  So a round is shifted only if it and both its
+neighbours have the template round's rows, and the template round's
+own neighbours have them as well.  Rows are compared, not assumed from
+the templates, so an edited visit of a materialised program is walked.
+
+An untraced, non-functional run of five rounds or more therefore walks
+only part of each stretch of equal-row rounds.  It compares the
+boundary states before the stretch's rounds 2 to 4, stamps the rounds
+from the first repeat up to the stretch's last round by shift and adds
+their channel totals (:meth:`~repro.arch.dma.DmaChannel.repeat`).  It
+then walks on from the stretch's last round.  The rounds it shifts are
+left out of the :func:`issue_order` call, so their rows and steps are
+never built.  A probe that finds no repeat walks the whole program
+again, visit by visit.  Traced and functional runs always walk every
+visit, which makes the traced run the oracle (``tests/sim/
+test_steady_state.py`` and the ``simengine`` fuzz oracle).
+:attr:`Simulator.rounds_walked` and :attr:`Simulator.rounds_shifted`
+say which path a run took.
+
 Functional mode additionally moves real values through the machine's
 external memory and checks every final output against the reference
 execution.
@@ -45,7 +78,7 @@ execution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -116,6 +149,12 @@ class Simulator:
         #: pass (``repro.dataflow``) — property-tested to agree.
         self.functional_loaded_words: Optional[int] = None
         self.functional_dead_words: Optional[int] = None
+        #: After a run: the rounds whose visits were walked step by
+        #: step, and the rounds stamped by shift from a steady state
+        #: (only untraced, non-functional runs shift).  They add up to
+        #: the program's rounds.  ``None`` until a run completes.
+        self.rounds_walked: Optional[int] = None
+        self.rounds_shifted: Optional[int] = None
         self._load_watch: Dict[tuple, int] = {}
         self._dead_words = 0
         self._loaded_words = 0
@@ -165,9 +204,10 @@ class Simulator:
             self._load_watch = {}
             self._dead_words = 0
             self._loaded_words = 0
-        dma = DmaChannel()
         transfers: List[DmaTransfer] = []
-        timings = self._execute(program, functional, impls, dma, transfers)
+        timings, compute_cycles, stall, dma = self._execute(
+            program, functional, impls, transfers
+        )
 
         verified: Optional[bool] = None
         if functional:
@@ -178,11 +218,9 @@ class Simulator:
                 self._dead_words + sum(self._load_watch.values())
             )
 
-        compute_cycles = sum(t.compute_end - t.compute_start for t in timings)
         total = max(
             dma.busy_until, timings[-1].compute_end if timings else 0
         )
-        stall = self._stall_cycles(timings)
         return SimulationReport(
             scheduler=program.schedule.scheduler,
             application=application.name,
@@ -203,25 +241,31 @@ class Simulator:
 
     # -- timing engine ----------------------------------------------------
 
-    def _visit_rows(self, visits) -> List[Tuple]:
-        """One row per visit: ``(index, round_index, cluster_index,
-        fb_set, n_iters, compute_cycles, ctx, ld, st)``, where ``ctx``,
-        ``ld`` and ``st`` are the visit's context, data-load and store
-        groups as ``(words, duration, count)``.
+    def _round_tails(
+        self, visits, width: int
+    ) -> Tuple[List[Tuple[Tuple, ...]], Optional[List[Tuple[int, int]]]]:
+        """The program's timing rows by round, as ``(tails, idents)``.
+
+        ``tails[m]`` holds round ``m``'s rows without their identity,
+        one ``(cluster_index, fb_set, n_iters, compute_cycles, ctx, ld,
+        st)`` per visit, where ``ctx``, ``ld`` and ``st`` are the
+        visit's context, data-load and store groups as ``(words,
+        duration, count)``.  ``idents`` lists every visit's ``(index,
+        round_index)``, or is ``None`` when the position gives it.
 
         A template-compiled program yields its group totals from its
-        :class:`ClusterTemplate` tables, once per (cluster, round
-        length), without stamping a single op.  Any other visit
-        sequence (the reference generator, pickled programs, fuzz
-        mutations) has each visit's totals summed from its own ops, so
-        a visit edited apart from its cluster's other visits is timed
-        as it is.
+        :class:`ClusterTemplate` tables, once per round length, without
+        stamping a single op; its visit ``m * width + k`` is the
+        ``k``-th of round ``m``.  Any other visit sequence (the
+        reference generator, pickled programs, fuzz mutations) has each
+        visit's totals summed from its own ops, so a visit edited apart
+        from its cluster's other visits is timed as it is.
         """
         timing = self.machine.architecture.timing
         ctx_cycles = timing.context_transfer_cycles
         data_cycles = timing.data_transfer_cycles
         if isinstance(visits, TemplateVisits):
-            return _template_rows(visits, ctx_cycles, data_cycles)
+            return _template_tails(visits, ctx_cycles, data_cycles), None
 
         def totals(items, cycles_of):
             return (
@@ -230,54 +274,137 @@ class Simulator:
                 len(items),
             )
 
-        rows = []
+        idents = []
+        tails = []
         for ops in visits:
             visit = ops.visit
-            rows.append((
-                visit.index, visit.round_index, visit.cluster_index,
-                visit.fb_set, len(visit.iterations), ops.compute_cycles,
+            idents.append((visit.index, visit.round_index))
+            tails.append((
+                visit.cluster_index, visit.fb_set, len(visit.iterations),
+                ops.compute_cycles,
                 totals(ops.context_loads, ctx_cycles),
                 totals(ops.data_loads, data_cycles),
                 totals(ops.stores, data_cycles),
             ))
-        return rows
+        return [
+            tuple(tails[first:first + width])
+            for first in range(0, len(tails), width)
+        ], idents
 
     def _execute(
         self,
         program: Program,
         functional: bool,
         impls: Mapping[str, KernelImpl],
-        dma: DmaChannel,
         transfers: List[DmaTransfer],
-    ) -> List[VisitTiming]:
-        """Time every :func:`issue_order` step on *dma*; with the trace
-        on, append each group's stamped transfers to *transfers*."""
+    ) -> Tuple[List[VisitTiming], int, int, DmaChannel]:
+        """Time the program on a fresh channel; return ``(timings,
+        compute_cycles, stall_cycles, channel)``.
+
+        An untraced, non-functional run walks its periodic stretches
+        only until their steady state shows and stamps the rest by
+        shift (module docstring); a probe that finds no steady state
+        falls back to walking every visit, as every other run does.
+        """
+        schedule = program.schedule
+        width = len(schedule.clustering)
+        rounds = schedule.rounds
+        tails, idents = self._round_tails(program.visits, width)
+        if (
+            not (self.trace or functional)
+            and rounds >= _MIN_SHIFT_ROUNDS
+            and len(program.visits) == rounds * width
+        ):
+            gaps = _steady_gaps(tails)
+            if gaps:
+                walked = self._walk(
+                    program, tails, idents, width, gaps, False, {},
+                    transfers,
+                )
+                if walked is not None:
+                    return walked
+        return self._walk(
+            program, tails, idents, width, (), functional, impls, transfers
+        )
+
+    def _walk(
+        self,
+        program: Program,
+        tails: List[Tuple[Tuple, ...]],
+        idents: Optional[List[Tuple[int, int]]],
+        width: int,
+        gaps: Sequence[Tuple[int, int, int]],
+        functional: bool,
+        impls: Mapping[str, KernelImpl],
+        transfers: List[DmaTransfer],
+    ) -> Optional[Tuple[List[VisitTiming], int, int, DmaChannel]]:
+        """Time every :func:`issue_order` step of the program without
+        the rounds of *gaps* (see :func:`_steady_gaps`); with the trace
+        on, append each group's stamped transfers to *transfers*.
+
+        Each gap's rounds are stamped by shift once the walk reaches
+        its stretch's steady state.  Returns ``None`` when a probe ends
+        without one.
+        """
         visits = program.visits
-        if not visits:
-            return []
-        rows = self._visit_rows(visits)
         timing = self.machine.architecture.timing
         fb_values: Tuple[Dict, Dict] = ({}, {})
+        steady = _SteadyState(gaps, width, idents)
+        rows = []
+        for round_index, round_tails in enumerate(tails):
+            if round_index in steady.left_out:
+                continue
+            first = round_index * width
+            for k, tail in enumerate(round_tails):
+                rows.append(
+                    (idents[first + k] if idents else (first + k, round_index))
+                    + tail
+                )
         steps, _ = issue_order(
             program.schedule, [(row[3], row[2], row[4]) for row in rows],
             self.dma_policy,
         )
 
+        dma = DmaChannel()
         count = len(rows)
         prep_finish = [0] * count
         # One extra slot that stays 0: gate -1 ("no visit") reads it.
         compute_end = [0] * (count + 1)
         timings: List[VisitTiming] = []
+        compute = stall = 0
         trace = self.trace
+        checkpoint = steady.checkpoint
 
         # Back-to-back transfers at one earliest start occupy one
         # contiguous channel block, so each visit's context/load/store
         # group is timed in O(1) via request_block from its row.
-        for kind, index, gate in steps:
+        walk = iter(steps)
+        for kind, index, gate in walk:
             if kind == RUN:
+                if index == checkpoint:
+                    resumed = steady.boundary(
+                        index, prep_finish, compute_end, dma, timings,
+                        compute, stall,
+                    )
+                    if resumed is None:
+                        return None
+                    checkpoint = steady.checkpoint
+                    resume, compute, stall = resumed
+                    if resume != index:
+                        # The shifted rounds' steps are not walked.
+                        target = (RUN, resume, -1)
+                        for step in walk:
+                            if step == target:
+                                break
+                        index = resume
                 (visit_index, round_index, cluster_index, fb_set, _,
                  compute_cycles, _, _, _) = rows[index]
-                start = max(prep_finish[index], compute_end[index - 1])
+                previous_end = compute_end[index - 1]
+                start = prep_finish[index]
+                if start < previous_end:
+                    start = previous_end
+                stall += start - previous_end
+                compute += compute_cycles
                 end = start + compute_cycles
                 compute_end[index] = end
                 if functional:
@@ -321,15 +448,9 @@ class Simulator:
                 finish > prep_finish[index]
             ):
                 prep_finish[index] = finish
-        return timings
-
-    def _stall_cycles(self, timings: List[VisitTiming]) -> int:
-        stall = 0
-        previous_end = 0
-        for timing in timings:
-            stall += max(0, timing.compute_start - previous_end)
-            previous_end = timing.compute_end
-        return stall
+        self.rounds_shifted = steady.shifted
+        self.rounds_walked = program.schedule.rounds - steady.shifted
+        return timings, compute, stall, dma
 
     # -- functional data movement ---------------------------------------
 
@@ -423,6 +544,149 @@ class Simulator:
         return True
 
 
+#: Programs with fewer rounds walk every visit: a shift could skip one
+#: round at most.
+_MIN_SHIFT_ROUNDS = 5
+
+#: A periodic stretch's steady state is looked for at the boundaries
+#: before its rounds 2 to _PROBE_ROUNDS.
+_PROBE_ROUNDS = 4
+
+
+def _steady_gaps(tails: List[Tuple[Tuple, ...]]) -> List[Tuple[int, int, int]]:
+    """``(start, probe_end, end)`` per stretch ``start .. end`` of rounds
+    with equal rows long enough to shift.
+
+    The walk compares the round-boundary states before the stretch's
+    rounds ``start + 2`` to ``probe_end``.  Once two consecutive ones
+    are equal, the rounds from there to ``end - 1`` are stamped by
+    shift, so rounds ``probe_end`` to ``end - 1`` are left out of the
+    walk.  A round's steps read the rows of both its neighbours, so the
+    template round (the one before the repeat) and every shifted round
+    must lie strictly inside the stretch: the template round is
+    ``start + 1`` or later, and round ``end`` itself is walked.
+    """
+    gaps = []
+    start = 0
+    for round_index in range(1, len(tails) + 1):
+        if round_index < len(tails) and tails[round_index] == tails[start]:
+            continue
+        end = round_index - 1
+        if end - start >= 3:
+            gaps.append((start, min(start + _PROBE_ROUNDS, end - 1), end))
+        start = round_index
+    return gaps
+
+
+class _SteadyState:
+    """Looks for a walk's steady state at the round boundaries of its
+    probes, and stamps the rounds it then skips.
+
+    Each gap ``(start, probe_end, end)`` of :func:`_steady_gaps` leaves
+    program rounds ``probe_end`` to ``end - 1`` out of the walk
+    (:attr:`left_out`) and becomes a probe ``(first, last, offset,
+    resume)``: walk rounds ``first`` to ``last`` of the stretch, where
+    walk round ``c`` is program round ``c + offset``, and the walk's
+    round ``last`` is program round ``resume``.
+    """
+
+    def __init__(self, gaps, width: int, idents) -> None:
+        #: Program rounds the walk leaves out.
+        self.left_out: Set[int] = set()
+        probes = []
+        for start, probe_end, end in gaps:
+            offset = len(self.left_out)
+            probes.append((start + 1 - offset, probe_end - offset, offset, end))
+            self.left_out.update(range(probe_end, end))
+        self._probes = iter(probes)
+        self._width = width
+        self._idents = idents
+        #: Program rounds stamped by shift so far.
+        self.shifted = 0
+        self._next_probe()
+
+    def _next_probe(self) -> None:
+        self._probe = next(self._probes, None)
+        #: The walk visit before whose run :meth:`boundary` is due.
+        self.checkpoint = (
+            self._probe[0] * self._width if self._probe else -1
+        )
+        self._previous: Optional[Tuple] = None
+
+    def boundary(
+        self, index, prep_finish, compute_end, dma, timings, compute, stall
+    ) -> Optional[Tuple[int, int, int]]:
+        """The walk is about to run visit *index*, a round's first.
+
+        Compares the round-boundary state with the previous round's.
+        On a repeat, stamps the probe's remaining program rounds by
+        shift, advances *dma*, *prep_finish* and *compute_end* to the
+        resume round's boundary and returns ``(resume_index, compute,
+        stall)`` with the sums grown to match.  Otherwise records the
+        state and returns ``(index, compute, stall)``, or ``None`` when
+        the probe ends here without a repeat.
+        """
+        width = self._width
+        base = compute_end[index - 1]
+        state = (prep_finish[index] - base, dma.busy_until - base)
+        previous = self._previous
+        _, last, offset, resume = self._probe
+        if previous is None or previous[0] != state:
+            if index == last * width:
+                return None
+            self._previous = (state, base, dma.mark(), compute, stall)
+            self.checkpoint = index + width
+            return index, compute, stall
+        _, then, mark, compute_then, stall_then = previous
+        delta = base - then
+        start = index // width + offset
+        times = resume - start
+        self._stamp_rounds(timings, start, times, delta)
+        dma.repeat(mark, times)
+        self.shifted += times
+        at = last * width
+        prep_finish[at] = prep_finish[index] + times * delta
+        compute_end[at - 1] = base + times * delta
+        self._next_probe()
+        return (
+            at,
+            compute + times * (compute - compute_then),
+            stall + times * (stall - stall_then),
+        )
+
+    def _stamp_rounds(
+        self, timings: List[VisitTiming], start: int, times: int, delta: int
+    ) -> None:
+        """Append program rounds ``start`` to ``start + times - 1``: the
+        last walked round's timings, each round *delta* cycles later
+        than the one before."""
+        width = self._width
+        idents = self._idents
+        template = timings[-width:]
+        new = object.__new__
+        append = timings.append
+        for round_index in range(start, start + times):
+            shift = (round_index - start + 1) * delta
+            first = round_index * width
+            for k, visit in enumerate(template):
+                index, visit_round = (
+                    idents[first + k] if idents else (first + k, round_index)
+                )
+                # The frozen dataclass's generated __init__ is bypassed
+                # as in TemplateVisits._stamp.
+                stamped = new(VisitTiming)
+                stamped.__dict__.update(
+                    index=index,
+                    round_index=visit_round,
+                    cluster_index=visit.cluster_index,
+                    fb_set=visit.fb_set,
+                    prep_finish=visit.prep_finish + shift,
+                    compute_start=visit.compute_start + shift,
+                    compute_end=visit.compute_end + shift,
+                )
+                append(stamped)
+
+
 def _stamp(
     transfers: List[DmaTransfer],
     kind: int,
@@ -469,11 +733,12 @@ def _stamp(
         )
 
 
-def _template_rows(
+def _template_tails(
     visits: TemplateVisits, ctx_cycles, data_cycles
-) -> List[Tuple]:
-    """:meth:`Simulator._visit_rows` straight from the codegen
-    templates: per-cluster group totals scaled by the round length."""
+) -> List[Tuple[Tuple, ...]]:
+    """:meth:`Simulator._round_tails` straight from the codegen
+    templates: per-cluster group totals scaled by the round length.
+    Rounds of one length share one tuple of rows."""
     schedule = visits.schedule
     clusters = []
     for template in visits.templates:
@@ -483,25 +748,27 @@ def _template_rows(
             (template.context_total,
              sum(ctx_cycles(load.words) for load in contexts),
              len(contexts)),
-            {},
         ))
-    rows = []
-    index = 0
-    for round_index in range(schedule.rounds):
+    by_length: Dict[int, Tuple[Tuple, ...]] = {}
+
+    def round_tails(round_index: int) -> Tuple[Tuple, ...]:
         n_iters = schedule.iterations_in_round(round_index)
-        for template, contexts, by_length in clusters:
-            groups = by_length.get(n_iters)
-            if groups is None:
-                groups = by_length[n_iters] = _template_groups(
+        if n_iters not in by_length:
+            rows = []
+            for template, contexts in clusters:
+                compute, loads, stores = _template_groups(
                     template, n_iters, data_cycles
                 )
-            rows.append((
-                index, round_index, template.cluster_index,
-                template.fb_set, n_iters, groups[0],
-                contexts, groups[1], groups[2],
-            ))
-            index += 1
-    return rows
+                rows.append((
+                    template.cluster_index, template.fb_set, n_iters,
+                    compute, contexts, loads, stores,
+                ))
+            by_length[n_iters] = tuple(rows)
+        return by_length[n_iters]
+
+    # Only the last round may be partial.
+    last = schedule.rounds - 1
+    return [round_tails(0)] * last + [round_tails(last)]
 
 
 def _template_groups(

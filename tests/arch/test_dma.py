@@ -112,3 +112,38 @@ class TestRequestBlock:
     def test_negative_count_rejected(self):
         with pytest.raises(SimulationError, match="negative transfer count"):
             DmaChannel().request_block(TransferKind.DATA_LOAD, 10, 10, -1, 0)
+
+
+class TestRepeat:
+    def _round(self, dma, at):
+        """One periodic round: a context load, a data load and a store,
+        all gated on cycle *at*."""
+        _block(dma, TransferKind.CONTEXT_LOAD, 8, at)
+        _block(dma, TransferKind.DATA_LOAD, 16, at, count=3)
+        _block(dma, TransferKind.DATA_STORE, 4, at, count=2)
+
+    def test_repeat_equals_serving_the_rounds(self):
+        period = 400
+        served = DmaChannel()
+        repeated = DmaChannel()
+        for dma in (served, repeated):
+            self._round(dma, 0)
+        mark = repeated.mark()
+        self._round(repeated, period)
+        repeated.repeat(mark, 3)
+        for round_index in range(1, 5):
+            self._round(served, round_index * period)
+        assert repeated.mark() == served.mark()
+        assert repeated.busy_until == served.busy_until
+        for kind in TransferKind:
+            assert repeated.words_moved(kind) == served.words_moved(kind)
+            assert repeated.count(kind) == served.count(kind)
+        assert repeated.cycles_busy() == served.cycles_busy()
+
+    def test_repeat_zero_times_changes_nothing(self):
+        dma = DmaChannel()
+        mark = dma.mark()
+        self._round(dma, 0)
+        before = dma.mark()
+        dma.repeat(mark, 0)
+        assert dma.mark() == before
