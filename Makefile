@@ -111,13 +111,16 @@ perf-gate:
 # non-zero exit means the emitted trace_event JSON broke the documented
 # schema; the text timeline, decision log, profile and Gantt renderers
 # must run too, the profile must count rounds the simulator stamped by
-# shift (the steady-state path is on), and the Gantt chart must draw
-# its DMA lane.
+# shift (the steady-state path is on), the corpus profile must time the
+# HAZ001 race pass on its own row, and the Gantt chart must draw its DMA
+# lane.
 trace-smoke:
 	$(PYTHON) -m repro.cli trace ATR-FI --output trace_ATR-FI.json
 	$(PYTHON) -m repro.cli trace MPEG --format text --decisions > /dev/null
 	$(PYTHON) -m repro.cli run E1 --profile \
 		| grep -E 'rounds_shifted +[1-9]' > /dev/null
+	$(PYTHON) -m repro.cli corpus --seeds 2 --fb 16K --iterations 48 \
+		--profile | grep -E 'analysis/races +[0-9.]*[1-9]' > /dev/null
 	$(PYTHON) -m repro.cli run E1 --gantt | grep '  DMA  |' > /dev/null
 
 # Sample Chrome trace_event export — open trace_ATR-FI.json at

@@ -397,6 +397,7 @@ class _SetAllocation:
         placed as produced, dead space released after each execution."""
         for kernel_name in cluster.kernel_names:
             kernel = self.dataflow.application.kernel(kernel_name)
+            release = self._dead_inputs(cluster, kernel)
             for instance in range(self.rf):
                 self.step += 1
                 for out_name in kernel.outputs:
@@ -411,13 +412,20 @@ class _SetAllocation:
                     self._allocate(
                         out_name, instance, cluster.index, info.size, direction
                     )
-                self._release_dead(cluster, kernel, instance)
+                self._release_dead(release, instance)
                 self._snapshot(
                     f"after execution {instance + 1} of {kernel_name}"
                 )
 
-    def _release_dead(self, cluster, kernel, instance: int) -> None:
-        """Paper's ``release(c, k, iter)``."""
+    def _dead_inputs(self, cluster, kernel) -> List[Tuple[str, bool]]:
+        """The inputs *kernel* releases after each of its executions in
+        *cluster*, as ``(name, invariant)`` in input order.
+
+        Whether an input dies here does not depend on the iteration, so
+        the list is built once per (cluster, kernel); only the
+        :meth:`_release_dead` binding checks run per instance.
+        """
+        release: List[Tuple[str, bool]] = []
         for in_name in kernel.inputs:
             info = self.dataflow[in_name]
             if in_name in self.kept_data or in_name in self.kept_results:
@@ -432,7 +440,15 @@ class _SetAllocation:
                 # Outbound result: freed when its store completes
                 # (cluster end), not at its last local use.
                 continue
-            if info.invariant:
+            release.append((in_name, info.invariant))
+        return release
+
+    def _release_dead(self, release: List[Tuple[str, bool]],
+                      instance: int) -> None:
+        """Paper's ``release(c, k, iter)`` over a :meth:`_dead_inputs`
+        list."""
+        for in_name, invariant in release:
+            if invariant:
                 # Single shared copy (instance 0): released only after
                 # the last concurrent iteration used it.
                 if instance == self.rf - 1 and self.regions.is_bound(
@@ -541,14 +557,14 @@ class _SetAllocation:
                 self._record_alloc(
                     "alloc.split", name, instance, size=size,
                     direction=direction,
-                    extents=[[e.start, e.end] for e in extents],
+                    extents=extents,
                 )
         self.regions.bind(name, instance, extents)
         self._record_alloc(
             "alloc.place", name, instance,
             cluster_index=cluster_index, size=size, direction=direction,
             regular=regular, split=len(extents) > 1,
-            extents=[[e.start, e.end] for e in extents],
+            extents=extents,
         )
         self._open[(name, instance)] = {
             "extents": extents,
@@ -583,6 +599,9 @@ class _SetAllocation:
     def _record_alloc(self, kind: str, name: str, instance: int,
                       **detail) -> None:
         if self.decisions is not None:
+            extents = detail.get("extents")
+            if extents is not None:
+                detail["extents"] = [[e.start, e.end] for e in extents]
             self.decisions.record(
                 kind, name, instance=instance, fb_set=self.fb_set,
                 step=self.step, **detail,
@@ -597,7 +616,7 @@ class _SetAllocation:
         self.free_list.free_extents(extents)
         self._record_alloc(
             "alloc.free", name, instance,
-            extents=[[e.start, e.end] for e in extents],
+            extents=extents,
         )
         if self.debug_invariants:
             self.free_list.check_invariants()

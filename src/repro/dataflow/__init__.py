@@ -5,8 +5,10 @@ The package closes the gap between the functional program verifier
 only samples dynamically:
 
 * :mod:`repro.dataflow.ir` lowers a :class:`~repro.codegen.program.Program`
-  into a def-use IR — one node per leaf op with its FB/CM word effects,
-  one :class:`~repro.dataflow.ir.ValueLifetime` per resident instance;
+  into a def-use IR of integer columns — one node per leaf op with its
+  FB/CM word effects, one value per resident instance — with a lazy
+  :class:`~repro.dataflow.ir.IRNode` /
+  :class:`~repro.dataflow.ir.ValueLifetime` view built on access;
 * :mod:`repro.dataflow.hazards` builds the happens-before graph between
   DMA transfers and kernel runs under a DMA serialization policy,
   mirroring the reference engine's issue order;

@@ -108,8 +108,7 @@ def emit_hazards(
     every hazard-pass finding through *emit* (a lint emitter)."""
     with time_stage("happens_before", scope="analysis"):
         hb = HappensBefore.build(ir, policy=policy)
-    with time_stage("hazard_passes", scope="analysis"):
-        run_hazard_passes(ir, hb, emit)
+    run_hazard_passes(ir, hb, emit)
 
 
 def analyze_schedule(

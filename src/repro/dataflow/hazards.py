@@ -36,10 +36,13 @@ exactly the relation the race pass needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
 from repro.dataflow.ir import ProgramIR
 from repro.schedule.context_scheduler import (
+    CTX,
+    LOAD,
     RUN,
     STORE,
     DmaPolicy,
@@ -47,6 +50,11 @@ from repro.schedule.context_scheduler import (
 )
 
 __all__ = ["HappensBefore"]
+
+#: Step kind (CTX, LOAD, RUN, STORE) -> its node group in a visit's
+#: ``ProgramIR.group_starts`` (context loads, data loads, compute,
+#: stores).
+_GROUP_OF_STEP = {CTX: 0, LOAD: 1, RUN: 2, STORE: 3}
 
 
 @dataclass
@@ -92,7 +100,7 @@ class HappensBefore:
         """Number the steps of :func:`issue_order` for *policy*."""
         program = ir.program
         visits = program.visits
-        groups = ir.visit_nodes
+        starts = ir.group_starts
         steps, loads_first_windows = issue_order(
             program.schedule,
             [(ops.visit.fb_set, ops.visit.cluster_index,
@@ -106,30 +114,24 @@ class HappensBefore:
         compute_visit: Dict[int, int] = {}
         lastprep = [-1] * len(visits)
         for kind, index, gate in steps:
-            nodes = groups[index]
+            # Visit *index*'s node group of this step kind.
+            at = 4 * index + _GROUP_OF_STEP[kind]
+            nodes = range(starts[at], starts[at + 1])
             if kind == RUN:
-                for node in nodes.compute:
+                for node in nodes:
                     compute_visit[node] = index
                     compute_seq[node] = len(compute_seq)
                 continue
-            group = (nodes.context_loads, nodes.data_loads,
-                     nodes.stores)[kind]
-            for node in group:
+            for node in nodes:
                 channel_pos[node] = len(rel)
                 rel.append(gate)
-            if group and kind != STORE:
+            if nodes and kind != STORE:
                 lastprep[index] = len(rel) - 1
 
-        maxrel: List[int] = []
-        best = -1
-        for gate in rel:
-            best = max(best, gate)
-            maxrel.append(best)
-        maxprep: List[int] = []
-        best = -1
-        for pos in lastprep:
-            best = max(best, pos)
-            maxprep.append(best)
+        # Gates and positions are >= -1, so the prefix maxima need no
+        # -1 seed.
+        maxrel = list(accumulate(rel, max))
+        maxprep = list(accumulate(lastprep, max))
 
         return cls(
             policy=policy,
@@ -148,15 +150,15 @@ class HappensBefore:
 
     def happens_before(self, a: int, b: int) -> bool:
         """True when every legal execution finishes *a* before *b* starts."""
-        ta = a in self.channel_pos
-        tb = b in self.channel_pos
-        if ta and tb:
-            return self.channel_pos[a] < self.channel_pos[b]
-        if not ta and not tb:
+        pa = self.channel_pos.get(a)
+        pb = self.channel_pos.get(b)
+        if pa is not None:
+            if pb is not None:
+                return pa < pb
+            return pa <= self.maxprep[self.compute_visit[b]]
+        if pb is None:
             return self.compute_seq[a] < self.compute_seq[b]
-        if ta:
-            return self.channel_pos[a] <= self.maxprep[self.compute_visit[b]]
-        return self.compute_visit[a] <= self.maxrel[self.channel_pos[b]]
+        return self.compute_visit[a] <= self.maxrel[pb]
 
     def ordered(self, a: int, b: int) -> bool:
         """True when the two nodes are ordered either way."""

@@ -1,13 +1,27 @@
 """Lowering a compiled :class:`Program` into a def-use IR.
 
-Every leaf op of every visit becomes one :class:`IRNode` carrying its
-memory *effects*: which frame-buffer words (when an allocation map is
-available) or context-memory words it reads and writes.  A verifier
-style replay threads values through the nodes, producing one
-:class:`ValueLifetime` per resident instance — its defining node, every
-consuming node, the visit at whose end it leaves the set, and the
-node-order position at which the allocator returns its words to the
-free list.
+:func:`lower_program` replays the program once, in the verifier's
+order, and fills parallel integer columns on :class:`ProgramIR`:
+
+* per **node** (one per leaf op, numbered in program order): its kind
+  code and its visit index;
+* per **access row** (one per word range a node reads or writes): the
+  node, the address-space slot (frame-buffer set or context-memory
+  block), the ``[start, end)`` words, read or write, and the value;
+* per **value** (one per resident instance of one object in one FB
+  set): name, instance, set, words, defining node and kind, placement,
+  keep and drain flags, the visit that drains it and the node-order
+  position at which the allocator returns its words; its kernel reads
+  and stores are flat ``(value, node)`` lists.
+
+The hazard passes read those columns directly.  :attr:`ProgramIR.nodes`,
+:attr:`ProgramIR.values` and :attr:`ProgramIR.visit_nodes` are lazy
+sequences over them that build an :class:`IRNode` (with its
+:class:`Access` tuple), a :class:`ValueLifetime` or a
+:class:`VisitNodes` only when indexed or iterated — for a diagnostic's
+description, ``repro analyze``, the tests and the reference passes of
+:mod:`repro.dataflow.reference`.  They compare equal to the lists of
+those objects.
 
 The IR is purely *program-order*: it says what the program means, not
 when the DMA channel moves the words.  The timing dimension is added
@@ -18,6 +32,8 @@ can never contradict the program order.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -29,6 +45,7 @@ __all__ = [
     "DATA_LOAD",
     "COMPUTE",
     "STORE",
+    "KINDS",
     "Access",
     "IRNode",
     "ValueLifetime",
@@ -42,6 +59,13 @@ CONTEXT_LOAD = "context_load"
 DATA_LOAD = "data_load"
 COMPUTE = "compute"
 STORE = "store"
+
+#: The kind codes of :attr:`ProgramIR.node_kind` and
+#: :attr:`ProgramIR.val_kind` index this tuple; a visit's node groups
+#: come in this order too.
+KINDS = (CONTEXT_LOAD, DATA_LOAD, COMPUTE, STORE)
+_CTX, _LOAD, _RUN, _STORE = range(4)
+_GROUPS = ("context_loads", "data_loads", "compute", "stores")
 
 
 @dataclass(frozen=True)
@@ -83,14 +107,17 @@ class IRNode:
 
     def describe(self) -> str:
         """Short human-readable label, e.g. ``"load x#3"``."""
-        op = self.op
-        if self.kind == CONTEXT_LOAD:
-            return f"ctx {op.kernel}"
-        if self.kind == DATA_LOAD:
-            return f"load {op.name}#{op.iteration}"
-        if self.kind == STORE:
-            return f"store {op.name}#{op.iteration}"
-        return f"run {op.kernel}#{op.iteration}"
+        return _describe(self.kind, self.op)
+
+
+def _describe(kind: str, op) -> str:
+    if kind == CONTEXT_LOAD:
+        return f"ctx {op.kernel}"
+    if kind == DATA_LOAD:
+        return f"load {op.name}#{op.iteration}"
+    if kind == STORE:
+        return f"store {op.name}#{op.iteration}"
+    return f"run {op.kernel}#{op.iteration}"
 
 
 @dataclass
@@ -163,30 +190,233 @@ class VisitNodes:
         raise ValueError("empty visit")
 
 
-@dataclass
+class _LazyView(SequenceABC):
+    """A read-only sequence that builds item *i* from the IR's columns
+    on access; equal to a list of the same items (and unhashable, like
+    one)."""
+
+    __slots__ = ("_ir",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, ir: "ProgramIR") -> None:
+        self._ir = ir
+
+    def _build(self, index: int):
+        raise NotImplementedError
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._build(i) for i in range(*index.indices(len(self)))]
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._build(index)
+
+    def __iter__(self):
+        return map(self._build, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, _LazyView)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class _NodeView(_LazyView):
+    """``ProgramIR.nodes``: an :class:`IRNode` per node id."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._ir.node_kind)
+
+    def _build(self, node: int) -> IRNode:
+        ir = self._ir
+        return IRNode(node, KINDS[ir.node_kind[node]], ir.node_visit[node],
+                      ir.op_of(node), ir.accesses_of(node))
+
+
+class _ValueView(_LazyView):
+    """``ProgramIR.values``: a :class:`ValueLifetime` per value id."""
+
+    __slots__ = ("_uses", "_stores")
+
+    def __init__(self, ir: "ProgramIR") -> None:
+        super().__init__(ir)
+        self._uses: Optional[Dict[int, List[int]]] = None
+        self._stores: Optional[Dict[int, List[int]]] = None
+
+    def __len__(self) -> int:
+        return len(self._ir.val_name)
+
+    def _build(self, v: int) -> ValueLifetime:
+        ir = self._ir
+        if self._uses is None:
+            self._uses = _group(ir.use_value, ir.use_node)
+            self._stores = _group(ir.store_value, ir.store_node)
+        place = ir.val_place[v]
+        return ValueLifetime(
+            value_id=v,
+            name=ir.val_name[v],
+            instance=ir.val_instance[v],
+            fb_set=ir.val_set[v],
+            words=ir.val_words[v],
+            def_node=ir.val_def[v],
+            def_visit=ir.node_visit[ir.val_def[v]],
+            def_kind=KINDS[ir.val_kind[v]],
+            extents=ir.place_extents[place] if place >= 0 else (),
+            uses=list(self._uses.get(v, ())),
+            store_nodes=list(self._stores.get(v, ())),
+            kept=ir.val_kept[v],
+            survived_drain=ir.val_survived[v],
+            end_visit=ir.val_end_visit[v],
+            release_pos=ir.val_release[v],
+        )
+
+
+class _VisitNodesView(_LazyView):
+    """``ProgramIR.visit_nodes``: a :class:`VisitNodes` per visit."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._ir.visit_index)
+
+    def _build(self, pos: int) -> VisitNodes:
+        ir = self._ir
+        b = ir.group_starts[4 * pos:4 * pos + 5]
+        return VisitNodes(
+            visit_index=ir.visit_index[pos],
+            context_loads=tuple(range(b[0], b[1])),
+            data_loads=tuple(range(b[1], b[2])),
+            compute=tuple(range(b[2], b[3])),
+            stores=tuple(range(b[3], b[4])),
+        )
+
+
+def _group(keys: List[int], items: List[int]) -> Dict[int, List[int]]:
+    grouped: Dict[int, List[int]] = {}
+    for key, item in zip(keys, items):
+        grouped.setdefault(key, []).append(item)
+    return grouped
+
+
+@dataclass(eq=False)
 class ProgramIR:
-    """The lowered def-use IR of one program."""
+    """The lowered def-use IR of one program, as parallel columns.
+
+    Columns, all plain lists indexed by id:
+
+    * nodes: ``node_kind`` (a :data:`KINDS` index) and ``node_visit``
+      (the visit's ``index``);
+    * visits (by position in ``program.visits``): ``visit_index``, and
+      ``group_starts`` — visit *p*'s context loads, data loads, compute
+      and stores are the node ranges between ``group_starts[4p + g]``
+      and ``group_starts[4p + g + 1]``;
+    * access rows, in node order: ``acc_node``, ``acc_slot`` (``2 *
+      index`` for FB set *index*, ``2 * index + 1`` for CM block
+      *index*), ``acc_start``/``acc_end``, ``acc_write`` and
+      ``acc_value`` (-1 for CM rows);
+    * values: ``val_name``, ``val_instance``, ``val_set``,
+      ``val_words``, ``val_def`` (defining node), ``val_kind``,
+      ``val_place`` (row of ``place_extents``/``place_spans``, -1 when
+      unplaced), ``val_kept``, ``val_survived``, ``val_end_visit``,
+      ``val_release`` and ``val_last_read`` (the last kernel read, -1
+      when none);
+    * kernel reads and stores: ``use_value``/``use_node`` and
+      ``store_value``/``store_node`` pairs in node order.
+    """
 
     program: Program
-    nodes: List[IRNode]
-    visit_nodes: List[VisitNodes]
-    values: List[ValueLifetime]
     has_placement: bool
     fb_capacity: int
     cm_block_capacity: int
+    node_kind: List[int]
+    node_visit: List[int]
+    visit_index: List[int]
+    group_starts: List[int]
+    acc_node: List[int]
+    acc_slot: List[int]
+    acc_start: List[int]
+    acc_end: List[int]
+    acc_write: List[bool]
+    acc_value: List[int]
+    val_name: List[str]
+    val_instance: List[int]
+    val_set: List[int]
+    val_words: List[int]
+    val_def: List[int]
+    val_kind: List[int]
+    val_place: List[int]
+    val_kept: List[bool]
+    val_survived: List[bool]
+    val_end_visit: List[int]
+    val_release: List[int]
+    val_last_read: List[int]
+    use_value: List[int]
+    use_node: List[int]
+    store_value: List[int]
+    store_node: List[int]
+    place_extents: List[Tuple[Extent, ...]]
+    place_spans: List[Tuple[Tuple[int, int], ...]]
+
+    def __post_init__(self) -> None:
+        self.nodes: Sequence[IRNode] = _NodeView(self)
+        self.values: Sequence[ValueLifetime] = _ValueView(self)
+        self.visit_nodes: Sequence[VisitNodes] = _VisitNodesView(self)
 
     def node(self, node_id: int) -> IRNode:
         return self.nodes[node_id]
 
     def describe(self, node_id: int) -> str:
-        node = self.nodes[node_id]
-        return f"{node.describe()} (visit {node.visit_index})"
+        label = _describe(KINDS[self.node_kind[node_id]], self.op_of(node_id))
+        return f"{label} (visit {self.node_visit[node_id]})"
+
+    def op_of(self, node_id: int) -> object:
+        """The leaf op of one node, read from ``program.visits``."""
+        starts = self.group_starts
+        at = bisect_right(starts, node_id) - 1
+        pos, group = divmod(at, 4)
+        return getattr(self.program.visits[pos], _GROUPS[group])[
+            node_id - starts[at]
+        ]
+
+    def accesses_of(self, node_id: int) -> Tuple[Access, ...]:
+        """The :class:`Access` objects of one node, rebuilt from its
+        rows: an FB access spans its value's extents, a CM access one
+        row."""
+        rows = self.acc_node
+        row = bisect_left(rows, node_id)
+        end = bisect_right(rows, node_id, row)
+        accesses: List[Access] = []
+        while row < end:
+            slot = self.acc_slot[row]
+            value = self.acc_value[row]
+            if slot & 1:
+                extents: Tuple[Extent, ...] = (Extent(
+                    self.acc_start[row],
+                    self.acc_end[row] - self.acc_start[row],
+                ),)
+                accesses.append(Access("cm", slot >> 1, extents,
+                                       self.acc_write[row]))
+                row += 1
+                continue
+            extents = self.place_extents[self.val_place[value]]
+            accesses.append(Access("fb", slot >> 1, extents,
+                                   self.acc_write[row], value))
+            row += len(extents)
+        return tuple(accesses)
 
 
 def _placement_index(
     allocations: Optional[Sequence[object]],
-) -> Optional[Tuple[Dict[Tuple[str, int], Dict[int, Tuple[Extent, ...]]], ...]]:
-    """Per-set ``(name, instance-in-round) -> {cluster -> extents}`` tables.
+    extents_table: List[Tuple[Extent, ...]],
+    spans_table: List[Tuple[Tuple[int, int], ...]],
+) -> Optional[Tuple[Dict[Tuple[str, int], Dict[int, int]], ...]]:
+    """Per-set ``(name, instance-in-round) -> {cluster -> placement}``
+    tables; a placement is a row of *extents_table*/*spans_table*
+    (appended here), -1 for a record without extents.
 
     An object consumed by several clusters of the same set gets one
     record *per consuming cluster* (each visit re-loads it into whatever
@@ -194,13 +424,22 @@ def _placement_index(
     """
     if not allocations:
         return None
-    tables: List[Dict[Tuple[str, int], Dict[int, Tuple[Extent, ...]]]] = []
+    tables: List[Dict[Tuple[str, int], Dict[int, int]]] = []
     for alloc_map in allocations:
-        table: Dict[Tuple[str, int], Dict[int, Tuple[Extent, ...]]] = {}
+        table: Dict[Tuple[str, int], Dict[int, int]] = {}
         for record in alloc_map.records:
+            extents = record.extents
+            place = -1
+            if extents:
+                place = len(extents_table)
+                extents_table.append(extents)
+                spans_table.append(tuple([
+                    (extent.start, extent.start + extent.size)
+                    for extent in extents
+                ]))
             table.setdefault((record.name, record.instance), {})[
                 record.cluster_index
-            ] = record.extents
+            ] = place
         tables.append(table)
     return tuple(tables)
 
@@ -227,236 +466,282 @@ def lower_program(
     schedule = program.schedule
     application = schedule.application
     dataflow = schedule.dataflow
-    clustering = schedule.clustering
-    keeps_by_name = {keep.name: keep for keep in schedule.keeps}
-    placement = _placement_index(allocations)
+    last_cluster = len(schedule.clustering) - 1
+    # The last keep of a name decides, as a name-keyed table would.
+    keep_set = {keep.name: keep.fb_set for keep in schedule.keeps}
+    place_extents: List[Tuple[Extent, ...]] = []
+    place_spans: List[Tuple[Tuple[int, int], ...]] = []
+    placement = _placement_index(allocations, place_extents, place_spans)
+    invariant = {info.name for info in dataflow if info.invariant}
 
-    nodes: List[IRNode] = []
-    visit_nodes: List[VisitNodes] = []
-    values: List[ValueLifetime] = []
+    # kernel -> ((input, invariant), ...) and ((output, words), ...)
+    kernel_inputs: Dict[str, Tuple[Tuple[str, bool], ...]] = {}
+    kernel_outputs: Dict[str, Tuple[Tuple[str, int], ...]] = {}
+    for kernel in application.kernels:
+        kernel_inputs[kernel.name] = tuple(
+            (in_name, in_name in invariant) for in_name in kernel.inputs
+        )
+        kernel_outputs[kernel.name] = tuple(
+            (out_name, dataflow[out_name].size if out_name in dataflow else 0)
+            for out_name in kernel.outputs
+        )
+
+    node_kind: List[int] = []
+    node_visit: List[int] = []
+    visit_index: List[int] = []
+    group_starts: List[int] = []
+    acc_node: List[int] = []
+    acc_slot: List[int] = []
+    acc_start: List[int] = []
+    acc_end: List[int] = []
+    acc_write: List[bool] = []
+    acc_value: List[int] = []
+    val_name: List[str] = []
+    val_instance: List[int] = []
+    val_set: List[int] = []
+    val_words: List[int] = []
+    val_def: List[int] = []
+    val_kind: List[int] = []
+    val_place: List[int] = []
+    val_kept: List[bool] = []
+    val_survived: List[bool] = []
+    val_end_visit: List[int] = []
+    val_release: List[int] = []
+    val_last_read: List[int] = []
+    # Whether each value was stored: it then holds its words to the end
+    # of the draining visit.
+    val_stored: List[bool] = []
+    use_value: List[int] = []
+    use_node: List[int] = []
+    store_value: List[int] = []
+    store_node: List[int] = []
+
+    def place_of(fb_set: int, name: str, instance: int, round_start: int,
+                 cluster_index: int) -> int:
+        if placement is None:
+            return -1
+        in_round = 0 if name in invariant else instance - round_start
+        by_cluster = placement[fb_set].get((name, in_round))
+        if not by_cluster:
+            return -1
+        place = by_cluster.get(cluster_index)
+        if place is not None:
+            return place
+        if len(by_cluster) == 1:
+            return next(iter(by_cluster.values()))
+        return -1
+
+    def new_value(name: str, instance: int, fb_set: int, words: int,
+                  node: int, kind: int, place: int) -> int:
+        value = len(val_name)
+        val_name.append(name)
+        val_instance.append(instance)
+        val_set.append(fb_set)
+        val_words.append(words)
+        val_def.append(node)
+        val_kind.append(kind)
+        val_place.append(place)
+        val_kept.append(keep_set.get(name) == fb_set)
+        val_survived.append(False)
+        val_end_visit.append(-1)
+        val_release.append(-1)
+        val_last_read.append(-1)
+        val_stored.append(False)
+        return value
+
+    def add_rows(node: int, slot: int, place: int, write: bool,
+                 value: int) -> None:
+        for start, end in place_spans[place]:
+            acc_node.append(node)
+            acc_slot.append(slot)
+            acc_start.append(start)
+            acc_end.append(end)
+            acc_write.append(write)
+            acc_value.append(value)
+
+    def close_value(value: int, end_visit: int, end_node: int) -> None:
+        # Stored/kept values (and never-read ones) are freed when the
+        # draining visit's finish phase completes: end of that visit.
+        # Plain inputs and intermediates go right after their last read.
+        val_end_visit[value] = end_visit
+        last_read = val_last_read[value]
+        if val_kept[value] or val_stored[value] or last_read < 0:
+            val_release[value] = 2 * end_node + 1
+        else:
+            val_release[value] = 2 * last_read + 1
+
     # Survivor sets are per (cluster, FB set), not per visit: memoize
     # them like the verifier does instead of re-scanning the keep list
     # once per visit.
     survivors_memo: Dict[Tuple[int, int], FrozenSet[str]] = {}
-    # Live values per set, keyed (name, instance).
-    live: List[Dict[Tuple[str, int], ValueLifetime]] = [{}, {}]
-    # Kernel -> CM extent per block, rebuilt at each refill.
-    cm_regions: List[Dict[str, Extent]] = [{}, {}]
+    # Live value ids per set, keyed (name, instance).
+    live: List[Dict[Tuple[str, int], int]] = [{}, {}]
+    # Kernel -> CM word range per block, rebuilt at each refill.
+    cm_regions: List[Dict[str, Tuple[int, int]]] = [{}, {}]
 
-    kernel_inputs: Dict[str, Tuple[Tuple[str, bool], ...]] = {
-        kernel.name: tuple(
-            (in_name, dataflow[in_name].invariant)
-            for in_name in kernel.inputs
-        )
-        for kernel in application.kernels
-    }
-    kernel_by_name = {kernel.name: kernel for kernel in application.kernels}
-
-    def extents_for(fb_set: int, name: str, instance: int,
-                    round_start: int, cluster_index: int) -> Tuple[Extent, ...]:
-        if placement is None:
-            return ()
-        info = dataflow[name] if name in dataflow else None
-        if info is not None and info.invariant:
-            in_round = 0
-        else:
-            in_round = instance - round_start
-        by_cluster = placement[fb_set].get((name, in_round))
-        if not by_cluster:
-            return ()
-        extents = by_cluster.get(cluster_index)
-        if extents is not None:
-            return extents
-        if len(by_cluster) == 1:
-            return next(iter(by_cluster.values()))
-        return ()
-
-    def new_node(kind: str, visit_index: int, op: object,
-                 accesses: Sequence[Access]) -> int:
-        node_id = len(nodes)
-        nodes.append(IRNode(node_id, kind, visit_index, op, tuple(accesses)))
-        return node_id
-
-    def close_value(value: ValueLifetime, end_visit: int,
-                    end_node: int) -> None:
-        value.end_visit = end_visit
-        if value.kept or value.store_nodes:
-            # Freed when the draining visit's finish phase completes
-            # (stores issued / keep span ended): end of that visit.
-            value.release_pos = 2 * end_node + 1
-        else:
-            last_use = value.last_use_node
-            if last_use is None:
-                value.release_pos = 2 * end_node + 1
-            else:
-                value.release_pos = 2 * last_use + 1
-
-    for pos, ops in enumerate(program.visits):
+    for ops in program.visits:
         visit = ops.visit
         fb_set = visit.fb_set
         block = visit.cm_block
+        index = visit.index
+        cluster_index = visit.cluster_index
         round_start = visit.iterations[0]
         in_set = live[fb_set]
+        cm_slot = 2 * block + 1
+        visit_index.append(index)
 
-        ctx_ids: List[int] = []
+        group_starts.append(len(node_kind))
         if ops.context_loads:
-            cm_regions[block] = {}
+            region = cm_regions[block] = {}
             offset = 0
             for load in ops.context_loads:
-                extent = Extent(offset, load.words)
-                offset += load.words
-                cm_regions[block][load.kernel] = extent
-                ctx_ids.append(new_node(
-                    CONTEXT_LOAD, visit.index, load,
-                    [Access("cm", block, (extent,), True)],
-                ))
+                end = offset + load.words
+                region[load.kernel] = (offset, end)
+                acc_node.append(len(node_kind))
+                acc_slot.append(cm_slot)
+                acc_start.append(offset)
+                acc_end.append(end)
+                acc_write.append(True)
+                acc_value.append(-1)
+                node_kind.append(_CTX)
+                node_visit.append(index)
+                offset = end
 
-        load_ids: List[int] = []
+        group_starts.append(len(node_kind))
         for load in ops.data_loads:
             key = (load.name, load.iteration)
+            node = len(node_kind)
+            place = place_of(fb_set, load.name, load.iteration,
+                             round_start, cluster_index)
+            value = new_value(load.name, load.iteration, fb_set, load.words,
+                              node, _LOAD, place)
+            if place >= 0:
+                add_rows(node, 2 * fb_set, place, True, value)
+            node_kind.append(_LOAD)
+            node_visit.append(index)
             previous = in_set.get(key)
-            extents = extents_for(fb_set, load.name, load.iteration,
-                                  round_start, visit.cluster_index)
-            value = ValueLifetime(
-                value_id=len(values),
-                name=load.name,
-                instance=load.iteration,
-                fb_set=fb_set,
-                words=load.words,
-                def_node=len(nodes),
-                def_visit=visit.index,
-                def_kind=DATA_LOAD,
-                extents=extents,
-                kept=load.name in keeps_by_name
-                and keeps_by_name[load.name].fb_set == fb_set,
-            )
-            node_id = new_node(
-                DATA_LOAD, visit.index, load,
-                [Access("fb", fb_set, extents, True, value.value_id)]
-                if extents else [],
-            )
             if previous is not None:
                 # Redundant load (PROG005): the old value is clobbered.
-                close_value(previous, visit.index, node_id)
-            values.append(value)
+                close_value(previous, index, node)
             in_set[key] = value
-            load_ids.append(node_id)
 
-        compute_ids: List[int] = []
+        group_starts.append(len(node_kind))
+        region = cm_regions[block]
         for run in ops.compute:
-            kernel = kernel_by_name[run.kernel]
-            accesses: List[Access] = []
-            region = cm_regions[block].get(run.kernel)
-            if region is not None:
-                accesses.append(Access("cm", block, (region,), False))
-            node_id = len(nodes)
-            for in_name, invariant in kernel_inputs[run.kernel]:
-                instance = 0 if invariant else run.iteration
-                value = in_set.get((in_name, instance))
+            node = len(node_kind)
+            instance = run.iteration
+            inputs = kernel_inputs[run.kernel]
+            words = region.get(run.kernel)
+            if words is not None:
+                acc_node.append(node)
+                acc_slot.append(cm_slot)
+                acc_start.append(words[0])
+                acc_end.append(words[1])
+                acc_write.append(False)
+                acc_value.append(-1)
+            for in_name, in_invariant in inputs:
+                key = (in_name, 0 if in_invariant else instance)
+                value = in_set.get(key)
                 if value is None:
-                    keep = keeps_by_name.get(in_name)
-                    if keep is not None and keep.fb_set != fb_set:
-                        value = live[keep.fb_set].get((in_name, instance))
+                    home = keep_set.get(in_name)
+                    if home is not None and home != fb_set:
+                        value = live[home].get(key)
                 if value is None:
                     continue  # use-before-load: PROG001's territory
-                value.uses.append(node_id)
-                if value.extents:
-                    accesses.append(Access(
-                        "fb", value.fb_set, value.extents, False,
-                        value.value_id,
-                    ))
-            for out_name in kernel.outputs:
-                extents = extents_for(fb_set, out_name, run.iteration,
-                                      round_start, visit.cluster_index)
-                value = ValueLifetime(
-                    value_id=len(values),
-                    name=out_name,
-                    instance=run.iteration,
-                    fb_set=fb_set,
-                    words=dataflow[out_name].size
-                    if out_name in dataflow else 0,
-                    def_node=node_id,
-                    def_visit=visit.index,
-                    def_kind=COMPUTE,
-                    extents=extents,
-                    kept=out_name in keeps_by_name
-                    and keeps_by_name[out_name].fb_set == fb_set,
-                )
-                previous = in_set.get((out_name, run.iteration))
+                use_value.append(value)
+                use_node.append(node)
+                val_last_read[value] = node
+                place = val_place[value]
+                if place >= 0:
+                    add_rows(node, 2 * val_set[value], place, False, value)
+            for out_name, out_words in kernel_outputs[run.kernel]:
+                key = (out_name, instance)
+                place = place_of(fb_set, out_name, instance, round_start,
+                                 cluster_index)
+                value = new_value(out_name, instance, fb_set, out_words,
+                                  node, _RUN, place)
+                previous = in_set.get(key)
                 if previous is not None:
-                    close_value(previous, visit.index, node_id)
-                values.append(value)
-                in_set[(out_name, run.iteration)] = value
-                if extents:
-                    accesses.append(Access(
-                        "fb", fb_set, extents, True, value.value_id,
-                    ))
-            compute_ids.append(new_node(COMPUTE, visit.index, run, accesses))
+                    close_value(previous, index, node)
+                in_set[key] = value
+                if place >= 0:
+                    add_rows(node, 2 * fb_set, place, True, value)
+            node_kind.append(_RUN)
+            node_visit.append(index)
 
-        store_ids: List[int] = []
+        group_starts.append(len(node_kind))
         for store in ops.stores:
+            node = len(node_kind)
             value = in_set.get((store.name, store.iteration))
-            accesses = []
-            node_id = len(nodes)
             if value is not None:
-                value.store_nodes.append(node_id)
-                if value.extents:
-                    accesses.append(Access(
-                        "fb", fb_set, value.extents, False, value.value_id,
-                    ))
-            store_ids.append(new_node(STORE, visit.index, store, accesses))
-
-        visit_nodes.append(VisitNodes(
-            visit_index=visit.index,
-            context_loads=tuple(ctx_ids),
-            data_loads=tuple(load_ids),
-            compute=tuple(compute_ids),
-            stores=tuple(store_ids),
-        ))
+                store_value.append(value)
+                store_node.append(node)
+                val_stored[value] = True
+                place = val_place[value]
+                if place >= 0:
+                    add_rows(node, 2 * fb_set, place, False, value)
+            node_kind.append(_STORE)
+            node_visit.append(index)
 
         # Visit end: drain non-survivors from the visit's set.
-        group = visit_nodes[-1]
-        if (group.stores or group.compute or group.data_loads
-                or group.context_loads):
-            end_node = group.last
-        else:
-            end_node = max(len(nodes) - 1, 0)
-        survivors_key = (visit.cluster_index, fb_set)
+        end_node = max(len(node_kind) - 1, 0)
+        survivors_key = (cluster_index, fb_set)
         survivors = survivors_memo.get(survivors_key)
         if survivors is None:
-            survivors = schedule.survivors(visit.cluster_index, fb_set)
+            survivors = schedule.survivors(cluster_index, fb_set)
             survivors_memo[survivors_key] = survivors
-        drained = {
-            key: value for key, value in in_set.items()
-            if key[0] not in survivors
-        }
-        for key, value in drained.items():
-            close_value(value, visit.index, end_node)
-            del in_set[key]
+        drained = [key for key in in_set if key[0] not in survivors]
+        for key in drained:
+            close_value(in_set.pop(key), index, end_node)
         for value in in_set.values():
-            value.survived_drain = True
+            val_survived[value] = True
         # Round end on the last cluster: both sets drain completely.
-        if visit.cluster_index == len(clustering) - 1:
-            for other_set in (0, 1):
-                for value in live[other_set].values():
-                    close_value(value, visit.index, end_node)
-                live[other_set].clear()
+        if cluster_index == last_cluster:
+            for other in live:
+                for value in other.values():
+                    close_value(value, index, end_node)
+                other.clear()
+    group_starts.append(len(node_kind))
 
     # A well-formed program drains everything; close leftovers anyway so
     # broken programs still produce a complete IR.
-    last_node = len(nodes) - 1
-    last_visit = program.visits[-1].visit.index if program.visits else -1
-    for fb_set in (0, 1):
-        for value in live[fb_set].values():
-            close_value(value, last_visit, max(last_node, 0))
-        live[fb_set] = {}
+    last_node = max(len(node_kind) - 1, 0)
+    last_visit = visit_index[-1] if visit_index else -1
+    for other in live:
+        for value in other.values():
+            close_value(value, last_visit, last_node)
 
     return ProgramIR(
         program=program,
-        nodes=nodes,
-        visit_nodes=visit_nodes,
-        values=values,
         has_placement=placement is not None,
         fb_capacity=schedule.fb_set_words,
         cm_block_capacity=program.cm_block_capacity,
+        node_kind=node_kind,
+        node_visit=node_visit,
+        visit_index=visit_index,
+        group_starts=group_starts,
+        acc_node=acc_node,
+        acc_slot=acc_slot,
+        acc_start=acc_start,
+        acc_end=acc_end,
+        acc_write=acc_write,
+        acc_value=acc_value,
+        val_name=val_name,
+        val_instance=val_instance,
+        val_set=val_set,
+        val_words=val_words,
+        val_def=val_def,
+        val_kind=val_kind,
+        val_place=val_place,
+        val_kept=val_kept,
+        val_survived=val_survived,
+        val_end_visit=val_end_visit,
+        val_release=val_release,
+        val_last_read=val_last_read,
+        use_value=use_value,
+        use_node=use_node,
+        store_value=store_value,
+        store_node=store_node,
+        place_extents=place_extents,
+        place_spans=place_spans,
     )

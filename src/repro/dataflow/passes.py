@@ -23,17 +23,24 @@ location=..., cost_words=..., **details)`` callable:
   values survive a drain but are never read afterwards: the retention
   buys none of its claimed traffic savings.
 
-Costs, with *n* the live segments (or extents) of one address space
-and *k* those an access actually overlaps:
+The passes read the integer columns of :class:`~repro.dataflow.ir.ProgramIR`
+(access rows, value columns, node kinds and visits), never its lazy
+``IRNode``/``ValueLifetime`` view: a row or value costs a few list
+reads, and objects are built only for the nodes a finding names.
+Costs, with *n* the live segments (or spans) of one address space and
+*k* those an access actually overlaps:
 
-* ``HAZ001`` is O(log n + k) per access: a bisect-indexed interval map
-  spliced in place, plus one happens-before query per predecessor;
-* ``HAZ002`` is O(log n + c) per extent, *c* being the live extents
-  that start within the set's longest extent before it (every overlap
-  among them), plus O(log n) per value to expire and insert;
-* ``HAZ003`` sorts the 2V residency events of V values once, O(V log V);
-* ``DFA001`` is one pass over the values, ``DFA002`` one pass over the
-  nodes plus the kept values' uses.
+* ``HAZ001`` is O(log n + k) per access row: a bisect-indexed interval
+  map updated in place when the row covers exactly one segment and
+  spliced otherwise, plus one happens-before query per predecessor;
+* ``HAZ002`` is O(log n + c) per span, *c* being the live spans that
+  start within the set's longest span before it (every overlap among
+  them), plus O(log n) per value to expire and insert;
+* ``HAZ003`` sums the per-visit context rows for the CM check and
+  accumulates one residency delta per node position, O(N + V);
+* ``DFA001`` is one pass over the value columns, ``DFA002`` one pass
+  over them plus, when a kept value survived a drain, one over the
+  kernel reads.
 
 :mod:`repro.dataflow.reference` keeps the original linear-scan HAZ001
 map and HAZ002 loop as the equivalence oracle.
@@ -43,10 +50,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.dataflow.hazards import HappensBefore
-from repro.dataflow.ir import COMPUTE, DATA_LOAD, ProgramIR, ValueLifetime
+from repro.dataflow.ir import COMPUTE, DATA_LOAD, KINDS, ProgramIR
+from repro.obs.metrics import time_stage
 
 __all__ = [
     "HAZARD_RULES",
@@ -65,6 +74,9 @@ HAZARD_RULES: Tuple[str, ...] = (
 
 Emit = Callable[..., object]
 
+_LOAD = KINDS.index(DATA_LOAD)
+_RUN = KINDS.index(COMPUTE)
+
 #: One interval-map segment: ``(start, end, writer, readers)``.
 _Segment = Tuple[int, int, Optional[int], Tuple[int, ...]]
 
@@ -77,7 +89,8 @@ class _IntervalMap:
     ``_starts`` mirrors the segment starts for :mod:`bisect`; adjacent
     segments are never merged, so the list equals the reference map's
     (:class:`~repro.dataflow.reference.ReferenceIntervalMap`) after
-    every access.
+    every access.  An access covering exactly one segment — a value's
+    own words, read or rewritten — replaces it in place.
     """
 
     __slots__ = ("_starts", "_segments")
@@ -96,13 +109,27 @@ class _IntervalMap:
         first = bisect_right(self._starts, start) - 1
         if first < 0 or segments[first][1] <= start:
             first += 1
+        count = len(segments)
+        if first < count:
+            seg_start, seg_end, writer, readers = segments[first]
+            if seg_start == start and seg_end == end:
+                words = end - start
+                if writer is not None and writer != node:
+                    preds[writer] = words
+                if write:
+                    for reader in readers:
+                        if reader != node:
+                            preds[reader] = preds.get(reader, 0) + words
+                    segments[first] = (start, end, node, ())
+                else:
+                    segments[first] = (start, end, writer, readers + (node,))
+                return preds
         # Replacement pieces in address order: left remnant, the
         # written segment or the read pieces, right remnant.
         pieces: List[_Segment] = []
         right: Optional[_Segment] = None
         cursor = start
         last = first
-        count = len(segments)
         while last < count:
             seg_start, seg_end, writer, readers = segments[last]
             if seg_start >= end:
@@ -140,51 +167,85 @@ class _IntervalMap:
 
 def check_races(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
     """HAZ001: program order vs. happens-before over shared words."""
-    maps: Dict[Tuple[str, int], _IntervalMap] = {}
-    conflicts: Dict[Tuple[int, int], Dict[str, object]] = {}
-    for node in ir.nodes:
-        for access in node.accesses:
-            space = maps.setdefault(
-                (access.space, access.index), _IntervalMap()
-            )
-            for extent in access.extents:
-                preds = space.access(
-                    extent.start, extent.end, node.node_id, access.write
-                )
-                for pred, words in preds.items():
-                    pred_node = ir.nodes[pred]
-                    if pred_node.kind == COMPUTE and node.kind == COMPUTE:
-                        continue  # one RC array: always ordered
-                    if hb.happens_before(pred, node.node_id):
-                        continue
-                    key = (pred, node.node_id)
-                    entry = conflicts.setdefault(key, {
-                        "space": access.space,
-                        "index": access.index,
-                        "words": 0,
-                        "reversed": hb.happens_before(node.node_id, pred),
-                    })
-                    entry["words"] = int(entry["words"]) + words
-    for (pred, succ), entry in sorted(conflicts.items()):
-        succ_node = ir.nodes[succ]
-        space = "CM block" if entry["space"] == "cm" else "FB set"
-        how = (
-            "is overtaken by" if entry["reversed"]
-            else "is unordered against"
-        )
+    kind = ir.node_kind
+    happens_before = hb.happens_before
+    maps: Dict[int, _IntervalMap] = {}
+    # (pred, succ) -> [slot, words, reversed]
+    conflicts: Dict[Tuple[int, int], List[int]] = {}
+    for node, slot, start, end, write in zip(
+        ir.acc_node, ir.acc_slot, ir.acc_start, ir.acc_end, ir.acc_write
+    ):
+        space = maps.get(slot)
+        if space is None:
+            space = maps[slot] = _IntervalMap()
+        preds = space.access(start, end, node, write)
+        if not preds:
+            continue
+        computing = kind[node] == _RUN
+        for pred, words in preds.items():
+            if computing and kind[pred] == _RUN:
+                continue  # one RC array: always ordered
+            if happens_before(pred, node):
+                continue
+            entry = conflicts.get((pred, node))
+            if entry is None:
+                entry = conflicts[(pred, node)] = [
+                    slot, 0, happens_before(node, pred),
+                ]
+            entry[1] += words
+    for (pred, succ), (slot, words, reverse) in sorted(conflicts.items()):
+        space, index = ("fb", "cm")[slot & 1], slot >> 1
+        label = "CM block" if space == "cm" else "FB set"
+        how = "is overtaken by" if reverse else "is unordered against"
+        first, second = ir.describe(pred), ir.describe(succ)
         emit(
             "HAZ001",
-            f"{ir.describe(pred)} {how} {ir.describe(succ)} on "
-            f"{entry['words']} shared word(s) of {space} {entry['index']} "
+            f"{first} {how} {second} on "
+            f"{words} shared word(s) of {label} {index} "
             f"under policy {hb.policy.name}",
-            location=f"visit {succ_node.visit_index}",
-            cost_words=int(entry["words"]),
+            location=f"visit {ir.node_visit[succ]}",
+            cost_words=words,
             policy=hb.policy.name,
-            first=ir.describe(pred),
-            second=ir.describe(succ),
-            space=f"{entry['space']}{entry['index']}",
-            reversed_order=bool(entry["reversed"]),
+            first=first,
+            second=second,
+            space=f"{space}{index}",
+            reversed_order=bool(reverse),
         )
+
+
+#: One placed value of the HAZ002 sweep: ``(def_pos, release_pos,
+#: spans, name, instance, def_visit)``, *spans* its ``(start, end)``
+#: word ranges.
+_Placed = Tuple[int, int, Tuple[Tuple[int, int], ...], str, int, int]
+
+
+def _placed(ir: ProgramIR, fb_set: int) -> List[_Placed]:
+    """The values placed in *fb_set*, in definition order.
+
+    Read from the IR's columns; a stand-in IR that only lists value
+    objects (the reference tests build such) is read through them.
+    """
+    if isinstance(ir, ProgramIR):
+        place_spans = ir.place_spans
+        node_visit = ir.node_visit
+        return [
+            (2 * node, release, place_spans[place], name, instance,
+             node_visit[node])
+            for node, release, place, name, instance, value_set in zip(
+                ir.val_def, ir.val_release, ir.val_place, ir.val_name,
+                ir.val_instance, ir.val_set,
+            )
+            if value_set == fb_set and place >= 0
+        ]
+    placed = [
+        (value.def_pos, value.release_pos,
+         tuple((extent.start, extent.end) for extent in value.extents),
+         value.name, value.instance, value.def_visit)
+        for value in ir.values
+        if value.fb_set == fb_set and value.extents
+    ]
+    placed.sort(key=lambda entry: entry[0])
+    return placed
 
 
 def check_interference(ir: ProgramIR, emit: Emit) -> None:
@@ -192,73 +253,80 @@ def check_interference(ir: ProgramIR, emit: Emit) -> None:
     if not ir.has_placement:
         return
     for fb_set in (0, 1):
-        placed = [
-            value for value in ir.values
-            if value.fb_set == fb_set and value.extents
-        ]
-        placed.sort(key=lambda value: value.def_pos)
+        placed = _placed(ir, fb_set)
         maxlen = max(
-            (extent.size for value in placed for extent in value.extents),
+            (end - start for entry in placed for start, end in entry[2]),
             default=0,
         )
-        # Live values: a heap by release position, and their extents
-        # as ``(start, order, k, end)`` in address order, where *order*
-        # is the value's index in *placed* (the active-list order).
+        # Live values: a heap by release position, and their spans as
+        # ``(start, order, k, end)`` in address order, where *order* is
+        # the value's index in *placed* (the active-list order).
         expiry: List[Tuple[int, int]] = []
         live: List[Tuple[int, int, int, int]] = []
-        for order, value in enumerate(placed):
-            while expiry and expiry[0][0] <= value.def_pos:
+        for order, (def_pos, release_pos, spans, name, instance,
+                    def_visit) in enumerate(placed):
+            while expiry and expiry[0][0] <= def_pos:
                 _, gone = heappop(expiry)
-                for k, extent in enumerate(placed[gone].extents):
-                    del live[bisect_left(live, (extent.start, gone, k))]
+                for k, (start, _) in enumerate(placed[gone][2]):
+                    del live[bisect_left(live, (start, gone, k))]
             hits: Set[int] = set()
-            for a in value.extents:
-                # An extent overlapping *a* starts within maxlen of it.
-                lo = bisect_left(live, (a.start - maxlen + 1,))
-                hi = bisect_left(live, (a.end,))
+            for a_start, a_end in spans:
+                # A span overlapping *a* starts within maxlen of it.
+                lo = bisect_left(live, (a_start - maxlen + 1,))
+                hi = bisect_left(live, (a_end,))
+                if lo == hi:
+                    continue
                 for _, other, _, b_end in live[lo:hi]:
-                    if b_end > a.start:
+                    if b_end > a_start:
                         hits.add(other)
             for other_order in sorted(hits):
-                other = placed[other_order]
+                _, _, other_spans, other_name, other_instance, _ = (
+                    placed[other_order]
+                )
                 overlap = sum(
-                    min(a.end, b.end) - max(a.start, b.start)
-                    for a in value.extents
-                    for b in other.extents
-                    if a.overlaps(b)
+                    min(a_end, b_end) - max(a_start, b_start)
+                    for a_start, a_end in spans
+                    for b_start, b_end in other_spans
+                    if a_start < b_end and b_start < a_end
                 )
                 emit(
                     "HAZ002",
-                    f"{value.name}#{value.instance} and "
-                    f"{other.name}#{other.instance} are live "
+                    f"{name}#{instance} and "
+                    f"{other_name}#{other_instance} are live "
                     f"simultaneously on {overlap} shared word(s) of "
                     f"FB set {fb_set}",
-                    location=f"visit {value.def_visit}",
+                    location=f"visit {def_visit}",
                     cost_words=overlap,
-                    first=f"{other.name}#{other.instance}",
-                    second=f"{value.name}#{value.instance}",
+                    first=f"{other_name}#{other_instance}",
+                    second=f"{name}#{instance}",
                     fb_set=fb_set,
                 )
-            heappush(expiry, (value.release_pos, order))
-            for k, extent in enumerate(value.extents):
-                insort(live, (extent.start, order, k, extent.end))
+            heappush(expiry, (release_pos, order))
+            for k, (start, end) in enumerate(spans):
+                insort(live, (start, order, k, end))
 
 
 def check_dead_transfers(ir: ProgramIR, emit: Emit) -> None:
     """DFA001: loaded-but-never-read values are wasted traffic."""
-    for value in ir.values:
-        if value.def_kind != DATA_LOAD or value.uses:
+    for value, kind, last_read in zip(
+        range(len(ir.val_kind)), ir.val_kind, ir.val_last_read
+    ):
+        if kind != _LOAD or last_read >= 0:
             continue
+        name = ir.val_name[value]
+        instance = ir.val_instance[value]
+        fb_set = ir.val_set[value]
+        words = ir.val_words[value]
         emit(
             "DFA001",
-            f"load of {value.name}#{value.instance} into FB set "
-            f"{value.fb_set} is never read by any kernel "
-            f"({value.words} wasted word(s))",
-            location=f"visit {value.def_visit}",
-            cost_words=value.words,
-            object=value.name,
-            instance=value.instance,
-            fb_set=value.fb_set,
+            f"load of {name}#{instance} into FB set "
+            f"{fb_set} is never read by any kernel "
+            f"({words} wasted word(s))",
+            location=f"visit {ir.node_visit[ir.val_def[value]]}",
+            cost_words=words,
+            object=name,
+            instance=instance,
+            fb_set=fb_set,
         )
 
 
@@ -267,23 +335,25 @@ def check_retention_liveness(ir: ProgramIR, emit: Emit) -> None:
     schedule = ir.program.schedule
     if not schedule.keeps:
         return
-    by_keep: Dict[str, List[ValueLifetime]] = {}
-    for value in ir.values:
-        if value.kept:
-            by_keep.setdefault(value.name, []).append(value)
-    node_visit = {node.node_id: node.visit_index for node in ir.nodes}
+    # Kept names with a value that survived a drain, and those with a
+    # surviving value read in a later visit than its definition.
+    kept, survived, names = ir.val_kept, ir.val_survived, ir.val_name
+    surviving = {
+        name for name, is_kept, has_survived in zip(names, kept, survived)
+        if is_kept and has_survived
+    }
+    reread: Set[str] = set()
+    if surviving:
+        node_visit, val_def = ir.node_visit, ir.val_def
+        reread = {
+            names[value]
+            for value, node in zip(ir.use_value, ir.use_node)
+            if kept[value] and survived[value]
+            and node_visit[node] > node_visit[val_def[value]]
+        }
     total_iterations = schedule.application.total_iterations
     for keep in schedule.keeps:
-        values = by_keep.get(keep.name, ())
-        survivors = [value for value in values if value.survived_drain]
-        if not survivors:
-            continue
-        reused = any(
-            node_visit[use] > value.def_visit
-            for value in survivors
-            for use in value.uses
-        )
-        if reused:
+        if keep.name not in surviving or keep.name in reread:
             continue
         invariant = bool(getattr(keep, "invariant", False))
         claimed = keep.words_avoided * (
@@ -308,42 +378,46 @@ def check_capacity(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
     schedule = program.schedule
 
     # Context-memory blocks: a refill must fit the block.
-    for group in ir.visit_nodes:
-        if not group.context_loads:
+    starts = ir.group_starts
+    for pos, visit_index in enumerate(ir.visit_index):
+        first, last = starts[4 * pos], starts[4 * pos + 1]
+        if first == last:
             continue
         words = sum(
-            ir.nodes[node].op.words for node in group.context_loads
+            ir.acc_end[row] - ir.acc_start[row]
+            for row in range(
+                bisect_left(ir.acc_node, first),
+                bisect_left(ir.acc_node, last),
+            )
         )
         if words > ir.cm_block_capacity:
-            visit = program.visits[group.visit_index].visit
+            visit = program.visits[visit_index].visit
             emit(
                 "HAZ003",
                 f"CM block {visit.cm_block} refill needs {words} words, "
                 f"capacity is {ir.cm_block_capacity}",
-                location=f"visit {group.visit_index}",
+                location=f"visit {visit_index}",
                 cost_words=words - ir.cm_block_capacity,
                 cm_block=visit.cm_block,
             )
 
-    # Frame-buffer residency along the program order.
+    # Frame-buffer residency along the program order: every definition
+    # sits at an even position and every release at an odd one, so the
+    # running sum over positions peaks exactly where the event sweep
+    # does, and first reaches that peak at the same position.
     for fb_set in (0, 1):
-        events: List[Tuple[int, int, int]] = []
-        for value in ir.values:
-            if value.fb_set != fb_set or value.words <= 0:
+        delta = [0] * (2 * len(ir.node_kind) + 2)
+        for value_set, words, node, release in zip(
+            ir.val_set, ir.val_words, ir.val_def, ir.val_release
+        ):
+            if value_set != fb_set or words <= 0:
                 continue
-            events.append((value.def_pos, 1, value.words))
-            events.append((value.release_pos, 0, -value.words))
-        events.sort()
-        current = 0
-        peak = 0
-        peak_pos = 0
-        for pos, _, delta in events:
-            current += delta
-            if current > peak:
-                peak = current
-                peak_pos = pos
+            delta[2 * node] += words
+            delta[release] -= words
+        residency = list(accumulate(delta))
+        peak = max(residency)
         if peak > ir.fb_capacity:
-            visit_index = _visit_at(ir, peak_pos)
+            visit_index = _visit_at(ir, residency.index(peak))
             emit(
                 "HAZ003",
                 f"FB set {fb_set} residency reaches {peak} words, "
@@ -385,16 +459,22 @@ def check_capacity(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
 
 def _visit_at(ir: ProgramIR, pos: int) -> int:
     """Visit index owning doubled node position *pos*."""
-    node_id = min(pos // 2, len(ir.nodes) - 1)
+    node_id = min(pos // 2, len(ir.node_kind) - 1)
     if node_id < 0:
         return 0
-    return ir.nodes[node_id].visit_index
+    return ir.node_visit[node_id]
 
 
 def run_hazard_passes(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
-    """Run all five hazard passes."""
-    check_races(ir, hb, emit)
-    check_interference(ir, emit)
-    check_dead_transfers(ir, emit)
-    check_retention_liveness(ir, emit)
-    check_capacity(ir, hb, emit)
+    """Run all five hazard passes, each timed as its own ``analysis/``
+    stage."""
+    with time_stage("races", scope="analysis"):
+        check_races(ir, hb, emit)
+    with time_stage("interference", scope="analysis"):
+        check_interference(ir, emit)
+    with time_stage("dead_transfers", scope="analysis"):
+        check_dead_transfers(ir, emit)
+    with time_stage("retention", scope="analysis"):
+        check_retention_liveness(ir, emit)
+    with time_stage("capacity", scope="analysis"):
+        check_capacity(ir, hb, emit)

@@ -140,10 +140,13 @@ def interval_map_mismatch(ir: ProgramIR) -> Optional[str]:
     ] = {}
     for node in ir.nodes:
         for access in node.accesses:
-            fast, reference = maps.setdefault(
-                (access.space, access.index),
-                (passes._IntervalMap(), ReferenceIntervalMap()),
-            )
+            key = (access.space, access.index)
+            pair = maps.get(key)
+            if pair is None:
+                pair = maps[key] = (
+                    passes._IntervalMap(), ReferenceIntervalMap()
+                )
+            fast, reference = pair
             for extent in access.extents:
                 args = (extent.start, extent.end, node.node_id, access.write)
                 fast_preds = fast.access(*args)

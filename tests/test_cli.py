@@ -108,8 +108,9 @@ class TestRunProfile:
         assert main(["corpus", "--seeds", "2", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "pipeline profile" in out
-        for stage in ("allocate", "lower", "happens_before",
-                      "hazard_passes"):
+        for stage in ("allocate", "lower", "happens_before", "races",
+                      "interference", "dead_transfers", "retention",
+                      "capacity"):
             assert f"analysis/{stage}" in out
         assert metrics_active() is False
 
