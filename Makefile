@@ -111,7 +111,8 @@ perf-gate:
 # non-zero exit means the emitted trace_event JSON broke the documented
 # schema; the text timeline, decision log, profile and Gantt renderers
 # must run too, the profile must count rounds the simulator stamped by
-# shift (the steady-state path is on), the corpus profile must time the
+# shift (the steady-state path is on) and time program verification on
+# its own non-zero row, the corpus profile must time the
 # HAZ001 race pass on its own row, and the Gantt chart must draw its DMA
 # lane.
 trace-smoke:
@@ -119,6 +120,8 @@ trace-smoke:
 	$(PYTHON) -m repro.cli trace MPEG --format text --decisions > /dev/null
 	$(PYTHON) -m repro.cli run E1 --profile \
 		| grep -E 'rounds_shifted +[1-9]' > /dev/null
+	$(PYTHON) -m repro.cli run E1 --profile \
+		| grep -E 'pipeline\.cds/verify +[0-9.]*[1-9]' > /dev/null
 	$(PYTHON) -m repro.cli corpus --seeds 2 --fb 16K --iterations 48 \
 		--profile | grep -E 'analysis/races +[0-9.]*[1-9]' > /dev/null
 	$(PYTHON) -m repro.cli run E1 --gantt | grep '  DMA  |' > /dev/null

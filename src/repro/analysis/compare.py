@@ -8,6 +8,7 @@ from typing import Optional
 from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
+from repro.codegen.program import Program
 from repro.core.application import Application
 from repro.core.cluster import Clustering
 from repro.core.dataflow import analyze_dataflow
@@ -41,6 +42,12 @@ class SchedulerOutcome:
     ``infeasible_reason`` — the service layer serves those numbers to
     clients, and the exception pickles with its fields intact so
     cached and worker-shipped outcomes keep them.
+
+    ``program`` is the generated program the report simulated, kept
+    for in-process readers (the corpus study's hazard analysis) so
+    they need not generate it again.  It is left out of equality and
+    of every pickle, so cached and worker-shipped outcomes hold
+    ``None`` there and pickle as they would without it.
     """
 
     scheduler: str
@@ -54,6 +61,13 @@ class SchedulerOutcome:
     error: Optional[InfeasibleScheduleError] = field(
         default=None, compare=False
     )
+    program: Optional[Program] = field(default=None, compare=False)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        # An unpickled outcome reads the class default, None.
+        state.pop("program", None)
+        return state
 
     @property
     def rf(self) -> Optional[int]:
@@ -209,6 +223,7 @@ def run_scheduler(
         feasible=True,
         schedule=schedule,
         report=report,
+        program=program,
     )
     if cache is not None:
         cache.put(key, outcome.for_transport())

@@ -87,9 +87,13 @@ def _row_outcome(row):
     """Reduce one comparison row to the study's picklable aggregates."""
     if not (row.basic.feasible and row.ds.feasible and row.cds.feasible):
         return None
-    from repro.dataflow.analyzer import analyze_schedule
+    from repro.dataflow.analyzer import analyze_program, analyze_schedule
 
-    _, collector = analyze_schedule(row.cds.schedule)
+    if row.cds.program is not None:
+        collector = analyze_program(row.cds.program)
+    else:
+        # A cached outcome carries no program.
+        _, collector = analyze_schedule(row.cds.schedule)
     dead_words = sum(
         d.cost_words for d in collector.diagnostics
         if d.code == "DFA001"

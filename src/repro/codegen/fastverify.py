@@ -1,4 +1,4 @@
-"""Vectorized program verification over codegen templates.
+"""Template-level program verification over codegen templates.
 
 The reference verifier (:mod:`repro.codegen.verifier`) replays every
 emitted op against dict/set state — O(total ops) per program.  For a
@@ -11,9 +11,16 @@ fixed cluster sequence, so the whole-program verdict is decided by
 * an FB-set replay of **three sampled rounds** — the first (iteration
   0 is special: invariant operands read instance 0, which only round
   0's windows produce), one steady-state round, and the last (its
-  window may be partial) — with per-object presence and external-store
-  timelines held as NumPy bitmask arrays advanced template-by-template
-  instead of op-by-op.
+  window may be partial) — advanced template-by-template instead of
+  op-by-op.
+
+The replay keeps each object's presence timeline (per FB set) and its
+external-store timeline as one Python ``int``, bit ``i`` standing for
+iteration ``i``.  A visit's iteration window is the mask ``((1 <<
+(stop - start)) - 1) << start``, and an invariant operand's is bit 0.
+"Every iteration present" is ``bits & mask == mask``, "any present" is
+``bits & mask`` and publishing is ``bits | mask``: one integer
+operation per template entry, whatever the window's width.
 
 Every middle round is bitwise-identical in shape and state to the
 sampled steady round (windows are disjoint, FB sets drain at round
@@ -30,12 +37,9 @@ reference replay, which produces the identical ordered
 The reference therefore remains the oracle — ``progequiv`` fuzz
 campaigns and the golden equivalence suite hold the two together.
 """
-
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Set, Tuple
-
-import numpy as np
 
 from repro.codegen.program import Program
 from repro.codegen.templated import ClusterTemplate, TemplateVisits
@@ -53,7 +57,6 @@ def fast_violation_free(program: Program) -> bool:
     templates = visits.templates
     schedule = program.schedule
     application = schedule.application
-    total = application.total_iterations
     n_clusters = len(templates)
     count = len(visits)
     if count == 0 or n_clusters == 0:
@@ -62,6 +65,12 @@ def fast_violation_free(program: Program) -> bool:
     if not _context_state_clean(schedule, templates):
         return False
     if not _final_store_totals_clean(application, templates):
+        return False
+    # Fixed-iteration loads are modelled as instance 0 (bit 0) only.
+    if any(
+        fixed and fixed != (0,)
+        for template in templates for _, _, fixed in template.loads
+    ):
         return False
 
     dataflow = schedule.dataflow
@@ -83,12 +92,12 @@ def fast_violation_free(program: Program) -> bool:
     # FB verdict for every round (module docstring).
     rounds = schedule.rounds
     sampled = sorted({0, min(1, rounds - 1), rounds - 1})
-    stored: Dict[str, np.ndarray] = {}
+    stored: Dict[str, int] = {}
     for round_index in sampled:
         start = round_index * schedule.rf
         stop = start + schedule.iterations_in_round(round_index)
         if not _replay_round(
-            templates, start, stop, total, stored,
+            templates, start, stop, stored,
             kernel_inputs, kernel_outputs, external_names,
             keeps_by_name, survivors_memo, application, schedule,
         ):
@@ -128,8 +137,7 @@ def _replay_round(
     templates: Tuple[ClusterTemplate, ...],
     start: int,
     stop: int,
-    total: int,
-    stored: Dict[str, np.ndarray],
+    stored: Dict[str, int],
     kernel_inputs: Dict[str, Tuple[Tuple[str, bool], ...]],
     kernel_outputs: Dict[str, Tuple[str, ...]],
     external_names: Set[str],
@@ -139,8 +147,13 @@ def _replay_round(
     schedule,
 ) -> bool:
     """Replay one round's visits at template granularity.  Returns
-    False on the first condition the reference would flag."""
-    present: List[Dict[str, np.ndarray]] = [{}, {}]
+    False on the first condition the reference would flag.
+
+    Timelines are ``int`` bitmasks, bit ``i`` for iteration ``i``: the
+    round's window is the mask of bits ``start`` to ``stop - 1`` and an
+    invariant object's window is bit 0 (instance 0)."""
+    window = ((1 << (stop - start)) - 1) << start
+    present: List[Dict[str, int]] = [{}, {}]
     for template in templates:
         fb_set = template.fb_set
         in_set = present[fb_set]
@@ -149,17 +162,16 @@ def _replay_round(
         for name, _words, fixed in template.loads:
             # ``fixed`` is the template's invariant marker: truthy
             # ``(0,)`` pins the object to instance 0.
-            lo, hi = (0, 1) if fixed else (start, stop)
-            arr = in_set.get(name)
-            if arr is not None and arr[lo:hi].any():
+            mask = 1 if fixed else window
+            bits = in_set.get(name, 0)
+            if bits & mask:
                 return False
-            if name not in external_names:
-                timeline = stored.get(name)
-                if timeline is None or not timeline[lo:hi].all():
-                    return False
-            if arr is None:
-                arr = in_set[name] = np.zeros(total, dtype=bool)
-            arr[lo:hi] = True
+            if (
+                name not in external_names
+                and stored.get(name, 0) & mask != mask
+            ):
+                return False
+            in_set[name] = bits | mask
 
         # Compute: operand presence.  Presence bits are only added
         # during a visit, so checking a kernel's whole window before
@@ -168,39 +180,27 @@ def _replay_round(
         # window mid-flight).
         for kernel, _cycles in template.compute:
             for in_name, invariant in kernel_inputs[kernel]:
-                lo, hi = (0, 1) if invariant else (start, stop)
-                arr = in_set.get(in_name)
-                if arr is not None and arr[lo:hi].all():
+                mask = 1 if invariant else window
+                bits = in_set.get(in_name, 0)
+                if bits & mask == mask:
                     continue
                 keep = keeps_by_name.get(in_name)
                 if keep is None or keep.fb_set == fb_set:
                     return False
                 other = present[keep.fb_set].get(in_name)
-                if other is None:
-                    return False
-                if arr is None:
-                    if not other[lo:hi].all():
-                        return False
-                elif not (arr[lo:hi] | other[lo:hi]).all():
+                if other is None or (bits | other) & mask != mask:
                     return False
             for out_name in kernel_outputs[kernel]:
-                arr = in_set.get(out_name)
-                if arr is None:
-                    arr = in_set[out_name] = np.zeros(total, dtype=bool)
-                arr[start:stop] = True
+                in_set[out_name] = in_set.get(out_name, 0) | window
 
         # Stores: presence and external-data checks, then publish to
         # the store timeline later loads consult.
         for name, _words in template.stores:
-            arr = in_set.get(name)
-            if arr is None or not arr[start:stop].all():
+            if in_set.get(name, 0) & window != window:
                 return False
             if application.producer_of(name) is None:
                 return False
-            timeline = stored.get(name)
-            if timeline is None:
-                timeline = stored[name] = np.zeros(total, dtype=bool)
-            timeline[start:stop] = True
+            stored[name] = stored.get(name, 0) | window
 
         # Visit end: only kept survivors stay resident.
         memo_key = (template.cluster_index, fb_set)
@@ -209,6 +209,6 @@ def _replay_round(
             survivors = schedule.survivors(template.cluster_index, fb_set)
             survivors_memo[memo_key] = survivors
         present[fb_set] = {
-            name: arr for name, arr in in_set.items() if name in survivors
+            name: bits for name, bits in in_set.items() if name in survivors
         }
     return True

@@ -68,8 +68,9 @@ class ProgramViolation:
 def verify_program(program: Program) -> None:
     """Raise :class:`ProgramVerificationError` on the first violation.
 
-    Template-compiled programs take the vectorized clean-check first
-    (:mod:`repro.codegen.fastverify`); anything it cannot prove clean
+    Template-compiled programs take the template-level clean-check
+    first (:mod:`repro.codegen.fastverify`, a replay of three sampled
+    rounds on integer bitmasks); anything it cannot prove clean
     falls back to the reference replay, so raised payloads are always
     the reference's.
     """
@@ -87,7 +88,7 @@ def collect_program_violations(program: Program) -> List[ProgramViolation]:
     Unlike :func:`verify_program` the replay continues past a violation
     (assuming the intended state where possible), so one broken visit
     does not hide later, independent bugs.  Template-compiled programs
-    short-circuit through the vectorized clean-check; the violation
+    short-circuit through the template-level clean-check; the violation
     list itself always comes from the reference replay.
     """
     from repro.codegen.fastverify import fast_violation_free

@@ -38,7 +38,7 @@ which compares two independent computations of the same fact:
     The template-compiled codegen backend
     (:mod:`repro.codegen.templated`) produces byte-identical
     :class:`~repro.codegen.program.Program` objects to the reference
-    generator, and the vectorized fast verifier
+    generator, and the template-level fast verifier
     (:mod:`repro.codegen.fastverify`) returns the identical ordered
     violation list the reference replay does.
 ``freelist``

@@ -19,9 +19,10 @@ from repro.sim.functional import (
     reference_outputs,
     surrogate_kernel,
 )
-from repro.sim.report import SimulationReport, VisitTiming
+from repro.sim.report import PeriodicVisits, SimulationReport, VisitTiming
 
 __all__ = [
+    "PeriodicVisits",
     "SimulationReport",
     "Simulator",
     "VisitTiming",

@@ -59,17 +59,21 @@ the templates, so an edited visit of a materialised program is walked.
 
 An untraced, non-functional run of five rounds or more therefore walks
 only part of each stretch of equal-row rounds.  It compares the
-boundary states before the stretch's rounds 2 to 4, stamps the rounds
-from the first repeat up to the stretch's last round by shift and adds
-their channel totals (:meth:`~repro.arch.dma.DmaChannel.repeat`).  It
-then walks on from the stretch's last round.  The rounds it shifts are
-left out of the :func:`issue_order` call, so their rows and steps are
-never built.  A probe that finds no repeat walks the whole program
-again, visit by visit.  Traced and functional runs always walk every
-visit, which makes the traced run the oracle (``tests/sim/
-test_steady_state.py`` and the ``simengine`` fuzz oracle).
-:attr:`Simulator.rounds_walked` and :attr:`Simulator.rounds_shifted`
-say which path a run took.
+boundary states before the stretch's rounds 2 to 4; from the first
+repeat up to the stretch's last round, the rounds are shifted: the run
+records them as one ``(template, first, count, delta)`` stretch and
+adds their channel totals (:meth:`~repro.arch.dma.DmaChannel.repeat`).
+It then walks on from the stretch's last round.  The rounds it shifts
+are left out of the :func:`issue_order` call, so their rows and steps
+are never built, and no :class:`VisitTiming` is made for them: the
+report's :class:`~repro.sim.report.PeriodicVisits` stamps a shifted
+visit only when it is read.  Every run returns that one sequence type;
+a run that shifts nothing holds only walked timings.  A probe that
+finds no repeat walks the whole program again, visit by visit.  Traced
+and functional runs always walk every visit, which makes the traced
+run the oracle (``tests/sim/test_steady_state.py`` and the
+``simengine`` fuzz oracle).  :attr:`Simulator.rounds_walked` and
+:attr:`Simulator.rounds_shifted` say which path a run took.
 
 Functional mode additionally moves real values through the machine's
 external memory and checks every final output against the reference
@@ -89,6 +93,7 @@ from repro.codegen.program import Program
 from repro.codegen.templated import ClusterTemplate, TemplateVisits
 from repro.codegen.verifier import verify_program
 from repro.errors import SimulationError
+from repro.obs.metrics import time_stage
 from repro.schedule.context_scheduler import (
     CTX,
     LOAD,
@@ -103,7 +108,7 @@ from repro.sim.functional import (
     populate_external_inputs,
     reference_outputs,
 )
-from repro.sim.report import SimulationReport, VisitTiming
+from repro.sim.report import PeriodicVisits, SimulationReport, VisitTiming
 
 __all__ = ["Simulator"]
 
@@ -182,7 +187,12 @@ class Simulator:
                 the machine's external memory is empty).
         """
         if self.verify:
-            verify_program(program)
+            # Its own stage, so a profile splits the pipeline's
+            # ``simulate`` into verification and the walk.
+            with time_stage(
+                "verify", scope=f"pipeline.{program.schedule.scheduler}"
+            ):
+                verify_program(program)
 
         application = program.schedule.application
         impls: Dict[str, KernelImpl] = {}
@@ -205,7 +215,7 @@ class Simulator:
             self._dead_words = 0
             self._loaded_words = 0
         transfers: List[DmaTransfer] = []
-        timings, compute_cycles, stall, dma = self._execute(
+        visits, compute_cycles, stall, dma = self._execute(
             program, functional, impls, transfers
         )
 
@@ -218,9 +228,7 @@ class Simulator:
                 self._dead_words + sum(self._load_watch.values())
             )
 
-        total = max(
-            dma.busy_until, timings[-1].compute_end if timings else 0
-        )
+        total = max(dma.busy_until, visits[-1].compute_end if visits else 0)
         return SimulationReport(
             scheduler=program.schedule.scheduler,
             application=application.name,
@@ -234,7 +242,7 @@ class Simulator:
             data_load_count=dma.count(TransferKind.DATA_LOAD),
             data_store_count=dma.count(TransferKind.DATA_STORE),
             context_load_count=dma.count(TransferKind.CONTEXT_LOAD),
-            visits=tuple(timings),
+            visits=visits,
             transfers=tuple(transfers),
             functional_verified=verified,
         )
@@ -297,8 +305,8 @@ class Simulator:
         functional: bool,
         impls: Mapping[str, KernelImpl],
         transfers: List[DmaTransfer],
-    ) -> Tuple[List[VisitTiming], int, int, DmaChannel]:
-        """Time the program on a fresh channel; return ``(timings,
+    ) -> Tuple[PeriodicVisits, int, int, DmaChannel]:
+        """Time the program on a fresh channel; return ``(visits,
         compute_cycles, stall_cycles, channel)``.
 
         An untraced, non-functional run walks its periodic stretches
@@ -337,19 +345,19 @@ class Simulator:
         functional: bool,
         impls: Mapping[str, KernelImpl],
         transfers: List[DmaTransfer],
-    ) -> Optional[Tuple[List[VisitTiming], int, int, DmaChannel]]:
+    ) -> Optional[Tuple[PeriodicVisits, int, int, DmaChannel]]:
         """Time every :func:`issue_order` step of the program without
         the rounds of *gaps* (see :func:`_steady_gaps`); with the trace
         on, append each group's stamped transfers to *transfers*.
 
-        Each gap's rounds are stamped by shift once the walk reaches
-        its stretch's steady state.  Returns ``None`` when a probe ends
-        without one.
+        Each gap's rounds are recorded as a shifted stretch once the
+        walk reaches its stretch's steady state.  Returns ``None`` when
+        a probe ends without one.
         """
         visits = program.visits
         timing = self.machine.architecture.timing
         fb_values: Tuple[Dict, Dict] = ({}, {})
-        steady = _SteadyState(gaps, width, idents)
+        steady = _SteadyState(gaps, width)
         rows = []
         for round_index, round_tails in enumerate(tails):
             if round_index in steady.left_out:
@@ -383,8 +391,7 @@ class Simulator:
             if kind == RUN:
                 if index == checkpoint:
                     resumed = steady.boundary(
-                        index, prep_finish, compute_end, dma, timings,
-                        compute, stall,
+                        index, prep_finish, compute_end, dma, compute, stall,
                     )
                     if resumed is None:
                         return None
@@ -450,7 +457,14 @@ class Simulator:
                 prep_finish[index] = finish
         self.rounds_shifted = steady.shifted
         self.rounds_walked = program.schedule.rounds - steady.shifted
-        return timings, compute, stall, dma
+        stretches = tuple(steady.stretches)
+        return (
+            PeriodicVisits(
+                tuple(timings), width, stretches,
+                idents if stretches else None,
+            ),
+            compute, stall, dma,
+        )
 
     # -- functional data movement ---------------------------------------
 
@@ -580,7 +594,7 @@ def _steady_gaps(tails: List[Tuple[Tuple, ...]]) -> List[Tuple[int, int, int]]:
 
 class _SteadyState:
     """Looks for a walk's steady state at the round boundaries of its
-    probes, and stamps the rounds it then skips.
+    probes, and records the rounds it then skips as shifted stretches.
 
     Each gap ``(start, probe_end, end)`` of :func:`_steady_gaps` leaves
     program rounds ``probe_end`` to ``end - 1`` out of the walk
@@ -590,7 +604,7 @@ class _SteadyState:
     round ``last`` is program round ``resume``.
     """
 
-    def __init__(self, gaps, width: int, idents) -> None:
+    def __init__(self, gaps, width: int) -> None:
         #: Program rounds the walk leaves out.
         self.left_out: Set[int] = set()
         probes = []
@@ -600,7 +614,9 @@ class _SteadyState:
             self.left_out.update(range(probe_end, end))
         self._probes = iter(probes)
         self._width = width
-        self._idents = idents
+        #: ``(template, first, count, delta)`` per stretch of program
+        #: rounds stamped by shift (:class:`PeriodicVisits`).
+        self.stretches: List[Tuple[int, int, int, int]] = []
         #: Program rounds stamped by shift so far.
         self.shifted = 0
         self._next_probe()
@@ -614,15 +630,16 @@ class _SteadyState:
         self._previous: Optional[Tuple] = None
 
     def boundary(
-        self, index, prep_finish, compute_end, dma, timings, compute, stall
+        self, index, prep_finish, compute_end, dma, compute, stall
     ) -> Optional[Tuple[int, int, int]]:
         """The walk is about to run visit *index*, a round's first.
 
         Compares the round-boundary state with the previous round's.
-        On a repeat, stamps the probe's remaining program rounds by
-        shift, advances *dma*, *prep_finish* and *compute_end* to the
-        resume round's boundary and returns ``(resume_index, compute,
-        stall)`` with the sums grown to match.  Otherwise records the
+        On a repeat, records the probe's remaining program rounds as a
+        stretch that repeats the last walked round, advances *dma*,
+        *prep_finish* and *compute_end* to the resume round's boundary
+        and returns ``(resume_index, compute, stall)`` with the sums
+        grown to match.  Otherwise records the
         state and returns ``(index, compute, stall)``, or ``None`` when
         the probe ends here without a repeat.
         """
@@ -641,7 +658,7 @@ class _SteadyState:
         delta = base - then
         start = index // width + offset
         times = resume - start
-        self._stamp_rounds(timings, start, times, delta)
+        self.stretches.append((start - 1, start, times, delta))
         dma.repeat(mark, times)
         self.shifted += times
         at = last * width
@@ -653,38 +670,6 @@ class _SteadyState:
             compute + times * (compute - compute_then),
             stall + times * (stall - stall_then),
         )
-
-    def _stamp_rounds(
-        self, timings: List[VisitTiming], start: int, times: int, delta: int
-    ) -> None:
-        """Append program rounds ``start`` to ``start + times - 1``: the
-        last walked round's timings, each round *delta* cycles later
-        than the one before."""
-        width = self._width
-        idents = self._idents
-        template = timings[-width:]
-        new = object.__new__
-        append = timings.append
-        for round_index in range(start, start + times):
-            shift = (round_index - start + 1) * delta
-            first = round_index * width
-            for k, visit in enumerate(template):
-                index, visit_round = (
-                    idents[first + k] if idents else (first + k, round_index)
-                )
-                # The frozen dataclass's generated __init__ is bypassed
-                # as in TemplateVisits._stamp.
-                stamped = new(VisitTiming)
-                stamped.__dict__.update(
-                    index=index,
-                    round_index=visit_round,
-                    cluster_index=visit.cluster_index,
-                    fb_set=visit.fb_set,
-                    prep_finish=visit.prep_finish + shift,
-                    compute_start=visit.compute_start + shift,
-                    compute_end=visit.compute_end + shift,
-                )
-                append(stamped)
 
 
 def _stamp(

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.arch.dma import DmaTransfer, TransferKind
+from repro.arch.dma import DmaTransfer
 
-__all__ = ["VisitTiming", "SimulationReport"]
+__all__ = ["PeriodicVisits", "VisitTiming", "SimulationReport"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,118 @@ class VisitTiming:
         return self.compute_end - self.compute_start
 
 
+class PeriodicVisits(Sequence):
+    """A run's per-visit timings, its shifted rounds kept in periodic
+    form.
+
+    Holds the walked timings in program order and one ``(template,
+    first, count, delta)`` per stretch of rounds the simulator stamped
+    by shift: program rounds ``first`` to ``first + count - 1`` repeat
+    the walked round ``template``, each one *delta* cycles later than
+    the one before.  A shifted visit becomes a :class:`VisitTiming`
+    only when it is read, the way
+    :class:`~repro.codegen.templated.TemplateVisits` stamps ops.
+
+    Behaves exactly like the tuple of every visit's timing: ``len``,
+    indexing (negative too), slicing (to a plain tuple), iteration,
+    equality with the tuple in both directions and ``hash`` all match
+    it.  Indexing stamps one visit, found from its round, and it
+    pickles in the periodic form.
+    """
+
+    __slots__ = ("_walked", "_width", "_stretches", "_idents", "_count")
+
+    def __init__(
+        self,
+        walked: Tuple[VisitTiming, ...],
+        width: int,
+        stretches: Tuple[Tuple[int, int, int, int], ...],
+        idents: Optional[Sequence],
+    ) -> None:
+        """*width* is the visits per round.  *idents* gives every
+        visit's ``(index, round_index)`` when its position does not."""
+        self._walked = walked
+        self._width = width
+        self._stretches = stretches
+        self._idents = idents
+        self._count = len(walked) + width * sum(
+            count for _, _, count, _ in stretches
+        )
+
+    def _at(self, position: int) -> VisitTiming:
+        """The timing of visit *position*, ``0 <= position < len``."""
+        width = self._width
+        round_index = position // width
+        skipped = 0
+        for template, first, count, delta in self._stretches:
+            if round_index < first:
+                break
+            if round_index < first + count:
+                visit = self._walked[
+                    (template - skipped) * width + position % width
+                ]
+                shift = (round_index - template) * delta
+                index, visit_round = (
+                    self._idents[position] if self._idents
+                    else (position, round_index)
+                )
+                # The frozen dataclass's generated __init__ is bypassed
+                # as in TemplateVisits._stamp.
+                stamped = object.__new__(VisitTiming)
+                stamped.__dict__.update(
+                    index=index,
+                    round_index=visit_round,
+                    cluster_index=visit.cluster_index,
+                    fb_set=visit.fb_set,
+                    prep_finish=visit.prep_finish + shift,
+                    compute_start=visit.compute_start + shift,
+                    compute_end=visit.compute_end + shift,
+                )
+                return stamped
+            skipped += count
+        return self._walked[position - skipped * width]
+
+    # -- sequence protocol -------------------------------------------------
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(
+                self._at(position)
+                for position in range(*index.indices(self._count))
+            )
+        position = operator.index(index)
+        if position < 0:
+            position += self._count
+        if not 0 <= position < self._count:
+            raise IndexError("visit index out of range")
+        return self._at(position)
+
+    def __iter__(self):
+        if not self._stretches:
+            return iter(self._walked)
+        return map(self._at, range(self._count))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (PeriodicVisits, tuple)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return (
+            PeriodicVisits,
+            (self._walked, self._width, self._stretches, self._idents),
+        )
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     """Everything a simulation run measured.
@@ -50,7 +164,10 @@ class SimulationReport:
         data_load_words / data_store_words / context_words: traffic.
         data_load_count / data_store_count / context_load_count:
             transfer operation counts.
-        visits: per-visit timing (the Gantt trace rows).
+        visits: per-visit timing (the Gantt trace rows), a sequence
+            equal to the tuple of every visit's :class:`VisitTiming`.
+            A run's own report holds a :class:`PeriodicVisits`, which
+            keeps shifted rounds in periodic form.
         transfers: the raw DMA transfer trace.
         functional_verified: True when functional mode ran and every
             final output matched the reference execution.
@@ -68,9 +185,18 @@ class SimulationReport:
     data_load_count: int
     data_store_count: int
     context_load_count: int
-    visits: Tuple[VisitTiming, ...]
+    visits: Sequence[VisitTiming]
     transfers: Tuple[DmaTransfer, ...]
     functional_verified: Optional[bool] = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        visits = self.visits
+        if isinstance(visits, PeriodicVisits) and not visits._stretches:
+            # Stored as the walked tuple itself, so the report pickles to
+            # the bytes it had before visits were kept periodic.
+            state["visits"] = visits._walked
+        return state
 
     @property
     def data_words(self) -> int:

@@ -1,8 +1,15 @@
 """Unit tests for the corpus robustness study."""
 
+import dataclasses
+
 import pytest
 
-from repro.analysis.corpus import CorpusStats, corpus_study
+import repro.analysis.compare as compare
+import repro.codegen.generator as generator
+from repro.analysis.compare import compare_workload
+from repro.analysis.corpus import CorpusStats, _row_outcome, corpus_study
+from repro.arch.params import Architecture
+from repro.workloads.random_gen import random_application
 
 
 class TestCorpusStudy:
@@ -33,6 +40,37 @@ class TestCorpusStudy:
         assert stats.median_cds_pct is None
         assert stats.min_cds_pct is None
         assert "corpus: 0" in stats.summary()
+
+
+class TestHazardAnalysisReusesProgram:
+    """The study analyses the CDS program the pipeline simulated, so a
+    corpus op generates one program per scheduler."""
+
+    def test_one_generation_per_scheduler(self, monkeypatch):
+        calls = []
+        original = generator.generate_program
+
+        def counting(schedule):
+            calls.append(schedule.scheduler)
+            return original(schedule)
+
+        monkeypatch.setattr(generator, "generate_program", counting)
+        monkeypatch.setattr(compare, "generate_program", counting)
+        stats = corpus_study([0, 1], fb="16K", iterations=48)
+        assert stats.feasible == 2
+        assert calls == ["basic", "ds", "cds"] * 2
+
+    def test_same_aggregates_as_a_fresh_generation(self):
+        application, clustering = random_application(0, iterations=48)
+        row = compare_workload(
+            application, clustering, Architecture.m1("16K"), trace=False
+        )
+        assert row.cds.program is not None
+        # A cached outcome carries no program: the study generates it.
+        cached = dataclasses.replace(
+            row, cds=dataclasses.replace(row.cds, program=None)
+        )
+        assert _row_outcome(row) == _row_outcome(cached)
 
 
 class TestExperimentSpec:

@@ -10,6 +10,7 @@ pickle strictly smaller, and untraced outcomes — every driver default —
 must pass through untouched.
 """
 
+import dataclasses
 import pickle
 
 from repro.analysis.compare import run_scheduler
@@ -55,3 +56,18 @@ def test_schedule_without_decisions_identity():
     assert stripped is not traced
     assert stripped.decisions is None
     assert stripped == traced
+
+
+def test_program_stays_out_of_pickles():
+    """The simulated program rides along in-process only: it is
+    ``compare=False`` and no pickle carries it."""
+    outcome = _outcome(traced=False)
+    assert outcome.program is not None
+    assert outcome.program.schedule is outcome.schedule
+    without = dataclasses.replace(outcome, program=None)
+    assert without == outcome
+    assert pickle.dumps(outcome) == pickle.dumps(without)
+    restored = pickle.loads(pickle.dumps(outcome))
+    assert "program" not in vars(restored)
+    assert restored.program is None
+    assert restored == outcome

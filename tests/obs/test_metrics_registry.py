@@ -147,7 +147,7 @@ class TestPipelineIntegration:
             set_metrics_active(False)
         timers = get_registry().timers
         for scheduler in ("basic", "ds", "cds"):
-            for stage in ("schedule", "codegen", "simulate"):
+            for stage in ("schedule", "codegen", "verify", "simulate"):
                 key = f"pipeline.{scheduler}/{stage}"
                 assert key in timers, key
                 assert timers[key]["count"] == 1
@@ -170,7 +170,7 @@ class TestPipelineIntegration:
         finally:
             set_metrics_active(False)
         timers = get_registry().timers
-        for stage in ("schedule", "codegen", "simulate"):
+        for stage in ("schedule", "codegen", "verify", "simulate"):
             key = f"pipeline.cds/{stage}"
             assert key in timers, key
             assert timers[key]["count"] == 1

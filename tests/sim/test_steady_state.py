@@ -10,6 +10,7 @@ the per-transfer trace, and checks the ``rounds_walked`` /
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.obs.metrics import request_scope
 from repro.schedule import SCHEDULERS
 from repro.schedule.context_scheduler import DmaPolicy
 from repro.sim.engine import Simulator
+from repro.sim.report import PeriodicVisits
 from repro.workloads.random_gen import random_application
 from repro.workloads.spec import paper_experiments
 
@@ -232,3 +234,101 @@ def test_fuzz_quick_pipeline_runs_take_the_shift_path(monkeypatch):
         )
         assert not failures
     assert sum(1 for rounds in shifted if rounds) >= 10
+
+
+# -- the periodic visit sequence ---------------------------------------------
+
+
+def assert_behaves_as_tuple(visits, expected):
+    """*visits* answers every sequence question as the tuple
+    *expected* does."""
+    assert isinstance(visits, PeriodicVisits)
+    assert isinstance(expected, tuple)
+    count = len(expected)
+    assert len(visits) == count
+    for position in range(count):
+        assert visits[position] == expected[position]
+        assert visits[position - count] == expected[position - count]
+    assert visits[-1] == expected[-1]
+    with pytest.raises(IndexError):
+        visits[count]
+    with pytest.raises(IndexError):
+        visits[-count - 1]
+    for piece in (
+        slice(None), slice(1, None, 3), slice(None, None, -1),
+        slice(count - 5, count + 5), slice(-7, -2), slice(3, 3),
+    ):
+        assert isinstance(visits[piece], tuple)
+        assert visits[piece] == expected[piece]
+    assert list(visits) == list(expected)
+    assert visits == expected
+    assert expected == visits
+    assert not visits != expected
+    assert visits != expected[:-1]
+    assert hash(visits) == hash(expected)
+    restored = pickle.loads(pickle.dumps(visits))
+    assert isinstance(restored, PeriodicVisits)
+    assert restored == expected
+    assert expected == restored
+
+
+def assert_visits_match_traced(architecture, program):
+    simulator = untraced_matches_traced(architecture, program)
+    report = Simulator(
+        MorphoSysM1(architecture), trace=False, verify=False
+    ).run(program)
+    traced = Simulator(
+        MorphoSysM1(architecture), trace=True, verify=False
+    ).run(program)
+    assert report.visits == traced.visits
+    assert_behaves_as_tuple(report.visits, tuple(traced.visits))
+    assert_behaves_as_tuple(traced.visits, tuple(traced.visits))
+    # An unshifted run's report pickles as it did with a tuple.
+    assert pickle.dumps(traced) == pickle.dumps(
+        dataclasses.replace(traced, visits=tuple(traced.visits))
+    )
+    assert report.gantt() == dataclasses.replace(
+        traced, transfers=()
+    ).gantt()
+    return simulator
+
+
+def test_every_table1_run_keeps_the_tuple_protocol():
+    for spec in paper_experiments():
+        application, clustering = spec.build()
+        architecture = Architecture.m1(spec.fb)
+        for scheduler_cls in SCHEDULERS.values():
+            try:
+                schedule = scheduler_cls(architecture).schedule(
+                    application, clustering
+                )
+            except InfeasibleScheduleError:
+                continue
+            assert_visits_match_traced(
+                architecture, generate_program(schedule)
+            )
+
+
+def test_long_run_keeps_the_tuple_protocol():
+    architecture, program = random_program(0, 4_800, "16K", "cds")
+    simulator = assert_visits_match_traced(architecture, program)
+    assert simulator.rounds_shifted > 150
+
+
+def test_untraced_long_run_stamps_only_walked_rounds():
+    """Shifted rounds stay periodic until read: the report holds
+    timings for the walked rounds only, reading a shifted visit stamps
+    that visit alone, and the pickle keeps the periodic form."""
+    architecture, program = random_program(0, 9_600, "16K", "cds")
+    width = len(program.schedule.clustering)
+    simulator = Simulator(
+        MorphoSysM1(architecture), trace=False, verify=False
+    )
+    visits = simulator.run(program).visits
+    assert simulator.rounds_walked <= 4
+    assert len(visits._walked) == simulator.rounds_walked * width
+    assert len(visits) == program.schedule.rounds * width
+    middle = visits[len(visits) // 2]
+    assert middle.index == len(visits) // 2
+    assert len(visits._walked) == simulator.rounds_walked * width
+    assert len(pickle.dumps(visits)) * 50 < len(pickle.dumps(tuple(visits)))

@@ -95,6 +95,7 @@ class TestRunProfile:
         assert "pipeline profile" in out
         assert "pipeline.cds/schedule" in out
         assert "pipeline.basic/simulate" in out
+        assert "pipeline.basic/verify" in out
 
     def test_profile_leaves_collection_off_afterwards(self):
         from repro.obs.metrics import metrics_active
