@@ -19,9 +19,12 @@ cluster's kernels, where
 
 This module provides three related quantities:
 
-* :func:`cluster_data_size` — the exact peak via an event sweep, for any
-  reuse factor ``RF`` and any set of inter-cluster *keep* decisions
-  (the quantity the Complete Data Scheduler checks against ``FBS``);
+* :func:`cluster_data_size` — the exact peak, for any reuse factor
+  ``RF`` and any set of inter-cluster *keep* decisions (the quantity
+  the Complete Data Scheduler checks against ``FBS``), evaluated from
+  :func:`cluster_sweep_pieces`: ``DS(C_c)`` is the maximum of a few
+  lines ``a * RF + b``, which is also what makes the highest common
+  ``RF`` a closed form;
 * :func:`cluster_data_size_formula` — the paper's closed form, for
   ``RF = 1`` without keeps (cross-checked against the sweep in tests);
 * :func:`cluster_footprint` — the Basic Scheduler's occupancy, with no
@@ -31,20 +34,24 @@ This module provides three related quantities:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.core.dataflow import DataflowInfo, ObjectClass
 from repro.core.reuse import SharedData, SharedResult
 
 __all__ = [
     "KeepDecision",
+    "SweepPiece",
     "cluster_data_size",
     "cluster_data_size_naive",
     "cluster_data_size_formula",
     "cluster_footprint",
     "cluster_sweep_peak",
+    "cluster_sweep_pieces",
     "max_cluster_data_size",
-    "resident_keep_words",
+    "resident_keep_line",
     "total_data_size",
 ]
 
@@ -70,35 +77,36 @@ def cluster_footprint(dataflow: DataflowInfo, cluster_index: int) -> int:
     )
 
 
-def _resident_keep_words(
+def resident_keep_line(
     dataflow: DataflowInfo,
     cluster_index: int,
-    rf: int,
     keeps: Sequence[KeepDecision],
-) -> Tuple[int, Set[str]]:
-    """Constant occupancy contributed by kept items resident during the
-    cluster, and the set of kept object names relevant to this cluster's
-    FB set.
+) -> Tuple[int, int, Set[str]]:
+    """Words of kept items resident during the cluster, as the line
+    ``a * rf + b``, and the set of kept object names relevant to this
+    cluster's FB set.
 
-    A kept item contributes ``RF * size`` words for every same-set
-    cluster inside its residency span (it holds one instance per
-    concurrent iteration).  The item also stays resident through the
-    cluster that loads/produces it and the cluster that last consumes
-    it, so inputs/outputs of this cluster that are kept must not be
-    double-counted by the sweep — they are returned in the second
+    A kept item contributes ``RF * size`` words (``a``) for every
+    same-set cluster inside its residency span (it holds one instance
+    per concurrent iteration), or just ``size`` (``b``) if it is
+    invariant.  The item also stays resident through the cluster that
+    loads/produces it and the cluster that last consumes it, so
+    inputs/outputs of this cluster that are kept must not be
+    double-counted by the sweep — they are returned in the third
     element so the sweep can skip them.
     """
     clustering = dataflow.clustering
     fb_set = clustering[cluster_index].fb_set
-    resident_words = 0
+    slope = 0
+    intercept = 0
     local_kept: Set[str] = set()
     for keep in keeps:
         if keep.fb_set == fb_set:
             if keep.resident_for(cluster_index):
                 if getattr(keep, "invariant", False):
-                    resident_words += keep.size
+                    intercept += keep.size
                 else:
-                    resident_words += rf * keep.size
+                    slope += keep.size
                 local_kept.add(keep.name)
             continue
         # A keep homed in the *other* set can still serve this cluster
@@ -109,96 +117,132 @@ def _resident_keep_words(
             consumers = keep.consumer_clusters
         if cluster_index in consumers:
             local_kept.add(keep.name)
-    return resident_words, local_kept
+    return slope, intercept, local_kept
 
 
-#: Public alias used by the incremental occupancy engine.
-resident_keep_words = _resident_keep_words
+class SweepPiece(NamedTuple):
+    """One affine piece ``a * rf + b`` of a cluster's sweep peak.
+
+    ``kernel`` names the kernel executing at that candidate peak; it is
+    ``None`` for the piece "every input loaded, before the first
+    kernel runs".
+    """
+
+    a: int
+    b: int
+    kernel: Optional[str]
+
+
+def cluster_sweep_pieces(
+    dataflow: DataflowInfo,
+    cluster_index: int,
+    local_kept: AbstractSet[str],
+) -> Tuple[SweepPiece, ...]:
+    """The load/execute/release sweep peak of one cluster, excluding
+    kept-resident words, as lines in ``rf``: for every ``rf >= 1``,
+    ``cluster_sweep_peak(..., rf, ...) == max(a * rf + b)`` over the
+    returned pieces.
+
+    Why it is exact.  Within one kernel's ``RF`` consecutive executions
+    the occupancy trace is affine in the iteration index: every
+    iteration allocates the kernel's (non-kept) outputs ``out`` and
+    releases the same set of dead instances — non-invariant inputs
+    whose last local use is this kernel, plus intermediates whose last
+    consumer is this kernel — so it moves by ``d = out - released`` per
+    iteration.  The per-kernel peak is therefore reached at the first
+    or the last iteration: ``occ_k(rf) + out + max(0, (rf - 1) * d)``,
+    where ``occ_k(rf)``, the occupancy before kernel ``k``, is itself
+    affine in ``rf`` (the inputs load ``rf * size`` words each, or
+    ``size`` if invariant; every earlier kernel adds ``rf * d`` and
+    drops its invariant inputs once).  For ``rf >= 1`` that maximum is
+    the larger of two lines, ``occ_k(rf) + out`` and ``occ_k(rf) + out
+    + (rf - 1) * d``, so the sweep peak is the maximum of at most
+    ``2 * kernels + 1`` lines ``a * rf + b`` (the second line of a
+    kernel is left out when ``d == 0``: it equals the first).  Resident
+    keeps add ``rf * size``, or ``size`` for an invariant keep, to every
+    line (:func:`resident_keep_line`), which keeps ``DS(C_c)`` a
+    maximum of lines.
+
+    Suppose ``DS(1) <= FBS``.  Then every line with ``a <= 0`` holds
+    for all ``rf >= 1``, so the feasible reuse factors form a prefix
+    ``1..R`` with ``R = min(cap, min over lines with a > 0 of
+    floor((FBS - b) / a))`` — the closed form behind
+    :func:`repro.schedule.rf.common_rf_bound`.  If ``DS(1) > FBS`` no
+    reuse factor fits.  As a maximum of lines, ``DS`` is also convex in
+    ``rf``.  The naive ``O(kernels * rf)`` event sweep
+    (:func:`cluster_data_size_naive`) stays the property-tested
+    reference.
+    """
+    kernel_names = dataflow.clustering[cluster_index].kernel_names
+    position = {name: idx for idx, name in enumerate(kernel_names)}
+    # Per-kernel totals, each charged once per iteration:
+    #   out_at — non-kept output words allocated;
+    #   released_at — words released after the peak check (dead
+    #       non-invariant inputs with last local use here, plus
+    #       intermediates whose last in-cluster consumer is here);
+    #   invariant_at — invariant inputs released only on the final
+    #       iteration.
+    out_at = [0] * len(kernel_names)
+    released_at = [0] * len(kernel_names)
+    invariant_at = [0] * len(kernel_names)
+
+    # Occupancy before the current kernel is slope * rf + intercept;
+    # before the first one it is every non-kept input.
+    slope = 0
+    intercept = 0
+    for obj_name in dataflow.inputs_of_cluster(cluster_index):
+        if obj_name in local_kept:
+            continue
+        last = dataflow.last_use_in_cluster(obj_name, cluster_index)
+        assert last is not None, (obj_name, cluster_index)
+        info = dataflow[obj_name]
+        if info.invariant:
+            intercept += info.size
+            invariant_at[position[last]] += info.size
+        else:
+            slope += info.size
+            released_at[position[last]] += info.size
+    for k_idx, kernel_name in enumerate(kernel_names):
+        for out_name in dataflow.application.kernel(kernel_name).outputs:
+            if out_name in local_kept:
+                continue
+            info = dataflow[out_name]
+            out_at[k_idx] += info.size
+            if info.object_class is ObjectClass.INTERMEDIATE_RESULT:
+                consumer_pos = max(
+                    position[c] for c in info.consumers if c in position
+                )
+                released_at[consumer_pos] += info.size
+
+    pieces = [SweepPiece(slope, intercept, None)]
+    for k_idx, kernel_name in enumerate(kernel_names):
+        out_words = out_at[k_idx]
+        delta = out_words - released_at[k_idx]
+        # First iteration: occ_k + out; last: occ_k + out + (rf-1)*d.
+        pieces.append(SweepPiece(slope, intercept + out_words, kernel_name))
+        if delta:
+            pieces.append(SweepPiece(
+                slope + delta, intercept + out_words - delta, kernel_name,
+            ))
+        slope += delta
+        intercept -= invariant_at[k_idx]
+    return tuple(pieces)
 
 
 def cluster_sweep_peak(
     dataflow: DataflowInfo,
     cluster_index: int,
     rf: int,
-    local_kept: Set[str],
+    local_kept: AbstractSet[str],
 ) -> int:
     """Peak of the load/execute/release sweep, excluding kept-resident
-    words, in ``O(kernels)`` regardless of ``rf``.
-
-    Within one kernel's ``RF`` consecutive executions the occupancy
-    trace is affine in the iteration index: every iteration allocates
-    the kernel's (non-kept) outputs and releases the same set of dead
-    instances — non-invariant inputs whose last local use is this
-    kernel, plus intermediates whose last consumer is this kernel.  The
-    per-kernel peak is therefore reached at either the first or the
-    last iteration, which collapses the naive ``O(kernels * rf)`` sweep
-    (:func:`cluster_data_size_naive`) to a closed form evaluated once
-    per kernel.  Both paths produce identical integers — the
-    equivalence is property-tested.
-    """
-    cluster = dataflow.clustering[cluster_index]
-    kernel_names = list(cluster.kernel_names)
-    position = {name: idx for idx, name in enumerate(kernel_names)}
-
-    inputs = [
-        name for name in dataflow.inputs_of_cluster(cluster_index)
-        if name not in local_kept
-    ]
-    last_local_use: Dict[str, int] = {}
-    for obj_name in inputs:
-        last = dataflow.last_use_in_cluster(obj_name, cluster_index)
-        assert last is not None, (obj_name, cluster_index)
-        last_local_use[obj_name] = position[last]
-
-    occupancy = sum(dataflow[name].words_for(rf) for name in inputs)
-    peak = occupancy
-
-    # Per-kernel totals, each charged once per iteration:
-    #   out_k — non-kept output words allocated;
-    #   rel_k — words released after the peak check (dead non-invariant
-    #           inputs with last local use here, plus intermediates
-    #           whose last in-cluster consumer is here);
-    #   inv_k — invariant inputs released only on the final iteration.
-    intermediate_release_at: Dict[int, int] = {}
-    for k_idx, kernel_name in enumerate(kernel_names):
-        kernel = dataflow.application.kernel(kernel_name)
-        for out_name in kernel.outputs:
-            info = dataflow[out_name]
-            if out_name in local_kept:
-                continue
-            if info.object_class is ObjectClass.INTERMEDIATE_RESULT:
-                consumer_pos = max(
-                    position[c] for c in info.consumers if c in position
-                )
-                intermediate_release_at[consumer_pos] = (
-                    intermediate_release_at.get(consumer_pos, 0) + info.size
-                )
-
-    for k_idx, kernel_name in enumerate(kernel_names):
-        kernel = dataflow.application.kernel(kernel_name)
-        out_words = sum(
-            dataflow[name].size for name in kernel.outputs
-            if name not in local_kept
-        )
-        released = intermediate_release_at.get(k_idx, 0)
-        invariant_words = 0
-        for in_name in kernel.inputs:
-            if in_name in local_kept:
-                continue
-            if last_local_use.get(in_name) == k_idx:
-                info = dataflow[in_name]
-                if info.invariant:
-                    invariant_words += info.size
-                else:
-                    released += info.size
-        # Affine trace: occupancy after allocating iteration i's outputs
-        # is start + (i+1)*out - i*released, maximal at i=0 or i=rf-1.
-        peak = max(
-            peak,
-            occupancy + out_words + max(0, (rf - 1) * (out_words - released)),
-        )
-        occupancy += rf * (out_words - released) - invariant_words
-    return peak
+    words, in ``O(kernels)`` regardless of ``rf``: the largest of the
+    :func:`cluster_sweep_pieces` lines at ``rf``.  Equal to the naive
+    sweep (:func:`cluster_data_size_naive`) — property-tested."""
+    return max(
+        a * rf + b
+        for a, b, _ in cluster_sweep_pieces(dataflow, cluster_index, local_kept)
+    )
 
 
 def cluster_data_size(
@@ -241,10 +285,10 @@ def cluster_data_size(
     """
     if rf < 1:
         raise ValueError(f"rf must be >= 1, got {rf}")
-    kept_resident, local_kept = _resident_keep_words(
-        dataflow, cluster_index, rf, keeps
+    slope, intercept, local_kept = resident_keep_line(
+        dataflow, cluster_index, keeps
     )
-    return kept_resident + cluster_sweep_peak(
+    return slope * rf + intercept + cluster_sweep_peak(
         dataflow, cluster_index, rf, local_kept
     )
 
@@ -264,9 +308,10 @@ def cluster_data_size_naive(
     if rf < 1:
         raise ValueError(f"rf must be >= 1, got {rf}")
     cluster = dataflow.clustering[cluster_index]
-    kept_resident, local_kept = _resident_keep_words(
-        dataflow, cluster_index, rf, keeps
+    slope, intercept, local_kept = resident_keep_line(
+        dataflow, cluster_index, keeps
     )
+    kept_resident = slope * rf + intercept
 
     inputs = [
         name for name in dataflow.inputs_of_cluster(cluster_index)

@@ -3,9 +3,11 @@
 Every generated case runs through all oracles (no early exit), each of
 which compares two independent computations of the same fact:
 
-``probes``
-    The RF search never probes the same reuse factor twice (the gallop
-    hand-off re-probe bug class).
+``rfbound``
+    The common RF of the Data and Complete Data Schedulers is the
+    highest one: under :class:`~repro.schedule.occupancy.ReferenceOccupancy`
+    every cluster fits at ``rf`` and some cluster overflows at
+    ``rf + 1``, unless ``rf`` is the cap.
 ``diagnostics``
     Every :class:`~repro.errors.InfeasibleScheduleError` carries
     ``required > available`` and renders the two numbers distinctly
@@ -105,7 +107,7 @@ __all__ = [
 ]
 
 ORACLE_NAMES: Tuple[str, ...] = (
-    "probes",
+    "rfbound",
     "diagnostics",
     "feasibility",
     "traffic",
@@ -371,8 +373,8 @@ def _run_oracles_uncached(
                 ))
         runs[scheduler_cls.name] = run
 
-    if "probes" in enabled:
-        failures.extend(_check_probes(case, runs))
+    if "rfbound" in enabled:
+        failures.extend(_check_rfbound(case, runs, dataflow, traced))
     if "diagnostics" in enabled:
         failures.extend(_check_diagnostics(case, runs))
     if "feasibility" in enabled:
@@ -406,24 +408,38 @@ def _run_oracles_uncached(
 # -- individual oracles ---------------------------------------------------
 
 
-def _check_probes(case, runs) -> List[OracleFailure]:
+def _check_rfbound(case, runs, dataflow, options) -> List[OracleFailure]:
     failures = []
-    for run in runs.values():
-        if run.schedule is None or run.schedule.decisions is None:
+    cap = options.rf_cap or dataflow.application.total_iterations
+    for name in ("ds", "cds"):
+        run = runs.get(name)
+        if run is None or run.schedule is None:
             continue
-        probed = [
-            event.detail["rf"]
-            for event in run.schedule.decisions.of_kind("rf.probe")
-        ]
-        duplicates = sorted(
-            {rf for rf in probed if probed.count(rf) > 1}
-        )
-        if duplicates:
+        rf, fbs = run.schedule.rf, run.schedule.fb_set_words
+        reference = ReferenceOccupancy(dataflow, fbs)
+
+        def peaks(at: int) -> Dict[str, int]:
+            return {
+                cluster.name: reference.occupancy(cluster.index, at)
+                for cluster in dataflow.clustering
+            }
+
+        over = {
+            cluster: words for cluster, words in peaks(rf).items()
+            if words > fbs
+        }
+        if over:
             failures.append(OracleFailure(
-                "probes", case.name,
-                f"RF search probed {duplicates} more than once "
-                f"(sequence {probed})",
-                scheduler=run.scheduler,
+                "rfbound", case.name,
+                f"RF={rf} overflows the {fbs}-word set on {over}",
+                scheduler=name,
+            ))
+        elif rf < cap and max(peaks(rf + 1).values()) <= fbs:
+            failures.append(OracleFailure(
+                "rfbound", case.name,
+                f"RF={rf} is below the cap {cap} but RF={rf + 1} fits "
+                f"every cluster of the {fbs}-word set",
+                scheduler=name,
             ))
     return failures
 

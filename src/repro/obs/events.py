@@ -4,8 +4,8 @@ A :class:`DecisionTrace` is an append-only log of :class:`Decision`
 records.  Producers (the data schedulers, the occupancy engine, the
 frame-buffer allocator) record *why* they did what they did — every
 TF-ranked retention candidate with its accept/reject verdict and the
-occupancy numbers behind it, every RF search probe, every placement and
-fallback of the allocator.  Consumers query it:
+occupancy numbers behind it, the line that bounds the common RF, every
+placement and fallback of the allocator.  Consumers query it:
 
     >>> schedule.decisions.why("R1")          # doctest: +SKIP
     [tf.rank R1 ..., keep.accept R1 ...]
@@ -33,7 +33,7 @@ DECISION_KINDS = (
     "keep.accept",    # candidate kept (DS(C_c) <= FBS everywhere)
     "keep.reject",    # candidate dropped, with the violating clusters
     # reuse-factor search (all schedulers that fission)
-    "rf.probe",       # one fits(rf) feasibility probe
+    "rf.bound",       # the cluster line (or cap) that bounds the common RF
     "rf.result",      # the chosen common RF
     "rf.joint",       # one (rf, estimated cycles) point of rf_policy="joint"
     # frame-buffer allocator (paper Figure 4)
@@ -52,7 +52,7 @@ class Decision:
         seq: position in the trace (0-based, gap-free).
         kind: one of :data:`DECISION_KINDS`.
         subject: the object/cluster the decision is about (``""`` for
-            global decisions such as RF probes).
+            global decisions such as the RF bound).
         detail: the numbers behind the decision — occupancies, sizes,
             limits, reasons.  Plain JSON-serialisable values only.
     """

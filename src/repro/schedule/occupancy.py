@@ -1,38 +1,45 @@
 """Incremental ``DS(C_c)`` occupancy engine.
 
-The Complete Data Scheduler's two hot loops both reduce to the same
-question — "does every cluster of a frame-buffer set still fit after
-this decision?":
+The Complete Data Scheduler's two questions both reduce to "does every
+cluster of a frame-buffer set still fit?":
 
-* the common-RF search probes ``fits(rf)`` along a gallop + bisection;
+* the highest common RF is the largest ``rf`` at which every cluster
+  fits with no keeps;
 * greedy TF-ordered keep acceptance re-checks the candidate's set after
   every trial.
 
-Recomputed from scratch (``cluster_data_size`` per cluster per probe)
+Recomputed from scratch (``cluster_data_size`` per cluster per check)
 that is ``O(candidates * clusters * kernels)``.  The engine exploits
-two structural facts instead:
+three structural facts instead:
 
-1. ``DS(C_c, rf, keeps)`` splits into a *resident* constant (kept items
+1. ``DS(C_c, rf, keeps)`` splits into a *resident* term (kept items
    whose span covers the cluster) plus a *sweep peak* that depends on
-   the keeps only through the set of kept names local to the cluster
-   (:func:`repro.core.metrics.cluster_sweep_peak`).  Sweep peaks are
-   memoised on ``(cluster, rf, local-kept-names)``.
-2. Accepting a keep only changes the occupancy of clusters inside its
+   the keeps only through the set of kept names local to the cluster.
+2. Both are affine pieces in ``rf``: the sweep peak is the maximum of
+   a few lines ``a * rf + b``
+   (:func:`repro.core.metrics.cluster_sweep_pieces`) and the resident
+   term adds ``rf * size`` (or ``size``, invariant) per keep.  The
+   pieces are memoised per ``(cluster, local-kept-names)``, not per
+   ``rf``, so one memo entry answers every reuse factor, and the
+   highest common RF is arithmetic on them
+   (:func:`repro.schedule.rf.common_rf_bound`), with no search.
+3. Accepting a keep only changes the occupancy of clusters inside its
    residency span (same set) or among its cross-set consumers — so a
    trial re-evaluates **O(affected clusters)**, while per-set "unfit"
    bookkeeping answers for all untouched clusters in O(1).
 
-The engine is exact, not approximate: every accept/reject decision and
-every reported occupancy equals the naive recomputation bit for bit.
-:class:`ReferenceOccupancy` is that recomputation behind the same
-interface; the equivalence tests
-(``tests/schedule/test_occupancy_equivalence.py``) and the ``engine``
-fuzz oracle swap it in by subclassing a scheduler with
+The engine is exact, not approximate: every accept/reject decision,
+every reported occupancy and the common RF equal the naive
+recomputation bit for bit.  :class:`ReferenceOccupancy` is that
+recomputation behind the same interface; the equivalence tests
+(``tests/schedule/test_occupancy_equivalence.py``,
+``tests/schedule/test_sweep_pieces.py``) and the ``engine`` fuzz oracle
+swap it in by subclassing a scheduler with
 ``occupancy_cls = ReferenceOccupancy``.
 
 One engine instance serves one ``DataflowInfo``; ``rf_policy="joint"``
-re-enters keep selection once per candidate RF and shares the same
-sweep memo across all of them.
+re-enters keep selection once per candidate RF and evaluates the same
+pieces at each.
 """
 
 from __future__ import annotations
@@ -42,13 +49,16 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 from repro.core.dataflow import DataflowInfo
 from repro.core.metrics import (
     KeepDecision,
+    SweepPiece,
     cluster_data_size_naive,
-    cluster_sweep_peak,
-    resident_keep_words,
+    cluster_sweep_pieces,
+    resident_keep_line,
 )
-from repro.schedule.rf import largest_feasible_rf, max_common_rf
+from repro.schedule.rf import common_rf_bound, max_common_rf
 
 __all__ = ["OccupancyEngine", "ReferenceOccupancy"]
+
+_NO_KEEPS: FrozenSet[str] = frozenset()
 
 
 class OccupancyEngine:
@@ -58,21 +68,13 @@ class OccupancyEngine:
         self.dataflow = dataflow
         self.fb_set_words = fb_set_words
         #: Optional :class:`~repro.obs.events.DecisionTrace`; when set,
-        #: RF probes and keep accept/reject verdicts (with the
-        #: occupancy numbers behind them) are recorded.  Never changes
-        #: a decision.
+        #: the ``rf.bound`` behind each common RF and keep
+        #: accept/reject verdicts (with the occupancy numbers behind
+        #: them) are recorded.  Never changes a decision.
         self.recorder = None
         self._clusters = list(dataflow.clustering)
-        self._sweep_memo: Dict[Tuple[int, int, FrozenSet[str]], int] = {}
-        # RF feasibility verdicts per (keep-set fingerprint, rf): the
-        # gallop/bisection hand-offs and repeated searches over the same
-        # keep set never re-run a full fits() sweep.  One keep per
-        # object name, so the name set identifies the keep set.
-        self._probe_memo: Dict[Tuple[FrozenSet[str], int], bool] = {}
-        #: Full fits() sweeps actually evaluated by :meth:`max_common_rf`
-        #: (memo misses).  Tests assert this never exceeds the number of
-        #: distinct ``(keep set, rf)`` probes.
-        self.probe_evaluations = 0
+        self._pieces: Dict[Tuple[int, FrozenSet[str]],
+                           Tuple[SweepPiece, ...]] = {}
         # Keep-selection session state (begin_keep_selection resets it).
         self._rf = 0
         self._accepted: List[KeepDecision] = []
@@ -81,18 +83,25 @@ class OccupancyEngine:
         self._occupancy: Dict[int, int] = {}
         self._unfit: Dict[int, Set[int]] = {}
 
-    # -- stateless queries (memoised sweeps) ----------------------------
+    # -- stateless queries (memoised pieces) ----------------------------
+
+    def pieces(self, cluster_index: int,
+               local_kept: FrozenSet[str]) -> Tuple[SweepPiece, ...]:
+        """The cluster's sweep-peak lines with *local_kept* excluded."""
+        key = (cluster_index, local_kept)
+        found = self._pieces.get(key)
+        if found is None:
+            found = cluster_sweep_pieces(
+                self.dataflow, cluster_index, local_kept
+            )
+            self._pieces[key] = found
+        return found
 
     def sweep_peak(self, cluster_index: int, rf: int,
                    local_kept: FrozenSet[str]) -> int:
-        key = (cluster_index, rf, local_kept)
-        found = self._sweep_memo.get(key)
-        if found is None:
-            found = cluster_sweep_peak(
-                self.dataflow, cluster_index, rf, local_kept
-            )
-            self._sweep_memo[key] = found
-        return found
+        return max(
+            a * rf + b for a, b, _ in self.pieces(cluster_index, local_kept)
+        )
 
     def occupancy(self, cluster_index: int, rf: int,
                   keeps: Sequence[KeepDecision] = ()) -> int:
@@ -100,49 +109,43 @@ class OccupancyEngine:
         :func:`repro.core.metrics.cluster_data_size`."""
         if rf < 1:
             raise ValueError(f"rf must be >= 1, got {rf}")
-        resident, local = resident_keep_words(
-            self.dataflow, cluster_index, rf, keeps
+        slope, intercept, local = resident_keep_line(
+            self.dataflow, cluster_index, keeps
         )
-        return resident + self.sweep_peak(cluster_index, rf, frozenset(local))
-
-    def fits(self, rf: int, keeps: Sequence[KeepDecision] = ()) -> bool:
-        """True if every cluster's occupancy fits one FB set."""
-        return all(
-            self.occupancy(cluster.index, rf, keeps) <= self.fb_set_words
-            for cluster in self._clusters
+        return slope * rf + intercept + self.sweep_peak(
+            cluster_index, rf, frozenset(local)
         )
 
     def max_common_rf(self, keeps: Sequence[KeepDecision] = (),
                       max_rf: int = 0) -> int:
-        """Highest common reuse factor — the gallop + bisection of
-        :func:`repro.schedule.rf.largest_feasible_rf`, with every
-        cluster sweep served from the memo.
-
-        Probe verdicts are memoised per ``(keep set, rf)``: a repeated
-        search over the same keep set (the joint-RF sweep re-enters
-        here per candidate level) never re-evaluates a bound the gallop
-        or an earlier search already proved.  Memo hits record no
-        ``rf.probe`` event — the trace lists each actual evaluation
-        once, which is what the ``probes`` fuzz oracle asserts.
-        """
-        fingerprint = frozenset(keep.name for keep in keeps)
-
-        def check(rf: int) -> bool:
-            key = (fingerprint, rf)
-            ok = self._probe_memo.get(key)
-            if ok is None:
-                ok = self.fits(rf, keeps)
-                self._probe_memo[key] = ok
-                self.probe_evaluations += 1
-                if self.recorder is not None:
-                    self.recorder.record("rf.probe", rf=rf, fits=ok)
-            return ok
-
-        cap = (
-            max_rf if max_rf > 0
-            else self.dataflow.application.total_iterations
-        )
-        return largest_feasible_rf(check, cap)
+        """Highest common reuse factor (0 if ``RF = 1`` does not fit),
+        in closed form over the memoised pieces
+        (:func:`repro.schedule.rf.common_rf_bound`).  With a recorder
+        attached, one ``rf.bound`` event names the cluster line (or the
+        cap) that bounds it."""
+        dataflow = self.dataflow
+        cap = max_rf if max_rf > 0 else dataflow.application.total_iterations
+        if keeps:
+            clusters = []
+            for cluster in self._clusters:
+                slope, intercept, local = resident_keep_line(
+                    dataflow, cluster.index, keeps
+                )
+                clusters.append((
+                    cluster.index, slope, intercept,
+                    self.pieces(cluster.index, frozenset(local)),
+                ))
+        else:
+            clusters = [
+                (cluster.index, 0, 0, self.pieces(cluster.index, _NO_KEEPS))
+                for cluster in self._clusters
+            ]
+        bound = common_rf_bound(clusters, self.fb_set_words, cap)
+        if self.recorder is not None:
+            self.recorder.record(
+                "rf.bound", **bound.detail(dataflow, self.fb_set_words)
+            )
+        return bound.rf
 
     # -- incremental keep selection -------------------------------------
 
@@ -164,7 +167,7 @@ class OccupancyEngine:
             index = cluster.index
             self._resident[index] = 0
             self._local[index] = set()
-            occ = self.sweep_peak(index, rf, frozenset())
+            occ = self.sweep_peak(index, rf, _NO_KEEPS)
             self._occupancy[index] = occ
             self._unfit.setdefault(cluster.fb_set, set())
             if occ > self.fb_set_words:
@@ -275,10 +278,12 @@ class ReferenceOccupancy:
     No product path uses it.  It offers the members the greedy
     schedulers call (``occupancy``, ``max_common_rf``,
     ``begin_keep_selection``, ``try_keep``, ``accepted``) plus the
-    ``recorder`` slot, and records the same ``rf.probe`` and
-    ``keep.accept``/``keep.reject`` events, so a scheduler subclass
-    with ``occupancy_cls = ReferenceOccupancy`` must reproduce the
-    product schedule exactly.
+    ``recorder`` slot, so a scheduler subclass with
+    ``occupancy_cls = ReferenceOccupancy`` must reproduce the product
+    schedule exactly.  It finds the common RF by the plain search of
+    :func:`repro.schedule.rf.max_common_rf` and records the same
+    ``keep.accept``/``keep.reject`` events, but no ``rf.bound``: it has
+    no lines to name.
     """
 
     def __init__(self, dataflow: DataflowInfo, fb_set_words: int):
@@ -294,15 +299,9 @@ class ReferenceOccupancy:
 
     def max_common_rf(self, keeps: Sequence[KeepDecision] = (),
                       max_rf: int = 0) -> int:
-        recorder = self.recorder
-
-        def probe(rf: int, ok: bool) -> None:
-            if recorder is not None:
-                recorder.record("rf.probe", rf=rf, fits=ok)
-
         return max_common_rf(
             self.dataflow, self.fb_set_words, keeps=keeps, max_rf=max_rf,
-            occupancy_fn=cluster_data_size_naive, probe=probe,
+            occupancy_fn=cluster_data_size_naive,
         )
 
     def begin_keep_selection(self, rf: int) -> None:

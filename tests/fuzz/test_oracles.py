@@ -1,7 +1,10 @@
 """The oracle stack: clean on healthy cases, sharp on planted bugs."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.dataflow import analyze_dataflow
 from repro.errors import InfeasibleScheduleError
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.generator import generate_case
@@ -12,11 +15,13 @@ from repro.fuzz.oracles import (
     OracleFailure,
     _check_diagnostics,
     _check_feasibility,
-    _check_probes,
+    _check_rfbound,
     _check_traffic,
     _Run,
     run_oracles,
 )
+from repro.schedule.base import ScheduleOptions
+from repro.schedule.data_scheduler import DataScheduler
 from repro.workloads.spec import paper_experiments
 
 
@@ -58,41 +63,39 @@ def test_unbuildable_case_reports_build_failure():
 # -- planted-bug detection (each oracle must catch its bug class) --------
 
 
-class _FakeTrace:
-    def __init__(self, rf_values):
-        self._rf_values = rf_values
+def _rfbound_check(rf_shift):
+    """The ``rfbound`` verdict on baseline case 1 (DS picks RF 8 of 13
+    iterations) with the schedule's RF moved by *rf_shift*."""
+    case = generate_case("baseline", 1)
+    application, clustering = case.build()
+    dataflow = analyze_dataflow(application, clustering)
+    schedule = DataScheduler(case.architecture()).schedule(
+        application, clustering, dataflow=dataflow
+    )
+    assert 1 < schedule.rf < application.total_iterations
+    moved = SimpleNamespace(
+        rf=schedule.rf + rf_shift, fb_set_words=schedule.fb_set_words
+    )
+    runs = {"ds": _Run(scheduler="ds", schedule=moved)}
+    return _check_rfbound(case, runs, dataflow, ScheduleOptions())
 
-    def of_kind(self, kind):
-        assert kind == "rf.probe"
-        return [
-            type("D", (), {"detail": {"rf": rf}})() for rf in self._rf_values
-        ]
 
-
-class _FakeSchedule:
-    def __init__(self, decisions):
-        self.decisions = decisions
-
-
-def test_probes_oracle_flags_duplicate_probe():
-    case = generate_case("baseline", 0)
-    runs = {"ds": _Run(
-        scheduler="ds",
-        schedule=_FakeSchedule(_FakeTrace([1, 2, 4, 4, 3])),
-    )}
-    failures = _check_probes(case, runs)
+def test_rfbound_oracle_flags_rf_below_the_bound():
+    failures = _rfbound_check(-1)
     assert len(failures) == 1
-    assert failures[0].oracle == "probes"
-    assert "[4]" in failures[0].message
+    assert failures[0].oracle == "rfbound"
+    assert "RF=8 fits" in failures[0].message
 
 
-def test_probes_oracle_accepts_unique_probes():
-    case = generate_case("baseline", 0)
-    runs = {"ds": _Run(
-        scheduler="ds",
-        schedule=_FakeSchedule(_FakeTrace([1, 2, 4, 3])),
-    )}
-    assert _check_probes(case, runs) == []
+def test_rfbound_oracle_flags_rf_over_the_bound():
+    failures = _rfbound_check(+1)
+    assert len(failures) == 1
+    assert failures[0].oracle == "rfbound"
+    assert "RF=9 overflows" in failures[0].message
+
+
+def test_rfbound_oracle_accepts_the_highest_rf():
+    assert _rfbound_check(0) == []
 
 
 def test_diagnostics_oracle_flags_rounding_collision():
@@ -351,7 +354,7 @@ def test_hazards_oracle_flags_divergent_interference(monkeypatch):
 
 def test_oracle_names_are_stable():
     assert set(ORACLE_NAMES) == {
-        "probes", "diagnostics", "feasibility", "traffic", "engine",
+        "rfbound", "diagnostics", "feasibility", "traffic", "engine",
         "trace", "exactgap", "progequiv", "freelist",
         "verifier", "hazards", "simengine", "functional",
     }

@@ -4,7 +4,8 @@ Every retention decision the Complete Data Scheduler makes on the
 bundled paper experiments must be explainable from the trace: each kept
 object has a ``keep.accept`` record with its occupancy numbers, each
 considered-but-dropped candidate a ``keep.reject`` with a reason, and
-the chosen RF an ``rf.result`` backed by its ``rf.probe`` history.  And
+the chosen RF an ``rf.result`` backed by the ``rf.bound`` line that
+stops the next reuse factor.  And
 with tracing off (the default) nothing may change: schedules and
 reports must be identical to the traced run's.
 """
@@ -15,6 +16,7 @@ from repro.alloc.allocator import FrameBufferAllocator
 from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
+from repro.core.metrics import cluster_data_size_naive
 from repro.schedule.base import ScheduleOptions
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
@@ -85,19 +87,40 @@ class TestCompletenessOnPaperExperiments:
             assert "occupancies" in decision.detail
             assert decision.subject not in schedule.keep_names()
 
-    def test_rf_result_matches_schedule_and_probes_cover_it(self):
+    @pytest.mark.parametrize("scheduler_cls",
+                             [DataScheduler, CompleteDataScheduler])
+    def test_rf_result_matches_schedule_and_bound_proves_it(
+        self, scheduler_cls
+    ):
         for spec in paper_experiments():
-            _, schedule = _traced_cds(spec)
+            _, schedule = _traced_cds(spec, scheduler_cls)
             results = schedule.decisions.of_kind("rf.result")
             assert results, spec.id
             assert results[-1].detail["rf"] == schedule.rf, spec.id
-            if schedule.rf > 1:
-                probed = {
-                    d.detail["rf"]
-                    for d in schedule.decisions.of_kind("rf.probe")
-                    if d.detail["fits"]
-                }
-                assert schedule.rf in probed, spec.id
+            bounds = schedule.decisions.of_kind("rf.bound")
+            assert len(bounds) == 1, spec.id
+            detail = bounds[0].detail
+            rf, fbs = detail["rf"], detail["fb_set_words"]
+            assert rf == schedule.rf, spec.id
+            assert fbs == schedule.fb_set_words, spec.id
+            if detail["bound"] == "cap":
+                assert rf == schedule.application.total_iterations, spec.id
+                continue
+            assert detail["bound"] == "line", spec.id
+            a, b = detail["a"], detail["b"]
+            assert a * rf + b <= fbs < a * (rf + 1) + b, (spec.id, detail)
+            # The named line is a real lower bound on that cluster's
+            # DS(rf + 1), so the cluster itself overflows there.
+            cluster = next(
+                c for c in schedule.clustering
+                if c.name == detail["cluster"]
+            )
+            peak = cluster_data_size_naive(
+                schedule.dataflow, cluster.index, rf + 1
+            )
+            assert peak >= a * (rf + 1) + b, (spec.id, detail)
+            if detail["kernel"] is not None:
+                assert detail["kernel"] in cluster.kernel_names, spec.id
 
     def test_explain_answers_for_every_kept_object(self):
         spec = next(s for s in paper_experiments() if s.id == "ATR-FI")

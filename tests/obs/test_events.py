@@ -17,15 +17,15 @@ class TestDecision:
         assert "reason='fits'" in text
 
     def test_describe_without_subject(self):
-        decision = Decision(seq=0, kind="rf.probe", subject="",
-                            detail={"rf": 4, "fits": False})
-        assert decision.describe() == "[0] rf.probe (rf=4, fits=False)"
+        decision = Decision(seq=0, kind="rf.bound", subject="",
+                            detail={"rf": 4, "bound": "cap"})
+        assert decision.describe() == "[0] rf.bound (rf=4, bound='cap')"
 
 
 class TestDecisionTrace:
     def test_record_appends_gap_free_sequence(self):
         trace = DecisionTrace()
-        for kind in ("tf.rank", "keep.accept", "rf.probe"):
+        for kind in ("tf.rank", "keep.accept", "rf.bound"):
             trace.record(kind, "obj")
         assert [event.seq for event in trace] == [0, 1, 2]
         assert len(trace) == 3
@@ -54,7 +54,7 @@ class TestDecisionTrace:
 
     def test_global_decisions_not_indexed_under_empty_subject(self):
         trace = DecisionTrace()
-        trace.record("rf.probe", rf=2, fits=True)
+        trace.record("rf.bound", rf=2, bound="cap")
         assert trace.why("") == []
         assert len(trace) == 1
 

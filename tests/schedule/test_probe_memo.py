@@ -1,24 +1,24 @@
-"""Probe memoisation in :meth:`OccupancyEngine.max_common_rf`.
+"""The pieces memo behind :meth:`OccupancyEngine.max_common_rf`.
 
-The RF search memoises ``fits(rf, keeps)`` verdicts per ``(keep-set
-fingerprint, rf)``: within one search the gallop/bisection hand-off
-never re-probes a proven bound, and a repeated search over the same
-keep set (the joint-RF sweep re-enters per candidate level) runs zero
-new sweeps.  ``probe_evaluations`` counts actual evaluations, so the
-tests assert *counter* equality — not just result equality — which is
-what catches a silently re-introduced duplicate sweep.  Extends the
-``probes`` fuzz oracle (no duplicate ``rf.probe`` trace events) with
-the engine-level guarantee behind it.
+The common RF is a closed form over each cluster's sweep pieces (lines
+``a * rf + b``), memoised per ``(cluster, local-kept names)`` and not
+per ``rf``.  These tests pin the RF against the reference search
+(:func:`repro.schedule.rf.max_common_rf` over
+:func:`~repro.core.metrics.cluster_data_size_naive`) and count piece
+computations, so a memo that stops serving repeats, or that mixes up
+keep sets, fails here.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.params import Architecture
 from repro.core.dataflow import analyze_dataflow
-from repro.obs.events import DecisionTrace
-from repro.schedule.occupancy import OccupancyEngine
-from repro.schedule.rf import max_common_rf as naive_max_common_rf
 from repro.core.metrics import cluster_data_size_naive
+from repro.obs.events import DecisionTrace
+from repro.schedule import occupancy
+from repro.schedule.occupancy import OccupancyEngine
+from repro.schedule.rf import max_common_rf as reference_max_common_rf
 from repro.schedule.tf import retention_candidates
 from repro.workloads.random_gen import random_application
 
@@ -30,28 +30,43 @@ def _engine(seed, fb="2K", iterations=16):
     return OccupancyEngine(dataflow, architecture.fb_set_words), dataflow
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=5000), st.sampled_from(["1K", "2K", "4K"]))
-def test_no_duplicate_probe_evaluations(seed, fb):
-    engine, dataflow = _engine(seed, fb)
-    rf = engine.max_common_rf()
-    # Every evaluation landed on a distinct (keep set, rf) key.
-    assert engine.probe_evaluations == len(engine._probe_memo)
-    # Result matches the from-scratch search.
-    assert rf == naive_max_common_rf(
-        dataflow, engine.fb_set_words,
+def _reference(dataflow, fb_set_words, keeps=()):
+    return reference_max_common_rf(
+        dataflow, fb_set_words, keeps=keeps,
         occupancy_fn=cluster_data_size_naive,
     )
+
+
+def _count_pieces(monkeypatch):
+    calls = []
+    original = occupancy.cluster_sweep_pieces
+
+    def counting(dataflow, cluster_index, local_kept):
+        calls.append((cluster_index, local_kept))
+        return original(dataflow, cluster_index, local_kept)
+
+    monkeypatch.setattr(occupancy, "cluster_sweep_pieces", counting)
+    return calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=5000), st.sampled_from(["1K", "2K", "4K"]))
+def test_closed_form_matches_reference_search(seed, fb):
+    engine, dataflow = _engine(seed, fb)
+    assert engine.max_common_rf() == _reference(dataflow, engine.fb_set_words)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=5000))
 def test_repeat_search_runs_zero_new_sweeps(seed):
-    engine, _ = _engine(seed)
-    first = engine.max_common_rf()
-    evaluated = engine.probe_evaluations
-    assert engine.max_common_rf() == first
-    assert engine.probe_evaluations == evaluated
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_pieces(monkeypatch)
+        engine, dataflow = _engine(seed)
+        first = engine.max_common_rf()
+        # One piece computation per cluster, then none on a repeat.
+        assert len(calls) == len(dataflow.clustering)
+        assert engine.max_common_rf() == first
+        assert len(calls) == len(dataflow.clustering)
 
 
 @settings(max_examples=15, deadline=None)
@@ -63,33 +78,23 @@ def test_keep_set_fingerprints_are_separate(seed):
         return
     keeps = (candidates[0],)
     bare = engine.max_common_rf()
-    evaluated = engine.probe_evaluations
     with_keep = engine.max_common_rf(keeps=keeps)
-    # A different keep set is a different fingerprint: it must probe
-    # for itself, not reuse the bare verdicts...
-    assert engine.probe_evaluations > evaluated
-    assert engine.probe_evaluations == len(engine._probe_memo)
-    # ...and repeating either search evaluates nothing further.
-    evaluated = engine.probe_evaluations
+    # The keep's pieces live under their own local-kept key: the bare
+    # answer is unchanged afterwards, and each matches the reference.
     assert engine.max_common_rf() == bare
     assert engine.max_common_rf(keeps=keeps) == with_keep
-    assert engine.probe_evaluations == evaluated
-    assert with_keep == naive_max_common_rf(
-        dataflow, engine.fb_set_words, keeps=keeps,
-        occupancy_fn=cluster_data_size_naive,
-    )
+    assert bare == _reference(dataflow, engine.fb_set_words)
+    assert with_keep == _reference(dataflow, engine.fb_set_words, keeps)
 
 
 def test_trace_records_each_evaluation_once():
     engine, _ = _engine(7, fb="2K")
     engine.recorder = DecisionTrace()
+    rf = engine.max_common_rf()
+    bounds = engine.recorder.of_kind("rf.bound")
+    assert [event.detail["rf"] for event in bounds] == [rf]
+    # A repeat search records one more, identical, bound.
     engine.max_common_rf()
-    probed = [
-        event.detail["rf"]
-        for event in engine.recorder.of_kind("rf.probe")
-    ]
-    assert len(probed) == engine.probe_evaluations
-    assert len(probed) == len(set(probed))
-    # Memo hits stay silent: a repeat search adds no events.
-    engine.max_common_rf()
-    assert len(list(engine.recorder.of_kind("rf.probe"))) == len(probed)
+    again = engine.recorder.of_kind("rf.bound")
+    assert len(again) == 2
+    assert again[0].detail == again[1].detail
