@@ -122,8 +122,11 @@ trace-smoke:
 		| grep -E 'rounds_shifted +[1-9]' > /dev/null
 	$(PYTHON) -m repro.cli run E1 --profile \
 		| grep -E 'pipeline\.cds/verify +[0-9.]*[1-9]' > /dev/null
-	$(PYTHON) -m repro.cli corpus --seeds 2 --fb 16K --iterations 48 \
-		--profile | grep -E 'analysis/races +[0-9.]*[1-9]' > /dev/null
+	set -e; profile=$$($(PYTHON) -m repro.cli corpus --seeds 2 --fb 16K \
+		--iterations 48 --profile); \
+	echo "$$profile" | grep -E 'analysis/races +[0-9.]*[1-9]' > /dev/null; \
+	echo "$$profile" | grep -E 'analysis/allocate +[0-9.]*[1-9]' > /dev/null; \
+	echo "$$profile" | grep -E 'analysis/placements +[1-9]' > /dev/null
 	$(PYTHON) -m repro.cli run E1 --gantt | grep '  DMA  |' > /dev/null
 
 # Sample Chrome trace_event export — open trace_ATR-FI.json at

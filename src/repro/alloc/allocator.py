@@ -29,6 +29,16 @@ Placement rules, following the paper:
 Because the algorithm is deterministic, every round of the application
 produces the identical layout — the periodicity the paper's placement
 policy promotes.
+
+Cost model: a placement costs one tuple.  A live instance is one
+``(extents, direction, cluster_index, alloc_step, regular)`` entry in
+``_SetAllocation._open`` and becomes one positional
+:class:`AllocationRecord` (a ``NamedTuple``) at its free; each kernel's
+outputs and dead inputs are resolved once per (cluster, kernel), and
+decision events and snapshot labels are built only when a trace or
+snapshots are attached.  Every check stays: the region directory
+rejects overlaps, duplicates and out-of-capacity extents, and the free
+list rejects double frees.
 """
 
 from __future__ import annotations
@@ -36,11 +46,11 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.arch.frame_buffer import Extent, FrameBufferSet
 from repro.alloc.free_list import FreeBlockList
-from repro.core.dataflow import DataflowInfo, ObjectClass
+from repro.core.dataflow import DataflowInfo
 from repro.core.reuse import SharedData, SharedResult
 from repro.errors import AllocationError, FragmentationError
 from repro.schedule.plan import Schedule
@@ -48,9 +58,13 @@ from repro.schedule.plan import Schedule
 __all__ = ["AllocationRecord", "Snapshot", "AllocationMap", "FrameBufferAllocator"]
 
 
-@dataclass(frozen=True)
-class AllocationRecord:
+class AllocationRecord(NamedTuple):
     """Lifetime and placement of one object instance.
+
+    A ``NamedTuple`` rather than a frozen dataclass: the allocator mints
+    one per placement (hundreds per corpus workload), so construction
+    cost is on the hot path.  Use ``record._replace(...)`` for a
+    modified copy.
 
     Attributes:
         name: object name.
@@ -316,7 +330,14 @@ class _SetAllocation:
             fb_set=fb_set, capacity_words=self.capacity, rf=self.rf
         )
         self.step = 0
-        self._open: Dict[Tuple[str, int], Dict] = {}
+        #: Live instances: ``(name, instance) -> (extents, direction,
+        #: cluster_index, alloc_step, regular)``, the record minus its
+        #: free step.  Its keys are exactly the regions bound in
+        #: :attr:`regions`, in binding order, so liveness tests and
+        #: snapshots read it directly.
+        self._open: Dict[
+            Tuple[str, int], Tuple[Tuple[Extent, ...], str, int, int, bool]
+        ] = {}
         self._last_single_extent: Dict[str, Tuple[int, Extent]] = {}
         keeps = [k for k in schedule.keeps if k.fb_set == fb_set]
         self.kept_data: Dict[str, SharedData] = {
@@ -332,10 +353,12 @@ class _SetAllocation:
         clusters = self.schedule.clustering.on_set(self.fb_set)
         for cluster in clusters:
             self._place_cluster_inputs(cluster)
-            self._snapshot(f"after load {cluster.name} input data")
+            if self.snapshots:
+                self._snapshot(f"after load {cluster.name} input data")
             self._run_cluster(cluster)
             self._finish_cluster(cluster)
-            self._snapshot(f"after {cluster.name} stores complete")
+            if self.snapshots:
+                self._snapshot(f"after {cluster.name} stores complete")
         self._close_round(clusters)
         for key in list(self._open):
             raise AllocationError(
@@ -348,8 +371,7 @@ class _SetAllocation:
     def _place_cluster_inputs(self, cluster) -> None:
         """Figure 4, input placement: shared data first (most distant
         consumer first), then kernel data from the last kernel down."""
-        plan = self.schedule.plan_for(cluster.index)
-        loads = list(plan.loads)
+        loads = self.schedule.plan_for(cluster.index).loads
 
         # 1. Kept shared data whose first consumer is this cluster,
         #    ordered by last consuming cluster, descending.
@@ -370,24 +392,23 @@ class _SetAllocation:
 
         # 2. Non-kept inputs, scanned from the last kernel to the first;
         #    an input belongs to its last consuming kernel (paper d_j).
+        #    Each input is bucketed once by that kernel, in load order.
         kept_names = {keep.name for keep in kept_now}
-        remaining = [name for name in loads if name not in kept_names]
-        placed: Set[str] = set()
+        by_last_use: Dict[Optional[str], List[str]] = {}
+        for name in dict.fromkeys(loads):
+            if name not in kept_names:
+                last = self.dataflow.last_use_in_cluster(name, cluster.index)
+                by_last_use.setdefault(last, []).append(name)
         for kernel_name in reversed(cluster.kernel_names):
-            for obj_name in remaining:
-                if obj_name in placed:
-                    continue
-                last = self.dataflow.last_use_in_cluster(obj_name, cluster.index)
-                if last == kernel_name:
-                    placed.add(obj_name)
-                    info = self.dataflow[obj_name]
-                    instances = 1 if info.invariant else self.rf
-                    for instance in range(instances):
-                        self._allocate(
-                            obj_name, instance, cluster.index, info.size, "high"
-                        )
-        missing = set(remaining) - placed
-        if missing:  # pragma: no cover — inputs always have a local use
+            for obj_name in by_last_use.pop(kernel_name, ()):
+                info = self.dataflow[obj_name]
+                instances = 1 if info.invariant else self.rf
+                for instance in range(instances):
+                    self._allocate(
+                        obj_name, instance, cluster.index, info.size, "high"
+                    )
+        if by_last_use:  # pragma: no cover — inputs always have a local use
+            missing = [name for names in by_last_use.values() for name in names]
             raise AllocationError(
                 f"inputs {sorted(missing)} of {cluster.name} have no local use"
             )
@@ -397,25 +418,38 @@ class _SetAllocation:
         placed as produced, dead space released after each execution."""
         for kernel_name in cluster.kernel_names:
             kernel = self.dataflow.application.kernel(kernel_name)
+            outputs = self._kernel_outputs(cluster, kernel)
             release = self._dead_inputs(cluster, kernel)
             for instance in range(self.rf):
                 self.step += 1
-                for out_name in kernel.outputs:
-                    info = self.dataflow[out_name]
-                    keep = self.kept_results.get(out_name)
-                    if keep is not None and keep.producer_cluster == cluster.index:
-                        direction = "high"
-                    elif info.object_class is ObjectClass.INTERMEDIATE_RESULT:
-                        direction = "low"
-                    else:
-                        direction = "low"  # final and stored shared results
+                for out_name, size, direction in outputs:
                     self._allocate(
-                        out_name, instance, cluster.index, info.size, direction
+                        out_name, instance, cluster.index, size, direction
                     )
                 self._release_dead(release, instance)
-                self._snapshot(
-                    f"after execution {instance + 1} of {kernel_name}"
-                )
+                if self.snapshots:
+                    self._snapshot(
+                        f"after execution {instance + 1} of {kernel_name}"
+                    )
+
+    def _kernel_outputs(self, cluster, kernel) -> List[Tuple[str, int, str]]:
+        """The results *kernel* places per execution in *cluster*, as
+        ``(name, size, direction)`` in output order, built once per
+        (cluster, kernel) like :meth:`_dead_inputs`.
+
+        Shared results kept from this cluster grow from upper
+        addresses; final, intermediate and stored shared results from
+        lower ones.
+        """
+        outputs: List[Tuple[str, int, str]] = []
+        for out_name in kernel.outputs:
+            keep = self.kept_results.get(out_name)
+            if keep is not None and keep.producer_cluster == cluster.index:
+                direction = "high"
+            else:
+                direction = "low"
+            outputs.append((out_name, self.dataflow[out_name].size, direction))
+        return outputs
 
     def _dead_inputs(self, cluster, kernel) -> List[Tuple[str, bool]]:
         """The inputs *kernel* releases after each of its executions in
@@ -451,12 +485,10 @@ class _SetAllocation:
             if invariant:
                 # Single shared copy (instance 0): released only after
                 # the last concurrent iteration used it.
-                if instance == self.rf - 1 and self.regions.is_bound(
-                    in_name, 0
-                ):
+                if instance == self.rf - 1 and (in_name, 0) in self._open:
                     self._free(in_name, 0)
                 continue
-            if not self.regions.is_bound(in_name, instance):
+            if (in_name, instance) not in self._open:
                 # Served from the other set (cross-set retention):
                 # nothing was placed here.
                 continue
@@ -472,21 +504,17 @@ class _SetAllocation:
             if out_name in self.kept_results:
                 continue  # kept-and-stored: released at span end
             for instance in range(self.rf):
-                if self.regions.is_bound(out_name, instance):
+                if (out_name, instance) in self._open:
                     self._free(out_name, instance)
         # Keeps whose span ended at (or, for cross-set consumers,
         # before) this cluster are released now.
         for keep in list(self.kept_data.values()):
-            if keep.span[1] <= cluster.index and self.regions.is_bound(
-                keep.name, 0
-            ):
+            if keep.span[1] <= cluster.index and (keep.name, 0) in self._open:
                 instances = 1 if keep.invariant else self.rf
                 for instance in range(instances):
                     self._free(keep.name, instance)
         for keep in list(self.kept_results.values()):
-            if keep.span[1] <= cluster.index and self.regions.is_bound(
-                keep.name, 0
-            ):
+            if keep.span[1] <= cluster.index and (keep.name, 0) in self._open:
                 for instance in range(self.rf):
                     self._free(keep.name, instance)
 
@@ -501,12 +529,12 @@ class _SetAllocation:
         """
         self.step += 1
         for keep in list(self.kept_data.values()):
-            if self.regions.is_bound(keep.name, 0):
+            if (keep.name, 0) in self._open:
                 instances = 1 if keep.invariant else self.rf
                 for instance in range(instances):
                     self._free(keep.name, instance)
         for keep in list(self.kept_results.values()):
-            if self.regions.is_bound(keep.name, 0):
+            if (keep.name, 0) in self._open:
                 for instance in range(self.rf):
                     self._free(keep.name, instance)
 
@@ -520,125 +548,110 @@ class _SetAllocation:
         size: int,
         direction: str,
     ) -> None:
+        free_list = self.free_list
         extents: Optional[Tuple[Extent, ...]] = None
         regular = True
-        expected_start = self._expected_adjacent_start(name, instance, size, direction)
+        expected_start = None
+        if instance:
+            # Iteration adjacency: right below (high) or above (low) the
+            # previous instance, when that one was placed in one piece.
+            previous = self._last_single_extent.get(name)
+            if previous is not None and previous[0] == instance - 1:
+                prev_start = previous[1].start
+                start = (
+                    prev_start - size if direction == "high"
+                    else prev_start + previous[1].size
+                )
+                if start >= 0 and start + size <= self.capacity:
+                    expected_start = start
         if expected_start is not None:
             try:
-                extents = (self.free_list.allocate_at(expected_start, size),)
+                extents = (free_list.allocate_at(expected_start, size),)
             except FragmentationError:
                 # The adjacency attempt is rolled back; fall through to
                 # the direction-ordered free-list scan.
-                self._record_alloc(
-                    "alloc.fallback", name, instance,
-                    expected_start=expected_start, size=size,
-                    direction=direction,
-                )
-                extents = None
+                if self.decisions is not None:
+                    self._record_alloc(
+                        "alloc.fallback", name, instance,
+                        expected_start=expected_start, size=size,
+                        direction=direction,
+                    )
         if extents is None:
             regular = instance == 0 or expected_start is None
             try:
                 if direction == "high":
                     extents = (
-                        self.free_list.allocate_high(
-                            size, best_fit=self.best_fit
-                        ),
+                        free_list.allocate_high(size, best_fit=self.best_fit),
                     )
                 else:
                     extents = (
-                        self.free_list.allocate_low(
-                            size, best_fit=self.best_fit
-                        ),
+                        free_list.allocate_low(size, best_fit=self.best_fit),
                     )
             except FragmentationError:
-                extents = self.free_list.allocate_split(
+                extents = free_list.allocate_split(
                     size, from_high=(direction == "high")
                 )
-                self._record_alloc(
-                    "alloc.split", name, instance, size=size,
-                    direction=direction,
-                    extents=extents,
-                )
+                if self.decisions is not None:
+                    self._record_alloc(
+                        "alloc.split", name, instance, size=size,
+                        direction=direction,
+                        extents=extents,
+                    )
         self.regions.bind(name, instance, extents)
-        self._record_alloc(
-            "alloc.place", name, instance,
-            cluster_index=cluster_index, size=size, direction=direction,
-            regular=regular, split=len(extents) > 1,
-            extents=extents,
+        if self.decisions is not None:
+            self._record_alloc(
+                "alloc.place", name, instance,
+                cluster_index=cluster_index, size=size, direction=direction,
+                regular=regular, split=len(extents) > 1,
+                extents=extents,
+            )
+        self._open[(name, instance)] = (
+            extents, direction, cluster_index, self.step, regular
         )
-        self._open[(name, instance)] = {
-            "extents": extents,
-            "direction": direction,
-            "cluster_index": cluster_index,
-            "alloc_step": self.step,
-            "regular": regular,
-        }
         if len(extents) == 1:
             self._last_single_extent[name] = (instance, extents[0])
         if self.debug_invariants:
-            self.free_list.check_invariants()
-
-    def _expected_adjacent_start(
-        self, name: str, instance: int, size: int, direction: str
-    ) -> Optional[int]:
-        """Where iteration adjacency would put this instance."""
-        if instance == 0:
-            return None
-        previous = self._last_single_extent.get(name)
-        if previous is None or previous[0] != instance - 1:
-            return None
-        prev_extent = previous[1]
-        if direction == "high":
-            start = prev_extent.start - size
-        else:
-            start = prev_extent.start + prev_extent.size
-        if start < 0 or start + size > self.capacity:
-            return None
-        return start
+            free_list.check_invariants()
 
     def _record_alloc(self, kind: str, name: str, instance: int,
                       **detail) -> None:
-        if self.decisions is not None:
-            extents = detail.get("extents")
-            if extents is not None:
-                detail["extents"] = [[e.start, e.end] for e in extents]
-            self.decisions.record(
-                kind, name, instance=instance, fb_set=self.fb_set,
-                step=self.step, **detail,
-            )
+        """Append one ``alloc.*`` event to :attr:`decisions` (callers
+        check that a trace is attached, so no keyword dict is built
+        otherwise)."""
+        extents = detail.get("extents")
+        if extents is not None:
+            detail["extents"] = [[e.start, e.end] for e in extents]
+        self.decisions.record(
+            kind, name, instance=instance, fb_set=self.fb_set,
+            step=self.step, **detail,
+        )
 
     def _free(self, name: str, instance: int) -> None:
-        key = (name, instance)
-        meta = self._open.pop(key, None)
-        if meta is None:
+        opened = self._open.pop((name, instance), None)
+        if opened is None:
             raise AllocationError(f"free of unallocated region {name}#{instance}")
         extents = self.regions.release(name, instance)
-        self.free_list.free_extents(extents)
-        self._record_alloc(
-            "alloc.free", name, instance,
-            extents=extents,
-        )
+        if len(extents) == 1:
+            extent = extents[0]
+            self.free_list.free(extent.start, extent.size)
+        else:
+            self.free_list.free_extents(extents)
+        if self.decisions is not None:
+            self._record_alloc("alloc.free", name, instance, extents=extents)
         if self.debug_invariants:
             self.free_list.check_invariants()
-        self.map.records.append(
-            AllocationRecord(
-                name=name,
-                instance=instance,
-                cluster_index=meta["cluster_index"],
-                extents=meta["extents"],
-                direction=meta["direction"],
-                alloc_step=meta["alloc_step"],
-                free_step=self.step,
-                regular=meta["regular"],
-            )
-        )
+        placed, direction, cluster_index, alloc_step, regular = opened
+        self.map.records.append(AllocationRecord(
+            name, instance, cluster_index, placed, direction, alloc_step,
+            self.step, regular,
+        ))
 
     def _snapshot(self, label: str) -> None:
-        if not self.snapshots:
-            return
+        """Copy the live regions under *label* (callers check
+        :attr:`snapshots`, so no label is formatted otherwise)."""
         regions = tuple(
-            (name, instance, self.regions.extents_of(name, instance))
-            for (name, instance) in self.regions.live_regions()
+            (name, instance, opened[0])
+            for (name, instance), opened in self._open.items()
         )
         self.map.snapshots.append(
             Snapshot(label=label, step=self.step, regions=regions)

@@ -163,12 +163,15 @@ class FreeBlockList:
         Raises:
             FragmentationError: if the range is not entirely free.
         """
-        self._check_size(size)
-        if start < 0 or start + size > self.capacity_words:
+        if size <= 0:
+            self._check_size(size)
+        capacity = self.capacity_words
+        if start < 0 or start + size > capacity:
             raise FragmentationError(
                 f"range [{start}..{start + size}) is not free"
             )
-        index = self._covering_index(start)
+        # _covering_index, inlined: this is the per-placement path.
+        index = bisect_right(self._blocks, (start, capacity + 1)) - 1
         if index >= 0:
             block_start, block_size = self._blocks[index]
             if start + size <= block_start + block_size:
@@ -237,23 +240,26 @@ class FreeBlockList:
         can only involve the blocks immediately below and above it, and
         coalescing merges with at most those two neighbours.
         """
-        self._check_size(size)
+        if size <= 0:
+            self._check_size(size)
         end = start + size
-        if start < 0 or end > self.capacity_words:
+        capacity = self.capacity_words
+        if start < 0 or end > capacity:
             raise AllocationError(
-                f"free of [{start}..{end}) outside capacity "
-                f"{self.capacity_words}"
+                f"free of [{start}..{end}) outside capacity {capacity}"
             )
         blocks = self._blocks
-        index = bisect_right(blocks, (start, self.capacity_words + 1))
-        prev_index = index - 1
-        if prev_index >= 0:
-            prev_start, prev_size = blocks[prev_index]
+        # One past the covering block (see _covering_index).
+        index = bisect_right(blocks, (start, capacity + 1))
+        merge_prev = merge_next = False
+        if index:
+            prev_start, prev_size = blocks[index - 1]
             if prev_start + prev_size > start:
                 raise AllocationError(
                     f"double free: [{start}..{end}) overlaps free block "
                     f"[{prev_start}..{prev_start + prev_size})"
                 )
+            merge_prev = prev_start + prev_size == start
         if index < len(blocks):
             next_start, next_size = blocks[index]
             if next_start < end:
@@ -261,22 +267,14 @@ class FreeBlockList:
                     f"double free: [{start}..{end}) overlaps free block "
                     f"[{next_start}..{next_start + next_size})"
                 )
-        merge_prev = (
-            prev_index >= 0
-            and blocks[prev_index][0] + blocks[prev_index][1] == start
-        )
-        merge_next = index < len(blocks) and blocks[index][0] == end
+            merge_next = next_start == end
         if merge_prev and merge_next:
-            prev_start, prev_size = blocks[prev_index]
-            blocks[prev_index] = (
-                prev_start, prev_size + size + blocks[index][1]
-            )
+            blocks[index - 1] = (prev_start, prev_size + size + next_size)
             del blocks[index]
         elif merge_prev:
-            prev_start, prev_size = blocks[prev_index]
-            blocks[prev_index] = (prev_start, prev_size + size)
+            blocks[index - 1] = (prev_start, prev_size + size)
         elif merge_next:
-            blocks[index] = (start, size + blocks[index][1])
+            blocks[index] = (start, size + next_size)
         else:
             blocks.insert(index, (start, size))
         self._free_words += size

@@ -11,6 +11,13 @@ possibly multi-extent regions (the allocator may split an object across
 free blocks).  It tracks occupancy and enforces that regions never
 overlap — the runtime check backing the allocator's correctness proofs
 in the test suite.  The allocator keeps one directory per set.
+
+Bound extents are indexed by start address, so binding is a bisection,
+not a scan.  A one-extent region (every placement that did not split)
+takes a short path: the capacity check, one bisection that both tests
+for a clash and gives the insertion point, and one insert.  Split
+regions also check their own extents against each other.  Both paths
+raise the same errors.
 """
 
 from __future__ import annotations
@@ -89,6 +96,26 @@ class FrameBufferSet:
                 f"set{self.set_index}: region {name}#{instance} already bound"
             )
         extents = tuple(extents)
+        if len(extents) == 1:
+            # Every unsplit placement.  Bound extents are disjoint, so
+            # when none of those starting before this one's end reaches
+            # past its start, none starts inside it either, and the
+            # clash test's bisection is also the insertion point.
+            extent = extents[0]
+            start = extent.start
+            end = start + extent.size
+            if end > self.capacity_words:
+                raise AllocationError(
+                    f"set{self.set_index}: extent {extent} of {name}#{instance} "
+                    f"exceeds capacity {self.capacity_words}"
+                )
+            at = bisect_left(self._starts, end)
+            if at and self._ends[at - 1] > start:
+                self._raise_overlap(name, instance, extents)
+            self._regions[key] = extents
+            self._starts.insert(at, start)
+            self._ends.insert(at, end)
+            return
         if not extents:
             raise AllocationError(
                 f"set{self.set_index}: region {name}#{instance} has no extents"

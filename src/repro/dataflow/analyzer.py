@@ -19,7 +19,7 @@ from repro.codegen.program import Program
 from repro.dataflow.hazards import HappensBefore
 from repro.dataflow.ir import ProgramIR, lower_program
 from repro.dataflow.passes import HAZARD_RULES, Emit, run_hazard_passes
-from repro.obs.metrics import time_stage
+from repro.obs.metrics import inc, metrics_active, time_stage
 from repro.schedule.context_scheduler import DmaPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -139,11 +139,25 @@ def build_ir(
     *,
     allocations: Optional[Sequence[object]] = None,
 ) -> ProgramIR:
-    """Convenience wrapper: allocations + lowering in one call."""
+    """Convenience wrapper: allocations + lowering in one call.
+
+    When it runs the allocator itself it times it as
+    ``analysis/allocate`` and, while metrics are collecting, counts the
+    finished maps' records, irregular placements and splits as
+    ``analysis/placements``, ``analysis/irregular`` and
+    ``analysis/splits`` (so a profile reads as time per placement).
+    """
     if allocations is None:
         from repro.alloc.allocator import FrameBufferAllocator
 
         with time_stage("allocate", scope="analysis"):
             allocations = FrameBufferAllocator(program.schedule).allocate()
+        if metrics_active():
+            inc("placements", sum(len(m.records) for m in allocations),
+                scope="analysis")
+            inc("irregular", sum(m.irregular_placements for m in allocations),
+                scope="analysis")
+            inc("splits", sum(m.splits for m in allocations),
+                scope="analysis")
     with time_stage("lower", scope="analysis"):
         return lower_program(program, allocations=allocations)

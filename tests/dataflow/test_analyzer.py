@@ -4,10 +4,13 @@ import dataclasses
 
 import pytest
 
+from repro.alloc.allocator import FrameBufferAllocator
 from repro.arch.params import Architecture
+from repro.codegen.generator import generate_program
 from repro.dataflow.analyzer import (
     analyze_program,
     analyze_schedule,
+    build_ir,
     hazard_errors,
     parse_policy,
 )
@@ -15,9 +18,11 @@ from repro.dataflow.runner import analyze_targets, render_analysis_json, \
     render_analysis_text
 from repro.errors import LintError
 from repro.lint import RULES
+from repro.obs.metrics import get_registry, request_scope, set_metrics_active
 from repro.schedule.base import ScheduleOptions
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.context_scheduler import DmaPolicy
+from repro.workloads.random_gen import random_application
 
 from tests.dataflow.conftest import build_schedule
 from tests.lint.util import mini_app
@@ -44,6 +49,34 @@ def test_analyze_schedule_returns_program_and_collector():
     assert program.schedule is schedule
     assert not collector.diagnostics
     assert hazard_errors(collector) == ()
+
+
+def test_build_ir_counts_placements_while_metrics_collect():
+    # Seed 3 at 2K falls back and splits, so every counter is non-zero.
+    application, clustering = random_application(3, iterations=48)
+    schedule = CompleteDataScheduler(Architecture.m1("2K")).schedule(
+        application, clustering
+    )
+    program = generate_program(schedule)
+    maps = FrameBufferAllocator(schedule).allocate()
+    expected = {
+        "analysis/placements": sum(len(m.records) for m in maps),
+        "analysis/irregular": sum(m.irregular_placements for m in maps),
+        "analysis/splits": sum(m.splits for m in maps),
+    }
+    assert all(expected.values())
+    with request_scope(merge_into_global=False) as registry:
+        build_ir(program)
+        build_ir(program, allocations=maps)  # allocates nothing: no count
+    counters = registry.snapshot()["counters"]
+    assert {key: counters[key] for key in expected} == expected
+    previous = set_metrics_active(False)
+    try:
+        before = get_registry().snapshot()["counters"]
+        build_ir(program)
+        assert get_registry().snapshot()["counters"] == before
+    finally:
+        set_metrics_active(previous)
 
 
 def test_hazard_errors_filters_to_error_haz(e1_ds_program):

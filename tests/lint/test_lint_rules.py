@@ -335,8 +335,8 @@ def _alloc_context(schedule, allocations):
 
 
 def _replace_record(allocation, index, **changes):
-    allocation.records[index] = dataclasses.replace(
-        allocation.records[index], **changes
+    allocation.records[index] = allocation.records[index]._replace(
+        **changes
     )
 
 
@@ -344,7 +344,7 @@ def test_alloc001_space_time_overlap():
     schedule = cds_schedule()
     set0, set1 = _allocations(schedule)
     victim = set0.records[0]
-    clone = dataclasses.replace(victim, instance=victim.instance + 90)
+    clone = victim._replace(instance=victim.instance + 90)
     set0.records.append(clone)
     collector = run_passes(
         _alloc_context(schedule, (set0, set1)), layers=("allocation",)
