@@ -125,6 +125,8 @@ trace-smoke:
 	set -e; profile=$$($(PYTHON) -m repro.cli corpus --seeds 2 --fb 16K \
 		--iterations 48 --profile); \
 	echo "$$profile" | grep -E 'analysis/races +[0-9.]*[1-9]' > /dev/null; \
+	echo "$$profile" | grep -E 'analysis/interference +[0-9.]*[1-9]' > /dev/null; \
+	echo "$$profile" | grep -E 'analysis/rows +[1-9]' > /dev/null; \
 	echo "$$profile" | grep -E 'analysis/allocate +[0-9.]*[1-9]' > /dev/null; \
 	echo "$$profile" | grep -E 'analysis/placements +[1-9]' > /dev/null
 	$(PYTHON) -m repro.cli run E1 --gantt | grep '  DMA  |' > /dev/null

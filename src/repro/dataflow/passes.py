@@ -27,35 +27,42 @@ The passes read the integer columns of :class:`~repro.dataflow.ir.ProgramIR`
 (access rows, value columns, node kinds and visits), never its lazy
 ``IRNode``/``ValueLifetime`` view: a row or value costs a few list
 reads, and objects are built only for the nodes a finding names.
-Costs, with *n* the live segments (or spans) of one address space and
-*k* those an access actually overlaps:
+HAZ001 and HAZ002 are NumPy array sweeps over *atoms*: per address
+slot, the ranges between consecutive distinct row breakpoints, so each
+row covers a contiguous run of atoms.  Costs, with *R* the access rows
+(or placed spans), *I* their (atom, row) incidences — a few per row,
+whatever the round count — and *N* the nodes:
 
-* ``HAZ001`` is O(log n + k) per access row: a bisect-indexed interval
-  map updated in place when the row covers exactly one segment and
-  spliced otherwise, plus one happens-before query per predecessor;
-* ``HAZ002`` is O(log n + c) per span, *c* being the live spans that
-  start within the set's longest span before it (every overlap among
-  them), plus O(log n) per value to expire and insert;
+* ``HAZ001`` is O(R + I + N) array work, plus a mask over the slots'
+  words and a stable sort of the incidences (a radix sort up to 65,535
+  atoms): a running maximum finds each incidence's previous write in
+  its atom, the at most 2 *I* pairs that implies are decided from
+  per-node happens-before arrays at once, and only unordered pairs
+  reach Python;
+* ``HAZ002`` is the same refinement over the placed spans, a running
+  maximum of release positions per atom, and for each incidence that
+  meets an earlier live value a scan of its atom's earlier incidences;
 * ``HAZ003`` sums the per-visit context rows for the CM check and
   accumulates one residency delta per node position, O(N + V);
 * ``DFA001`` is one pass over the value columns, ``DFA002`` one pass
   over them plus, when a kept value survived a drain, one over the
   kernel reads.
 
-:mod:`repro.dataflow.reference` keeps the original linear-scan HAZ001
-map and HAZ002 loop as the equivalence oracle.
+:mod:`repro.dataflow.reference` keeps the original interval-map HAZ001
+loop and active-list HAZ002 loop as the equivalence oracle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from heapq import heappop, heappush
+from bisect import bisect_left
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
+
+import numpy as np
 
 from repro.dataflow.hazards import HappensBefore
 from repro.dataflow.ir import COMPUTE, DATA_LOAD, KINDS, ProgramIR
-from repro.obs.metrics import time_stage
+from repro.obs.metrics import inc, metrics_active, time_stage
 
 __all__ = [
     "HAZARD_RULES",
@@ -77,233 +84,304 @@ Emit = Callable[..., object]
 _LOAD = KINDS.index(DATA_LOAD)
 _RUN = KINDS.index(COMPUTE)
 
-#: One interval-map segment: ``(start, end, writer, readers)``.
-_Segment = Tuple[int, int, Optional[int], Tuple[int, ...]]
 
+def _incidences(
+    slot: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (atom, row) incidences of the ranges ``[start, end)`` per slot.
 
-class _IntervalMap:
-    """Last-accessor state per word over one address space.
-
-    Segments are disjoint, sorted ``[start, end)`` ranges, each holding
-    the last writing node and the reading nodes since that write.
-    ``_starts`` mirrors the segment starts for :mod:`bisect`; adjacent
-    segments are never merged, so the list equals the reference map's
-    (:class:`~repro.dataflow.reference.ReferenceIntervalMap`) after
-    every access.  An access covering exactly one segment — a value's
-    own words, read or rewritten — replaces it in place.
+    The atoms of a slot are the ranges between its consecutive distinct
+    row breakpoints (every row's start and end), so each row covers a
+    contiguous run of atoms and two rows share a word exactly when they
+    share an atom.  Returns int32 arrays giving, per incidence in atom
+    order (ascending rows within an atom), its row, its atom's words
+    and the position of its atom's first incidence.  Empty rows have no
+    incidence.
     """
+    # One key per (slot, word), in a mask bounded by the slots'
+    # capacities: flatnonzero yields the breakpoints sorted, and a table
+    # over the same keys maps each breakpoint to its rank.
+    width = int(end.max()) + 1
+    base = slot.astype(np.intp) * width
+    lo = base + start
+    hi = base + end
+    mask = np.zeros(int(hi.max()) + 1, np.bool_)
+    mask[lo] = True
+    mask[hi] = True
+    points = np.flatnonzero(mask)
+    rank = np.empty(len(mask), np.int32)
+    rank[points] = np.arange(len(points), dtype=np.int32)
+    atom, row = _ranges(rank.take(lo), rank.take(hi))
+    del mask, rank  # the word tables are the largest arrays here
+    # A stable sort keeps rows in program order within an atom; 16-bit
+    # keys take NumPy's radix sort.
+    key = atom.astype(np.uint16) if len(points) <= 0x10000 else atom
+    order = np.argsort(key, kind="stable")
+    atom = atom.take(order)
+    count = np.bincount(atom, minlength=len(points) - 1)
+    first = (np.cumsum(count) - count).astype(np.int32)
+    words = np.diff(points).astype(np.int32)
+    return row.take(order), words.take(atom), first.take(atom)
 
-    __slots__ = ("_starts", "_segments")
 
-    def __init__(self) -> None:
-        self._starts: List[int] = []
-        self._segments: List[_Segment] = []
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``k`` in ``[lo[i], hi[i])``, ranges in order, with its ``i``
+    (int32 bounds in, int32 arrays out)."""
+    count = hi - lo
+    index = np.repeat(np.arange(len(count), dtype=np.int32), count)
+    offset = lo - np.cumsum(count, dtype=np.int32) + count
+    return offset.take(index) + np.arange(len(index), dtype=np.int32), index
 
-    def access(
-        self, start: int, end: int, node: int, write: bool
-    ) -> Dict[int, int]:
-        """Record an access; return predecessor nodes -> words shared."""
-        preds: Dict[int, int] = {}
-        segments = self._segments
-        # First segment ending after *start* (ends ascend with starts).
-        first = bisect_right(self._starts, start) - 1
-        if first < 0 or segments[first][1] <= start:
-            first += 1
-        count = len(segments)
-        if first < count:
-            seg_start, seg_end, writer, readers = segments[first]
-            if seg_start == start and seg_end == end:
-                words = end - start
-                if writer is not None and writer != node:
-                    preds[writer] = words
-                if write:
-                    for reader in readers:
-                        if reader != node:
-                            preds[reader] = preds.get(reader, 0) + words
-                    segments[first] = (start, end, node, ())
-                else:
-                    segments[first] = (start, end, writer, readers + (node,))
-                return preds
-        # Replacement pieces in address order: left remnant, the
-        # written segment or the read pieces, right remnant.
-        pieces: List[_Segment] = []
-        right: Optional[_Segment] = None
-        cursor = start
-        last = first
-        while last < count:
-            seg_start, seg_end, writer, readers = segments[last]
-            if seg_start >= end:
-                break
-            last += 1
-            lo = start if start > seg_start else seg_start
-            hi = end if end < seg_end else seg_end
-            words = hi - lo
-            if writer is not None and writer != node:
-                preds[writer] = preds.get(writer, 0) + words
-            if seg_start < lo:
-                pieces.append((seg_start, lo, writer, readers))
-            if write:
-                for reader in readers:
-                    if reader != node:
-                        preds[reader] = preds.get(reader, 0) + words
-            else:
-                if cursor < lo:
-                    pieces.append((cursor, lo, None, (node,)))
-                pieces.append((lo, hi, writer, readers + (node,)))
-                cursor = hi
-            if hi < seg_end:
-                right = (hi, seg_end, writer, readers)
-        if write:
-            pieces.append((start, end, node, ()))
-        elif cursor < end:
-            # Reads over previously untouched words.
-            pieces.append((cursor, end, None, (node,)))
-        if right is not None:
-            pieces.append(right)
-        segments[first:last] = pieces
-        self._starts[first:last] = [piece[0] for piece in pieces]
-        return preds
+
+def _accessor_pairs(
+    write: np.ndarray, first: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (predecessor, successor) incidences of the last-accessor map.
+
+    Over incidences in atom order, with *first* the position of each
+    one's atom start: every incidence follows the previous write of its
+    atom, and a write also follows every read since that write.
+    """
+    last = np.maximum.accumulate(
+        np.where(write, np.arange(len(write), dtype=np.int32), -1)
+    )
+    previous = np.roll(last, 1)
+    previous[:1] = -1
+    previous[previous < first] = -1
+    after_write = np.flatnonzero(previous >= 0)
+    writes = np.flatnonzero(write).astype(np.int32)
+    readers, reader_of = _ranges(
+        np.maximum(previous.take(writes) + 1, first.take(writes)), writes
+    )
+    return (
+        np.concatenate((previous.take(after_write), readers)),
+        np.concatenate((after_write.astype(np.int32), writes.take(reader_of))),
+    )
+
+
+def _unordered(
+    ir: ProgramIR, hb: HappensBefore, pred: np.ndarray, succ: np.ndarray
+) -> np.ndarray:
+    """Indices of the (pred, succ) node pairs that may race.
+
+    :meth:`HappensBefore.happens_before` over arrays: a predecessor
+    whose rank (channel position of a transfer, visit of a kernel run)
+    is at most the successor's bound for its kind happens before it.  A
+    transfer must come before a transfer's position, or by a kernel
+    run's visit's last preparation; a kernel run's visit must be at
+    most a transfer's gating prefix.  Self pairs and kernel runs after
+    kernel runs (one RC array: always ordered) never race.
+    """
+    nodes = len(ir.node_kind)
+    transfers = np.fromiter(hb.channel_pos, np.intp, len(hb.channel_pos))
+    channel = np.fromiter(
+        hb.channel_pos.values(), np.intp, len(hb.channel_pos)
+    )
+    runs = np.fromiter(hb.compute_visit, np.intp, len(hb.compute_visit))
+    run_visit = np.fromiter(
+        hb.compute_visit.values(), np.intp, len(hb.compute_visit)
+    )
+    rank = np.empty(nodes, np.int32)
+    rank[transfers] = channel
+    rank[runs] = run_visit
+    # bound[:nodes] for kernel-run predecessors, bound[nodes:] for
+    # transfer ones; side picks the half by the predecessor's kind.
+    bound = np.full(2 * nodes, -1, np.int32)
+    bound[nodes + transfers] = channel - 1
+    bound[nodes + runs] = np.fromiter(hb.maxprep, np.intp)[run_visit]
+    bound[transfers] = np.fromiter(hb.maxrel, np.intp)[channel]
+    side = np.zeros(nodes, np.int32)
+    side[transfers] = nodes
+    running = np.fromiter(ir.node_kind, np.int8, nodes) == _RUN
+    return np.flatnonzero(
+        (rank.take(pred) > bound.take(side.take(pred) + succ))
+        & (pred != succ) & ~(running.take(pred) & running.take(succ))
+    )
 
 
 def check_races(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
-    """HAZ001: program order vs. happens-before over shared words."""
-    kind = ir.node_kind
-    happens_before = hb.happens_before
-    maps: Dict[int, _IntervalMap] = {}
-    # (pred, succ) -> [slot, words, reversed]
+    """HAZ001: program order vs. happens-before over shared words.
+
+    Per atom, each incidence's predecessors are the node of the previous
+    write incidence and, for a write, every read incidence since that
+    write (with multiplicity); a pair shares its atom's words.  That is
+    the last-accessor map of
+    :class:`~repro.dataflow.reference.ReferenceIntervalMap`, word for
+    word.  Every pair is decided at once from per-node happens-before
+    arrays, and only the unordered ones reach Python.
+    """
+    rows = len(ir.acc_node)
+    if not rows:
+        return
+    row, words, first = _incidences(
+        np.fromiter(ir.acc_slot, np.int32, rows),
+        np.fromiter(ir.acc_start, np.int32, rows),
+        np.fromiter(ir.acc_end, np.int32, rows),
+    )
+    if metrics_active():
+        inc("rows", rows, scope="analysis")
+        inc("incidences", len(row), scope="analysis")
+    pred_at, succ_at = _accessor_pairs(
+        np.fromiter(ir.acc_write, np.bool_, rows).take(row), first
+    )
+    node = np.fromiter(ir.acc_node, np.int32, rows).take(row)
+    racing = _unordered(ir, hb, node.take(pred_at), node.take(succ_at))
+    if not racing.size:
+        return
+    pred_at, succ_at = pred_at.take(racing), succ_at.take(racing)
+    # (pred, succ) -> [first row, words]
     conflicts: Dict[Tuple[int, int], List[int]] = {}
-    for node, slot, start, end, write in zip(
-        ir.acc_node, ir.acc_slot, ir.acc_start, ir.acc_end, ir.acc_write
+    for a, b, at, shared in zip(
+        node.take(pred_at).tolist(), node.take(succ_at).tolist(),
+        row.take(succ_at).tolist(), words.take(succ_at).tolist(),
     ):
-        space = maps.get(slot)
-        if space is None:
-            space = maps[slot] = _IntervalMap()
-        preds = space.access(start, end, node, write)
-        if not preds:
+        entry = conflicts.get((a, b))
+        if entry is None:
+            conflicts[(a, b)] = [at, shared]
             continue
-        computing = kind[node] == _RUN
-        for pred, words in preds.items():
-            if computing and kind[pred] == _RUN:
-                continue  # one RC array: always ordered
-            if happens_before(pred, node):
-                continue
-            entry = conflicts.get((pred, node))
-            if entry is None:
-                entry = conflicts[(pred, node)] = [
-                    slot, 0, happens_before(node, pred),
-                ]
-            entry[1] += words
-    for (pred, succ), (slot, words, reverse) in sorted(conflicts.items()):
+        if at < entry[0]:
+            entry[0] = at
+        entry[1] += shared
+    for (pred_node, succ_node), (at, shared) in sorted(conflicts.items()):
+        slot = ir.acc_slot[at]
+        reverse = hb.happens_before(succ_node, pred_node)
         space, index = ("fb", "cm")[slot & 1], slot >> 1
         label = "CM block" if space == "cm" else "FB set"
         how = "is overtaken by" if reverse else "is unordered against"
-        first, second = ir.describe(pred), ir.describe(succ)
+        first_label = ir.describe(pred_node)
+        second_label = ir.describe(succ_node)
         emit(
             "HAZ001",
-            f"{first} {how} {second} on "
-            f"{words} shared word(s) of {label} {index} "
+            f"{first_label} {how} {second_label} on "
+            f"{shared} shared word(s) of {label} {index} "
             f"under policy {hb.policy.name}",
-            location=f"visit {ir.node_visit[succ]}",
-            cost_words=words,
+            location=f"visit {ir.node_visit[succ_node]}",
+            cost_words=shared,
             policy=hb.policy.name,
-            first=first,
-            second=second,
+            first=first_label,
+            second=second_label,
             space=f"{space}{index}",
             reversed_order=bool(reverse),
         )
 
 
-#: One placed value of the HAZ002 sweep: ``(def_pos, release_pos,
-#: spans, name, instance, def_visit)``, *spans* its ``(start, end)``
-#: word ranges.
-_Placed = Tuple[int, int, Tuple[Tuple[int, int], ...], str, int, int]
+#: A value label for HAZ002 messages: ``(name, instance, def_visit)``.
+_Label = Tuple[str, int, int]
 
 
-def _placed(ir: ProgramIR, fb_set: int) -> List[_Placed]:
-    """The values placed in *fb_set*, in definition order.
+def _placed(ir: ProgramIR) -> Tuple[List[Tuple[int, ...]], List[_Label]]:
+    """The spans of a stand-in IR that only lists value objects (the
+    reference tests build such), for the HAZ002 sweep.
 
-    Read from the IR's columns; a stand-in IR that only lists value
-    objects (the reference tests build such) is read through them.
+    Returns one ``(fb_set, value, start, end, def_pos, release_pos)``
+    row per span and one label per value, values numbered per set in
+    definition order, set 0 first.
     """
-    if isinstance(ir, ProgramIR):
-        place_spans = ir.place_spans
-        node_visit = ir.node_visit
-        return [
-            (2 * node, release, place_spans[place], name, instance,
-             node_visit[node])
-            for node, release, place, name, instance, value_set in zip(
-                ir.val_def, ir.val_release, ir.val_place, ir.val_name,
-                ir.val_instance, ir.val_set,
+    spans: List[Tuple[int, ...]] = []
+    labels: List[_Label] = []
+    for fb_set in (0, 1):
+        placed = sorted(
+            (value for value in ir.values
+             if value.fb_set == fb_set and value.extents),
+            key=lambda value: value.def_pos,
+        )
+        for value in placed:
+            spans.extend(
+                (fb_set, len(labels), extent.start, extent.end,
+                 value.def_pos, value.release_pos)
+                for extent in value.extents
             )
-            if value_set == fb_set and place >= 0
-        ]
-    placed = [
-        (value.def_pos, value.release_pos,
-         tuple((extent.start, extent.end) for extent in value.extents),
-         value.name, value.instance, value.def_visit)
-        for value in ir.values
-        if value.fb_set == fb_set and value.extents
-    ]
-    placed.sort(key=lambda entry: entry[0])
-    return placed
+            labels.append((value.name, value.instance, value.def_visit))
+    return spans, labels
 
 
 def check_interference(ir: ProgramIR, emit: Emit) -> None:
-    """HAZ002: simultaneously-live values never share FB words."""
+    """HAZ002: simultaneously-live values never share FB words.
+
+    The spans of the placed values are the FB write rows that name a
+    value: each is written over its spans once, at its definition, in
+    value order.  Over their atoms, an exclusive running maximum of the
+    release positions flags the incidences whose atom holds an earlier
+    value still live at their definition; only those enumerate the
+    earlier incidences of their atom.
+    """
     if not ir.has_placement:
         return
-    for fb_set in (0, 1):
-        placed = _placed(ir, fb_set)
-        maxlen = max(
-            (end - start for entry in placed for start, end in entry[2]),
-            default=0,
+    if isinstance(ir, ProgramIR):
+        rows = len(ir.acc_node)
+        value = np.fromiter(ir.acc_value, np.int32, rows)
+        placed = np.flatnonzero(
+            (value >= 0) & np.fromiter(ir.acc_write, np.bool_, rows)
         )
-        # Live values: a heap by release position, and their spans as
-        # ``(start, order, k, end)`` in address order, where *order* is
-        # the value's index in *placed* (the active-list order).
-        expiry: List[Tuple[int, int]] = []
-        live: List[Tuple[int, int, int, int]] = []
-        for order, (def_pos, release_pos, spans, name, instance,
-                    def_visit) in enumerate(placed):
-            while expiry and expiry[0][0] <= def_pos:
-                _, gone = heappop(expiry)
-                for k, (start, _) in enumerate(placed[gone][2]):
-                    del live[bisect_left(live, (start, gone, k))]
-            hits: Set[int] = set()
-            for a_start, a_end in spans:
-                # A span overlapping *a* starts within maxlen of it.
-                lo = bisect_left(live, (a_start - maxlen + 1,))
-                hi = bisect_left(live, (a_end,))
-                if lo == hi:
-                    continue
-                for _, other, _, b_end in live[lo:hi]:
-                    if b_end > a_start:
-                        hits.add(other)
-            for other_order in sorted(hits):
-                _, _, other_spans, other_name, other_instance, _ = (
-                    placed[other_order]
-                )
-                overlap = sum(
-                    min(a_end, b_end) - max(a_start, b_start)
-                    for a_start, a_end in spans
-                    for b_start, b_end in other_spans
-                    if a_start < b_end and b_start < a_end
-                )
-                emit(
-                    "HAZ002",
-                    f"{name}#{instance} and "
-                    f"{other_name}#{other_instance} are live "
-                    f"simultaneously on {overlap} shared word(s) of "
-                    f"FB set {fb_set}",
-                    location=f"visit {def_visit}",
-                    cost_words=overlap,
-                    first=f"{other_name}#{other_instance}",
-                    second=f"{name}#{instance}",
-                    fb_set=fb_set,
-                )
-            heappush(expiry, (release_pos, order))
-            for k, (start, end) in enumerate(spans):
-                insort(live, (start, order, k, end))
+        if not placed.size:
+            return
+        value = value[placed]
+        fb_set = np.fromiter(ir.acc_slot, np.int32, rows)[placed] >> 1
+        start = np.fromiter(ir.acc_start, np.int32, rows)[placed]
+        end = np.fromiter(ir.acc_end, np.int32, rows)[placed]
+        define = 2 * np.fromiter(ir.acc_node, np.int32, rows)[placed]
+        release = np.fromiter(
+            ir.val_release, np.int32, len(ir.val_release)
+        )[value]
+        names, instances = ir.val_name, ir.val_instance
+        val_def, node_visit = ir.val_def, ir.node_visit
+
+        def label(v: int) -> _Label:
+            return names[v], instances[v], node_visit[val_def[v]]
+    else:
+        spans, labels = _placed(ir)
+        if not spans:
+            return
+        fb_set, value, start, end, define, release = np.array(
+            spans, np.int32
+        ).T
+        label = labels.__getitem__
+
+    row, words, first = _incidences(fb_set, start, end)
+    value, define = value.take(row), define.take(row)
+    release = release.take(row)
+    # Exclusive running maximum of the releases within each atom:
+    # offsetting each atom by its first position (in int64) keeps the
+    # scan from crossing atoms, as atoms' incidences are contiguous.
+    low = int(release.min())
+    base = first.astype(np.int64) * (int(release.max()) - low + 1)
+    running = np.maximum.accumulate(base + (release - low))
+    earlier = np.roll(running, 1) - base + low
+    flagged = np.flatnonzero(
+        (np.arange(len(row)) > first) & (earlier > define)
+    ).astype(np.int32)
+    if not flagged.size:
+        return
+    other, of = _ranges(first.take(flagged), flagged)
+    of = flagged.take(of)
+    live = np.flatnonzero(
+        (release.take(other) > define.take(of))
+        & (value.take(other) != value.take(of))
+    )
+    other, of = other.take(live), of.take(live)
+    # (fb_set, value, earlier value) -> words
+    overlaps: Dict[Tuple[int, int, int], int] = {}
+    for key, shared in zip(
+        zip(fb_set.take(row.take(of)).tolist(), value.take(of).tolist(),
+            value.take(other).tolist()),
+        words.take(of).tolist(),
+    ):
+        overlaps[key] = overlaps.get(key, 0) + shared
+    for (fb, v, o), overlap in sorted(overlaps.items()):
+        name, instance, def_visit = label(v)
+        other_name, other_instance, _ = label(o)
+        emit(
+            "HAZ002",
+            f"{name}#{instance} and "
+            f"{other_name}#{other_instance} are live "
+            f"simultaneously on {overlap} shared word(s) of "
+            f"FB set {fb}",
+            location=f"visit {def_visit}",
+            cost_words=overlap,
+            first=f"{other_name}#{other_instance}",
+            second=f"{name}#{instance}",
+            fb_set=fb,
+        )
 
 
 def check_dead_transfers(ir: ProgramIR, emit: Emit) -> None:

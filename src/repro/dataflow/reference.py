@@ -1,32 +1,40 @@
-"""Reference linear-scan hazard structures (the equivalence oracle).
+"""Reference hazard passes (the equivalence oracle).
 
-This is the original ``HAZ001`` interval map and ``HAZ002`` active-list
-loop, kept verbatim after :mod:`repro.dataflow.passes` was rewritten
-around :mod:`bisect`.  They are deliberately simple — every access
-scans the whole segment list and re-sorts it, and every value is
-tested against every live value — which makes them easy to audit and
-therefore the oracle the differential checks drive against the
-production passes (the ``hazards`` fuzz oracle and
-``tests/dataflow/test_pass_equivalence.py``).
+:func:`reference_check_races` is the original ``HAZ001`` loop: every
+access row goes through a linear-scan :class:`ReferenceIntervalMap`
+per address slot, and every predecessor through one
+:meth:`~repro.dataflow.hazards.HappensBefore.happens_before` query.
+:func:`reference_check_interference` is the original ``HAZ002``
+active-list loop.  They are deliberately simple — every access scans
+the whole segment list and re-sorts it, and every value is tested
+against every live value — which makes them easy to audit and
+therefore the oracle the differential checks drive against the array
+sweeps of :mod:`repro.dataflow.passes` (:func:`race_mismatch` and
+:func:`interference_mismatch`, called by the ``hazards`` fuzz oracle
+and ``tests/dataflow/test_pass_equivalence.py``).
 
-No product path uses this module; the production passes are
-behaviourally identical and asymptotically faster.
+No product path uses this module; the production passes emit the same
+findings, byte for byte, and are asymptotically faster.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dataflow import passes
-from repro.dataflow.ir import ProgramIR, ValueLifetime
+from repro.dataflow.hazards import HappensBefore
+from repro.dataflow.ir import COMPUTE, KINDS, ProgramIR, ValueLifetime
 from repro.dataflow.passes import Emit
 
 __all__ = [
     "ReferenceIntervalMap",
     "interference_mismatch",
-    "interval_map_mismatch",
+    "race_mismatch",
     "reference_check_interference",
+    "reference_check_races",
 ]
+
+_RUN = KINDS.index(COMPUTE)
 
 
 class ReferenceIntervalMap:
@@ -89,6 +97,57 @@ class ReferenceIntervalMap:
         return preds
 
 
+def reference_check_races(
+    ir: ProgramIR, hb: HappensBefore, emit: Emit
+) -> None:
+    """HAZ001: program order vs. happens-before over shared words.
+
+    Every access row goes through one :class:`ReferenceIntervalMap` per
+    address slot, and every predecessor it returns through one
+    :meth:`HappensBefore.happens_before` query.
+    """
+    kind = ir.node_kind
+    maps: Dict[int, ReferenceIntervalMap] = {}
+    # (pred, succ) -> [slot, words, reversed]
+    conflicts: Dict[Tuple[int, int], List[int]] = {}
+    for node, slot, start, end, write in zip(
+        ir.acc_node, ir.acc_slot, ir.acc_start, ir.acc_end, ir.acc_write
+    ):
+        space = maps.get(slot)
+        if space is None:
+            space = maps[slot] = ReferenceIntervalMap()
+        computing = kind[node] == _RUN
+        for pred, words in space.access(start, end, node, write).items():
+            if computing and kind[pred] == _RUN:
+                continue  # one RC array: always ordered
+            if hb.happens_before(pred, node):
+                continue
+            entry = conflicts.get((pred, node))
+            if entry is None:
+                entry = conflicts[(pred, node)] = [
+                    slot, 0, hb.happens_before(node, pred),
+                ]
+            entry[1] += words
+    for (pred, succ), (slot, words, reverse) in sorted(conflicts.items()):
+        space, index = ("fb", "cm")[slot & 1], slot >> 1
+        label = "CM block" if space == "cm" else "FB set"
+        how = "is overtaken by" if reverse else "is unordered against"
+        first, second = ir.describe(pred), ir.describe(succ)
+        emit(
+            "HAZ001",
+            f"{first} {how} {second} on "
+            f"{words} shared word(s) of {label} {index} "
+            f"under policy {hb.policy.name}",
+            location=f"visit {ir.node_visit[succ]}",
+            cost_words=words,
+            policy=hb.policy.name,
+            first=first,
+            second=second,
+            space=f"{space}{index}",
+            reversed_order=bool(reverse),
+        )
+
+
 def reference_check_interference(ir: ProgramIR, emit: Emit) -> None:
     """HAZ002: simultaneously-live values never share FB words."""
     if not ir.has_placement:
@@ -128,41 +187,45 @@ def reference_check_interference(ir: ProgramIR, emit: Emit) -> None:
             active.append(value)
 
 
-def interval_map_mismatch(ir: ProgramIR) -> Optional[str]:
-    """Replay every access of *ir* through both interval maps.
+def _emit_mismatch(
+    code: str,
+    fast: Callable[[Emit], None],
+    reference: Callable[[Emit], None],
+) -> Optional[str]:
+    """The first emit where *fast* and *reference* differ (code, message
+    and every keyword, in order), or ``None`` when they agree."""
+    got: List[Tuple[object, ...]] = []
+    want: List[Tuple[object, ...]] = []
 
-    Returns a description of the first access after which the
-    production map's predecessors or segment list differ from the
-    reference's, or ``None`` when they agree throughout.
+    def recorder(into: List[Tuple[object, ...]]) -> Emit:
+        def emit(*args: object, **kwargs: object) -> None:
+            into.append((args, tuple(kwargs.items())))
+        return emit
+
+    fast(recorder(got))
+    reference(recorder(want))
+    if got == want:
+        return None
+    for index, (mine, theirs) in enumerate(zip(got, want)):
+        if mine != theirs:
+            return f"{code} emit {index}: {mine} != reference {theirs}"
+    return (
+        f"{code} emitted {len(got)} finding(s), reference "
+        f"{len(want)}"
+    )
+
+
+def race_mismatch(ir: ProgramIR, hb: HappensBefore) -> Optional[str]:
+    """Compare the production HAZ001 pass against the reference loop.
+
+    Returns a description of the first differing emit (code, message
+    and every keyword, in order), or ``None`` when they agree.
     """
-    maps: Dict[
-        Tuple[str, int], Tuple[passes._IntervalMap, ReferenceIntervalMap]
-    ] = {}
-    for node in ir.nodes:
-        for access in node.accesses:
-            key = (access.space, access.index)
-            pair = maps.get(key)
-            if pair is None:
-                pair = maps[key] = (
-                    passes._IntervalMap(), ReferenceIntervalMap()
-                )
-            fast, reference = pair
-            for extent in access.extents:
-                args = (extent.start, extent.end, node.node_id, access.write)
-                fast_preds = fast.access(*args)
-                ref_preds = reference.access(*args)
-                if fast_preds != ref_preds:
-                    return (
-                        f"node {node.node_id} {access.space}{access.index} "
-                        f"{extent}: preds {fast_preds} != reference "
-                        f"{ref_preds}"
-                    )
-                if fast._segments != reference._segments:
-                    return (
-                        f"node {node.node_id} {access.space}{access.index} "
-                        f"{extent}: segment lists diverge"
-                    )
-    return None
+    return _emit_mismatch(
+        "HAZ001",
+        lambda emit: passes.check_races(ir, hb, emit),
+        lambda emit: reference_check_races(ir, hb, emit),
+    )
 
 
 def interference_mismatch(ir: ProgramIR) -> Optional[str]:
@@ -171,22 +234,8 @@ def interference_mismatch(ir: ProgramIR) -> Optional[str]:
     Returns a description of the first differing emit (code, message
     and every keyword, in order), or ``None`` when they agree.
     """
-    fast: List[Tuple[object, ...]] = []
-    reference: List[Tuple[object, ...]] = []
-
-    def recorder(into: List[Tuple[object, ...]]) -> Emit:
-        def emit(*args: object, **kwargs: object) -> None:
-            into.append((args, tuple(kwargs.items())))
-        return emit
-
-    passes.check_interference(ir, recorder(fast))
-    reference_check_interference(ir, recorder(reference))
-    if fast == reference:
-        return None
-    for index, (got, want) in enumerate(zip(fast, reference)):
-        if got != want:
-            return f"HAZ002 emit {index}: {got} != reference {want}"
-    return (
-        f"HAZ002 emitted {len(fast)} finding(s), reference "
-        f"{len(reference)}"
+    return _emit_mismatch(
+        "HAZ002",
+        lambda emit: passes.check_interference(ir, emit),
+        lambda emit: reference_check_interference(ir, emit),
     )

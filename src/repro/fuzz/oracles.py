@@ -794,18 +794,15 @@ def _check_hazards(case, runs, architecture) -> List[OracleFailure]:
     asserted clean here; the others remain reachable through
     ``repro analyze --policy``.
 
-    Each lowered program is also replayed through the linear reference
-    structures of :mod:`repro.dataflow.reference`: every access through
-    both HAZ001 interval maps (equal predecessors and segment lists)
-    and both HAZ002 implementations (equal emits).  Under every policy,
-    the traced simulator must walk the happens-before graph's issue
-    order (:func:`_issue_order_mismatch`).
+    Each lowered program is also run through the reference passes of
+    :mod:`repro.dataflow.reference`: HAZ002 once and HAZ001 under every
+    policy, each with emits equal to the production pass's.  Under
+    every policy, the traced simulator must also walk the
+    happens-before graph's issue order (:func:`_issue_order_mismatch`).
     """
     from repro.dataflow.analyzer import analyze_ir, build_ir
-    from repro.dataflow.reference import (
-        interference_mismatch,
-        interval_map_mismatch,
-    )
+    from repro.dataflow.hazards import HappensBefore
+    from repro.dataflow.reference import interference_mismatch, race_mismatch
     from repro.schedule.context_scheduler import DmaPolicy
 
     failures = []
@@ -815,14 +812,9 @@ def _check_hazards(case, runs, architecture) -> List[OracleFailure]:
         ir = collector = None
         try:
             ir = build_ir(run.program)
-            for mismatch in (interval_map_mismatch(ir),
-                             interference_mismatch(ir)):
-                if mismatch is not None:
-                    failures.append(OracleFailure(
-                        "hazards", case.name,
-                        f"pass diverges from its reference: {mismatch}",
-                        scheduler=run.scheduler,
-                    ))
+            mismatch = interference_mismatch(ir)
+            if mismatch is not None:
+                failures.append(_pass_mismatch(case, run, mismatch))
             collector = analyze_ir(ir)
         except ReproError as exc:
             failures.append(OracleFailure(
@@ -841,8 +833,12 @@ def _check_hazards(case, runs, architecture) -> List[OracleFailure]:
         if ir is None:
             continue
         for policy in DmaPolicy:
+            hb = HappensBefore.build(ir, policy)
+            mismatch = race_mismatch(ir, hb)
+            if mismatch is not None:
+                failures.append(_pass_mismatch(case, run, mismatch))
             mismatch = _issue_order_mismatch(run.program, ir, architecture,
-                                             policy)
+                                             hb)
             if mismatch is not None:
                 failures.append(OracleFailure(
                     "hazards", case.name,
@@ -853,21 +849,27 @@ def _check_hazards(case, runs, architecture) -> List[OracleFailure]:
     return failures
 
 
-def _issue_order_mismatch(program, ir, architecture, policy) -> Optional[str]:
-    """Where the traced simulator departs from
-    :class:`~repro.dataflow.hazards.HappensBefore`, or ``None``.
+def _pass_mismatch(case, run, mismatch: str) -> OracleFailure:
+    return OracleFailure(
+        "hazards", case.name,
+        f"pass diverges from its reference: {mismatch}",
+        scheduler=run.scheduler,
+    )
+
+
+def _issue_order_mismatch(program, ir, architecture, hb) -> Optional[str]:
+    """Where the traced simulator departs from the happens-before graph
+    *hb* (a :class:`~repro.dataflow.hazards.HappensBefore`), or ``None``.
 
     Its transfers, ordered by start, must map one-to-one and in order
     onto the graph's channel positions (trace label <-> IR node), and
     each must start at or after the compute end of its gating visit.
     """
-    from repro.dataflow.hazards import HappensBefore
     from repro.dataflow.ir import CONTEXT_LOAD, DATA_LOAD
 
     report = Simulator(
-        MorphoSysM1(architecture), dma_policy=policy, verify=False,
+        MorphoSysM1(architecture), dma_policy=hb.policy, verify=False,
     ).run(program)
-    hb = HappensBefore.build(ir, policy)
     transfers = sorted(report.transfers, key=lambda t: t.start)
     nodes = sorted(hb.channel_pos, key=hb.channel_pos.__getitem__)
     if len(transfers) != len(nodes):

@@ -317,24 +317,24 @@ def _paper_e1_case():
     )
 
 
-def test_hazards_oracle_flags_divergent_interval_map(monkeypatch):
-    """Plant: the indexed HAZ001 map forgets every reader."""
-    from repro.dataflow.passes import _IntervalMap
+def test_hazards_oracle_flags_divergent_race_pass(monkeypatch):
+    """Plant: the HAZ001 sweep drops every reader predecessor."""
+    import repro.dataflow.passes as passes
 
-    original = _IntervalMap.access
+    original = passes._accessor_pairs
 
-    def forgetful(self, start, end, node, write):
-        preds = original(self, start, end, node, write)
-        self._segments[:] = [
-            (seg_start, seg_end, writer, ())
-            for seg_start, seg_end, writer, _ in self._segments
-        ]
-        return preds
+    def writers_only(write, first):
+        pred_at, succ_at = original(write, first)
+        kept = write.take(pred_at)
+        return pred_at[kept], succ_at[kept]
 
-    monkeypatch.setattr(_IntervalMap, "access", forgetful)
+    monkeypatch.setattr(passes, "_accessor_pairs", writers_only)
     failures = run_oracles(_paper_e1_case(), oracles=("hazards",))
-    assert failures, "a divergent interval map must fire"
-    assert any("diverges from its reference" in f.message for f in failures)
+    assert failures, "a divergent race pass must fire"
+    assert any(
+        "diverges from its reference" in f.message and "HAZ001" in f.message
+        for f in failures
+    )
 
 
 def test_hazards_oracle_flags_divergent_interference(monkeypatch):
