@@ -36,9 +36,13 @@ Cost model: a placement costs one tuple.  A live instance is one
 :class:`AllocationRecord` (a ``NamedTuple``) at its free; each kernel's
 outputs and dead inputs are resolved once per (cluster, kernel), and
 decision events and snapshot labels are built only when a trace or
-snapshots are attached.  Every check stays: the region directory
-rejects overlaps, duplicates and out-of-capacity extents, and the free
-list rejects double frees.
+snapshots are attached.  ``_open`` is the one live-region table: it
+rejects duplicate placements and frees of unplaced instances; the free
+list rejects out-of-capacity extents and double frees.  Overlap is not
+checked per placement.  A word can reach two live regions only through
+a free-list bug, and then some free hits an already-free word, or some
+word is still carved when the round ends; ``execute`` checks that the
+list is whole again at the end.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from repro.arch.frame_buffer import Extent, FrameBufferSet
+from repro.arch.frame_buffer import Extent
 from repro.alloc.free_list import FreeBlockList
 from repro.core.dataflow import DataflowInfo
 from repro.core.reuse import SharedData, SharedResult
@@ -219,9 +223,9 @@ class AllocationMap:
     def verify(self) -> None:
         """Re-check that lifetime-overlapping records never share words.
 
-        The allocator already enforces this online through
-        :class:`~repro.arch.frame_buffer.FrameBufferSet`; this is an
-        independent offline check used by the test suite.
+        The allocator guards this online through its free list (double
+        frees raise, and the list must be whole at round end); this is
+        an independent offline check used by the test suite.
         """
         for first, second, extent_a, extent_b in self.overlaps():
             raise AllocationError(
@@ -325,16 +329,14 @@ class _SetAllocation:
         if free_list_factory is None:
             free_list_factory = FreeBlockList
         self.free_list = free_list_factory(self.capacity)
-        self.regions = FrameBufferSet(self.capacity, set_index=fb_set)
         self.map = AllocationMap(
             fb_set=fb_set, capacity_words=self.capacity, rf=self.rf
         )
         self.step = 0
         #: Live instances: ``(name, instance) -> (extents, direction,
         #: cluster_index, alloc_step, regular)``, the record minus its
-        #: free step.  Its keys are exactly the regions bound in
-        #: :attr:`regions`, in binding order, so liveness tests and
-        #: snapshots read it directly.
+        #: free step, in placement order.  The one live-region table:
+        #: liveness tests and snapshots read it directly.
         self._open: Dict[
             Tuple[str, int], Tuple[Tuple[Extent, ...], str, int, int, bool]
         ] = {}
@@ -360,9 +362,12 @@ class _SetAllocation:
             if self.snapshots:
                 self._snapshot(f"after {cluster.name} stores complete")
         self._close_round(clusters)
-        for key in list(self._open):
+        free_words = self.free_list.free_words
+        if self._open or free_words != self.capacity:
+            live = ", ".join(f"{name}#{instance}" for name, instance in self._open)
             raise AllocationError(
-                f"region {key[0]}#{key[1]} still live at end of round"
+                f"set{self.fb_set}: {free_words} of {self.capacity} words free "
+                f"at end of round (still live: {live or 'none'})"
             )
         return self.map
 
@@ -548,6 +553,11 @@ class _SetAllocation:
         size: int,
         direction: str,
     ) -> None:
+        key = (name, instance)
+        if key in self._open:
+            raise AllocationError(
+                f"set{self.fb_set}: {name}#{instance} is already placed"
+            )
         free_list = self.free_list
         extents: Optional[Tuple[Extent, ...]] = None
         regular = True
@@ -597,7 +607,6 @@ class _SetAllocation:
                         direction=direction,
                         extents=extents,
                     )
-        self.regions.bind(name, instance, extents)
         if self.decisions is not None:
             self._record_alloc(
                 "alloc.place", name, instance,
@@ -605,7 +614,7 @@ class _SetAllocation:
                 regular=regular, split=len(extents) > 1,
                 extents=extents,
             )
-        self._open[(name, instance)] = (
+        self._open[key] = (
             extents, direction, cluster_index, self.step, regular
         )
         if len(extents) == 1:
@@ -630,19 +639,23 @@ class _SetAllocation:
         opened = self._open.pop((name, instance), None)
         if opened is None:
             raise AllocationError(f"free of unallocated region {name}#{instance}")
-        extents = self.regions.release(name, instance)
-        if len(extents) == 1:
-            extent = extents[0]
-            self.free_list.free(extent.start, extent.size)
-        else:
-            self.free_list.free_extents(extents)
+        extents, direction, cluster_index, alloc_step, regular = opened
+        try:
+            if len(extents) == 1:
+                extent = extents[0]
+                self.free_list.free(extent.start, extent.size)
+            else:
+                self.free_list.free_extents(extents)
+        except AllocationError as error:
+            raise AllocationError(
+                f"set{self.fb_set}: {name}#{instance}: {error}"
+            ) from error
         if self.decisions is not None:
             self._record_alloc("alloc.free", name, instance, extents=extents)
         if self.debug_invariants:
             self.free_list.check_invariants()
-        placed, direction, cluster_index, alloc_step, regular = opened
         self.map.records.append(AllocationRecord(
-            name, instance, cluster_index, placed, direction, alloc_step,
+            name, instance, cluster_index, extents, direction, alloc_step,
             self.step, regular,
         ))
 

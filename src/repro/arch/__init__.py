@@ -13,16 +13,15 @@ CM — are capacities and timing in :class:`Architecture`.  The machine
 the simulator drives holds only external memory; every simulation run
 times its own :class:`DmaChannel`, one block per visit group, so no
 channel state is shared between runs.  FB and CM residency is checked
-statically (the program verifier and the hazard IR), and the allocator
-places objects through one :class:`FrameBufferSet` region directory
-per set.  The RC array is
+statically (the program verifier and the hazard IR); the allocator
+(:mod:`repro.alloc`) places objects in each set as
+:class:`~repro.arch.frame_buffer.Extent` ranges.  The RC array is
 modelled functionally (SIMD macro-operations over NumPy arrays) so
 kernels can actually execute and be checked against golden references.
 """
 
 from repro.arch.dma import DmaChannel, TransferKind
 from repro.arch.external_memory import ExternalMemory
-from repro.arch.frame_buffer import FrameBufferSet
 from repro.arch.machine import MorphoSysM1
 from repro.arch.params import Architecture, TimingModel
 from repro.arch.rc_array import RCArray
@@ -31,7 +30,6 @@ __all__ = [
     "Architecture",
     "DmaChannel",
     "ExternalMemory",
-    "FrameBufferSet",
     "MorphoSysM1",
     "RCArray",
     "TimingModel",

@@ -6,9 +6,7 @@ original interval-map and active-list loops.  These tests drive both
 with random access rows and happens-before graphs, random
 (deliberately overlapping) placements, and every program of the fuzz
 regime matrix and the paper experiments under every DMA policy, and
-require identical emits and diagnostics.  The frame-buffer set's
-indexed ``bind`` is checked against a brute-force overlap scan the
-same way.
+require identical emits and diagnostics.
 """
 
 import random
@@ -20,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro.dataflow.passes as passes
-from repro.arch.frame_buffer import Extent, FrameBufferSet
+from repro.arch.frame_buffer import Extent
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.dataflow.analyzer import analyze_ir, build_ir
@@ -32,7 +30,7 @@ from repro.dataflow.reference import (
     reference_check_interference,
     reference_check_races,
 )
-from repro.errors import AllocationError, InfeasibleScheduleError
+from repro.errors import InfeasibleScheduleError
 from repro.fuzz.generator import generate_case, regime_names
 from repro.obs.metrics import request_scope
 from repro.schedule import BasicScheduler, CompleteDataScheduler, DataScheduler
@@ -293,84 +291,3 @@ def test_programs_diagnose_identically_under_every_policy(monkeypatch):
     # The unsound policies do race, so the comparison covers real emits.
     assert haz001 > 0
 
-
-# -- frame-buffer bind index ----------------------------------------------
-
-
-def _linear_overlap_message(regions, set_index, name, instance, extents):
-    """The first clash in binding order, as the linear scan words it."""
-    for (other_name, other_instance), other_extents in regions.items():
-        for extent in extents:
-            for other in other_extents:
-                if extent.overlaps(other):
-                    return (
-                        f"set{set_index}: {name}#{instance} extent "
-                        f"{extent} overlaps {other_name}#{other_instance} "
-                        f"extent {other}"
-                    )
-    return None
-
-
-@pytest.mark.parametrize("seed", range(60))
-def test_bind_matches_brute_force_overlap_check(seed):
-    rng = random.Random(seed)
-    capacity = 256
-    fb_set = FrameBufferSet(capacity, set_index=seed % 2)
-    regions = {}
-    for step in range(200):
-        if regions and rng.random() < 0.35:
-            key = rng.choice(list(regions))
-            assert fb_set.release(*key) == regions.pop(key)
-            continue
-        extents = []
-        for _ in range(rng.choice((1, 1, 1, 2, 3))):
-            start = rng.randint(0, capacity - 1)
-            extents.append(Extent(start, rng.randint(
-                1, min(32, capacity - start)
-            )))
-        key = (f"r{step}", rng.randint(0, 1))
-        expected = _linear_overlap_message(
-            regions, fb_set.set_index, key[0], key[1], extents
-        )
-        self_overlap = any(
-            a.overlaps(b)
-            for i, a in enumerate(extents) for b in extents[i + 1:]
-        )
-        if expected is None and not self_overlap:
-            fb_set.bind(key[0], key[1], extents)
-            regions[key] = tuple(extents)
-        else:
-            with pytest.raises(AllocationError) as raised:
-                fb_set.bind(key[0], key[1], extents)
-            if expected is not None:
-                assert str(raised.value) == expected
-            else:
-                assert "overlap each other" in str(raised.value)
-        assert fb_set.live_regions() == tuple(regions)
-
-
-def test_touching_and_split_extents_bind_cleanly():
-    fb_set = FrameBufferSet(64)
-    fb_set.bind("a", 0, [Extent(0, 4)])
-    fb_set.bind("b", 0, [Extent(4, 4)])
-    fb_set.bind("c", 0, [Extent(12, 4), Extent(8, 4), Extent(20, 4)])
-    fb_set.bind("d", 0, [Extent(16, 4), Extent(24, 40)])
-    assert fb_set.occupied_words == 64
-    with pytest.raises(AllocationError, match="overlaps c#0 extent"):
-        fb_set.bind("e", 0, [Extent(21, 1)])
-    fb_set.release("c", 0)
-    fb_set.bind("e", 0, [Extent(20, 4), Extent(8, 8)])
-    assert fb_set.occupied_words == 64
-
-
-def test_self_overlapping_region_is_rejected():
-    fb_set = FrameBufferSet(64)
-    fb_set.bind("b", 0, [Extent(12, 4)])
-    # A clash with a bound region keeps the linear scan's message.
-    with pytest.raises(AllocationError, match="overlaps b#0 extent"):
-        fb_set.bind("a", 0, [Extent(4, 8), Extent(10, 4)])
-    with pytest.raises(AllocationError, match="overlap each other"):
-        fb_set.bind("a", 0, [Extent(4, 4), Extent(0, 6)])
-    assert fb_set.live_regions() == (("b", 0),)
-    fb_set.bind("a", 0, [Extent(4, 4), Extent(0, 4)])
-    assert fb_set.occupied_words == 12
