@@ -113,8 +113,8 @@ perf-gate:
 # must run too, the profile must count rounds the simulator stamped by
 # shift (the steady-state path is on) and time program verification on
 # its own non-zero row, the corpus profile must time the
-# HAZ001 race pass on its own row, and the Gantt chart must draw its DMA
-# lane.
+# HAZ001 race pass on its own row and count the blocks the templated
+# lowering built, and the Gantt chart must draw its DMA lane.
 trace-smoke:
 	$(PYTHON) -m repro.cli trace ATR-FI --output trace_ATR-FI.json
 	$(PYTHON) -m repro.cli trace MPEG --format text --decisions > /dev/null
@@ -128,7 +128,8 @@ trace-smoke:
 	echo "$$profile" | grep -E 'analysis/interference +[0-9.]*[1-9]' > /dev/null; \
 	echo "$$profile" | grep -E 'analysis/rows +[1-9]' > /dev/null; \
 	echo "$$profile" | grep -E 'analysis/allocate +[0-9.]*[1-9]' > /dev/null; \
-	echo "$$profile" | grep -E 'analysis/placements +[1-9]' > /dev/null
+	echo "$$profile" | grep -E 'analysis/placements +[1-9]' > /dev/null; \
+	echo "$$profile" | grep -E 'analysis/blocks +[1-9]' > /dev/null
 	$(PYTHON) -m repro.cli run E1 --gantt | grep '  DMA  |' > /dev/null
 
 # Sample Chrome trace_event export — open trace_ATR-FI.json at

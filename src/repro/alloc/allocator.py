@@ -598,9 +598,14 @@ class _SetAllocation:
                         free_list.allocate_low(size, best_fit=self.best_fit),
                     )
             except FragmentationError:
-                extents = free_list.allocate_split(
-                    size, from_high=(direction == "high")
-                )
+                try:
+                    extents = free_list.allocate_split(
+                        size, from_high=(direction == "high")
+                    )
+                except FragmentationError as error:
+                    raise FragmentationError(
+                        f"set{self.fb_set}: {name}#{instance}: {error}"
+                    ) from error
                 if self.decisions is not None:
                     self._record_alloc(
                         "alloc.split", name, instance, size=size,

@@ -5,10 +5,13 @@ The package closes the gap between the functional program verifier
 only samples dynamically:
 
 * :mod:`repro.dataflow.ir` lowers a :class:`~repro.codegen.program.Program`
-  into a def-use IR of integer columns — one node per leaf op with its
+  into a def-use IR of NumPy columns — one node per leaf op with its
   FB/CM word effects, one value per resident instance — with a lazy
   :class:`~repro.dataflow.ir.IRNode` /
-  :class:`~repro.dataflow.ir.ValueLifetime` view built on access;
+  :class:`~repro.dataflow.ir.ValueLifetime` view built on access; a
+  templated program block by block from its templates
+  (:mod:`repro.dataflow.blocks`), any other by replaying its ops
+  (:mod:`repro.dataflow.opwalk`);
 * :mod:`repro.dataflow.hazards` builds the happens-before graph between
   DMA transfers and kernel runs under a DMA serialization policy,
   mirroring the reference engine's issue order;

@@ -36,10 +36,12 @@ exactly the relation the race pass needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
 from typing import Dict, List, Tuple
 
-from repro.dataflow.ir import ProgramIR
+import numpy as np
+
+from repro.dataflow.ir import ProgramIR, expand_ranges
 from repro.schedule.context_scheduler import (
     CTX,
     LOAD,
@@ -54,23 +56,28 @@ __all__ = ["HappensBefore"]
 #: Step kind (CTX, LOAD, RUN, STORE) -> its node group in a visit's
 #: ``ProgramIR.group_starts`` (context loads, data loads, compute,
 #: stores).
-_GROUP_OF_STEP = {CTX: 0, LOAD: 1, RUN: 2, STORE: 3}
+_GROUP_OF_STEP = np.zeros(4, np.int32)
+_GROUP_OF_STEP[[CTX, LOAD, RUN, STORE]] = (0, 1, 2, 3)
 
 
-@dataclass
+@dataclass(eq=False)
 class HappensBefore:
     """O(1)-query happens-before relation over one program's IR nodes.
+
+    The relation is held in NumPy ``int32`` arrays; :attr:`channel_pos`,
+    :attr:`compute_seq` and :attr:`compute_visit` view them as
+    node-keyed dicts for readers.
 
     Attributes:
         policy: the DMA policy the issue order was built for.
         serial: True when the schedule does not overlap transfers
             (Basic Scheduler) — everything serialises per visit.
-        channel_pos: transfer node id -> DMA channel position.
+        transfer_nodes: per DMA channel position, its transfer node.
         rel: per channel position, the visit whose compute end directly
             gates the transfer (-1 when none).
         maxrel: prefix maximum of ``rel``.
-        compute_seq: compute node id -> global RC-array sequence.
-        compute_visit: compute node id -> visit index.
+        run_nodes: per RC-array sequence number, its compute node.
+        run_visits: per RC-array sequence number, its visit index.
         lastprep: per visit, the highest channel position among its
             preparation transfers (-1 when it has none).
         maxprep: prefix maximum of ``lastprep``.
@@ -82,13 +89,13 @@ class HappensBefore:
 
     policy: DmaPolicy
     serial: bool
-    channel_pos: Dict[int, int]
-    rel: List[int]
-    maxrel: List[int]
-    compute_seq: Dict[int, int]
-    compute_visit: Dict[int, int]
-    lastprep: List[int]
-    maxprep: List[int]
+    transfer_nodes: np.ndarray
+    rel: np.ndarray
+    maxrel: np.ndarray
+    run_nodes: np.ndarray
+    run_visits: np.ndarray
+    lastprep: np.ndarray
+    maxprep: np.ndarray
     loads_first_windows: Tuple[int, ...]
 
     @classmethod
@@ -97,68 +104,110 @@ class HappensBefore:
         ir: ProgramIR,
         policy: DmaPolicy = DmaPolicy.CONTEXTS_FIRST,
     ) -> "HappensBefore":
-        """Number the steps of :func:`issue_order` for *policy*."""
-        program = ir.program
-        visits = program.visits
-        starts = ir.group_starts
+        """Number the steps of :func:`issue_order` for *policy*.
+
+        Each visit's ``(fb_set, cluster_index, n_iters)`` comes from the
+        IR's visit columns, so the program's ops are never read.
+        """
+        schedule = ir.program.schedule
+        visits = len(ir.visit_index)
         steps, loads_first_windows = issue_order(
-            program.schedule,
-            [(ops.visit.fb_set, ops.visit.cluster_index,
-              len(ops.visit.iterations)) for ops in visits],
+            schedule,
+            list(zip(ir.visit_set.tolist(), ir.visit_cluster.tolist(),
+                     ir.visit_iters.tolist())),
             policy,
         )
+        kind, index, gate = np.array(steps, np.int32).reshape(-1, 3).T
+        # Each step's node range: visit *index*'s group of its kind.
+        at = 4 * index + _GROUP_OF_STEP.take(kind)
+        starts = ir.group_starts
+        lo, hi = starts.take(at), starts.take(at + 1)
+        transfer = np.flatnonzero(kind != RUN)
+        transfer_nodes, step = expand_ranges(
+            lo.take(transfer), hi.take(transfer)
+        )
+        rel = gate.take(transfer).take(step)
+        run = np.flatnonzero(kind == RUN)
+        run_nodes, step = expand_ranges(lo.take(run), hi.take(run))
 
-        channel_pos: Dict[int, int] = {}
-        rel: List[int] = []
-        compute_seq: Dict[int, int] = {}
-        compute_visit: Dict[int, int] = {}
-        lastprep = [-1] * len(visits)
-        for kind, index, gate in steps:
-            # Visit *index*'s node group of this step kind.
-            at = 4 * index + _GROUP_OF_STEP[kind]
-            nodes = range(starts[at], starts[at + 1])
-            if kind == RUN:
-                for node in nodes:
-                    compute_visit[node] = index
-                    compute_seq[node] = len(compute_seq)
-                continue
-            for node in nodes:
-                channel_pos[node] = len(rel)
-                rel.append(gate)
-            if nodes and kind != STORE:
-                lastprep[index] = len(rel) - 1
+        # A visit's last preparation step with nodes ends at the highest
+        # channel position among its preparation transfers.
+        size = (hi - lo).take(transfer)
+        last = np.cumsum(size, dtype=np.int32) - 1
+        prep = np.flatnonzero((kind.take(transfer) != STORE) & (size > 0))
+        lastprep = np.full(visits, -1, np.int32)
+        np.maximum.at(lastprep, index.take(transfer).take(prep),
+                      last.take(prep))
 
         # Gates and positions are >= -1, so the prefix maxima need no
         # -1 seed.
-        maxrel = list(accumulate(rel, max))
-        maxprep = list(accumulate(lastprep, max))
-
         return cls(
             policy=policy,
-            serial=not program.schedule.overlap_transfers,
-            channel_pos=channel_pos,
+            serial=not schedule.overlap_transfers,
+            transfer_nodes=transfer_nodes,
             rel=rel,
-            maxrel=maxrel,
-            compute_seq=compute_seq,
-            compute_visit=compute_visit,
+            maxrel=np.maximum.accumulate(rel),
+            run_nodes=run_nodes,
+            run_visits=index.take(run).take(step),
             lastprep=lastprep,
-            maxprep=maxprep,
+            maxprep=np.maximum.accumulate(lastprep),
             loads_first_windows=loads_first_windows,
         )
+
+    # -- node-keyed views --------------------------------------------------
+
+    @cached_property
+    def channel_pos(self) -> Dict[int, int]:
+        """Transfer node id -> DMA channel position."""
+        nodes = self.transfer_nodes.tolist()
+        return dict(zip(nodes, range(len(nodes))))
+
+    @cached_property
+    def compute_seq(self) -> Dict[int, int]:
+        """Compute node id -> global RC-array sequence."""
+        nodes = self.run_nodes.tolist()
+        return dict(zip(nodes, range(len(nodes))))
+
+    @cached_property
+    def compute_visit(self) -> Dict[int, int]:
+        """Compute node id -> visit index."""
+        return dict(zip(self.run_nodes.tolist(), self.run_visits.tolist()))
+
+    @cached_property
+    def _ranks(
+        self,
+    ) -> Tuple[List[int], List[int], List[int], List[int], List[int]]:
+        """Per node: channel position (-1 for a kernel run), RC-array
+        sequence and visit (-1 for a transfer); and ``maxprep``, plus
+        ``maxrel`` — as lists, for scalar queries."""
+        nodes = len(self.transfer_nodes) + len(self.run_nodes)
+        position = np.full(nodes, -1, np.int32)
+        position[self.transfer_nodes] = np.arange(
+            len(self.transfer_nodes), dtype=np.int32
+        )
+        sequence = np.full(nodes, -1, np.int32)
+        sequence[self.run_nodes] = np.arange(
+            len(self.run_nodes), dtype=np.int32
+        )
+        visit = np.full(nodes, -1, np.int32)
+        visit[self.run_nodes] = self.run_visits
+        return (position.tolist(), sequence.tolist(), visit.tolist(),
+                self.maxprep.tolist(), self.maxrel.tolist())
 
     # -- queries -----------------------------------------------------------
 
     def happens_before(self, a: int, b: int) -> bool:
         """True when every legal execution finishes *a* before *b* starts."""
-        pa = self.channel_pos.get(a)
-        pb = self.channel_pos.get(b)
-        if pa is not None:
-            if pb is not None:
+        position, sequence, visit, maxprep, maxrel = self._ranks
+        pa = position[a]
+        pb = position[b]
+        if pa >= 0:
+            if pb >= 0:
                 return pa < pb
-            return pa <= self.maxprep[self.compute_visit[b]]
-        if pb is None:
-            return self.compute_seq[a] < self.compute_seq[b]
-        return self.compute_visit[a] <= self.maxrel[pb]
+            return pa <= maxprep[visit[b]]
+        if pb < 0:
+            return sequence[a] < sequence[b]
+        return visit[a] <= maxrel[pb]
 
     def ordered(self, a: int, b: int) -> bool:
         """True when the two nodes are ordered either way."""

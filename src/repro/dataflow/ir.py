@@ -1,25 +1,36 @@
 """Lowering a compiled :class:`Program` into a def-use IR.
 
-:func:`lower_program` replays the program once, in the verifier's
-order, and fills parallel integer columns on :class:`ProgramIR`:
+:func:`lower_program` fills parallel NumPy columns (``int32``, and
+``bool`` for flags) on :class:`ProgramIR`:
 
 * per **node** (one per leaf op, numbered in program order): its kind
   code and its visit index;
+* per **visit**: its index, FB set, cluster, iteration count and the
+  node ranges of its four op groups;
 * per **access row** (one per word range a node reads or writes): the
   node, the address-space slot (frame-buffer set or context-memory
   block), the ``[start, end)`` words, read or write, and the value;
 * per **value** (one per resident instance of one object in one FB
-  set): name, instance, set, words, defining node and kind, placement,
-  keep and drain flags, the visit that drains it and the node-order
-  position at which the allocator returns its words; its kernel reads
-  and stores are flat ``(value, node)`` lists.
+  set): name code, instance, set, words, defining node and kind,
+  placement, keep and drain flags, the visit that drains it and the
+  node-order position at which the allocator returns its words; its
+  kernel reads and stores are flat ``(value, node)`` columns.
+
+There are two lowerings, and they fill equal columns:
+:mod:`repro.dataflow.blocks` lowers a templated program block by block
+from its templates, without materialising its ops, and
+:mod:`repro.dataflow.opwalk` replays any program's ops one by one — the
+path for programs that are not templated (fuzz mutations, edited
+visits) and the oracle of the first
+(:func:`repro.dataflow.reference.lowering_mismatch`).
 
 The hazard passes read those columns directly.  :attr:`ProgramIR.nodes`,
 :attr:`ProgramIR.values` and :attr:`ProgramIR.visit_nodes` are lazy
 sequences over them that build an :class:`IRNode` (with its
 :class:`Access` tuple), a :class:`ValueLifetime` or a
-:class:`VisitNodes` only when indexed or iterated — for a diagnostic's
-description, ``repro analyze``, the tests and the reference passes of
+:class:`VisitNodes` of plain Python ints, bools and strings only when
+indexed or iterated — for a diagnostic's description, ``repro
+analyze``, the tests and the reference passes of
 :mod:`repro.dataflow.reference`.  They compare equal to the lists of
 those objects.
 
@@ -32,13 +43,15 @@ can never contradict the program order.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.frame_buffer import Extent
 from repro.codegen.program import Program
+from repro.codegen.templated import TemplateVisits
 
 __all__ = [
     "CONTEXT_LOAD",
@@ -233,8 +246,9 @@ class _NodeView(_LazyView):
 
     def _build(self, node: int) -> IRNode:
         ir = self._ir
-        return IRNode(node, KINDS[ir.node_kind[node]], ir.node_visit[node],
-                      ir.op_of(node), ir.accesses_of(node))
+        return IRNode(node, KINDS[ir.node_kind[node]],
+                      int(ir.node_visit[node]), ir.op_of(node),
+                      ir.accesses_of(node))
 
 
 class _ValueView(_LazyView):
@@ -255,23 +269,24 @@ class _ValueView(_LazyView):
         if self._uses is None:
             self._uses = _group(ir.use_value, ir.use_node)
             self._stores = _group(ir.store_value, ir.store_node)
-        place = ir.val_place[v]
+        place = int(ir.val_place[v])
+        def_node = int(ir.val_def[v])
         return ValueLifetime(
             value_id=v,
-            name=ir.val_name[v],
-            instance=ir.val_instance[v],
-            fb_set=ir.val_set[v],
-            words=ir.val_words[v],
-            def_node=ir.val_def[v],
-            def_visit=ir.node_visit[ir.val_def[v]],
+            name=ir.name_of(v),
+            instance=int(ir.val_instance[v]),
+            fb_set=int(ir.val_set[v]),
+            words=int(ir.val_words[v]),
+            def_node=def_node,
+            def_visit=int(ir.node_visit[def_node]),
             def_kind=KINDS[ir.val_kind[v]],
             extents=ir.place_extents[place] if place >= 0 else (),
             uses=list(self._uses.get(v, ())),
             store_nodes=list(self._stores.get(v, ())),
-            kept=ir.val_kept[v],
-            survived_drain=ir.val_survived[v],
-            end_visit=ir.val_end_visit[v],
-            release_pos=ir.val_release[v],
+            kept=bool(ir.val_kept[v]),
+            survived_drain=bool(ir.val_survived[v]),
+            end_visit=int(ir.val_end_visit[v]),
+            release_pos=int(ir.val_release[v]),
         )
 
 
@@ -285,9 +300,9 @@ class _VisitNodesView(_LazyView):
 
     def _build(self, pos: int) -> VisitNodes:
         ir = self._ir
-        b = ir.group_starts[4 * pos:4 * pos + 5]
+        b = ir.group_starts[4 * pos:4 * pos + 5].tolist()
         return VisitNodes(
-            visit_index=ir.visit_index[pos],
+            visit_index=int(ir.visit_index[pos]),
             context_loads=tuple(range(b[0], b[1])),
             data_loads=tuple(range(b[1], b[2])),
             compute=tuple(range(b[2], b[3])),
@@ -295,71 +310,132 @@ class _VisitNodesView(_LazyView):
         )
 
 
-def _group(keys: List[int], items: List[int]) -> Dict[int, List[int]]:
+def _group(keys: np.ndarray, items: np.ndarray) -> Dict[int, List[int]]:
     grouped: Dict[int, List[int]] = {}
-    for key, item in zip(keys, items):
+    for key, item in zip(keys.tolist(), items.tolist()):
         grouped.setdefault(key, []).append(item)
     return grouped
+
+
+def expand_ranges(
+    lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``k`` in ``[lo[i], hi[i])``, ranges in order, with its ``i``
+    (int32 bounds in, int32 arrays out)."""
+    count = hi - lo
+    index = np.repeat(np.arange(len(count), dtype=np.int32), count)
+    offset = lo - np.cumsum(count, dtype=np.int32) + count
+    return offset.take(index) + np.arange(len(index), dtype=np.int32), index
 
 
 @dataclass(eq=False)
 class ProgramIR:
     """The lowered def-use IR of one program, as parallel columns.
 
-    Columns, all plain lists indexed by id:
+    Columns, all NumPy ``int32`` arrays indexed by id (``bool`` for the
+    flags):
 
     * nodes: ``node_kind`` (a :data:`KINDS` index) and ``node_visit``
       (the visit's ``index``);
-    * visits (by position in ``program.visits``): ``visit_index``, and
-      ``group_starts`` — visit *p*'s context loads, data loads, compute
-      and stores are the node ranges between ``group_starts[4p + g]``
-      and ``group_starts[4p + g + 1]``;
+    * visits (by position in ``program.visits``): ``visit_index``,
+      ``visit_set``, ``visit_cluster``, ``visit_iters`` (its iteration
+      count), and ``group_starts`` — visit *p*'s context loads, data
+      loads, compute and stores are the node ranges between
+      ``group_starts[4p + g]`` and ``group_starts[4p + g + 1]``;
     * access rows, in node order: ``acc_node``, ``acc_slot`` (``2 *
       index`` for FB set *index*, ``2 * index + 1`` for CM block
       *index*), ``acc_start``/``acc_end``, ``acc_write`` and
       ``acc_value`` (-1 for CM rows);
-    * values: ``val_name``, ``val_instance``, ``val_set``,
-      ``val_words``, ``val_def`` (defining node), ``val_kind``,
-      ``val_place`` (row of ``place_extents``/``place_spans``, -1 when
-      unplaced), ``val_kept``, ``val_survived``, ``val_end_visit``,
-      ``val_release`` and ``val_last_read`` (the last kernel read, -1
-      when none);
+    * values: ``val_name`` (a code into :attr:`names`),
+      ``val_instance``, ``val_set``, ``val_words``, ``val_def``
+      (defining node), ``val_kind``, ``val_place`` (row of
+      ``place_extents``, -1 when unplaced), ``val_kept``,
+      ``val_survived``, ``val_end_visit``, ``val_release`` and
+      ``val_last_read`` (the last kernel read, -1 when none);
     * kernel reads and stores: ``use_value``/``use_node`` and
       ``store_value``/``store_node`` pairs in node order.
+
+    ``names`` lists the object names in order of their first value;
+    ``place_extents`` the placed allocation records' extents, set 0's
+    records first.
     """
+
+    #: The array columns, in declaration order.
+    COLUMNS = (
+        "node_kind", "node_visit", "visit_index", "visit_set",
+        "visit_cluster", "visit_iters", "group_starts", "acc_node",
+        "acc_slot", "acc_start", "acc_end", "acc_write", "acc_value",
+        "val_name", "val_instance", "val_set", "val_words", "val_def",
+        "val_kind", "val_place", "val_kept", "val_survived",
+        "val_end_visit", "val_release", "val_last_read", "use_value",
+        "use_node", "store_value", "store_node",
+    )
+    #: The columns holding flags; every other column is ``int32``.
+    FLAGS = ("acc_write", "val_kept", "val_survived")
 
     program: Program
     has_placement: bool
     fb_capacity: int
     cm_block_capacity: int
-    node_kind: List[int]
-    node_visit: List[int]
-    visit_index: List[int]
-    group_starts: List[int]
-    acc_node: List[int]
-    acc_slot: List[int]
-    acc_start: List[int]
-    acc_end: List[int]
-    acc_write: List[bool]
-    acc_value: List[int]
-    val_name: List[str]
-    val_instance: List[int]
-    val_set: List[int]
-    val_words: List[int]
-    val_def: List[int]
-    val_kind: List[int]
-    val_place: List[int]
-    val_kept: List[bool]
-    val_survived: List[bool]
-    val_end_visit: List[int]
-    val_release: List[int]
-    val_last_read: List[int]
-    use_value: List[int]
-    use_node: List[int]
-    store_value: List[int]
-    store_node: List[int]
+    node_kind: np.ndarray
+    node_visit: np.ndarray
+    visit_index: np.ndarray
+    visit_set: np.ndarray
+    visit_cluster: np.ndarray
+    visit_iters: np.ndarray
+    group_starts: np.ndarray
+    acc_node: np.ndarray
+    acc_slot: np.ndarray
+    acc_start: np.ndarray
+    acc_end: np.ndarray
+    acc_write: np.ndarray
+    acc_value: np.ndarray
+    val_name: np.ndarray
+    val_instance: np.ndarray
+    val_set: np.ndarray
+    val_words: np.ndarray
+    val_def: np.ndarray
+    val_kind: np.ndarray
+    val_place: np.ndarray
+    val_kept: np.ndarray
+    val_survived: np.ndarray
+    val_end_visit: np.ndarray
+    val_release: np.ndarray
+    val_last_read: np.ndarray
+    use_value: np.ndarray
+    use_node: np.ndarray
+    store_value: np.ndarray
+    store_node: np.ndarray
+    names: Tuple[str, ...]
     place_extents: List[Tuple[Extent, ...]]
-    place_spans: List[Tuple[Tuple[int, int], ...]]
+
+    @classmethod
+    def from_columns(
+        cls,
+        program: Program,
+        allocations: Optional[Sequence[object]],
+        cm_block_capacity: int,
+        names: Tuple[str, ...],
+        place_extents: List[Tuple[Extent, ...]],
+        columns: Dict[str, object],
+    ) -> "ProgramIR":
+        """The IR over *columns* (lists or arrays, keyed by
+        :attr:`COLUMNS`), each cast to its column type."""
+        typed = {
+            name: np.asarray(
+                columns[name], np.bool_ if name in cls.FLAGS else np.int32
+            )
+            for name in cls.COLUMNS
+        }
+        return cls(
+            program=program,
+            has_placement=bool(allocations),
+            fb_capacity=program.schedule.fb_set_words,
+            cm_block_capacity=cm_block_capacity,
+            names=names,
+            place_extents=place_extents,
+            **typed,
+        )
 
     def __post_init__(self) -> None:
         self.nodes: Sequence[IRNode] = _NodeView(self)
@@ -369,6 +445,10 @@ class ProgramIR:
     def node(self, node_id: int) -> IRNode:
         return self.nodes[node_id]
 
+    def name_of(self, value: int) -> str:
+        """The object name of one value."""
+        return self.names[self.val_name[value]]
+
     def describe(self, node_id: int) -> str:
         label = _describe(KINDS[self.node_kind[node_id]], self.op_of(node_id))
         return f"{label} (visit {self.node_visit[node_id]})"
@@ -376,10 +456,10 @@ class ProgramIR:
     def op_of(self, node_id: int) -> object:
         """The leaf op of one node, read from ``program.visits``."""
         starts = self.group_starts
-        at = bisect_right(starts, node_id) - 1
+        at = int(np.searchsorted(starts, node_id, side="right")) - 1
         pos, group = divmod(at, 4)
         return getattr(self.program.visits[pos], _GROUPS[group])[
-            node_id - starts[at]
+            node_id - int(starts[at])
         ]
 
     def accesses_of(self, node_id: int) -> Tuple[Access, ...]:
@@ -387,61 +467,25 @@ class ProgramIR:
         rows: an FB access spans its value's extents, a CM access one
         row."""
         rows = self.acc_node
-        row = bisect_left(rows, node_id)
-        end = bisect_right(rows, node_id, row)
+        row = int(np.searchsorted(rows, node_id, side="left"))
+        end = int(np.searchsorted(rows, node_id, side="right"))
         accesses: List[Access] = []
         while row < end:
-            slot = self.acc_slot[row]
-            value = self.acc_value[row]
+            slot = int(self.acc_slot[row])
+            value = int(self.acc_value[row])
+            write = bool(self.acc_write[row])
             if slot & 1:
-                extents: Tuple[Extent, ...] = (Extent(
-                    self.acc_start[row],
-                    self.acc_end[row] - self.acc_start[row],
-                ),)
-                accesses.append(Access("cm", slot >> 1, extents,
-                                       self.acc_write[row]))
+                start = int(self.acc_start[row])
+                extents: Tuple[Extent, ...] = (
+                    Extent(start, int(self.acc_end[row]) - start),
+                )
+                accesses.append(Access("cm", slot >> 1, extents, write))
                 row += 1
                 continue
             extents = self.place_extents[self.val_place[value]]
-            accesses.append(Access("fb", slot >> 1, extents,
-                                   self.acc_write[row], value))
+            accesses.append(Access("fb", slot >> 1, extents, write, value))
             row += len(extents)
         return tuple(accesses)
-
-
-def _placement_index(
-    allocations: Optional[Sequence[object]],
-    extents_table: List[Tuple[Extent, ...]],
-    spans_table: List[Tuple[Tuple[int, int], ...]],
-) -> Optional[Tuple[Dict[Tuple[str, int], Dict[int, int]], ...]]:
-    """Per-set ``(name, instance-in-round) -> {cluster -> placement}``
-    tables; a placement is a row of *extents_table*/*spans_table*
-    (appended here), -1 for a record without extents.
-
-    An object consumed by several clusters of the same set gets one
-    record *per consuming cluster* (each visit re-loads it into whatever
-    words are free then), so the cluster index is part of the key.
-    """
-    if not allocations:
-        return None
-    tables: List[Dict[Tuple[str, int], Dict[int, int]]] = []
-    for alloc_map in allocations:
-        table: Dict[Tuple[str, int], Dict[int, int]] = {}
-        for record in alloc_map.records:
-            extents = record.extents
-            place = -1
-            if extents:
-                place = len(extents_table)
-                extents_table.append(extents)
-                spans_table.append(tuple([
-                    (extent.start, extent.start + extent.size)
-                    for extent in extents
-                ]))
-            table.setdefault((record.name, record.instance), {})[
-                record.cluster_index
-            ] = place
-        tables.append(table)
-    return tuple(tables)
 
 
 def lower_program(
@@ -457,27 +501,36 @@ def lower_program(
             When omitted, FB accesses carry no extents and the word
             level passes degrade to what sizes alone can prove.
 
-    The replay mirrors :func:`repro.codegen.verifier.iter_program_violations`
-    exactly — survivor filtering per visit, full drain of both sets at
-    round end, cross-set reads of kept operands — so it tolerates the
-    same broken programs the verifier reports on (a missing operand
-    becomes a value-less read, not a crash).
+    A templated program is lowered block by block
+    (:func:`repro.dataflow.blocks.lower_templates`; while metrics
+    collect, ``analysis/blocks`` counts the blocks); any other program,
+    or a templated one whose blocks do not resolve alike for every
+    iteration, by the op walk (:func:`repro.dataflow.opwalk.lower_ops`).
+    Each lowering is imported on first use.
     """
-    schedule = program.schedule
-    application = schedule.application
-    dataflow = schedule.dataflow
-    last_cluster = len(schedule.clustering) - 1
-    # The last keep of a name decides, as a name-keyed table would.
-    keep_set = {keep.name: keep.fb_set for keep in schedule.keeps}
-    place_extents: List[Tuple[Extent, ...]] = []
-    place_spans: List[Tuple[Tuple[int, int], ...]] = []
-    placement = _placement_index(allocations, place_extents, place_spans)
-    invariant = {info.name for info in dataflow if info.invariant}
+    visits = program.visits
+    if isinstance(visits, TemplateVisits):
+        from repro.dataflow.blocks import lower_templates
 
-    # kernel -> ((input, invariant), ...) and ((output, words), ...)
+        lowered = lower_templates(program, visits, allocations)
+        if lowered is not None:
+            return lowered
+    from repro.dataflow.opwalk import lower_ops
+
+    return lower_ops(program, allocations)
+
+
+def kernel_io(schedule) -> Tuple[
+    Dict[str, Tuple[Tuple[str, bool], ...]],
+    Dict[str, Tuple[Tuple[str, int], ...]],
+]:
+    """kernel -> ``((input, invariant), ...)`` and ``((output, words),
+    ...)``, as both lowerings read them."""
+    dataflow = schedule.dataflow
+    invariant = {info.name for info in dataflow if info.invariant}
     kernel_inputs: Dict[str, Tuple[Tuple[str, bool], ...]] = {}
     kernel_outputs: Dict[str, Tuple[Tuple[str, int], ...]] = {}
-    for kernel in application.kernels:
+    for kernel in schedule.application.kernels:
         kernel_inputs[kernel.name] = tuple(
             (in_name, in_name in invariant) for in_name in kernel.inputs
         )
@@ -485,263 +538,4 @@ def lower_program(
             (out_name, dataflow[out_name].size if out_name in dataflow else 0)
             for out_name in kernel.outputs
         )
-
-    node_kind: List[int] = []
-    node_visit: List[int] = []
-    visit_index: List[int] = []
-    group_starts: List[int] = []
-    acc_node: List[int] = []
-    acc_slot: List[int] = []
-    acc_start: List[int] = []
-    acc_end: List[int] = []
-    acc_write: List[bool] = []
-    acc_value: List[int] = []
-    val_name: List[str] = []
-    val_instance: List[int] = []
-    val_set: List[int] = []
-    val_words: List[int] = []
-    val_def: List[int] = []
-    val_kind: List[int] = []
-    val_place: List[int] = []
-    val_kept: List[bool] = []
-    val_survived: List[bool] = []
-    val_end_visit: List[int] = []
-    val_release: List[int] = []
-    val_last_read: List[int] = []
-    # Whether each value was stored: it then holds its words to the end
-    # of the draining visit.
-    val_stored: List[bool] = []
-    use_value: List[int] = []
-    use_node: List[int] = []
-    store_value: List[int] = []
-    store_node: List[int] = []
-
-    def place_of(fb_set: int, name: str, instance: int, round_start: int,
-                 cluster_index: int) -> int:
-        if placement is None:
-            return -1
-        in_round = 0 if name in invariant else instance - round_start
-        by_cluster = placement[fb_set].get((name, in_round))
-        if not by_cluster:
-            return -1
-        place = by_cluster.get(cluster_index)
-        if place is not None:
-            return place
-        if len(by_cluster) == 1:
-            return next(iter(by_cluster.values()))
-        return -1
-
-    def new_value(name: str, instance: int, fb_set: int, words: int,
-                  node: int, kind: int, place: int) -> int:
-        value = len(val_name)
-        val_name.append(name)
-        val_instance.append(instance)
-        val_set.append(fb_set)
-        val_words.append(words)
-        val_def.append(node)
-        val_kind.append(kind)
-        val_place.append(place)
-        val_kept.append(keep_set.get(name) == fb_set)
-        val_survived.append(False)
-        val_end_visit.append(-1)
-        val_release.append(-1)
-        val_last_read.append(-1)
-        val_stored.append(False)
-        return value
-
-    def add_rows(node: int, slot: int, place: int, write: bool,
-                 value: int) -> None:
-        for start, end in place_spans[place]:
-            acc_node.append(node)
-            acc_slot.append(slot)
-            acc_start.append(start)
-            acc_end.append(end)
-            acc_write.append(write)
-            acc_value.append(value)
-
-    def close_value(value: int, end_visit: int, end_node: int) -> None:
-        # Stored/kept values (and never-read ones) are freed when the
-        # draining visit's finish phase completes: end of that visit.
-        # Plain inputs and intermediates go right after their last read.
-        val_end_visit[value] = end_visit
-        last_read = val_last_read[value]
-        if val_kept[value] or val_stored[value] or last_read < 0:
-            val_release[value] = 2 * end_node + 1
-        else:
-            val_release[value] = 2 * last_read + 1
-
-    # Survivor sets are per (cluster, FB set), not per visit: memoize
-    # them like the verifier does instead of re-scanning the keep list
-    # once per visit.
-    survivors_memo: Dict[Tuple[int, int], FrozenSet[str]] = {}
-    # Live value ids per set, keyed (name, instance).
-    live: List[Dict[Tuple[str, int], int]] = [{}, {}]
-    # Kernel -> CM word range per block, rebuilt at each refill.
-    cm_regions: List[Dict[str, Tuple[int, int]]] = [{}, {}]
-
-    for ops in program.visits:
-        visit = ops.visit
-        fb_set = visit.fb_set
-        block = visit.cm_block
-        index = visit.index
-        cluster_index = visit.cluster_index
-        round_start = visit.iterations[0]
-        in_set = live[fb_set]
-        cm_slot = 2 * block + 1
-        visit_index.append(index)
-
-        group_starts.append(len(node_kind))
-        if ops.context_loads:
-            region = cm_regions[block] = {}
-            offset = 0
-            for load in ops.context_loads:
-                end = offset + load.words
-                region[load.kernel] = (offset, end)
-                acc_node.append(len(node_kind))
-                acc_slot.append(cm_slot)
-                acc_start.append(offset)
-                acc_end.append(end)
-                acc_write.append(True)
-                acc_value.append(-1)
-                node_kind.append(_CTX)
-                node_visit.append(index)
-                offset = end
-
-        group_starts.append(len(node_kind))
-        for load in ops.data_loads:
-            key = (load.name, load.iteration)
-            node = len(node_kind)
-            place = place_of(fb_set, load.name, load.iteration,
-                             round_start, cluster_index)
-            value = new_value(load.name, load.iteration, fb_set, load.words,
-                              node, _LOAD, place)
-            if place >= 0:
-                add_rows(node, 2 * fb_set, place, True, value)
-            node_kind.append(_LOAD)
-            node_visit.append(index)
-            previous = in_set.get(key)
-            if previous is not None:
-                # Redundant load (PROG005): the old value is clobbered.
-                close_value(previous, index, node)
-            in_set[key] = value
-
-        group_starts.append(len(node_kind))
-        region = cm_regions[block]
-        for run in ops.compute:
-            node = len(node_kind)
-            instance = run.iteration
-            inputs = kernel_inputs[run.kernel]
-            words = region.get(run.kernel)
-            if words is not None:
-                acc_node.append(node)
-                acc_slot.append(cm_slot)
-                acc_start.append(words[0])
-                acc_end.append(words[1])
-                acc_write.append(False)
-                acc_value.append(-1)
-            for in_name, in_invariant in inputs:
-                key = (in_name, 0 if in_invariant else instance)
-                value = in_set.get(key)
-                if value is None:
-                    home = keep_set.get(in_name)
-                    if home is not None and home != fb_set:
-                        value = live[home].get(key)
-                if value is None:
-                    continue  # use-before-load: PROG001's territory
-                use_value.append(value)
-                use_node.append(node)
-                val_last_read[value] = node
-                place = val_place[value]
-                if place >= 0:
-                    add_rows(node, 2 * val_set[value], place, False, value)
-            for out_name, out_words in kernel_outputs[run.kernel]:
-                key = (out_name, instance)
-                place = place_of(fb_set, out_name, instance, round_start,
-                                 cluster_index)
-                value = new_value(out_name, instance, fb_set, out_words,
-                                  node, _RUN, place)
-                previous = in_set.get(key)
-                if previous is not None:
-                    close_value(previous, index, node)
-                in_set[key] = value
-                if place >= 0:
-                    add_rows(node, 2 * fb_set, place, True, value)
-            node_kind.append(_RUN)
-            node_visit.append(index)
-
-        group_starts.append(len(node_kind))
-        for store in ops.stores:
-            node = len(node_kind)
-            value = in_set.get((store.name, store.iteration))
-            if value is not None:
-                store_value.append(value)
-                store_node.append(node)
-                val_stored[value] = True
-                place = val_place[value]
-                if place >= 0:
-                    add_rows(node, 2 * fb_set, place, False, value)
-            node_kind.append(_STORE)
-            node_visit.append(index)
-
-        # Visit end: drain non-survivors from the visit's set.
-        end_node = max(len(node_kind) - 1, 0)
-        survivors_key = (cluster_index, fb_set)
-        survivors = survivors_memo.get(survivors_key)
-        if survivors is None:
-            survivors = schedule.survivors(cluster_index, fb_set)
-            survivors_memo[survivors_key] = survivors
-        drained = [key for key in in_set if key[0] not in survivors]
-        for key in drained:
-            close_value(in_set.pop(key), index, end_node)
-        for value in in_set.values():
-            val_survived[value] = True
-        # Round end on the last cluster: both sets drain completely.
-        if cluster_index == last_cluster:
-            for other in live:
-                for value in other.values():
-                    close_value(value, index, end_node)
-                other.clear()
-    group_starts.append(len(node_kind))
-
-    # A well-formed program drains everything; close leftovers anyway so
-    # broken programs still produce a complete IR.
-    last_node = max(len(node_kind) - 1, 0)
-    last_visit = visit_index[-1] if visit_index else -1
-    for other in live:
-        for value in other.values():
-            close_value(value, last_visit, last_node)
-
-    return ProgramIR(
-        program=program,
-        has_placement=placement is not None,
-        fb_capacity=schedule.fb_set_words,
-        cm_block_capacity=program.cm_block_capacity,
-        node_kind=node_kind,
-        node_visit=node_visit,
-        visit_index=visit_index,
-        group_starts=group_starts,
-        acc_node=acc_node,
-        acc_slot=acc_slot,
-        acc_start=acc_start,
-        acc_end=acc_end,
-        acc_write=acc_write,
-        acc_value=acc_value,
-        val_name=val_name,
-        val_instance=val_instance,
-        val_set=val_set,
-        val_words=val_words,
-        val_def=val_def,
-        val_kind=val_kind,
-        val_place=val_place,
-        val_kept=val_kept,
-        val_survived=val_survived,
-        val_end_visit=val_end_visit,
-        val_release=val_release,
-        val_last_read=val_last_read,
-        use_value=use_value,
-        use_node=use_node,
-        store_value=store_value,
-        store_node=store_node,
-        place_extents=place_extents,
-        place_spans=place_spans,
-    )
+    return kernel_inputs, kernel_outputs

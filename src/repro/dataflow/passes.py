@@ -23,11 +23,12 @@ location=..., cost_words=..., **details)`` callable:
   values survive a drain but are never read afterwards: the retention
   buys none of its claimed traffic savings.
 
-The passes read the integer columns of :class:`~repro.dataflow.ir.ProgramIR`
-(access rows, value columns, node kinds and visits), never its lazy
-``IRNode``/``ValueLifetime`` view: a row or value costs a few list
-reads, and objects are built only for the nodes a finding names.
-HAZ001 and HAZ002 are NumPy array sweeps over *atoms*: per address
+The passes read the NumPy columns of :class:`~repro.dataflow.ir.ProgramIR`
+(access rows, value columns, node kinds and visits) and of
+:class:`~repro.dataflow.hazards.HappensBefore` as array expressions,
+never its lazy ``IRNode``/``ValueLifetime`` view: Python touches only
+the findings, and objects are built only for the nodes a finding names.
+HAZ001 and HAZ002 are array sweeps over *atoms*: per address
 slot, the ranges between consecutive distinct row breakpoints, so each
 row covers a contiguous run of atoms.  Costs, with *R* the access rows
 (or placed spans), *I* their (atom, row) incidences — a few per row,
@@ -42,11 +43,13 @@ whatever the round count — and *N* the nodes:
 * ``HAZ002`` is the same refinement over the placed spans, a running
   maximum of release positions per atom, and for each incidence that
   meets an earlier live value a scan of its atom's earlier incidences;
-* ``HAZ003`` sums the per-visit context rows for the CM check and
-  accumulates one residency delta per node position, O(N + V);
-* ``DFA001`` is one pass over the value columns, ``DFA002`` one pass
-  over them plus, when a kept value survived a drain, one over the
-  kernel reads.
+* ``HAZ003`` sums each visit's context rows from a running sum over the
+  rows, bounded by ``searchsorted`` over the row nodes, for the CM
+  check, and takes the FB residency as a running sum of per-position
+  ``bincount`` deltas, O(R + N + V);
+* ``DFA001`` is one mask over the value columns, ``DFA002`` one over
+  them plus, when a kept value survived a drain, one over the kernel
+  reads.
 
 :mod:`repro.dataflow.reference` keeps the original interval-map HAZ001
 loop and active-list HAZ002 loop as the equivalence oracle.
@@ -54,14 +57,18 @@ loop and active-list HAZ002 loop as the equivalence oracle.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate
 from typing import Callable, Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.dataflow.hazards import HappensBefore
-from repro.dataflow.ir import COMPUTE, DATA_LOAD, KINDS, ProgramIR
+from repro.dataflow.ir import (
+    COMPUTE,
+    DATA_LOAD,
+    KINDS,
+    ProgramIR,
+    expand_ranges,
+)
 from repro.obs.metrics import inc, metrics_active, time_stage
 
 __all__ = [
@@ -111,7 +118,7 @@ def _incidences(
     points = np.flatnonzero(mask)
     rank = np.empty(len(mask), np.int32)
     rank[points] = np.arange(len(points), dtype=np.int32)
-    atom, row = _ranges(rank.take(lo), rank.take(hi))
+    atom, row = expand_ranges(rank.take(lo), rank.take(hi))
     del mask, rank  # the word tables are the largest arrays here
     # A stable sort keeps rows in program order within an atom; 16-bit
     # keys take NumPy's radix sort.
@@ -122,15 +129,6 @@ def _incidences(
     first = (np.cumsum(count) - count).astype(np.int32)
     words = np.diff(points).astype(np.int32)
     return row.take(order), words.take(atom), first.take(atom)
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every ``k`` in ``[lo[i], hi[i])``, ranges in order, with its ``i``
-    (int32 bounds in, int32 arrays out)."""
-    count = hi - lo
-    index = np.repeat(np.arange(len(count), dtype=np.int32), count)
-    offset = lo - np.cumsum(count, dtype=np.int32) + count
-    return offset.take(index) + np.arange(len(index), dtype=np.int32), index
 
 
 def _accessor_pairs(
@@ -150,7 +148,7 @@ def _accessor_pairs(
     previous[previous < first] = -1
     after_write = np.flatnonzero(previous >= 0)
     writes = np.flatnonzero(write).astype(np.int32)
-    readers, reader_of = _ranges(
+    readers, reader_of = expand_ranges(
         np.maximum(previous.take(writes) + 1, first.take(writes)), writes
     )
     return (
@@ -173,26 +171,20 @@ def _unordered(
     kernel runs (one RC array: always ordered) never race.
     """
     nodes = len(ir.node_kind)
-    transfers = np.fromiter(hb.channel_pos, np.intp, len(hb.channel_pos))
-    channel = np.fromiter(
-        hb.channel_pos.values(), np.intp, len(hb.channel_pos)
-    )
-    runs = np.fromiter(hb.compute_visit, np.intp, len(hb.compute_visit))
-    run_visit = np.fromiter(
-        hb.compute_visit.values(), np.intp, len(hb.compute_visit)
-    )
+    transfers, runs = hb.transfer_nodes, hb.run_nodes
+    channel = np.arange(len(transfers), dtype=np.int32)
     rank = np.empty(nodes, np.int32)
     rank[transfers] = channel
-    rank[runs] = run_visit
+    rank[runs] = hb.run_visits
     # bound[:nodes] for kernel-run predecessors, bound[nodes:] for
     # transfer ones; side picks the half by the predecessor's kind.
     bound = np.full(2 * nodes, -1, np.int32)
     bound[nodes + transfers] = channel - 1
-    bound[nodes + runs] = np.fromiter(hb.maxprep, np.intp)[run_visit]
-    bound[transfers] = np.fromiter(hb.maxrel, np.intp)[channel]
+    bound[nodes + runs] = hb.maxprep.take(hb.run_visits)
+    bound[transfers] = hb.maxrel
     side = np.zeros(nodes, np.int32)
     side[transfers] = nodes
-    running = np.fromiter(ir.node_kind, np.int8, nodes) == _RUN
+    running = np.asarray(ir.node_kind) == _RUN
     return np.flatnonzero(
         (rank.take(pred) > bound.take(side.take(pred) + succ))
         & (pred != succ) & ~(running.take(pred) & running.take(succ))
@@ -213,18 +205,19 @@ def check_races(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
     rows = len(ir.acc_node)
     if not rows:
         return
+    acc_slot = np.asarray(ir.acc_slot, np.int32)
     row, words, first = _incidences(
-        np.fromiter(ir.acc_slot, np.int32, rows),
-        np.fromiter(ir.acc_start, np.int32, rows),
-        np.fromiter(ir.acc_end, np.int32, rows),
+        acc_slot,
+        np.asarray(ir.acc_start, np.int32),
+        np.asarray(ir.acc_end, np.int32),
     )
     if metrics_active():
         inc("rows", rows, scope="analysis")
         inc("incidences", len(row), scope="analysis")
     pred_at, succ_at = _accessor_pairs(
-        np.fromiter(ir.acc_write, np.bool_, rows).take(row), first
+        np.asarray(ir.acc_write, np.bool_).take(row), first
     )
-    node = np.fromiter(ir.acc_node, np.int32, rows).take(row)
+    node = np.asarray(ir.acc_node, np.int32).take(row)
     racing = _unordered(ir, hb, node.take(pred_at), node.take(succ_at))
     if not racing.size:
         return
@@ -243,7 +236,7 @@ def check_races(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
             entry[0] = at
         entry[1] += shared
     for (pred_node, succ_node), (at, shared) in sorted(conflicts.items()):
-        slot = ir.acc_slot[at]
+        slot = int(acc_slot[at])
         reverse = hb.happens_before(succ_node, pred_node)
         space, index = ("fb", "cm")[slot & 1], slot >> 1
         label = "CM block" if space == "cm" else "FB set"
@@ -255,7 +248,7 @@ def check_races(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
             f"{first_label} {how} {second_label} on "
             f"{shared} shared word(s) of {label} {index} "
             f"under policy {hb.policy.name}",
-            location=f"visit {ir.node_visit[succ_node]}",
+            location=f"visit {int(ir.node_visit[succ_node])}",
             cost_words=shared,
             policy=hb.policy.name,
             first=first_label,
@@ -308,26 +301,19 @@ def check_interference(ir: ProgramIR, emit: Emit) -> None:
     if not ir.has_placement:
         return
     if isinstance(ir, ProgramIR):
-        rows = len(ir.acc_node)
-        value = np.fromiter(ir.acc_value, np.int32, rows)
-        placed = np.flatnonzero(
-            (value >= 0) & np.fromiter(ir.acc_write, np.bool_, rows)
-        )
+        placed = np.flatnonzero((ir.acc_value >= 0) & ir.acc_write)
         if not placed.size:
             return
-        value = value[placed]
-        fb_set = np.fromiter(ir.acc_slot, np.int32, rows)[placed] >> 1
-        start = np.fromiter(ir.acc_start, np.int32, rows)[placed]
-        end = np.fromiter(ir.acc_end, np.int32, rows)[placed]
-        define = 2 * np.fromiter(ir.acc_node, np.int32, rows)[placed]
-        release = np.fromiter(
-            ir.val_release, np.int32, len(ir.val_release)
-        )[value]
-        names, instances = ir.val_name, ir.val_instance
-        val_def, node_visit = ir.val_def, ir.node_visit
+        value = ir.acc_value.take(placed)
+        fb_set = ir.acc_slot.take(placed) >> 1
+        start = ir.acc_start.take(placed)
+        end = ir.acc_end.take(placed)
+        define = 2 * ir.acc_node.take(placed)
+        release = ir.val_release.take(value)
 
         def label(v: int) -> _Label:
-            return names[v], instances[v], node_visit[val_def[v]]
+            return (ir.name_of(v), int(ir.val_instance[v]),
+                    int(ir.node_visit[ir.val_def[v]]))
     else:
         spans, labels = _placed(ir)
         if not spans:
@@ -352,7 +338,7 @@ def check_interference(ir: ProgramIR, emit: Emit) -> None:
     ).astype(np.int32)
     if not flagged.size:
         return
-    other, of = _ranges(first.take(flagged), flagged)
+    other, of = expand_ranges(first.take(flagged), flagged)
     of = flagged.take(of)
     live = np.flatnonzero(
         (release.take(other) > define.take(of))
@@ -386,21 +372,21 @@ def check_interference(ir: ProgramIR, emit: Emit) -> None:
 
 def check_dead_transfers(ir: ProgramIR, emit: Emit) -> None:
     """DFA001: loaded-but-never-read values are wasted traffic."""
-    for value, kind, last_read in zip(
-        range(len(ir.val_kind)), ir.val_kind, ir.val_last_read
+    dead = np.flatnonzero((ir.val_kind == _LOAD) & (ir.val_last_read < 0))
+    for value, instance, fb_set, words, visit in zip(
+        dead.tolist(),
+        ir.val_instance.take(dead).tolist(),
+        ir.val_set.take(dead).tolist(),
+        ir.val_words.take(dead).tolist(),
+        ir.node_visit.take(ir.val_def.take(dead)).tolist(),
     ):
-        if kind != _LOAD or last_read >= 0:
-            continue
-        name = ir.val_name[value]
-        instance = ir.val_instance[value]
-        fb_set = ir.val_set[value]
-        words = ir.val_words[value]
+        name = ir.name_of(value)
         emit(
             "DFA001",
             f"load of {name}#{instance} into FB set "
             f"{fb_set} is never read by any kernel "
             f"({words} wasted word(s))",
-            location=f"visit {ir.node_visit[ir.val_def[value]]}",
+            location=f"visit {visit}",
             cost_words=words,
             object=name,
             instance=instance,
@@ -415,20 +401,16 @@ def check_retention_liveness(ir: ProgramIR, emit: Emit) -> None:
         return
     # Kept names with a value that survived a drain, and those with a
     # surviving value read in a later visit than its definition.
-    kept, survived, names = ir.val_kept, ir.val_survived, ir.val_name
-    surviving = {
-        name for name, is_kept, has_survived in zip(names, kept, survived)
-        if is_kept and has_survived
-    }
+    retained = ir.val_kept & ir.val_survived
+    surviving = _names_of(ir, ir.val_name[retained])
     reread: Set[str] = set()
     if surviving:
-        node_visit, val_def = ir.node_visit, ir.val_def
-        reread = {
-            names[value]
-            for value, node in zip(ir.use_value, ir.use_node)
-            if kept[value] and survived[value]
-            and node_visit[node] > node_visit[val_def[value]]
-        }
+        use = ir.use_value
+        later = retained.take(use) & (
+            ir.node_visit.take(ir.use_node)
+            > ir.node_visit.take(ir.val_def.take(use))
+        )
+        reread = _names_of(ir, ir.val_name.take(use[later]))
     total_iterations = schedule.application.total_iterations
     for keep in schedule.keeps:
         if keep.name not in surviving or keep.name in reread:
@@ -450,57 +432,58 @@ def check_retention_liveness(ir: ProgramIR, emit: Emit) -> None:
         )
 
 
+def _names_of(ir: ProgramIR, codes: np.ndarray) -> Set[str]:
+    """The names behind some name codes."""
+    present = np.bincount(codes, minlength=len(ir.names))
+    return {ir.names[code] for code in np.flatnonzero(present).tolist()}
+
+
 def check_capacity(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
     """HAZ003: CM/FB residency within capacity at every HB point."""
-    program = ir.program
-    schedule = program.schedule
+    schedule = ir.program.schedule
 
-    # Context-memory blocks: a refill must fit the block.
+    # Context-memory blocks: a refill must fit the block.  A visit's
+    # context rows lie between its first context-load node and its first
+    # data-load node.
     starts = ir.group_starts
-    for pos, visit_index in enumerate(ir.visit_index):
-        first, last = starts[4 * pos], starts[4 * pos + 1]
-        if first == last:
-            continue
-        words = sum(
-            ir.acc_end[row] - ir.acc_start[row]
-            for row in range(
-                bisect_left(ir.acc_node, first),
-                bisect_left(ir.acc_node, last),
-            )
+    lo = np.searchsorted(ir.acc_node, starts[0:-1:4])
+    hi = np.searchsorted(ir.acc_node, starts[1::4])
+    total = np.zeros(len(ir.acc_node) + 1, np.int64)
+    np.cumsum(ir.acc_end - ir.acc_start, out=total[1:])
+    words = total.take(hi) - total.take(lo)
+    over = np.flatnonzero((hi > lo) & (words > ir.cm_block_capacity))
+    for pos, need in zip(over.tolist(), words.take(over).tolist()):
+        visit_index = int(ir.visit_index[pos])
+        cm_block = int(ir.acc_slot[lo[pos]]) >> 1
+        emit(
+            "HAZ003",
+            f"CM block {cm_block} refill needs {need} words, "
+            f"capacity is {ir.cm_block_capacity}",
+            location=f"visit {visit_index}",
+            cost_words=need - ir.cm_block_capacity,
+            cm_block=cm_block,
         )
-        if words > ir.cm_block_capacity:
-            visit = program.visits[visit_index].visit
-            emit(
-                "HAZ003",
-                f"CM block {visit.cm_block} refill needs {words} words, "
-                f"capacity is {ir.cm_block_capacity}",
-                location=f"visit {visit_index}",
-                cost_words=words - ir.cm_block_capacity,
-                cm_block=visit.cm_block,
-            )
 
     # Frame-buffer residency along the program order: every definition
     # sits at an even position and every release at an odd one, so the
     # running sum over positions peaks exactly where the event sweep
     # does, and first reaches that peak at the same position.
+    positions = 2 * len(ir.node_kind) + 2
     for fb_set in (0, 1):
-        delta = [0] * (2 * len(ir.node_kind) + 2)
-        for value_set, words, node, release in zip(
-            ir.val_set, ir.val_words, ir.val_def, ir.val_release
-        ):
-            if value_set != fb_set or words <= 0:
-                continue
-            delta[2 * node] += words
-            delta[release] -= words
-        residency = list(accumulate(delta))
-        peak = max(residency)
+        mine = np.flatnonzero((ir.val_set == fb_set) & (ir.val_words > 0))
+        words = ir.val_words.take(mine)
+        residency = np.cumsum(
+            np.bincount(2 * ir.val_def.take(mine), words, positions)
+            - np.bincount(ir.val_release.take(mine), words, positions)
+        )
+        at = int(residency.argmax())
+        peak = int(residency[at])
         if peak > ir.fb_capacity:
-            visit_index = _visit_at(ir, residency.index(peak))
             emit(
                 "HAZ003",
                 f"FB set {fb_set} residency reaches {peak} words, "
                 f"capacity is {ir.fb_capacity}",
-                location=f"visit {visit_index}",
+                location=f"visit {_visit_at(ir, at)}",
                 cost_words=peak - ir.fb_capacity,
                 fb_set=fb_set,
             )
@@ -508,17 +491,17 @@ def check_capacity(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
     # Overlap windows where arriving loads overtake departing stores:
     # the set briefly holds both; the adaptive policy's own soundness
     # bound (departing stores + arriving DS(C) <= FBS) must hold.
-    visits = program.visits
     dataflow = schedule.dataflow
+    visit_set = ir.visit_set.tolist()
+    visit_cluster = ir.visit_cluster.tolist()
     for window in hb.loads_first_windows:
-        departing = visits[window - 1]
-        arriving = visits[window + 1]
-        if departing.visit.fb_set != arriving.visit.fb_set:
+        departing, arriving = window - 1, window + 1
+        if visit_set[departing] != visit_set[arriving]:
             continue
-        plan = schedule.plan_for(arriving.visit.cluster_index)
+        plan = schedule.plan_for(visit_cluster[arriving])
         outgoing = schedule.plan_for(
-            departing.visit.cluster_index
-        ).store_words(dataflow, len(departing.visit.iterations))
+            visit_cluster[departing]
+        ).store_words(dataflow, int(ir.visit_iters[departing]))
         need = outgoing + plan.peak_occupancy
         if need > schedule.fb_set_words:
             emit(
@@ -530,7 +513,7 @@ def check_capacity(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:
                 f"(policy {hb.policy.name})",
                 location=f"visit {window}",
                 cost_words=need - schedule.fb_set_words,
-                fb_set=arriving.visit.fb_set,
+                fb_set=visit_set[arriving],
                 policy=hb.policy.name,
             )
 
@@ -540,7 +523,7 @@ def _visit_at(ir: ProgramIR, pos: int) -> int:
     node_id = min(pos // 2, len(ir.node_kind) - 1)
     if node_id < 0:
         return 0
-    return ir.node_visit[node_id]
+    return int(ir.node_visit[node_id])
 
 
 def run_hazard_passes(ir: ProgramIR, hb: HappensBefore, emit: Emit) -> None:

@@ -13,22 +13,38 @@ sweeps of :mod:`repro.dataflow.passes` (:func:`race_mismatch` and
 :func:`interference_mismatch`, called by the ``hazards`` fuzz oracle
 and ``tests/dataflow/test_pass_equivalence.py``).
 
+:func:`lowering_mismatch` holds the templated lowering of
+:func:`~repro.dataflow.ir.lower_program` to the op walk of
+:func:`~repro.dataflow.opwalk.lower_ops`, column by column.
+
 No product path uses this module; the production passes emit the same
 findings, byte for byte, and are asymptotically faster.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.codegen.program import Program
 from repro.dataflow import passes
 from repro.dataflow.hazards import HappensBefore
-from repro.dataflow.ir import COMPUTE, KINDS, ProgramIR, ValueLifetime
+from repro.dataflow.ir import (
+    COMPUTE,
+    KINDS,
+    ProgramIR,
+    ValueLifetime,
+    lower_program,
+)
+from repro.dataflow.opwalk import lower_ops
 from repro.dataflow.passes import Emit
 
 __all__ = [
     "ReferenceIntervalMap",
     "interference_mismatch",
+    "ir_mismatch",
+    "lowering_mismatch",
     "race_mismatch",
     "reference_check_interference",
     "reference_check_races",
@@ -106,13 +122,15 @@ def reference_check_races(
     address slot, and every predecessor it returns through one
     :meth:`HappensBefore.happens_before` query.
     """
-    kind = ir.node_kind
+    kind = np.asarray(ir.node_kind).tolist()
     maps: Dict[int, ReferenceIntervalMap] = {}
     # (pred, succ) -> [slot, words, reversed]
     conflicts: Dict[Tuple[int, int], List[int]] = {}
-    for node, slot, start, end, write in zip(
-        ir.acc_node, ir.acc_slot, ir.acc_start, ir.acc_end, ir.acc_write
-    ):
+    for node, slot, start, end, write in zip(*(
+        np.asarray(column).tolist() for column in (
+            ir.acc_node, ir.acc_slot, ir.acc_start, ir.acc_end, ir.acc_write
+        )
+    )):
         space = maps.get(slot)
         if space is None:
             space = maps[slot] = ReferenceIntervalMap()
@@ -138,7 +156,7 @@ def reference_check_races(
             f"{first} {how} {second} on "
             f"{words} shared word(s) of {label} {index} "
             f"under policy {hb.policy.name}",
-            location=f"visit {ir.node_visit[succ]}",
+            location=f"visit {int(ir.node_visit[succ])}",
             cost_words=words,
             policy=hb.policy.name,
             first=first,
@@ -238,4 +256,39 @@ def interference_mismatch(ir: ProgramIR) -> Optional[str]:
         "HAZ002",
         lambda emit: passes.check_interference(ir, emit),
         lambda emit: reference_check_interference(ir, emit),
+    )
+
+
+def ir_mismatch(got: ProgramIR, want: ProgramIR) -> Optional[str]:
+    """The first difference between two lowerings of one program — a
+    column's type, length or first differing entry, the name or
+    placement table, or a capacity — or ``None`` when they are equal."""
+    for name in ProgramIR.COLUMNS:
+        mine, theirs = getattr(got, name), getattr(want, name)
+        if mine.dtype != theirs.dtype or mine.shape != theirs.shape:
+            return (f"{name}: {mine.dtype}{list(mine.shape)} != "
+                    f"{theirs.dtype}{list(theirs.shape)}")
+        differ = np.flatnonzero(mine != theirs)
+        if differ.size:
+            at = int(differ[0])
+            return (f"{name}[{at}]: {mine[at].item()} != "
+                    f"{theirs[at].item()}")
+    for name in ("names", "place_extents", "has_placement", "fb_capacity",
+                 "cm_block_capacity"):
+        if getattr(got, name) != getattr(want, name):
+            return f"{name} differs"
+    return None
+
+
+def lowering_mismatch(
+    program: Program, allocations: Optional[Sequence[object]] = None
+) -> Optional[str]:
+    """Compare :func:`lower_program` of *program* against the op walk of
+    its materialised ops (:func:`lower_ops`), by :func:`ir_mismatch`.
+
+    For a templated program the first is the block-by-block lowering;
+    the walk materialises the program's ops.
+    """
+    return ir_mismatch(
+        lower_program(program, allocations), lower_ops(program, allocations)
     )

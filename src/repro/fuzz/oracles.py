@@ -796,13 +796,20 @@ def _check_hazards(case, runs, architecture) -> List[OracleFailure]:
 
     Each lowered program is also run through the reference passes of
     :mod:`repro.dataflow.reference`: HAZ002 once and HAZ001 under every
-    policy, each with emits equal to the production pass's.  Under
-    every policy, the traced simulator must also walk the
-    happens-before graph's issue order (:func:`_issue_order_mismatch`).
+    policy, each with emits equal to the production pass's.  A
+    templated program's block-by-block lowering must equal the op walk
+    of its materialised ops, column by column.  Under every policy, the
+    traced simulator must also walk the happens-before graph's issue
+    order (:func:`_issue_order_mismatch`).
     """
+    from repro.codegen.templated import TemplateVisits
     from repro.dataflow.analyzer import analyze_ir, build_ir
     from repro.dataflow.hazards import HappensBefore
-    from repro.dataflow.reference import interference_mismatch, race_mismatch
+    from repro.dataflow.reference import (
+        interference_mismatch,
+        lowering_mismatch,
+        race_mismatch,
+    )
     from repro.schedule.context_scheduler import DmaPolicy
 
     failures = []
@@ -811,7 +818,17 @@ def _check_hazards(case, runs, architecture) -> List[OracleFailure]:
             continue
         ir = collector = None
         try:
-            ir = build_ir(run.program)
+            allocations = FrameBufferAllocator(run.program.schedule).allocate()
+            ir = build_ir(run.program, allocations=allocations)
+            if isinstance(run.program.visits, TemplateVisits):
+                mismatch = lowering_mismatch(run.program, allocations)
+                if mismatch is not None:
+                    failures.append(OracleFailure(
+                        "hazards", case.name,
+                        f"templated lowering diverges from the op walk: "
+                        f"{mismatch}",
+                        scheduler=run.scheduler,
+                    ))
             mismatch = interference_mismatch(ir)
             if mismatch is not None:
                 failures.append(_pass_mismatch(case, run, mismatch))

@@ -22,7 +22,7 @@ from repro.alloc.allocator import FrameBufferAllocator, _SetAllocation
 from repro.alloc.free_list import FreeBlockList
 from repro.arch.frame_buffer import Extent
 from repro.arch.params import Architecture
-from repro.errors import AllocationError, ReproError
+from repro.errors import AllocationError, FragmentationError, ReproError
 from repro.schedule import SCHEDULERS
 from repro.workloads.random_gen import random_application
 from repro.workloads.spec import paper_experiments
@@ -190,3 +190,17 @@ def test_end_of_round_check_names_set_and_words(schedules, monkeypatch):
         f"set0: {capacity - leaked[0]} of {capacity} words free at end "
         f"of round (still live: none)"
     )
+
+
+def test_split_exhaustion_names_the_region(schedules, monkeypatch):
+    """A leak that keeps every freed word carved: on E1 (basic) the
+    free list runs out of words in ``allocate_split``, and the error
+    names the set and the instance, as the free-path errors do."""
+    monkeypatch.setattr(FreeBlockList, "free", lambda self, start, size: None)
+    schedule = dict(schedules)["E1/basic"]
+    with pytest.raises(FragmentationError) as raised:
+        _allocate(schedule)
+    assert str(raised.value) == (
+        "set0: d3_2#0: cannot place 120 words: only 40 free"
+    )
+    assert isinstance(raised.value.__cause__, FragmentationError)

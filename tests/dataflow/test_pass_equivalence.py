@@ -83,16 +83,19 @@ def _random_race_ir(rng):
     lastprep = [rng.choice((-1, rng.randint(-1, len(transfers) - 1)))
                 for _ in range(visits[-1] + 1)]
     computes = [node for node in range(nodes) if kinds[node] == _RUN]
+    transfer_nodes = [0] * len(transfers)
+    for node, position in zip(transfers, positions):
+        transfer_nodes[position] = node
     hb = HappensBefore(
         policy=rng.choice(list(DmaPolicy)),
         serial=False,
-        channel_pos=dict(zip(transfers, positions)),
-        rel=rel,
-        maxrel=list(accumulate(rel, max)),
-        compute_seq={node: seq for seq, node in enumerate(computes)},
-        compute_visit={node: visits[node] for node in computes},
-        lastprep=lastprep,
-        maxprep=list(accumulate(lastprep, max)),
+        transfer_nodes=np.array(transfer_nodes, np.int32),
+        rel=np.array(rel, np.int32),
+        maxrel=np.array(list(accumulate(rel, max)), np.int32),
+        run_nodes=np.array(computes, np.int32),
+        run_visits=np.array([visits[node] for node in computes], np.int32),
+        lastprep=np.array(lastprep, np.int32),
+        maxprep=np.array(list(accumulate(lastprep, max)), np.int32),
         loads_first_windows=(),
     )
     ir = SimpleNamespace(
