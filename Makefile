@@ -3,9 +3,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint analyze ruff mypy perf-gate trace-demo trace-smoke fuzz fuzz-quick codegen-check gap-check cache-smoke serve-smoke
+.PHONY: check test bench-check lint analyze ruff mypy perf-gate trace-demo trace-smoke fuzz fuzz-quick codegen-check gap-check cache-smoke serve-smoke
 
-check: test ruff mypy lint analyze fuzz-quick codegen-check gap-check cache-smoke serve-smoke trace-smoke
+check: test bench-check ruff mypy lint analyze fuzz-quick codegen-check gap-check cache-smoke serve-smoke trace-smoke
 
 # Scheduler-service smoke: boot `repro serve` as a real subprocess,
 # fire a concurrent zipf-skewed loadgen burst at it, and gate on
@@ -45,6 +45,11 @@ cache-smoke:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The shape assertions of the paper benchmarks (Table 1, Figure 6, the
+# ablations) with timing off: each benchmarked call runs once.
+bench-check:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 # Scheduler-output static analysis over every bundled experiment, all
 # three schedulers. Fails on any error-severity diagnostic.

@@ -92,4 +92,4 @@ def test_kernel_scheduler_exploration(benchmark):
                                         iterations=4)
     explorer = KernelScheduler(_ARCH, DataScheduler(_ARCH))
     result = benchmark(explorer.explore, application)
-    assert result.estimated_cycles > 0
+    assert result.cycles > 0

@@ -14,7 +14,6 @@ free blocks only as a last resort.
 
 from repro.alloc.allocator import AllocationMap, AllocationRecord, FrameBufferAllocator
 from repro.alloc.free_list import FreeBlockList
-from repro.alloc.reference import ReferenceFreeBlockList
 from repro.alloc.stats import AllocationStats, compute_stats
 
 __all__ = [
@@ -23,6 +22,5 @@ __all__ = [
     "AllocationStats",
     "FrameBufferAllocator",
     "FreeBlockList",
-    "ReferenceFreeBlockList",
     "compute_stats",
 ]

@@ -403,46 +403,15 @@ class _SetAllocation:
     # -- phases ------------------------------------------------------------
 
     def _place_cluster_inputs(self, cluster) -> None:
-        """Figure 4, input placement: shared data first (most distant
-        consumer first), then kernel data from the last kernel down."""
-        loads = self.schedule.plan_for(cluster.index).loads
-
-        # 1. Kept shared data whose first consumer is this cluster,
-        #    ordered by last consuming cluster, descending.
-        kept_now = [
-            self.kept_data[name]
-            for name in loads
-            if name in self.kept_data
-            and self.kept_data[name].clusters[0] == cluster.index
-        ]
-        kept_now.sort(key=lambda keep: (-keep.span[1], keep.name))
+        """Figure 4, input placement, in :meth:`Schedule.load_order`:
+        shared data first (most distant consumer first), then kernel
+        data from the last kernel down."""
         self.step += 1
-        for keep in kept_now:
+        for name in self.schedule.load_order(cluster.index):
+            info = self.dataflow[name]
             self._place_input(
-                keep.name, 1 if keep.invariant else self.rf, cluster.index,
-                keep.size,
-            )
-
-        # 2. Non-kept inputs, scanned from the last kernel to the first;
-        #    an input belongs to its last consuming kernel (paper d_j).
-        #    Each input is bucketed once by that kernel, in load order.
-        kept_names = {keep.name for keep in kept_now}
-        by_last_use: Dict[Optional[str], List[str]] = {}
-        for name in dict.fromkeys(loads):
-            if name not in kept_names:
-                last = self.dataflow.last_use_in_cluster(name, cluster.index)
-                by_last_use.setdefault(last, []).append(name)
-        for kernel_name in reversed(cluster.kernel_names):
-            for obj_name in by_last_use.pop(kernel_name, ()):
-                info = self.dataflow[obj_name]
-                self._place_input(
-                    obj_name, 1 if info.invariant else self.rf,
-                    cluster.index, info.size,
-                )
-        if by_last_use:  # pragma: no cover — inputs always have a local use
-            missing = [name for names in by_last_use.values() for name in names]
-            raise AllocationError(
-                f"inputs {sorted(missing)} of {cluster.name} have no local use"
+                name, 1 if info.invariant else self.rf, cluster.index,
+                info.size,
             )
 
     def _place_input(self, name: str, instances: int, cluster_index: int,

@@ -35,7 +35,7 @@ DECISION_KINDS = (
     # reuse-factor search (all schedulers that fission)
     "rf.bound",       # the cluster line (or cap) that bounds the common RF
     "rf.result",      # the chosen common RF
-    "rf.joint",       # one (rf, estimated cycles) point of rf_policy="joint"
+    "rf.joint",       # one (rf, simulated cycles) point of rf_policy="joint"
     # frame-buffer allocator (paper Figure 4)
     "alloc.place",    # an instance placed (extents, direction, regularity)
     "alloc.fallback", # iteration-adjacent placement failed, fell back

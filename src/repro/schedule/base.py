@@ -47,8 +47,8 @@ class ScheduleOptions:
             ablation).
         rf_policy: ``"max_then_keep"`` (the paper: maximise the common
             RF first, then keep what still fits) or ``"joint"`` (sweep
-            RF values and pick the combination with the best estimated
-            execution time; ablation).
+            RF values and pick the combination with the fewest
+            simulated cycles; ablation).
         cross_set_retention: offer retention candidates whose consumers
             sit on the *other* frame-buffer set — the paper's future
             work.  Requires an architecture with

@@ -29,7 +29,6 @@ from repro.core.dataflow import DataflowInfo
 from repro.core.metrics import KeepDecision, total_data_size
 from repro.errors import InfeasibleScheduleError
 from repro.schedule.base import DataSchedulerBase
-from repro.schedule.estimate import estimate_execution_cycles
 from repro.schedule.plan import Schedule
 from repro.schedule.tf import rank_by_time_factor, retention_candidates
 
@@ -125,9 +124,12 @@ class CompleteDataScheduler(DataSchedulerBase):
         self, dataflow: DataflowInfo
     ) -> Tuple[int, Tuple[KeepDecision, ...]]:
         """Sweep RF from its maximum down to 1, choose keeps at each
-        level, and pick the (RF, keeps) pair with the smallest estimated
-        execution time.  Exposes the trade-off the paper's default
-        (RF first) resolves by fiat."""
+        level, and pick the (RF, keeps) pair with the fewest simulated
+        cycles; a tie keeps the higher RF, so the pick is never slower
+        than the RF-first schedule the sweep starts with.  Exposes the
+        trade-off the paper's default (RF first) resolves by fiat."""
+        from repro.sim.engine import simulated_cycles
+
         rf_max = self._max_rf(dataflow)
         best: Tuple[int, Tuple[KeepDecision, ...]] = (rf_max, ())
         best_cycles = None
@@ -136,9 +138,9 @@ class CompleteDataScheduler(DataSchedulerBase):
             schedule = self._build_schedule(
                 dataflow, rf=rf, keeps=keeps, contexts_per_iteration=False
             )
-            cycles = estimate_execution_cycles(schedule, self.architecture)
+            cycles = simulated_cycles(schedule, self.architecture)
             self._record(
-                "rf.joint", rf=rf, estimated_cycles=cycles,
+                "rf.joint", rf=rf, cycles=cycles,
                 n_keeps=len(keeps),
             )
             if best_cycles is None or cycles < best_cycles:

@@ -11,9 +11,10 @@ two FB sets.  For ``K`` kernels there are ``2^(K-1)`` contiguous
 partitions; the explorer enumerates them exhaustively up to a
 configurable kernel count and falls back to a beam search above it.
 Each candidate partition is scheduled with a supplied data scheduler
-and scored with the analytic makespan estimate
-(:func:`repro.schedule.estimate.estimate_execution_cycles`); infeasible
-partitions are skipped.
+and scored by its simulated makespan
+(:func:`repro.sim.engine.simulated_cycles`) — the paper's "tentative
+context and data schedules", timed by the same model every reported
+number comes from; infeasible partitions are skipped.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.core.application import Application
 from repro.core.cluster import Clustering
 from repro.errors import InfeasibleScheduleError
 from repro.schedule.base import DataSchedulerBase
-from repro.schedule.estimate import estimate_execution_cycles
 from repro.schedule.plan import Schedule
 
 __all__ = ["KernelScheduleResult", "KernelScheduler", "enumerate_partitions"]
@@ -60,7 +60,7 @@ class KernelScheduleResult:
     Attributes:
         clustering: the winning partition.
         schedule: the data schedule produced for it.
-        estimated_cycles: the analytic makespan used for ranking.
+        cycles: the simulated makespan used for ranking.
         candidates_evaluated: partitions that produced a feasible
             schedule.
         candidates_infeasible: partitions rejected as infeasible.
@@ -68,13 +68,13 @@ class KernelScheduleResult:
 
     clustering: Clustering
     schedule: Schedule
-    estimated_cycles: int
+    cycles: int
     candidates_evaluated: int
     candidates_infeasible: int
 
 
 class KernelScheduler:
-    """Explores cluster partitions, minimising estimated execution time.
+    """Explores cluster partitions, minimising simulated execution time.
 
     Args:
         architecture: the target machine.
@@ -112,6 +112,8 @@ class KernelScheduler:
         Raises:
             InfeasibleScheduleError: if no partition is feasible.
         """
+        from repro.sim.engine import simulated_cycles
+
         count = len(application.kernels)
         if count <= self.exhaustive_limit:
             partitions: Sequence[Tuple[int, ...]] = list(
@@ -131,12 +133,12 @@ class KernelScheduler:
                 infeasible += 1
                 continue
             evaluated += 1
-            cycles = estimate_execution_cycles(schedule, self.architecture)
-            if best is None or cycles < best.estimated_cycles:
+            cycles = simulated_cycles(schedule, self.architecture)
+            if best is None or cycles < best.cycles:
                 best = KernelScheduleResult(
                     clustering=clustering,
                     schedule=schedule,
-                    estimated_cycles=cycles,
+                    cycles=cycles,
                     candidates_evaluated=evaluated,
                     candidates_infeasible=infeasible,
                 )
@@ -149,7 +151,7 @@ class KernelScheduler:
         return KernelScheduleResult(
             clustering=best.clustering,
             schedule=best.schedule,
-            estimated_cycles=best.estimated_cycles,
+            cycles=best.cycles,
             candidates_evaluated=evaluated,
             candidates_infeasible=infeasible,
         )
@@ -160,9 +162,11 @@ class KernelScheduler:
         """Candidate group-size vectors from a left-to-right beam search.
 
         States are partial partitions of the kernel prefix, scored by
-        the estimated cycles of the partial application (suffix kernels
+        the simulated cycles of the partial application (suffix kernels
         appended as one trailing cluster to keep candidates comparable).
         """
+        from repro.sim.engine import simulated_cycles
+
         count = len(application.kernels)
         max_group = min(count, self.exhaustive_limit)
         beam: List[Tuple[int, ...]] = [()]
@@ -186,7 +190,7 @@ class KernelScheduler:
                     )
                 except InfeasibleScheduleError:
                     continue
-                cycles = estimate_execution_cycles(schedule, self.architecture)
+                cycles = simulated_cycles(schedule, self.architecture)
                 scored.append((cycles, state))
             scored.sort(key=lambda pair: (pair[0], pair[1]))
             beam = [state for _, state in scored[: self.beam_width]]

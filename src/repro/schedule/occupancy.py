@@ -25,8 +25,11 @@ three structural facts instead:
    (:func:`repro.schedule.rf.common_rf_bound`), with no search.
 3. Accepting a keep only changes the occupancy of clusters inside its
    residency span (same set) or among its cross-set consumers — so a
-   trial re-evaluates **O(affected clusters)**, while per-set "unfit"
-   bookkeeping answers for all untouched clusters in O(1).
+   trial re-evaluates **O(affected clusters)** and leaves the rest
+   alone.  Every untouched cluster still fits: keep selection starts at
+   an RF no higher than the keep-free common RF, where every cluster
+   fits, and a cross-set keep only takes a name out of its consumers'
+   sweeps, which cannot raise their peaks.
 
 The engine is exact, not approximate: every accept/reject decision,
 every reported occupancy and the common RF equal the naive
@@ -80,8 +83,6 @@ class OccupancyEngine:
         self._accepted: List[KeepDecision] = []
         self._resident: Dict[int, int] = {}
         self._local: Dict[int, Set[str]] = {}
-        self._occupancy: Dict[int, int] = {}
-        self._unfit: Dict[int, Set[int]] = {}
 
     # -- stateless queries (memoised pieces) ----------------------------
 
@@ -152,26 +153,16 @@ class OccupancyEngine:
     def begin_keep_selection(self, rf: int) -> None:
         """Start a greedy acceptance session at a fixed ``rf``.
 
-        Initialises per-cluster running totals (``DS(C_c)`` with no
-        keeps) and the per-set unfit bookkeeping.
+        Initialises the per-cluster running totals: no resident words
+        and no kept names.  *rf* must not exceed the keep-free common
+        RF, so every cluster fits before the first keep.
         """
         if rf < 1:
             raise ValueError(f"rf must be >= 1, got {rf}")
         self._rf = rf
         self._accepted = []
-        self._resident = {}
-        self._local = {}
-        self._occupancy = {}
-        self._unfit = {}
-        for cluster in self._clusters:
-            index = cluster.index
-            self._resident[index] = 0
-            self._local[index] = set()
-            occ = self.sweep_peak(index, rf, _NO_KEEPS)
-            self._occupancy[index] = occ
-            self._unfit.setdefault(cluster.fb_set, set())
-            if occ > self.fb_set_words:
-                self._unfit[cluster.fb_set].add(index)
+        self._resident = {cluster.index: 0 for cluster in self._clusters}
+        self._local = {cluster.index: set() for cluster in self._clusters}
 
     @property
     def accepted(self) -> Tuple[KeepDecision, ...]:
@@ -198,17 +189,6 @@ class OccupancyEngine:
             occ = resident + self.sweep_peak(index, rf, frozenset(local))
             trial.append((index, resident, local, occ))
 
-        affected = {index for index, _, _, _ in trial}
-        # Untouched clusters keep their occupancy: the set fits iff none
-        # of them is currently unfit and every affected cluster fits.
-        blocking = sorted(self._unfit.get(fb_set, set()) - affected)
-        if blocking:
-            self._record_keep(
-                "keep.reject", candidate, rf,
-                {index: self._occupancy[index] for index in blocking},
-                reason="set already unfit without this keep",
-            )
-            return False
         overflow = {
             index: occ for index, _, _, occ in trial
             if occ > self.fb_set_words
@@ -220,30 +200,17 @@ class OccupancyEngine:
             )
             return False
 
-        for index, resident, local, occ in trial:
+        for index, resident, local, _ in trial:
             self._resident[index] = resident
             self._local[index] = local
-            self._occupancy[index] = occ
-            self._unfit[fb_set].discard(index)
         # Cross-set consumers are served without occupying words here,
         # but the kept name leaves their local sweeps.
         consumers = getattr(candidate, "clusters", None)
         if consumers is None:
             consumers = candidate.consumer_clusters
         for index in consumers:
-            cluster = self.dataflow.clustering[index]
-            if cluster.fb_set == fb_set:
-                continue
-            self._local[index].add(candidate.name)
-            occ = self._resident[index] + self.sweep_peak(
-                index, rf, frozenset(self._local[index])
-            )
-            self._occupancy[index] = occ
-            unfit = self._unfit.setdefault(cluster.fb_set, set())
-            if occ > self.fb_set_words:
-                unfit.add(index)
-            else:
-                unfit.discard(index)
+            if self.dataflow.clustering[index].fb_set != fb_set:
+                self._local[index].add(candidate.name)
         self._accepted.append(candidate)
         self._record_keep(
             "keep.accept", candidate, rf,

@@ -11,12 +11,13 @@ derives the traffic numbers reported in the paper's Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.application import Application
 from repro.core.cluster import Clustering
 from repro.core.dataflow import DataflowInfo
 from repro.core.metrics import KeepDecision
+from repro.core.reuse import SharedData
 from repro.errors import ReproError
 from repro.units import ceil_div, format_size
 
@@ -150,6 +151,37 @@ class Schedule:
     def plan_for(self, cluster_index: int) -> ClusterPlan:
         """The plan of one cluster."""
         return self.cluster_plans[cluster_index]
+
+    def load_order(self, cluster_index: int) -> Tuple[str, ...]:
+        """The cluster's plan loads in placement order (paper Figure 4),
+        which the allocator places and the code generator loads in.
+
+        Kept shared data whose first consumer is this cluster comes
+        first, most distant last consumer first; then every other load,
+        grouped by its last consuming kernel in the cluster (the
+        paper's ``d_j``), last kernel first.  A load with no local use
+        goes last.  Duplicates are dropped.
+        """
+        plan = self.plan_for(cluster_index)
+        kept = {
+            keep.name: keep for keep in self.keeps
+            if keep.fb_set == plan.fb_set and isinstance(keep, SharedData)
+            and keep.clusters[0] == cluster_index
+        }
+        loads = dict.fromkeys(plan.loads)
+        order = sorted(
+            (name for name in loads if name in kept),
+            key=lambda name: (-kept[name].span[1], name),
+        )
+        by_last_use: Dict[Optional[str], List[str]] = {}
+        for name in loads:
+            if name not in kept:
+                last = self.dataflow.last_use_in_cluster(name, cluster_index)
+                by_last_use.setdefault(last, []).append(name)
+        for kernel_name in reversed(self.clustering[cluster_index].kernel_names):
+            order.extend(by_last_use.pop(kernel_name, ()))
+        order.extend(by_last_use.pop(None, ()))
+        return tuple(order)
 
     def keep_names(self) -> Tuple[str, ...]:
         """Names of all kept objects."""

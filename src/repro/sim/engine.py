@@ -88,7 +88,8 @@ import numpy as np
 
 from repro.arch.dma import DmaChannel, DmaTransfer, TransferKind
 from repro.arch.machine import MorphoSysM1
-from repro.arch.params import TimingModel
+from repro.arch.params import Architecture, TimingModel
+from repro.codegen.generator import generate_program
 from repro.codegen.program import Program
 from repro.codegen.templated import ClusterTemplate, TemplateVisits
 from repro.codegen.verifier import verify_program
@@ -102,6 +103,7 @@ from repro.schedule.context_scheduler import (
     DmaPolicy,
     issue_order,
 )
+from repro.schedule.plan import Schedule
 from repro.sim.functional import (
     KernelImpl,
     build_impls,
@@ -110,7 +112,7 @@ from repro.sim.functional import (
 )
 from repro.sim.report import PeriodicVisits, SimulationReport, VisitTiming
 
-__all__ = ["Simulator"]
+__all__ = ["Simulator", "simulated_cycles"]
 
 #: The channel's transfer kind of each :func:`issue_order` step kind.
 _TRANSFER_KINDS = {
@@ -556,6 +558,20 @@ class Simulator:
                     f"differs from the reference execution"
                 )
         return True
+
+
+def simulated_cycles(schedule: Schedule, architecture: Architecture) -> int:
+    """Makespan of *schedule* on *architecture*, in cycles: its program
+    simulated untraced and unverified.
+
+    The one timing model the kernel scheduler and
+    ``rf_policy="joint"`` rank candidates with.  Skipping the static
+    verifier drops no check: the candidate picked is verified wherever
+    it is simulated for a report.
+    """
+    program = generate_program(schedule)
+    simulator = Simulator(MorphoSysM1(architecture), trace=False, verify=False)
+    return simulator.run(program).total_cycles
 
 
 #: Programs with fewer rounds walk every visit: a shift could skip one

@@ -136,6 +136,10 @@ class TestCompletenessOnPaperExperiments:
             assert points, spec.id
             swept = {d.detail["rf"] for d in points}
             assert schedule.rf in swept, spec.id
+            picked = next(d for d in points if d.detail["rf"] == schedule.rf)
+            assert picked.detail["cycles"] == min(
+                d.detail["cycles"] for d in points
+            ), spec.id
             results = schedule.decisions.of_kind("rf.result")
             assert results[-1].detail["policy"] == "joint"
 

@@ -10,12 +10,14 @@ search prunes with.
 """
 
 import itertools
+from pathlib import Path
 
 import pytest
 
 from repro.arch.params import Architecture
 from repro.core.dataflow import analyze_dataflow
 from repro.errors import InfeasibleScheduleError
+from repro.fuzz.case import FuzzCase
 from repro.fuzz.generator import generate_case, regime_names
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.exact import (
@@ -26,6 +28,7 @@ from repro.schedule.exact import (
 from repro.schedule.occupancy import OccupancyEngine, ReferenceOccupancy
 from repro.schedule.tf import retention_candidates
 from repro.workloads.random_gen import random_application
+from repro.workloads.spec import paper_experiments
 
 
 def _materialised_total(architecture, dataflow, rf, keeps):
@@ -344,3 +347,42 @@ class TestPinnedGapAnchors:
         # The exact solution trades RF down for an extra keep.
         assert solution.rf == greedy.rf - 1
         assert len(solution.keeps) == len(greedy.keeps) + 1
+
+
+def _paper_and_anchor_workloads():
+    for spec in paper_experiments():
+        application, clustering = spec.build()
+        yield spec.id, application, clustering, Architecture.m1(spec.fb_words)
+    for path in sorted(Path("tests/corpus").glob("gap-anchor-*.json")):
+        case = FuzzCase.load(path)
+        application, clustering = case.build()
+        yield path.stem, application, clustering, case.architecture()
+
+
+@pytest.mark.parametrize(
+    "label,application,clustering,architecture",
+    list(_paper_and_anchor_workloads()),
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_exact_traffic_never_exceeds_greedy(label, application, clustering,
+                                            architecture):
+    dataflow = analyze_dataflow(application, clustering)
+    greedy = CompleteDataScheduler(architecture).schedule(
+        application, clustering, dataflow=dataflow
+    )
+    exact = ExactDataScheduler(architecture).schedule(
+        application, clustering, dataflow=dataflow
+    )
+    greedy_summary = greedy.summary()
+    exact_summary = exact.summary()
+    assert (exact_summary.total_data_words
+            + exact_summary.total_context_words) <= (
+        greedy_summary.total_data_words
+        + greedy_summary.total_context_words)
+    # Greedy is optimal on the paper experiments; the pinned gap
+    # anchors are cases where exact strictly wins.
+    if label.startswith("gap-anchor"):
+        assert (exact_summary.total_data_words
+                + exact_summary.total_context_words) < (
+            greedy_summary.total_data_words
+            + greedy_summary.total_context_words)

@@ -1,21 +1,17 @@
-"""Tests for the kernel scheduler [7] and the analytic estimator."""
+"""Tests for the kernel scheduler [7]."""
 
 import pytest
 
 from repro.arch.params import Architecture
-from repro.codegen.generator import generate_program
-from repro.arch.machine import MorphoSysM1
 from repro.core.cluster import Clustering
 from repro.errors import InfeasibleScheduleError
-from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
-from repro.schedule.estimate import estimate_execution_cycles, visit_windows
 from repro.schedule.kernel_scheduler import (
     KernelScheduler,
     enumerate_partitions,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import simulated_cycles
 
 
 class TestEnumeratePartitions:
@@ -45,14 +41,12 @@ class TestKernelScheduler:
         )
         result = explorer.explore(sharing_app)
         assert result.candidates_evaluated >= 1
-        assert result.estimated_cycles > 0
+        assert result.cycles == simulated_cycles(result.schedule, m1_medium)
         # The winner must be at least as good as per-kernel clustering.
         per_kernel = CompleteDataScheduler(m1_medium).schedule(
             sharing_app, Clustering.per_kernel(sharing_app)
         )
-        assert result.estimated_cycles <= estimate_execution_cycles(
-            per_kernel, m1_medium
-        )
+        assert result.cycles <= simulated_cycles(per_kernel, m1_medium)
 
     def test_skips_infeasible_partitions(self, multi_kernel_app):
         # 500 words: partitions like (2,2) peak at 450 and fit; the
@@ -75,7 +69,7 @@ class TestKernelScheduler:
             exhaustive_limit=2, beam_width=4,
         )
         result = explorer.explore(sharing_app)
-        assert result.estimated_cycles > 0
+        assert result.cycles > 0
 
     def test_invalid_params(self, m1_medium):
         with pytest.raises(ValueError):
@@ -84,43 +78,3 @@ class TestKernelScheduler:
         with pytest.raises(ValueError):
             KernelScheduler(m1_medium, DataScheduler(m1_medium),
                             beam_width=0)
-
-
-class TestEstimator:
-    def test_windows_shape(self, sharing_app, sharing_clustering, m1_medium):
-        schedule = DataScheduler(m1_medium).schedule(
-            sharing_app, sharing_clustering
-        )
-        windows = visit_windows(schedule, m1_medium)
-        assert len(windows) == schedule.rounds * len(sharing_clustering)
-        assert all(compute > 0 for compute, _, _ in windows)
-
-    def test_estimate_tracks_simulation(self, sharing_app,
-                                         sharing_clustering, m1_medium):
-        """The analytic estimate stays within 25% of the event-driven
-        simulator for all three schedulers."""
-        for scheduler_cls in (BasicScheduler, DataScheduler,
-                              CompleteDataScheduler):
-            schedule = scheduler_cls(m1_medium).schedule(
-                sharing_app, sharing_clustering
-            )
-            estimate = estimate_execution_cycles(schedule, m1_medium)
-            report = Simulator(MorphoSysM1(m1_medium)).run(
-                generate_program(schedule)
-            )
-            assert abs(estimate - report.total_cycles) <= \
-                0.25 * report.total_cycles, scheduler_cls.name
-
-    def test_estimate_orders_schedulers(self, sharing_app,
-                                        sharing_clustering, m1_medium):
-        basic = estimate_execution_cycles(
-            BasicScheduler(m1_medium).schedule(
-                sharing_app, sharing_clustering
-            ), m1_medium,
-        )
-        cds = estimate_execution_cycles(
-            CompleteDataScheduler(m1_medium).schedule(
-                sharing_app, sharing_clustering
-            ), m1_medium,
-        )
-        assert cds < basic

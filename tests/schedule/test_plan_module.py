@@ -1,5 +1,7 @@
 """Tests for the Schedule/ClusterPlan/TransferSummary data structures."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.arch.params import Architecture
@@ -15,6 +17,22 @@ def cds_schedule(sharing_app, sharing_clustering):
     return CompleteDataScheduler(Architecture.m1("2K")).schedule(
         sharing_app, sharing_clustering
     )
+
+
+class TestLoadOrder:
+    def test_last_kernel_first_without_duplicates(self, multi_kernel_app,
+                                                  multi_clustering):
+        """``a`` is last read by k3 and ``b`` by k2, so ``a`` is placed
+        first whatever the plan's load order; a repeated name once."""
+        schedule = DataScheduler(Architecture.m1("2K")).schedule(
+            multi_kernel_app, multi_clustering
+        )
+        plan = schedule.plan_for(0)
+        shuffled = replace(plan, loads=("b", "a", "b"))
+        schedule = replace(
+            schedule, cluster_plans=(shuffled,) + schedule.cluster_plans[1:]
+        )
+        assert schedule.load_order(0) == ("a", "b")
 
 
 class TestClusterPlan:

@@ -205,18 +205,17 @@ class TestCompleteDataScheduler:
             ).schedule(sharing_app, sharing_clustering)
             assert schedule.rf >= 1
 
-    def test_joint_policy_never_worse_estimated(self, sharing_app,
-                                                sharing_clustering,
-                                                m1_medium):
-        from repro.schedule.estimate import estimate_execution_cycles
+    def test_joint_policy_never_slower(self, sharing_app, sharing_clustering,
+                                       m1_medium):
+        from repro.sim.engine import simulated_cycles
         default = CompleteDataScheduler(m1_medium).schedule(
             sharing_app, sharing_clustering
         )
         joint = CompleteDataScheduler(
             m1_medium, ScheduleOptions(rf_policy="joint")
         ).schedule(sharing_app, sharing_clustering)
-        assert estimate_execution_cycles(joint, m1_medium) <= \
-            estimate_execution_cycles(default, m1_medium)
+        assert simulated_cycles(joint, m1_medium) <= \
+            simulated_cycles(default, m1_medium)
 
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError):
