@@ -136,6 +136,7 @@ trace-smoke:
 	echo "$$profile" | grep -E 'analysis/allocate +[0-9.]*[1-9]' > /dev/null; \
 	echo "$$profile" | grep -E 'analysis/placements +[1-9]' > /dev/null; \
 	echo "$$profile" | grep -E 'analysis/chained +[1-9]' > /dev/null; \
+	echo "$$profile" | grep -E 'analysis/segments +[1-9]' > /dev/null; \
 	echo "$$profile" | grep -E 'analysis/blocks +[1-9]' > /dev/null
 	$(PYTHON) -m repro.cli run E1 --gantt | grep '  DMA  |' > /dev/null
 

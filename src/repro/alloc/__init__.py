@@ -10,11 +10,19 @@ and final results) from **lower** free addresses, releases space eagerly
 after each kernel execution, keeps iteration instances of the same
 object adjacent for addressing regularity, and splits an object across
 free blocks only as a last resort.
+
+The quality metrics of :mod:`repro.alloc.stats` resolve on first access
+(PEP 562): the hazard analysis imports the allocator, and ``repro
+corpus`` and ``repro serve`` need no stats module at start-up.
 """
+
+from importlib import import_module
 
 from repro.alloc.allocator import AllocationMap, AllocationRecord, FrameBufferAllocator
 from repro.alloc.free_list import FreeBlockList
-from repro.alloc.stats import AllocationStats, compute_stats
+
+#: Lazily re-exported name -> submodule that defines it.
+_LAZY = {"AllocationStats": "stats", "compute_stats": "stats"}
 
 __all__ = [
     "AllocationMap",
@@ -24,3 +32,16 @@ __all__ = [
     "FreeBlockList",
     "compute_stats",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

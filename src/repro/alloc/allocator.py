@@ -30,238 +30,84 @@ Because the algorithm is deterministic, every round of the application
 produces the identical layout — the periodicity the paper's placement
 policy promotes.
 
-Cost model: a placement costs one tuple.  A live instance is one
-``(extents, direction, cluster_index, alloc_step, regular)`` entry in
-``_SetAllocation._open`` and becomes one positional
-:class:`AllocationRecord` (a ``NamedTuple``) at its free; each kernel's
-outputs and dead inputs are resolved once per (cluster, kernel), and
-decision events and snapshot labels are built only when a trace or
-snapshots are attached.  ``_open`` is the one live-region table: it
-rejects duplicate placements and frees of unplaced instances; the free
-list rejects out-of-capacity extents and double frees.  Overlap is not
-checked per placement.  A word can reach two live regions only through
-a free-list bug, and then some free hits an already-free word, or some
-word is still carved when the round ends; ``execute`` checks that the
-list is whole again at the end.
+Cost model: the unit of booking is the *segment*
+(:class:`~repro.alloc.maps.Segment`): instances ``first ..
+first+count-1`` of one object at ``start + k*stride``, placed at
+``alloc_step + k*alloc_stride`` and freed at ``free_step +
+k*free_stride``.  ``_SetAllocation._live`` holds each object's live
+segments, sorted by instance; it rejects duplicate
+placements and frees of unplaced instances, and the free list rejects
+out-of-capacity extents and double frees.  Overlap is not checked per
+placement.  A word can reach two live regions only through a free-list
+bug, and then some free hits an already-free word, or some word is
+still carved when the round ends; ``execute`` checks that the list is
+whole again at the end.
 
 Most of a round is chains: instance ``i`` of an object sits right next
 to instance ``i - 1``.  So instances ``1..RF-1`` of an input, and of
 every output of a kernel run, are carved in one ``allocate_at`` over
-the whole range next to instance 0, when it is free; the slots are
-taken from the extent the free list returns.  A kernel run's chains are
-carved in output order at the start of iteration 1, which is the joint
-check (a chain overlapping a sibling's is no longer free); if any
-fails, the carved ones are freed and the run is walked per instance as
-before.  The result is exact: ``allocate_at`` does not search, only
-this kernel's outputs are allocated until the run ends, releases only
-add free words, and the coalesced list depends only on the set of free
-words.  In a chained run, dead inputs are retired per iteration (record
-and event as in the walk) and their words go back after the run, one
-free per input when its instances tile one range; the finish phase
-frees a stored object's instances the same way.  A chained instance
-still costs its ``_open`` entry, ``Extent`` and record, and the walk
-still places about 30% of corpus placements.  There is no fork on a
-decision trace, snapshots or ``debug_invariants``: events, ``_open``
-and snapshots are filled per instance and iteration as in the walk, so
-the golden test (trace and snapshots on) and the suite (invariant
-checks on) run the chain path.
+the whole range next to instance 0, when it is free, and booked as one
+segment with instance 0; the slots are taken from the extent the free
+list returns.  A kernel run's chains are carved in output order at the
+start of iteration 1, which is the joint check (a chain overlapping a
+sibling's is no longer free); if any fails, the carved ones are freed
+and the run is walked per instance as before.  The result is exact:
+``allocate_at`` does not search, only this kernel's outputs are
+allocated until the run ends, releases only add free words, and the
+coalesced list depends only on the set of free words.  A walked
+placement right next to its previous instance extends that instance's
+segment; any other, and a split one, is a segment of one.  A walked
+run gives its dead inputs' words back per iteration, because the walk
+needs them; a chained run gives them back after its last iteration.
+Either way each dead input is closed once, after the run, which only
+advances its segments' closed prefix (instance ``i`` freed at
+iteration ``i``'s step); a segment is booked in
+:attr:`AllocationMap.segments` once all its instances are closed, or
+when a closure breaks its affine pattern.  The finish and round-close
+phases close a stored object's or keep's instances the same way, and
+each phase gives its words back in one free per run of adjacent words.
+No per-instance record, ``Extent`` or event is built during the round:
+:attr:`AllocationMap.records`, the decision events and the snapshots
+are expanded from the segments afterwards (:mod:`repro.alloc.maps`,
+:mod:`repro.alloc.views`), in the order the walk would have made them,
+and the last two only when a trace or snapshots are attached.
+Placement does not fork on a decision trace, snapshots or
+``debug_invariants``, so the golden test (trace and snapshots on) and
+the suite (invariant checks on) run the segment path.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.frame_buffer import Extent
 from repro.alloc.free_list import FreeBlockList
+from repro.alloc.maps import (
+    AllocationMap,
+    AllocationRecord,
+    PlacementColumns,
+    Segment,
+    Snapshot,
+)
 from repro.core.dataflow import DataflowInfo
 from repro.core.reuse import SharedData, SharedResult
 from repro.errors import AllocationError, FragmentationError
 from repro.schedule.plan import Schedule
 
-__all__ = ["AllocationRecord", "Snapshot", "AllocationMap", "FrameBufferAllocator"]
+__all__ = [
+    "AllocationRecord", "Segment", "PlacementColumns", "Snapshot",
+    "AllocationMap", "FrameBufferAllocator",
+]
 
-#: Released instances of one object whose words are still to go back to
-#: the free list: ``(instance, extents)`` in release order.
-_Freed = List[Tuple[int, Tuple[Extent, ...]]]
+#: Closed instances whose words are still to go back to the free list:
+#: ``(name, instance, count, start, stride, size, extents)`` per run of
+#: a segment (``extents`` is ``None`` unless the placement was split).
+_Pieces = List[
+    Tuple[str, int, int, int, int, int, Optional[Tuple[Extent, ...]]]
+]
 
-
-class AllocationRecord(NamedTuple):
-    """Lifetime and placement of one object instance.
-
-    A ``NamedTuple`` rather than a frozen dataclass: the allocator mints
-    one per placement (hundreds per corpus workload), so construction
-    cost is on the hot path.  Use ``record._replace(...)`` for a
-    modified copy.
-
-    Attributes:
-        name: object name.
-        instance: iteration index within the round (``0 .. RF-1``).
-        cluster_index: cluster whose activity allocated it.
-        extents: the address ranges occupied (len > 1 means split).
-        direction: ``"high"`` or ``"low"`` growth direction.
-        alloc_step: logical step at which it was placed.
-        free_step: logical step at which it was released.
-        regular: placement was adjacent to the previous instance (always
-            True for instance 0).
-    """
-
-    name: str
-    instance: int
-    cluster_index: int
-    extents: Tuple[Extent, ...]
-    direction: str
-    alloc_step: int
-    free_step: int
-    regular: bool
-
-    @property
-    def size(self) -> int:
-        return sum(extent.size for extent in self.extents)
-
-    @property
-    def split(self) -> bool:
-        """True if the object was split across free blocks."""
-        return len(self.extents) > 1
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """FB-set contents at one labelled point (for Figure-5 rendering)."""
-
-    label: str
-    step: int
-    regions: Tuple[Tuple[str, int, Tuple[Extent, ...]], ...]
-
-    @property
-    def occupied_words(self) -> int:
-        return sum(
-            extent.size for _, _, extents in self.regions for extent in extents
-        )
-
-
-@dataclass
-class AllocationMap:
-    """Complete placement of one FB set for one steady-state round."""
-
-    fb_set: int
-    capacity_words: int
-    rf: int
-    records: List[AllocationRecord] = field(default_factory=list)
-    #: Filled only by ``FrameBufferAllocator(..., snapshots=True)``.
-    snapshots: List[Snapshot] = field(default_factory=list)
-    #: Placements made as part of a chain (instances ``1..RF-1`` of an
-    #: object carved in one step next to its instance 0).
-    chained: int = 0
-
-    @property
-    def splits(self) -> int:
-        """Number of split placements (the paper reports zero)."""
-        return sum(1 for record in self.records if record.split)
-
-    @property
-    def irregular_placements(self) -> int:
-        """Placements that broke iteration adjacency."""
-        return sum(1 for record in self.records if not record.regular)
-
-    @property
-    def peak_words(self) -> int:
-        """Maximum simultaneous occupancy over the round."""
-        events: List[Tuple[int, int]] = []
-        for record in self.records:
-            events.append((record.alloc_step, record.size))
-            events.append((record.free_step, -record.size))
-        events.sort(key=lambda pair: (pair[0], -pair[1]))
-        best = 0
-        current = 0
-        for _, delta in events:
-            current += delta
-            best = max(best, current)
-        return best
-
-    @property
-    def highest_address_used(self) -> int:
-        """One past the highest word ever occupied."""
-        return max(
-            (extent.end for record in self.records for extent in record.extents),
-            default=0,
-        )
-
-    def record_for(self, name: str, instance: int) -> AllocationRecord:
-        """The record of one instance (there is exactly one per round)."""
-        for record in self.records:
-            if record.name == name and record.instance == instance:
-                return record
-        raise KeyError(f"no allocation record for {name}#{instance}")
-
-    def overlaps(self) -> Iterator[Tuple[
-        AllocationRecord, AllocationRecord, Extent, Extent
-    ]]:
-        """Every pair of lifetime-overlapping records that share words,
-        as ``(first, second, extent_a, extent_b)``.
-
-        Pairs come in :attr:`records` order — ``first`` at index ``i``,
-        ``second`` at ``j > i``, ascending ``(i, j)``, then extents in
-        record order — so the first pair reported is the first an
-        all-pairs scan would find.  Records are swept by ``alloc_step``;
-        each is compared only with the live extents that start within
-        one widest extent below its own.
-        """
-        records = self.records
-        widest = max(
-            (extent.size for record in records for extent in record.extents),
-            default=0,
-        )
-        live: List[Tuple[int, int, int]] = []  # (start, end, record), by start
-        ending: List[Tuple[int, int]] = []  # heap of (free_step, record)
-        clashes: Set[Tuple[int, int]] = set()
-        for index in sorted(
-            range(len(records)), key=lambda k: records[k].alloc_step
-        ):
-            record = records[index]
-            # Steps only grow along the sweep: a record freed by now
-            # overlaps nothing that comes later.
-            while ending and ending[0][0] <= record.alloc_step:
-                _, gone = heapq.heappop(ending)
-                for extent in records[gone].extents:
-                    del live[bisect_left(live, (extent.start, extent.end, gone))]
-            spans = [
-                (extent.start, extent.end, index) for extent in record.extents
-            ]
-            for start, end, _ in spans:
-                low = bisect_left(live, (start - widest + 1,))
-                high = bisect_left(live, (end,), low)
-                for _, other_end, other in live[low:high]:
-                    if (
-                        other_end > start
-                        and records[other].alloc_step < record.free_step
-                    ):
-                        clashes.add((min(other, index), max(other, index)))
-            for span in spans:
-                insort(live, span)
-            heapq.heappush(ending, (record.free_step, index))
-        for i, j in sorted(clashes):
-            first, second = records[i], records[j]
-            for extent_a in first.extents:
-                for extent_b in second.extents:
-                    if extent_a.overlaps(extent_b):
-                        yield first, second, extent_a, extent_b
-
-    def verify(self) -> None:
-        """Re-check that lifetime-overlapping records never share words.
-
-        The allocator guards this online through its free list (double
-        frees raise, and the list must be whole at round end); this is
-        an independent offline check used by the test suite.
-        """
-        for first, second, extent_a, extent_b in self.overlaps():
-            raise AllocationError(
-                f"{first.name}#{first.instance} and "
-                f"{second.name}#{second.instance} overlap in "
-                f"space ({extent_a} vs {extent_b}) and time"
-            )
+_FIRST = itemgetter(0)
 
 
 class FrameBufferAllocator:
@@ -362,14 +208,19 @@ class _SetAllocation:
             fb_set=fb_set, capacity_words=self.capacity, rf=self.rf
         )
         self.step = 0
-        #: Live instances: ``(name, instance) -> (extents, direction,
-        #: cluster_index, alloc_step, regular)``, the record minus its
-        #: free step, in placement order.  The one live-region table:
-        #: liveness tests and snapshots read it directly.
-        self._open: Dict[
-            Tuple[str, int], Tuple[Tuple[Extent, ...], str, int, int, bool]
-        ] = {}
+        #: Live segments per object, sorted by instance, their live
+        #: instance ranges disjoint.  The one live-region table:
+        #: placement and release look instances up here.
+        self._live: Dict[str, List[Segment]] = {}
         self._last_single_extent: Dict[str, Tuple[int, Extent]] = {}
+        #: Order of the finish and round-close frees within their step.
+        self._frees = 0
+        #: Snapshot labels and steps (filled only with snapshots on).
+        self._labels: List[Tuple[str, int]] = []
+        #: A walked placement that failed after its adjacency attempt:
+        #: ``(name, instance, expected_start, size, direction)``, for
+        #: its ``alloc.fallback`` event.
+        self._unplaced: Optional[Tuple[str, int, int, int, str]] = None
         keeps = [k for k in schedule.keeps if k.fb_set == fb_set]
         self.kept_data: Dict[str, SharedData] = {
             k.name: k for k in keeps if isinstance(k, SharedData)
@@ -381,22 +232,44 @@ class _SetAllocation:
     # -- driver -----------------------------------------------------------
 
     def execute(self) -> AllocationMap:
-        clusters = self.schedule.clustering.on_set(self.fb_set)
-        for cluster in clusters:
-            self._place_cluster_inputs(cluster)
-            if self.snapshots:
-                self._snapshot(f"after load {cluster.name} input data")
-            self._run_cluster(cluster)
-            self._finish_cluster(cluster)
-            if self.snapshots:
-                self._snapshot(f"after {cluster.name} stores complete")
-        self._close_round(clusters)
-        free_words = self.free_list.free_words
-        if self._open or free_words != self.capacity:
-            live = ", ".join(f"{name}#{instance}" for name, instance in self._open)
-            raise AllocationError(
-                f"set{self.fb_set}: {free_words} of {self.capacity} words free "
-                f"at end of round (still live: {live or 'none'})"
+        try:
+            clusters = self.schedule.clustering.on_set(self.fb_set)
+            for cluster in clusters:
+                self._place_cluster_inputs(cluster)
+                if self.snapshots:
+                    self._snapshot(f"after load {cluster.name} input data")
+                self._run_cluster(cluster)
+                self._finish_cluster(cluster)
+                if self.snapshots:
+                    self._snapshot(f"after {cluster.name} stores complete")
+            self._close_round(clusters)
+            free_words = self.free_list.free_words
+            if self._live or free_words != self.capacity:
+                live = ", ".join(
+                    f"{name}#{instance}" for _, name, instance in sorted(
+                        (segment.placed_key(instance - segment.first),
+                         name, instance)
+                        for name, segments in self._live.items()
+                        for segment in segments
+                        for instance in range(
+                            segment.first + segment.closed,
+                            segment.first + segment.count,
+                        )
+                    )
+                )
+                raise AllocationError(
+                    f"set{self.fb_set}: {free_words} of {self.capacity} "
+                    f"words free at end of round (still live: "
+                    f"{live or 'none'})"
+                )
+        finally:
+            if self.decisions is not None:
+                self._record_events()
+        if self.snapshots:
+            from repro.alloc.views import build_snapshots
+
+            self.map.snapshots = build_snapshots(
+                self.map.segments, self._labels
             )
         return self.map
 
@@ -407,15 +280,15 @@ class _SetAllocation:
         shared data first (most distant consumer first), then kernel
         data from the last kernel down."""
         self.step += 1
-        for name in self.schedule.load_order(cluster.index):
+        for pos, name in enumerate(self.schedule.load_order(cluster.index)):
             info = self.dataflow[name]
             self._place_input(
                 name, 1 if info.invariant else self.rf, cluster.index,
-                info.size,
+                info.size, pos,
             )
 
     def _place_input(self, name: str, instances: int, cluster_index: int,
-                     size: int) -> None:
+                     size: int, pos: int) -> None:
         """Place an input's *instances* from upper addresses: instance 0
         by :meth:`_allocate`, then instances ``1..`` as one chain right
         below it when that whole range is free, else one by one.
@@ -424,22 +297,19 @@ class _SetAllocation:
         chain succeeds exactly when every per-instance adjacency
         attempt would.
         """
-        self._allocate(name, 0, cluster_index, size, "high")
+        self._allocate(name, 0, cluster_index, size, "high", pos)
         if instances == 1:
             return
         chain = self._carve_chain(name, size, "high", instances - 1)
         if chain is None:
             for instance in range(1, instances):
-                self._allocate(name, instance, cluster_index, size, "high")
+                self._allocate(
+                    name, instance, cluster_index, size, "high", pos
+                )
             return
-        origin, stride = self._commit_chain(
-            name, size, "high", instances - 1, chain
+        self._commit_chain(
+            name, size, "high", instances - 1, chain, alloc_stride=0
         )
-        for instance in range(1, instances):
-            self._place_chained(
-                name, instance, origin + instance * stride, size, "high",
-                cluster_index,
-            )
 
     def _run_cluster(self, cluster) -> None:
         """Execution: kernels in order, each run ``RF`` times; results
@@ -448,42 +318,42 @@ class _SetAllocation:
         Iteration 0 is walked.  At the start of iteration 1 every
         output's instances ``1..RF-1`` are carved as one chain each
         (:meth:`_carve_output_chains`); when that succeeds, the rest of
-        the run only hands out chain slots, and the dead inputs' words
-        go back once per input after the last iteration.  Otherwise
-        the run is walked to its end.
+        the run needs no placement.  Otherwise the run is walked to its
+        end, each iteration giving its dead inputs' words back
+        (:meth:`_return_dead`).  Either way the dead inputs are closed
+        once, after the run (:meth:`_release_dead`).
         """
         for kernel_name in cluster.kernel_names:
             kernel = self.dataflow.application.kernel(kernel_name)
             outputs = self._kernel_outputs(cluster, kernel)
             release = self._dead_inputs(cluster, kernel)
-            chains = None
-            returned: Dict[str, _Freed] = {}
+            cursors = [0] * len(release)
+            first_step = self.step + 1
+            walked = self.rf
             for instance in range(self.rf):
                 self.step += 1
-                if instance == 1:
-                    chains = self._carve_output_chains(outputs)
-                    if chains is not None:
-                        returned = {in_name: [] for in_name, _ in release}
-                if chains is None:
-                    for out_name, size, direction in outputs:
-                        self._allocate(
-                            out_name, instance, cluster.index, size, direction
-                        )
-                    self._release_dead(release, instance, None)
-                else:
-                    for out_name, size, direction, origin, stride in chains:
-                        self._place_chained(
-                            out_name, instance, origin + instance * stride,
-                            size, direction, cluster.index,
-                        )
-                    self._release_dead(release, instance, returned)
+                if (instance == 1
+                        and self._carve_output_chains(outputs) is not None):
+                    walked = 1
+                    self.step = first_step + self.rf - 1
+                    break
+                for pos, (out_name, size, direction) in enumerate(outputs):
+                    self._allocate(
+                        out_name, instance, cluster.index, size, direction,
+                        pos,
+                    )
+                self._return_dead(release, instance, cursors)
                 if self.snapshots:
                     self._snapshot(
                         f"after execution {instance + 1} of {kernel_name}"
                     )
-            for in_name, freed in returned.items():
-                if freed:
-                    self._give_back(in_name, freed)
+            self._release_dead(release, first_step, walked)
+            if self.snapshots:
+                for instance in range(walked, self.rf):
+                    self._labels.append((
+                        f"after execution {instance + 1} of {kernel_name}",
+                        first_step + instance,
+                    ))
 
     def _carve_output_chains(
         self, outputs: List[Tuple[str, int, str]]
@@ -544,39 +414,52 @@ class _SetAllocation:
         return chain
 
     def _commit_chain(self, name: str, size: int, direction: str,
-                      count: int, chain: Extent) -> Tuple[int, int]:
-        """Book a carved chain and return its ``(origin, stride)``:
-        instance ``i`` of the chain starts at ``origin + i * stride``.
-        The walk's adjacency state ends at the chain's last instance,
-        and its placements count as chained."""
+                      count: int, chain: Extent, *,
+                      alloc_stride: int = 1) -> Tuple[int, int]:
+        """Book a carved chain as instances ``1..count`` of *name* and
+        return its ``(origin, stride)``: instance ``i`` starts at
+        ``origin + i * stride`` and is placed *alloc_stride* steps
+        after instance ``i - 1`` (one iteration apart in a kernel run,
+        at once for an input).
+
+        The chain joins instance 0's segment when it continues it, else
+        it is a segment of its own.  The walk's adjacency state ends at
+        the chain's last instance, and its placements count as chained.
+        """
         if direction == "high":
             origin, stride = chain.end, -size
         else:
             origin, stride = chain.start - size, size
+        segments = self._live.get(name)
+        head = segments[0] if segments else None
+        if head is None or head.first != 0 or head.closed:
+            raise AllocationError(
+                f"set{self.fb_set}: chain of {name} without a live "
+                f"instance 0"
+            )
+        if (len(segments) == 1 and head.count == 1 and head.extents is None
+                and head.start == origin
+                and head.alloc_step + alloc_stride == self.step):
+            head.count = count + 1
+            head.stride = stride
+            head.alloc_stride = alloc_stride
+        else:
+            for other in segments:
+                begin = max(other.first + other.closed, 1)
+                if begin < min(other.first + other.count, count + 1):
+                    raise AllocationError(
+                        f"set{self.fb_set}: {name}#{begin} is already placed"
+                    )
+            self._add_live(segments, Segment(
+                name, 1, count, head.cluster_index, direction, True,
+                origin + stride, stride, size, None, self.step,
+                alloc_stride, head.place_pos,
+            ))
         self._last_single_extent[name] = (
             count, Extent(origin + count * stride, size)
         )
         self.map.chained += count
         return origin, stride
-
-    def _place_chained(self, name: str, instance: int, start: int,
-                       size: int, direction: str, cluster_index: int) -> None:
-        """Open one instance in a slot of an already carved chain: the
-        same live entry and ``alloc.place`` event as a regular
-        :meth:`_allocate`, with no free-list call."""
-        key = (name, instance)
-        if key in self._open:
-            raise AllocationError(
-                f"set{self.fb_set}: {name}#{instance} is already placed"
-            )
-        extents = (Extent(start, size),)
-        if self.decisions is not None:
-            self._record_alloc(
-                "alloc.place", name, instance,
-                cluster_index=cluster_index, size=size, direction=direction,
-                regular=True, split=False, extents=extents,
-            )
-        self._open[key] = (extents, direction, cluster_index, self.step, True)
 
     def _kernel_outputs(self, cluster, kernel) -> List[Tuple[str, int, str]]:
         """The results *kernel* places per execution in *cluster*, as
@@ -623,23 +506,15 @@ class _SetAllocation:
             release.append((in_name, info.invariant))
         return release
 
-    def _release_dead(
-        self,
-        release: List[Tuple[str, bool]],
-        instance: int,
-        returned: Optional[Dict[str, _Freed]],
-    ) -> None:
+    def _return_dead(self, release: List[Tuple[str, bool]], instance: int,
+                     cursors: List[int]) -> None:
         """Paper's ``release(c, k, iter)`` over a :meth:`_dead_inputs`
-        list.
-
-        Each released instance is retired now (its record and
-        ``alloc.free`` event carry this iteration's step).  Its words go
-        back to the free list now when *returned* is ``None`` (a walked
-        iteration), else they are collected there per input and given
-        back after the chained run.
-        """
-        pop = self._open.pop
-        for in_name, invariant in release:
+        list, in a walked iteration: give each released instance's
+        words back now (:meth:`_release_dead` closes it after the run).
+        *cursors* holds per input the index of its live segment that
+        holds the current instance."""
+        live = self._live
+        for pos, (in_name, invariant) in enumerate(release):
             if invariant:
                 # Single shared copy (instance 0): released only after
                 # the last concurrent iteration used it.
@@ -648,37 +523,75 @@ class _SetAllocation:
                 key_instance = 0
             else:
                 key_instance = instance
-            opened = pop((in_name, key_instance), None)
-            if opened is None:
+            segments = live.get(in_name)
+            if segments is None:
                 # Served from the other set (cross-set retention):
                 # nothing was placed here.
                 continue
-            # Dead input or intermediate instance: released now.
-            if returned is None:
-                self._return_words(in_name, key_instance, opened[0])
-            else:
-                returned[in_name].append((key_instance, opened[0]))
-            self._retire(in_name, key_instance, opened)
+            at = cursors[pos]
+            end = len(segments)
+            while at < end:
+                segment = segments[at]
+                if key_instance < segment.first + segment.count:
+                    break
+                at += 1
+            cursors[pos] = at
+            if at == end:
+                continue
+            k = key_instance - segment.first
+            if k < segment.closed:
+                continue  # not live here
+            self._return_words(
+                in_name, key_instance, segment.start + k * segment.stride,
+                segment.size, segment.extents,
+            )
+
+    def _release_dead(self, release: List[Tuple[str, bool]],
+                      first_step: int, walked: int) -> None:
+        """Close the dead inputs of a kernel run that started at
+        *first_step*, after it: instance ``i`` at iteration ``i``'s
+        step (an invariant one's instance 0 at the last iteration).
+        The first *walked* iterations gave their words back already;
+        the rest go back now, in one :meth:`_give_back`."""
+        rf = self.rf
+        returned: _Pieces = []
+        for pos, (in_name, invariant) in enumerate(release):
+            if invariant:
+                self._close(
+                    in_name, 0, 1, first_step + rf - 1, 0, pos,
+                    [] if walked == rf else returned,
+                )
+                continue
+            self._close(in_name, 0, walked, first_step, 1, pos, [])
+            if walked < rf:
+                self._close(in_name, walked, rf, first_step + walked, 1, pos,
+                            returned)
+        if returned:
+            self._give_back(returned)
 
     def _finish_cluster(self, cluster) -> None:
         """Release stored results (their DMA stores complete before the
-        next same-set cluster loads) and keeps whose span ends here."""
+        next same-set cluster loads) and keeps whose span ends here;
+        their words go back in one :meth:`_give_back`."""
         plan = self.schedule.plan_for(cluster.index)
         self.step += 1
+        pieces: _Pieces = []
         for out_name in plan.stores:
             if out_name in self.kept_results:
                 continue  # kept-and-stored: released at span end
-            self._free_instances(out_name, self.rf, missing_ok=True)
+            self._free_instances(out_name, self.rf, pieces, missing_ok=True)
         # Keeps whose span ended at (or, for cross-set consumers,
         # before) this cluster are released now.
         for keep in list(self.kept_data.values()):
-            if keep.span[1] <= cluster.index and (keep.name, 0) in self._open:
+            if keep.span[1] <= cluster.index and self._is_live(keep.name, 0):
                 self._free_instances(
-                    keep.name, 1 if keep.invariant else self.rf
+                    keep.name, 1 if keep.invariant else self.rf, pieces
                 )
         for keep in list(self.kept_results.values()):
-            if keep.span[1] <= cluster.index and (keep.name, 0) in self._open:
-                self._free_instances(keep.name, self.rf)
+            if keep.span[1] <= cluster.index and self._is_live(keep.name, 0):
+                self._free_instances(keep.name, self.rf, pieces)
+        if pieces:
+            self._give_back(pieces)
 
     def _close_round(self, clusters) -> None:
         """Free anything that survives the round boundary.
@@ -690,14 +603,17 @@ class _SetAllocation:
         else live at the end of :meth:`execute` is a bookkeeping bug.
         """
         self.step += 1
+        pieces: _Pieces = []
         for keep in list(self.kept_data.values()):
-            if (keep.name, 0) in self._open:
+            if self._is_live(keep.name, 0):
                 self._free_instances(
-                    keep.name, 1 if keep.invariant else self.rf
+                    keep.name, 1 if keep.invariant else self.rf, pieces
                 )
         for keep in list(self.kept_results.values()):
-            if (keep.name, 0) in self._open:
-                self._free_instances(keep.name, self.rf)
+            if self._is_live(keep.name, 0):
+                self._free_instances(keep.name, self.rf, pieces)
+        if pieces:
+            self._give_back(pieces)
 
     # -- placement ---------------------------------------------------------
 
@@ -708,16 +624,25 @@ class _SetAllocation:
         cluster_index: int,
         size: int,
         direction: str,
+        pos: int = 0,
     ) -> None:
-        key = (name, instance)
-        if key in self._open:
-            raise AllocationError(
-                f"set{self.fb_set}: {name}#{instance} is already placed"
-            )
+        """Place one instance, *pos* ordering it among the placements
+        of this step: it extends its previous instance's segment when
+        it lands right next to it (:meth:`_extend`), else it is a
+        segment of one."""
+        segments = self._live.get(name)
+        if segments is not None:
+            last = segments[-1]
+            if (instance < last.first + last.count
+                    and self._is_live(name, instance)):
+                raise AllocationError(
+                    f"set{self.fb_set}: {name}#{instance} is already placed"
+                )
         free_list = self.free_list
         extents: Optional[Tuple[Extent, ...]] = None
         regular = True
         expected_start = None
+        fallback = None
         if instance:
             # Iteration adjacency: right below (high) or above (low) the
             # previous instance, when that one was placed in one piece.
@@ -736,12 +661,7 @@ class _SetAllocation:
             except FragmentationError:
                 # The adjacency attempt is rolled back; fall through to
                 # the direction-ordered free-list scan.
-                if self.decisions is not None:
-                    self._record_alloc(
-                        "alloc.fallback", name, instance,
-                        expected_start=expected_start, size=size,
-                        direction=direction,
-                    )
+                fallback = expected_start
         if extents is None:
             regular = instance == 0 or expected_start is None
             try:
@@ -759,107 +679,258 @@ class _SetAllocation:
                         size, from_high=(direction == "high")
                     )
                 except FragmentationError as error:
+                    if fallback is not None:
+                        self._unplaced = (
+                            name, instance, fallback, size, direction
+                        )
                     raise FragmentationError(
                         f"set{self.fb_set}: {name}#{instance}: {error}"
                     ) from error
-                if self.decisions is not None:
-                    self._record_alloc(
-                        "alloc.split", name, instance, size=size,
-                        direction=direction,
-                        extents=extents,
-                    )
-        if self.decisions is not None:
-            self._record_alloc(
-                "alloc.place", name, instance,
-                cluster_index=cluster_index, size=size, direction=direction,
-                regular=regular, split=len(extents) > 1,
-                extents=extents,
-            )
-        self._open[key] = (
-            extents, direction, cluster_index, self.step, regular
-        )
         if len(extents) == 1:
-            self._last_single_extent[name] = (instance, extents[0])
+            extent = extents[0]
+            self._last_single_extent[name] = (instance, extent)
+            if fallback is None and expected_start is not None and (
+                self._extend(segments, instance, extent.start, pos,
+                             cluster_index, direction)
+            ):
+                if self.debug_invariants:
+                    free_list.check_invariants()
+                return
+            segment = Segment(
+                name, instance, 1, cluster_index, direction, regular,
+                extent.start, 0, size, None, self.step, 0, pos, fallback,
+            )
+        else:
+            segment = Segment(
+                name, instance, 1, cluster_index, direction, regular,
+                extents[0].start, 0, size, extents, self.step, 0, pos,
+                fallback,
+            )
+        if segments is None:
+            self._live[name] = [segment]
+        elif instance >= last.first + last.count:
+            segments.append(segment)
+        else:
+            self._add_live(segments, segment)
         if self.debug_invariants:
             free_list.check_invariants()
 
-    def _record_alloc(self, kind: str, name: str, instance: int,
-                      **detail) -> None:
-        """Append one ``alloc.*`` event to :attr:`decisions` (callers
-        check that a trace is attached, so no keyword dict is built
-        otherwise)."""
-        extents = detail.get("extents")
-        if extents is not None:
-            detail["extents"] = [[e.start, e.end] for e in extents]
-        self.decisions.record(
-            kind, name, instance=instance, fb_set=self.fb_set,
-            step=self.step, **detail,
-        )
+    def _extend(self, segments: Optional[List[Segment]], instance: int,
+                start: int, pos: int, cluster_index: int,
+                direction: str) -> bool:
+        """Book *instance*, placed right next to its previous instance
+        at *start*, as the next instance of the object's last live
+        segment when it continues that segment's affine pattern (same
+        cluster, direction and load or output index, addresses and
+        steps one stride apart); False, with nothing booked,
+        otherwise."""
+        if segments is None:
+            return False
+        last = segments[-1]
+        count = last.count
+        if (last.first + count != instance or last.extents is not None
+                or not last.regular or last.fallback is not None
+                or last.place_pos != pos
+                or last.cluster_index != cluster_index
+                or last.direction != direction):
+            return False
+        if count == 1:
+            last.stride = start - last.start
+            last.alloc_stride = self.step - last.alloc_step
+        elif (start != last.start + count * last.stride
+                or self.step != last.alloc_step + count * last.alloc_stride):
+            return False
+        last.count = count + 1
+        return True
 
-    def _free_instances(self, name: str, count: int, *,
-                        missing_ok: bool = False) -> None:
-        """Free instances ``0..count-1`` of *name* at the current step:
-        each is retired in instance order, and their words go back in
-        one :meth:`_give_back`.  An instance that is not live raises,
-        unless *missing_ok* (a stored result served from the other
-        set)."""
-        pop = self._open.pop
-        freed: _Freed = []
-        for instance in range(count):
-            opened = pop((name, instance), None)
-            if opened is None:
-                if missing_ok:
-                    continue
-                raise AllocationError(
-                    f"free of unallocated region {name}#{instance}"
-                )
-            freed.append((instance, opened[0]))
-            self._retire(name, instance, opened)
-        if freed:
-            self._give_back(name, freed)
+    def _is_live(self, name: str, instance: int) -> bool:
+        """Whether *instance* of *name* is placed and not yet freed."""
+        for segment in self._live.get(name, ()):
+            first = segment.first
+            if first + segment.closed <= instance < first + segment.count:
+                return True
+        return False
 
-    def _give_back(self, name: str, freed: _Freed) -> None:
-        """Return the words of retired ``(instance, extents)`` of *name*
-        to the free list: one free when they tile one range (a chain),
-        else one per instance.
+    def _add_live(self, segments: List[Segment], segment: Segment) -> None:
+        """Insert *segment* (whose instances are not live) into one
+        object's live list by instance.  A segment whose closed prefix
+        covers the new instances is booked up to there first, so the
+        list's instance ranges stay disjoint."""
+        first = segment.first
+        end = first + segment.count
+        for other in segments:
+            if other.closed and other.first < end and (
+                first < other.first + other.closed
+            ):
+                self._book_closed(other)
+        at = 0
+        while at < len(segments) and segments[at].first < first:
+            at += 1
+        segments.insert(at, segment)
 
-        When the single free fails, the per-instance frees run instead,
-        so the error names the instance at fault.
+    # -- release -----------------------------------------------------------
+
+    def _close(self, name: str, lo: int, hi: int, step: int, stride: int,
+               pos: int, pieces: _Pieces) -> None:
+        """Close the live instances ``lo..hi-1`` of *name*, instance
+        ``i`` freed at step ``step + (i - lo) * stride`` in release
+        order *pos*, and append their pieces (words not yet given back)
+        to *pieces*, in instance order.
+
+        A closure extends the closed prefix of its segment when it
+        continues it affinely (same *pos*, steps in one arithmetic
+        progression); otherwise the closed prefix is booked first.  A
+        segment closed whole is booked in :attr:`AllocationMap.segments`.
         """
-        low = high = -1
-        for _, extents in freed:
-            if len(extents) != 1:
+        segments = self._live.get(name)
+        if segments is None:
+            return
+        index = 0
+        while index < len(segments):
+            segment = segments[index]
+            first = segment.first
+            if first >= hi:
                 break
-            extent = extents[0]
-            if low < 0:
-                low, high = extent.start, extent.end
-            elif extent.end == low:
-                low = extent.start
-            elif extent.start == high:
-                high = extent.end
+            begin = first + segment.closed
+            end = first + segment.count
+            a = lo if lo > begin else begin
+            b = hi if hi < end else end
+            if a >= b:
+                index += 1
+                continue
+            if a > begin:
+                # Closing past live instances: they keep a segment of
+                # their own, in front of this one.
+                back = segment.part(a - first, segment.count)
+                back.closed = 0
+                segment.count = a - first
+                index += 1
+                segments.insert(index, back)
+                segment = back
+            n = b - a
+            free_step = step + (a - lo) * stride
+            closed = segment.closed
+            if closed:
+                common = (free_step - segment.free_step if closed == 1
+                          else segment.free_stride)
+                if (segment.free_pos == pos
+                        and free_step == segment.free_step + closed * common
+                        and (n == 1 or stride == common)):
+                    segment.free_stride = common
+                else:
+                    self._book_closed(segment)
+                    closed = 0
+            if not closed:
+                segment.free_step = free_step
+                segment.free_stride = stride
+                segment.free_pos = pos
+            segment.closed = closed + n
+            k = a - segment.first
+            pieces.append((
+                name, a, n, segment.start + k * segment.stride,
+                segment.stride, segment.size, segment.extents,
+            ))
+            if segment.closed == segment.count:
+                del segments[index]
+                self.map.segments.append(segment)
             else:
-                break
-        else:
-            if len(freed) > 1:
+                index += 1
+        if not segments:
+            del self._live[name]
+
+    def _book_closed(self, segment: Segment) -> None:
+        """Book the closed prefix of a live segment as a segment of its
+        own; the live one keeps the rest."""
+        closed = segment.closed
+        booked = segment.part(0, closed)
+        booked.closed = closed
+        self.map.segments.append(booked)
+        segment.first += closed
+        segment.count -= closed
+        segment.start += closed * segment.stride
+        segment.alloc_step += closed * segment.alloc_stride
+        segment.closed = 0
+
+    def _free_instances(self, name: str, count: int, pieces: _Pieces, *,
+                        missing_ok: bool = False) -> None:
+        """Close instances ``0..count-1`` of *name* at the current step,
+        their pieces going to *pieces*.  An instance that is not live
+        raises, unless *missing_ok* (a stored result served from the
+        other set)."""
+        before = len(pieces)
+        self._close(name, 0, count, self.step, 0, self._frees, pieces)
+        self._frees += 1
+        if not missing_ok:
+            closed = 0
+            for _, instance, run, _, _, _, _ in pieces[before:]:
+                if instance != closed:
+                    break
+                closed += run
+            if closed < count:
+                raise AllocationError(
+                    f"free of unallocated region {name}#{closed}"
+                )
+
+    def _give_back(self, pieces: _Pieces) -> None:
+        """Return the words of closed *pieces* to the free list: one
+        free per run of adjacent words (the coalesced list depends
+        only on the set of free words), a split placement extent by
+        extent.  Callers give back a whole phase's pieces at once, so
+        neighbouring objects' words coalesce too.
+
+        When a run's single free fails, its instances are freed one by
+        one instead, so the error names the instance at fault.
+        """
+        runs = []
+        for piece in pieces:
+            _, _, count, start, stride, size, extents = piece
+            if extents is not None or (count > 1 and abs(stride) != size):
+                self._return_each([piece])
+                continue
+            last = start + (count - 1) * stride
+            if start < last:
+                runs.append((start, last + size, piece))
+            else:
+                runs.append((last, start + size, piece))
+        runs.sort(key=_FIRST)
+        at = 0
+        while at < len(runs):
+            low, high, piece = runs[at]
+            end = at + 1
+            while end < len(runs) and runs[end][0] == high:
+                high = runs[end][1]
+                end += 1
+            if high - low > piece[5]:
                 try:
                     self.free_list.free(low, high - low)
                 except AllocationError:
-                    pass
+                    self._return_each([run[2] for run in runs[at:end]])
                 else:
                     if self.debug_invariants:
                         self.free_list.check_invariants()
-                    return
-        for instance, extents in freed:
-            self._return_words(name, instance, extents)
+            else:
+                self._return_each([piece])
+            at = end
 
-    def _return_words(self, name: str, instance: int,
-                      extents: Tuple[Extent, ...]) -> None:
-        """Give one instance's words back to the free list; a free-list
-        error is re-raised naming the set and the instance."""
+    def _return_each(self, pieces: _Pieces) -> None:
+        """Give the words of *pieces* back one instance at a time."""
+        for name, instance, count, start, stride, size, extents in pieces:
+            if extents is not None:
+                self._return_words(name, instance, 0, 0, extents)
+                continue
+            for k in range(count):
+                self._return_words(name, instance + k, start + k * stride,
+                                   size)
+
+    def _return_words(self, name: str, instance: int, start: int,
+                      size: int,
+                      extents: Optional[Tuple[Extent, ...]] = None) -> None:
+        """Give one instance's words (``[start, start+size)``, or its
+        split *extents*) back to the free list; a free-list error is
+        re-raised naming the set and the instance."""
         try:
-            if len(extents) == 1:
-                extent = extents[0]
-                self.free_list.free(extent.start, extent.size)
+            if extents is None:
+                self.free_list.free(start, size)
             else:
                 self.free_list.free_extents(extents)
         except AllocationError as error:
@@ -869,25 +940,35 @@ class _SetAllocation:
         if self.debug_invariants:
             self.free_list.check_invariants()
 
-    def _retire(self, name: str, instance: int,
-                opened: Tuple[Tuple[Extent, ...], str, int, int, bool]) -> None:
-        """Close a released instance: its ``alloc.free`` event and its
-        :class:`AllocationRecord`, freed at the current step."""
-        extents, direction, cluster_index, alloc_step, regular = opened
-        if self.decisions is not None:
-            self._record_alloc("alloc.free", name, instance, extents=extents)
-        self.map.records.append(AllocationRecord(
-            name, instance, cluster_index, extents, direction, alloc_step,
-            self.step, regular,
-        ))
+    # -- derived views -----------------------------------------------------
 
     def _snapshot(self, label: str) -> None:
-        """Copy the live regions under *label* (callers check
-        :attr:`snapshots`, so no label is formatted otherwise)."""
-        regions = tuple(
-            (name, instance, opened[0])
-            for (name, instance), opened in self._open.items()
-        )
-        self.map.snapshots.append(
-            Snapshot(label=label, step=self.step, regions=regions)
-        )
+        """Note a snapshot of the live regions at this step under
+        *label* (callers check :attr:`snapshots`, so no label is
+        formatted otherwise); :func:`~repro.alloc.views.build_snapshots`
+        fills it in at the end of the round."""
+        self._labels.append((label, self.step))
+
+    def _record_events(self) -> None:
+        """Append the ``alloc.*`` events of every placement and free so
+        far to :attr:`decisions`
+        (:func:`~repro.alloc.views.decision_events`), and the
+        ``alloc.fallback`` of a placement that failed after it.  After
+        a failure, the dead inputs of the failing kernel run are not
+        listed as freed: a run closes them when it ends."""
+        from repro.alloc.views import decision_events
+
+        segments = list(self.map.segments)
+        for live in self._live.values():
+            segments.extend(live)
+        record = self.decisions.record
+        for kind, name, detail in decision_events(segments, self.fb_set):
+            record(kind, name, **detail)
+        if self._unplaced is not None:
+            name, instance, expected_start, size, direction = self._unplaced
+            record(
+                "alloc.fallback", name, instance=instance,
+                fb_set=self.fb_set, step=self.step,
+                expected_start=expected_start, size=size,
+                direction=direction,
+            )

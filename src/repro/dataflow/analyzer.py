@@ -148,22 +148,25 @@ def build_ir(
 
     When it runs the allocator itself it times it as
     ``analysis/allocate`` and, while metrics are collecting, counts the
-    finished maps' records, irregular placements, splits and chained
-    placements as ``analysis/placements``, ``analysis/irregular``,
-    ``analysis/splits`` and ``analysis/chained`` (so a profile reads as
-    time per placement).
+    finished maps' placements, irregular placements, splits, chained
+    placements and booked segments as ``analysis/placements``,
+    ``analysis/irregular``, ``analysis/splits``, ``analysis/chained``
+    and ``analysis/segments`` (so a profile reads as time per
+    placement), all from the segments: no allocation record is built.
     """
     if allocations is None:
         with time_stage("allocate", scope="analysis"):
             allocations = FrameBufferAllocator(program.schedule).allocate()
         if metrics_active():
-            inc("placements", sum(len(m.records) for m in allocations),
+            inc("placements", sum(m.placements for m in allocations),
                 scope="analysis")
             inc("irregular", sum(m.irregular_placements for m in allocations),
                 scope="analysis")
             inc("splits", sum(m.splits for m in allocations),
                 scope="analysis")
             inc("chained", sum(m.chained for m in allocations),
+                scope="analysis")
+            inc("segments", sum(len(m.segments) for m in allocations),
                 scope="analysis")
     with time_stage("lower", scope="analysis"):
         return lower_program(program, allocations=allocations)

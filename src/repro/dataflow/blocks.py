@@ -15,28 +15,30 @@ visit, or to the kept home set — so each block is a few Python scalars:
   or of one context-memory range).
 
 The families are expanded into the :class:`~repro.dataflow.ir.ProgramIR`
-columns by ``arange`` arithmetic at the end, and each value's placement
-is looked up among the allocator's records as sorted keys.  The ops are
-never materialised.  The result equals the op walk of
-:mod:`repro.dataflow.opwalk` column for column; a block that does not
-resolve alike for every iteration sends the program to the op walk.
+columns by ``arange`` arithmetic at the end.  The allocator's segments
+(:class:`~repro.alloc.maps.Segment`, instances at affine
+addresses) are expanded the same way into its placements, in records
+order, and each value's placement is looked up among them as sorted
+keys.  Neither the ops nor the allocation records are materialised.
+The result equals the op walk of :mod:`repro.dataflow.opwalk` column
+for column; a block that does not resolve alike for every iteration
+sends the program to the op walk.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.frame_buffer import Extent
 from repro.codegen.program import Program
 from repro.codegen.templated import TemplateVisits
 from repro.dataflow.ir import (
     _LOAD,
     _RUN,
     _STORE,
+    PlaceExtents,
     ProgramIR,
     expand_ranges,
     kernel_io,
@@ -73,43 +75,78 @@ def _scatter(
 
 def _record_places(
     allocations: Optional[Sequence[object]],
-    place_extents: List[Tuple[Extent, ...]],
-) -> Tuple[Tuple[List[int], List[str], List[int], List[int], List[int]],
-           List[Tuple[int, int]]]:
-    """The allocation records as columns — set, name, instance, cluster
-    and placement (a row of *place_extents*, appended here, or -1) —
-    and the ``(start, size)`` spans of the placements in order."""
-    sets: List[int] = []
+) -> Tuple[Tuple[List[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                 np.ndarray], Tuple[np.ndarray, ...]]:
+    """The maps' placements in records order, set 0's first, expanded
+    from their segments (:meth:`AllocationMap.placement_columns`) by
+    ``arange`` arithmetic over one segment table: the segment names,
+    and per placement its set, segment, instance, cluster and placement
+    row (-1 when it has no extents); then per placement row its first
+    span and span count, and the spans' starts and sizes."""
     names: List[str] = []
-    instances: List[int] = []
-    clusters: List[int] = []
-    places: List[int] = []
+    table: List[List[int]] = [[] for _ in range(10)]
+    listed: Dict[int, Tuple[object, ...]] = {}
     for fb_set, alloc_map in enumerate(allocations or ()):
-        records = alloc_map.records
-        if not records:
-            continue
-        name, instance, cluster, extents = list(zip(*records))[:4]
-        sets += [fb_set] * len(records)
-        names += name
-        instances += instance
-        clusters += cluster
-        if all(extents):
-            places += range(len(place_extents),
-                            len(place_extents) + len(extents))
-            place_extents += extents
-            continue
-        for entry in extents:
-            if entry:
-                places.append(len(place_extents))
-                place_extents.append(entry)
-            else:
-                places.append(-1)
-    spans = list(map(_START_SIZE, chain.from_iterable(place_extents)))
-    return (sets, names, instances, clusters, places), spans
+        columns = alloc_map.placement_columns()
+        base = len(names)
+        names += columns.names
+        table[0] += [fb_set] * len(columns.names)
+        for row, column in zip(table[1:], (
+            columns.count, columns.first, columns.cluster, columns.start,
+            columns.stride, columns.size, columns.order_step,
+            columns.order_stride, columns.order_pos,
+        )):
+            row += column
+        for index, extents in enumerate(columns.extents, base):
+            if extents is not None:
+                listed[index] = extents
+    if not names:
+        empty = np.empty(0, np.int32)
+        return (names, empty, empty, empty, empty, empty), (empty,) * 4
+    segments = np.array(table, np.int64)
+    k, seg = expand_ranges(
+        np.zeros(len(names), np.int32), segments[1].astype(np.int32)
+    )
+    (sets, _, first, cluster, start, stride, size, step, step_stride,
+     pos) = segments.take(seg, axis=1)
+    instance = first + k
+    order = np.lexsort((instance, pos, step + step_stride * k, sets))
+    seg = seg.take(order)
+    k = k.take(order)
+    start = start.take(order) + stride.take(order) * k
+    size = size.take(order)
+    spans = np.ones(len(order), np.int32)
+    if listed:
+        # Split placements (and maps given as records) list their
+        # extents: their span rows follow the affine ones.
+        rows = len(order)
+        lo = np.arange(rows, dtype=np.int32)
+        ext_spans: List[Tuple[int, int]] = []
+        for at in np.flatnonzero(np.isin(seg, list(listed))).tolist():
+            extents = listed[int(seg[at])]
+            lo[at] = rows + len(ext_spans)
+            spans[at] = len(extents)
+            ext_spans += map(_START_SIZE, extents)
+        row, _ = expand_ranges(lo, lo + spans)
+        ext = np.array(ext_spans, np.int64).reshape(-1, 2)
+        start = np.concatenate([start, ext[:, 0]]).take(row)
+        size = np.concatenate([size, ext[:, 1]]).take(row)
+    placed = spans > 0
+    place = np.where(placed, np.cumsum(placed, dtype=np.int32) - 1, -1)
+    place_spans = spans[placed]
+    place_first = np.cumsum(place_spans, dtype=np.int32) - place_spans
+    return (
+        (names, sets.take(order).astype(np.int32), seg,
+         instance.take(order).astype(np.int32),
+         cluster.take(order).astype(np.int32), place.astype(np.int32)),
+        (place_first, place_spans, start.astype(np.int32),
+         size.astype(np.int32)),
+    )
 
 
 def _lookup_places(
-    records: Tuple[List[int], List[str], List[int], List[int], List[int]],
+    records: Tuple[List[str], np.ndarray, np.ndarray, np.ndarray,
+                   np.ndarray, np.ndarray],
     codes: Dict[str, int],
     fb_set: np.ndarray,
     code: np.ndarray,
@@ -122,14 +159,16 @@ def _lookup_places(
     per-record table, as sorted keys."""
     if not len(code):
         return np.empty(0, np.int32)
-    sets, names, instances, clusters, places = records
-    rec_code = np.array([codes.get(name, -1) for name in names], np.int64)
+    names, sets, name, instances, clusters, places = records
+    rec_code = np.array(
+        [codes.get(entry, -1) for entry in names], np.int64
+    ).take(name)
     known = rec_code >= 0
-    rec_set = np.asarray(sets, np.int64)[known]
+    rec_set = sets.astype(np.int64)[known]
     rec_code = rec_code[known]
-    rec_instance = np.asarray(instances, np.int64)[known]
-    rec_cluster = np.asarray(clusters, np.int64)[known]
-    rec_place = np.asarray(places, np.int32)[known]
+    rec_instance = instances.astype(np.int64)[known]
+    rec_cluster = clusters.astype(np.int64)[known]
+    rec_place = places[known]
     width = max(int(rec_instance.max(initial=0)), int(in_round.max())) + 1
     clusters_n = max(int(rec_cluster.max(initial=0)), int(cluster.max())) + 1
     names_n = len(codes)
@@ -190,11 +229,13 @@ def _lower_blocks(
     keep_set = {keep.name: keep.fb_set for keep in schedule.keeps}
     kernel_inputs, kernel_outputs = kernel_io(schedule)
 
-    place_extents: List[Tuple[Extent, ...]] = []
-    records, spans = _record_places(allocations, place_extents)
-    # Per placement, its number of spans; each context-memory range
-    # gets a placement of one span after the records'.
-    span_counts = list(map(len, place_extents))
+    records, (place_first, place_spans, rec_start, rec_size) = (
+        _record_places(allocations)
+    )
+    # Each context-memory range gets a placement of one span after the
+    # records': ``(start, size)`` per range.
+    places = len(place_first)
+    cm_spans: List[Tuple[int, int]] = []
 
     # Value families: the values one block defines for one object, in
     # value-id order ``base + stride * local``, instance ``instance +
@@ -321,12 +362,11 @@ def _lower_blocks(
                 refill = refills.get((position, block))
                 if refill is None:
                     region: Dict[str, int] = {}
-                    first = len(span_counts)
+                    first = places + len(cm_spans)
                     offset = 0
                     for load in context_loads:
-                        region[load.kernel] = len(span_counts)
-                        span_counts.append(1)
-                        spans.append((offset, load.words))
+                        region[load.kernel] = places + len(cm_spans)
+                        cm_spans.append((offset, load.words))
                         offset += load.words
                     refill = refills[(position, block)] = (region, first)
                 cm_regions[block] = refill[0]
@@ -520,7 +560,8 @@ def _lower_blocks(
     stored = np.flatnonzero(fb & (kind == _STORE))
 
     # One row per span of each placed access.
-    counts = np.asarray(span_counts, np.int32)
+    cm = np.array(cm_spans, np.int32).reshape(-1, 2)
+    counts = np.concatenate([place_spans, np.ones(len(cm), np.int32)])
     first = np.cumsum(counts, dtype=np.int32) - counts
     placed = np.flatnonzero(place >= 0)
     placed_place = place.take(placed)
@@ -528,7 +569,8 @@ def _lower_blocks(
         first.take(placed_place), (first + counts).take(placed_place)
     )
     row_of = placed.take(row_of)
-    span_start, span_size = np.array(spans, np.int32).reshape(-1, 2).T
+    span_start = np.concatenate([rec_start, cm[:, 0]])
+    span_size = np.concatenate([rec_size, cm[:, 1]])
 
     columns.update(
         node_kind=node_kind,
@@ -556,5 +598,5 @@ def _lower_blocks(
     ) or 1
     return ProgramIR.from_columns(
         program, allocations, cm_block_capacity, tuple(codes),
-        place_extents, columns,
+        PlaceExtents(place_first, place_spans, rec_start, rec_size), columns,
     )

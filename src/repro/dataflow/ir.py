@@ -203,16 +203,12 @@ class VisitNodes:
         raise ValueError("empty visit")
 
 
-class _LazyView(SequenceABC):
-    """A read-only sequence that builds item *i* from the IR's columns
-    on access; equal to a list of the same items (and unhashable, like
-    one)."""
+class _LazySequence(SequenceABC):
+    """A read-only sequence that builds item *i* on access; equal to a
+    list of the same items (and unhashable, like one)."""
 
-    __slots__ = ("_ir",)
+    __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, ir: "ProgramIR") -> None:
-        self._ir = ir
 
     def _build(self, index: int):
         raise NotImplementedError
@@ -231,9 +227,44 @@ class _LazyView(SequenceABC):
         return map(self._build, range(len(self)))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, _LazyView)):
+        if isinstance(other, (list, _LazySequence)):
             return list(self) == list(other)
         return NotImplemented
+
+
+class _LazyView(_LazySequence):
+    """A lazy sequence over one IR's columns."""
+
+    __slots__ = ("_ir",)
+
+    def __init__(self, ir: "ProgramIR") -> None:
+        self._ir = ir
+
+
+class PlaceExtents(_LazySequence):
+    """``ProgramIR.place_extents`` of the block lowering: placement
+    *p*'s extents, built on access from the span rows ``first[p] ..
+    first[p] + count[p] - 1`` of ``start``/``size``; equal to the op
+    walk's list of extent tuples."""
+
+    __slots__ = ("_first", "_count", "_start", "_size")
+
+    def __init__(self, first: np.ndarray, count: np.ndarray,
+                 start: np.ndarray, size: np.ndarray) -> None:
+        self._first = first
+        self._count = count
+        self._start = start
+        self._size = size
+
+    def __len__(self) -> int:
+        return len(self._first)
+
+    def _build(self, place: int) -> Tuple[Extent, ...]:
+        row = int(self._first[place])
+        end = row + int(self._count[place])
+        return tuple(map(
+            Extent, self._start[row:end].tolist(), self._size[row:end].tolist()
+        ))
 
 
 class _NodeView(_LazyView):
@@ -254,21 +285,17 @@ class _NodeView(_LazyView):
 class _ValueView(_LazyView):
     """``ProgramIR.values``: a :class:`ValueLifetime` per value id."""
 
-    __slots__ = ("_uses", "_stores")
-
-    def __init__(self, ir: "ProgramIR") -> None:
-        super().__init__(ir)
-        self._uses: Optional[Dict[int, List[int]]] = None
-        self._stores: Optional[Dict[int, List[int]]] = None
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self._ir.val_name)
 
     def _build(self, v: int) -> ValueLifetime:
         ir = self._ir
-        if self._uses is None:
-            self._uses = _group(ir.use_value, ir.use_node)
-            self._stores = _group(ir.store_value, ir.store_node)
+        if ir._value_groups is None:
+            ir._value_groups = (_group(ir.use_value, ir.use_node),
+                                _group(ir.store_value, ir.store_node))
+        uses, stores = ir._value_groups
         place = int(ir.val_place[v])
         def_node = int(ir.val_def[v])
         return ValueLifetime(
@@ -281,8 +308,8 @@ class _ValueView(_LazyView):
             def_visit=int(ir.node_visit[def_node]),
             def_kind=KINDS[ir.val_kind[v]],
             extents=ir.place_extents[place] if place >= 0 else (),
-            uses=list(self._uses.get(v, ())),
-            store_nodes=list(self._stores.get(v, ())),
+            uses=list(uses.get(v, ())),
+            store_nodes=list(stores.get(v, ())),
             kept=bool(ir.val_kept[v]),
             survived_drain=bool(ir.val_survived[v]),
             end_visit=int(ir.val_end_visit[v]),
@@ -407,7 +434,7 @@ class ProgramIR:
     store_value: np.ndarray
     store_node: np.ndarray
     names: Tuple[str, ...]
-    place_extents: List[Tuple[Extent, ...]]
+    place_extents: Sequence[Tuple[Extent, ...]]
 
     @classmethod
     def from_columns(
@@ -416,7 +443,7 @@ class ProgramIR:
         allocations: Optional[Sequence[object]],
         cm_block_capacity: int,
         names: Tuple[str, ...],
-        place_extents: List[Tuple[Extent, ...]],
+        place_extents: Sequence[Tuple[Extent, ...]],
         columns: Dict[str, object],
     ) -> "ProgramIR":
         """The IR over *columns* (lists or arrays, keyed by
@@ -438,9 +465,27 @@ class ProgramIR:
         )
 
     def __post_init__(self) -> None:
-        self.nodes: Sequence[IRNode] = _NodeView(self)
-        self.values: Sequence[ValueLifetime] = _ValueView(self)
-        self.visit_nodes: Sequence[VisitNodes] = _VisitNodesView(self)
+        #: Per value, its kernel-read and store nodes, grouped on the
+        #: first :attr:`values` access.
+        self._value_groups: Optional[Tuple[
+            Dict[int, List[int]], Dict[int, List[int]]
+        ]] = None
+
+    # The views are made per access rather than held: an IR that held
+    # views of itself would be a reference cycle, which only the cyclic
+    # collector frees, so a dropped IR's columns would outlive it.
+
+    @property
+    def nodes(self) -> Sequence[IRNode]:
+        return _NodeView(self)
+
+    @property
+    def values(self) -> Sequence[ValueLifetime]:
+        return _ValueView(self)
+
+    @property
+    def visit_nodes(self) -> Sequence[VisitNodes]:
+        return _VisitNodesView(self)
 
     def node(self, node_id: int) -> IRNode:
         return self.nodes[node_id]

@@ -127,14 +127,31 @@ class CompleteDataScheduler(DataSchedulerBase):
         level, and pick the (RF, keeps) pair with the fewest simulated
         cycles; a tie keeps the higher RF, so the pick is never slower
         than the RF-first schedule the sweep starts with.  Exposes the
-        trade-off the paper's default (RF first) resolves by fiat."""
+        trade-off the paper's default (RF first) resolves by fiat.
+
+        The decision trace describes the chosen schedule: the RF bound,
+        one ``rf.joint`` point per swept RF, one ``rf.result`` and the
+        chosen RF's ranking and keep verdicts.  Each level's ranking
+        and verdicts go to a scratch trace while it is swept, and only
+        the chosen level's are copied over."""
+        from repro.obs.events import DecisionTrace
         from repro.sim.engine import simulated_cycles
 
-        rf_max = self._max_rf(dataflow)
+        trace = self._decisions
+        engine = self._engine
+        rf_max = engine.max_common_rf(keeps=(), max_rf=self.options.rf_cap)
+        if rf_max == 0:
+            self._raise_rf1_infeasible(dataflow)
         best: Tuple[int, Tuple[KeepDecision, ...]] = (rf_max, ())
         best_cycles = None
+        best_verdicts = None
         for rf in range(rf_max, 0, -1):
-            keeps = self._choose_keeps(dataflow, rf)
+            verdicts = None if trace is None else DecisionTrace()
+            self._decisions = engine.recorder = verdicts
+            try:
+                keeps = self._choose_keeps(dataflow, rf)
+            finally:
+                self._decisions = engine.recorder = trace
             schedule = self._build_schedule(
                 dataflow, rf=rf, keeps=keeps, contexts_per_iteration=False
             )
@@ -146,6 +163,9 @@ class CompleteDataScheduler(DataSchedulerBase):
             if best_cycles is None or cycles < best_cycles:
                 best_cycles = cycles
                 best = (rf, keeps)
+                best_verdicts = verdicts
         self._record("rf.result", rf=best[0], rf_cap=self.options.rf_cap,
                      policy="joint")
+        for event in best_verdicts or ():
+            trace.record(event.kind, event.subject, **event.detail)
         return best

@@ -20,7 +20,7 @@ number comes from; infeasible partitions are skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch.params import Architecture
 from repro.core.application import Application
@@ -30,6 +30,11 @@ from repro.schedule.base import DataSchedulerBase
 from repro.schedule.plan import Schedule
 
 __all__ = ["KernelScheduleResult", "KernelScheduler", "enumerate_partitions"]
+
+#: One :meth:`KernelScheduler.explore` call's scored partitions: group
+#: sizes -> ``(clustering, schedule, simulated cycles)``, ``None`` when
+#: infeasible.
+_Scored = Dict[Tuple[int, ...], Optional[Tuple[Clustering, Schedule, int]]]
 
 
 def enumerate_partitions(count: int) -> Iterator[Tuple[int, ...]]:
@@ -109,31 +114,32 @@ class KernelScheduler:
     def explore(self, application: Application) -> KernelScheduleResult:
         """Find the best contiguous partition for *application*.
 
+        Each distinct group-size vector is scheduled and simulated at
+        most once per call: the beam search's scores, the final beam's
+        among them, are reused here.
+
         Raises:
             InfeasibleScheduleError: if no partition is feasible.
         """
-        from repro.sim.engine import simulated_cycles
-
+        scored: _Scored = {}
         count = len(application.kernels)
         if count <= self.exhaustive_limit:
             partitions: Sequence[Tuple[int, ...]] = list(
                 enumerate_partitions(count)
             )
         else:
-            partitions = self._beam_partitions(application)
+            partitions = self._beam_partitions(application, scored)
 
         best: Optional[KernelScheduleResult] = None
         evaluated = 0
         infeasible = 0
         for sizes in partitions:
-            clustering = Clustering.from_sizes(application, sizes)
-            try:
-                schedule = self.data_scheduler.schedule(application, clustering)
-            except InfeasibleScheduleError:
+            candidate = self._score(application, sizes, scored)
+            if candidate is None:
                 infeasible += 1
                 continue
             evaluated += 1
-            cycles = simulated_cycles(schedule, self.architecture)
+            clustering, schedule, cycles = candidate
             if best is None or cycles < best.cycles:
                 best = KernelScheduleResult(
                     clustering=clustering,
@@ -156,17 +162,48 @@ class KernelScheduler:
             candidates_infeasible=infeasible,
         )
 
+    def _score(
+        self,
+        application: Application,
+        sizes: Tuple[int, ...],
+        scored: _Scored,
+    ) -> Optional[Tuple[Clustering, Schedule, int]]:
+        """``(clustering, schedule, simulated cycles)`` of one partition,
+        ``None`` when it is infeasible; looked up in, or added to,
+        *scored* (one :meth:`explore` call's table)."""
+        if sizes in scored:
+            return scored[sizes]
+        from repro.sim.engine import simulated_cycles
+
+        clustering = Clustering.from_sizes(application, sizes)
+        try:
+            schedule = self.data_scheduler.schedule(application, clustering)
+        except InfeasibleScheduleError:
+            result = None
+        else:
+            result = (
+                clustering, schedule,
+                simulated_cycles(schedule, self.architecture),
+            )
+        scored[sizes] = result
+        return result
+
     # -- beam search fallback -------------------------------------------------
 
-    def _beam_partitions(self, application: Application) -> List[Tuple[int, ...]]:
+    def _beam_partitions(
+        self,
+        application: Application,
+        scored: _Scored,
+    ) -> List[Tuple[int, ...]]:
         """Candidate group-size vectors from a left-to-right beam search.
 
         States are partial partitions of the kernel prefix, scored by
         the simulated cycles of the partial application (suffix kernels
-        appended as one trailing cluster to keep candidates comparable).
+        appended as one trailing cluster to keep candidates comparable)
+        through :meth:`_score`, so a vector met again (a finished state
+        carried to the next level, or a prefix whose trailing cluster
+        makes a finished one) is not scheduled twice.
         """
-        from repro.sim.engine import simulated_cycles
-
         count = len(application.kernels)
         max_group = min(count, self.exhaustive_limit)
         beam: List[Tuple[int, ...]] = [()]
@@ -179,21 +216,15 @@ class KernelScheduler:
                     continue
                 for group in range(1, min(max_group, count - used) + 1):
                     extended.append(state + (group,))
-            scored = []
+            ranked = []
             for state in extended:
                 used = sum(state)
                 sizes = state if used == count else state + (count - used,)
-                clustering = Clustering.from_sizes(application, sizes)
-                try:
-                    schedule = self.data_scheduler.schedule(
-                        application, clustering
-                    )
-                except InfeasibleScheduleError:
-                    continue
-                cycles = simulated_cycles(schedule, self.architecture)
-                scored.append((cycles, state))
-            scored.sort(key=lambda pair: (pair[0], pair[1]))
-            beam = [state for _, state in scored[: self.beam_width]]
+                candidate = self._score(application, sizes, scored)
+                if candidate is not None:
+                    ranked.append((candidate[2], state))
+            ranked.sort(key=lambda pair: (pair[0], pair[1]))
+            beam = [state for _, state in ranked[: self.beam_width]]
             if not beam:
                 return []
             if all(sum(state) == count for state in beam):

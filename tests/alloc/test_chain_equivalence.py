@@ -77,9 +77,8 @@ def _walk_only(monkeypatch):
     for helper in ("_carve_chain", "_carve_output_chains"):
         monkeypatch.setattr(_SetAllocation, helper, lambda self, *args: None)
 
-    def give_back(self, name, freed):
-        for instance, extents in freed:
-            self._return_words(name, instance, extents)
+    def give_back(self, pieces):
+        self._return_each(pieces)
 
     monkeypatch.setattr(_SetAllocation, "_give_back", give_back)
 

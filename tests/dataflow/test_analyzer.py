@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.alloc.allocator import FrameBufferAllocator
+from repro.alloc.allocator import AllocationMap, FrameBufferAllocator
 from repro.arch.params import Architecture
 from repro.codegen.generator import generate_program
 from repro.dataflow.analyzer import (
@@ -51,7 +51,7 @@ def test_analyze_schedule_returns_program_and_collector():
     assert hazard_errors(collector) == ()
 
 
-def test_build_ir_counts_placements_while_metrics_collect():
+def test_build_ir_counts_placements_while_metrics_collect(monkeypatch):
     # Seed 3 at 2K falls back and splits, so every counter is non-zero.
     application, clustering = random_application(3, iterations=48)
     schedule = CompleteDataScheduler(Architecture.m1("2K")).schedule(
@@ -59,15 +59,23 @@ def test_build_ir_counts_placements_while_metrics_collect():
     )
     program = generate_program(schedule)
     maps = FrameBufferAllocator(schedule).allocate()
+    segments = sum(len(m.segments) for m in maps)
+    # Counted from the records, which the counters must not build.
     expected = {
         "analysis/placements": sum(len(m.records) for m in maps),
         "analysis/irregular": sum(m.irregular_placements for m in maps),
         "analysis/splits": sum(m.splits for m in maps),
+        "analysis/segments": segments,
     }
     assert all(expected.values())
-    with request_scope(merge_into_global=False) as registry:
-        build_ir(program)
-        build_ir(program, allocations=maps)  # allocates nothing: no count
+    assert segments < expected["analysis/placements"] / 2
+    with monkeypatch.context() as patch:
+        patch.setattr(AllocationMap, "records", property(
+            lambda self: pytest.fail("records built while counting")
+        ))
+        with request_scope(merge_into_global=False) as registry:
+            build_ir(program)
+            build_ir(program, allocations=maps)  # allocates nothing: no count
     counters = registry.snapshot()["counters"]
     assert {key: counters[key] for key in expected} == expected
     previous = set_metrics_active(False)

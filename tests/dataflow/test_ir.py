@@ -1,6 +1,8 @@
 """Lowering programs into the def-use IR."""
 
 import dataclasses
+import gc
+import weakref
 
 from repro.alloc.allocator import FrameBufferAllocator
 from repro.dataflow.ir import (
@@ -70,6 +72,24 @@ def test_placement_gives_extents(e1_cds_program):
     assert placed
     for value in placed:
         assert sum(extent.size for extent in value.extents) == value.words
+
+
+def test_dropped_ir_is_freed_without_the_cycle_collector(e1_cds_program):
+    """The lazy views are made per access, so the IR holds no reference
+    cycle: dropping it frees its columns at once, not at some later
+    collection (a corpus op's garbage would otherwise pile up)."""
+    ir = _lower(e1_cds_program)
+    assert ir.values[0] == list(ir.values)[0]  # the views still work
+    assert len(ir.nodes) == len(ir.node_kind)
+    ref = weakref.ref(ir)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del ir
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_lowering_without_allocations_degrades(e1_cds_program):

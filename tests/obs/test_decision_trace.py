@@ -23,6 +23,7 @@ from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
 from repro.schedule.occupancy import ReferenceOccupancy
 from repro.sim.engine import Simulator
+from repro.workloads.random_gen import random_application
 from repro.workloads.spec import paper_experiments
 
 
@@ -161,6 +162,71 @@ class TestCompletenessOnPaperExperiments:
                 )
             }
         assert traces["incremental"] == traces["naive"]
+
+
+def _joint_cases():
+    """``(label, application, clustering, architecture)``: ATR-FI* (the
+    sweep keeps the maximum RF) and a corpus workload whose sweep picks
+    a lower RF than RF-first (seed 3, 8 iterations, 2K: RF 2 with a
+    keep against RF 4 without)."""
+    spec = next(s for s in paper_experiments() if s.id == "ATR-FI*")
+    application, clustering = spec.build()
+    yield "ATR-FI*", application, clustering, Architecture.m1(spec.fb)
+    application, clustering = random_application(3, iterations=8)
+    yield "random-3@2K", application, clustering, Architecture.m1("2K")
+
+
+@pytest.mark.parametrize(
+    "label,application,clustering,architecture", list(_joint_cases()),
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_joint_trace_describes_the_chosen_schedule(
+    label, application, clustering, architecture
+):
+    """Under ``rf_policy="joint"`` the trace holds the RF bound, the
+    sweep's ``rf.joint`` points, exactly one ``rf.result`` for the
+    chosen RF, and that RF's ranking and keep verdicts only — the same
+    ones an RF-first schedule capped at that RF records."""
+    joint = CompleteDataScheduler(
+        architecture, ScheduleOptions(decision_trace=True, rf_policy="joint")
+    ).schedule(application, clustering)
+    events = list(joint.decisions)
+    points = [event for event in events if event.kind == "rf.joint"]
+    assert [point.detail["rf"] for point in points] == list(
+        range(len(points), 0, -1)
+    )
+    results = [event for event in events if event.kind == "rf.result"]
+    assert len(results) == 1
+    assert results[0].detail == {
+        "rf": joint.rf, "rf_cap": 0, "policy": "joint",
+    }
+    capped = CompleteDataScheduler(
+        architecture, ScheduleOptions(decision_trace=True, rf_cap=joint.rf)
+    ).schedule(application, clustering)
+    assert capped.rf == joint.rf and capped.keeps == joint.keeps
+
+    def verdicts(trace):
+        return [
+            (event.kind, event.subject, event.detail) for event in trace
+            if event.kind in ("tf.rank", "keep.accept", "keep.reject")
+        ]
+
+    chosen = verdicts(joint.decisions)
+    assert chosen == verdicts(capped.decisions)
+    assert all(
+        kind == "tf.rank" or detail["rf"] == joint.rf
+        for kind, _, detail in chosen
+    )
+    kinds = [event.kind for event in events]
+    assert kinds == (
+        ["rf.bound"] + ["rf.joint"] * len(points) + ["rf.result"]
+        + [kind for kind, _, _ in chosen]
+    )
+    if label == "random-3@2K":
+        rf_first = CompleteDataScheduler(architecture).schedule(
+            application, clustering
+        )
+        assert joint.rf < rf_first.rf
 
 
 class TestAllocatorExtendsTrace:

@@ -91,3 +91,33 @@ def test_explore_picks_fastest_partition(build, fb):
     assert _cycles(result.schedule, architecture) == best[0]
     assert result.clustering == best[1]
     assert result.cycles == best[0]
+
+
+def test_beam_search_simulates_each_partition_once(monkeypatch):
+    """Beyond ``exhaustive_limit`` the beam search scores partial
+    partitions; a group-size vector met again (a finished state carried
+    to the next level, a prefix whose trailing cluster completes it, or
+    the final beam ranked by ``explore``) is not simulated again.  On
+    ATR-SLD at 8K that is 11 simulations, one per distinct partition
+    (26 when every state was re-scored), with the pick unchanged."""
+    import repro.sim.engine as engine
+
+    calls = []
+    real = engine.simulated_cycles
+
+    def counted(schedule, architecture):
+        calls.append(tuple(
+            len(cluster.kernel_names) for cluster in schedule.clustering
+        ))
+        return real(schedule, architecture)
+
+    monkeypatch.setattr(engine, "simulated_cycles", counted)
+    architecture = Architecture.m1("8K")
+    result = KernelScheduler(
+        architecture, CompleteDataScheduler(architecture),
+        exhaustive_limit=2, beam_width=4,
+    ).explore(atr_sld()[0])
+    assert len(calls) == len(set(calls)) == 11
+    assert result.cycles == 618_160
+    assert [len(c.kernel_names) for c in result.clustering] == [1, 1, 1, 2]
+    assert (result.candidates_evaluated, result.candidates_infeasible) == (4, 0)
