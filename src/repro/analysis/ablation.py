@@ -1,16 +1,20 @@
 """Ablations of the Complete Data Scheduler's design choices.
 
-DESIGN.md calls out four decisions worth isolating:
+Four decisions are isolated here:
 
 * **TF ranking** (paper section 4) vs. naive candidate orders — does
   ranking retention candidates by the time factor actually beat
   largest-first or discovery order?
 * **RF policy** — the paper maximises the common reuse factor first and
   keeps what still fits; the ``joint`` policy sweeps (RF, keeps) pairs.
-* **DMA ordering** (context scheduler [4]) — contexts-first vs.
-  loads-first vs. stores-first inside overlap windows.
-* **Allocator splitting** (section 5) — last-resort splitting on/off,
-  and first-fit growth directions.
+* **DMA ordering** (context scheduler [4]) — the
+  :class:`~repro.schedule.context_scheduler.DmaPolicy` orders inside
+  overlap windows: contexts-first, loads-first and adaptive.
+* **Cross-set retention** (the paper's future work) — same-set keeps
+  only vs. keeps read in place from the other frame-buffer set.
+
+The allocator's first-fit vs. best-fit comparison lives in
+``benchmarks/test_ablation_allocator.py``.
 """
 
 from __future__ import annotations

@@ -66,8 +66,9 @@ which compares two independent computations of the same fact:
     materialised into a plain tuple, from rows summed over its ops,
     reproduces the template-driven pipeline report exactly.
 ``functional``
-    Functional simulation reproduces the application's reference
-    outputs.
+    Untraced functional simulation reproduces the application's
+    reference outputs, and its report, with the functional verdict
+    cleared, equals the untraced pipeline report field for field.
 
 With a :class:`~repro.cache.CacheStore`, the full verdict of one case
 is memoised under its content key (:func:`~repro.cache.keys.case_key`):
@@ -925,13 +926,8 @@ def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
         from_ops = Simulator(
             MorphoSysM1(architecture), trace=False, verify=False,
         ).run(materialised)
-        if from_ops != run.report:
-            diverging = [
-                field.name
-                for field in dataclasses.fields(from_ops)
-                if getattr(from_ops, field.name)
-                != getattr(run.report, field.name)
-            ]
+        diverging = _diverging(from_ops, run.report)
+        if diverging:
             failures.append(OracleFailure(
                 "simengine", case.name,
                 f"template-driven and materialised-op simulations "
@@ -948,12 +944,7 @@ def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
                 scheduler=run.scheduler,
             ))
             continue
-        diverging = [
-            field.name
-            for field in dataclasses.fields(traced)
-            if field.name != "transfers"
-            and getattr(traced, field.name) != getattr(run.report, field.name)
-        ]
+        diverging = _diverging(traced, run.report, skip="transfers")
         if diverging:
             failures.append(OracleFailure(
                 "simengine", case.name,
@@ -963,14 +954,30 @@ def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
     return failures
 
 
+def _diverging(report, reference, *, skip: str = "") -> List[str]:
+    """The report fields, *skip* aside, on which *report* and
+    *reference* differ."""
+    return [
+        field.name for field in dataclasses.fields(report)
+        if field.name != skip
+        and getattr(report, field.name) != getattr(reference, field.name)
+    ]
+
+
 def _check_functional(case, runs, architecture) -> List[OracleFailure]:
+    """Replay each program on real values, untraced like the pipeline
+    run, and require the reference outputs and, with the functional
+    verdict cleared, the pipeline's report field for field: the value
+    replay never perturbs timing."""
     failures = []
     for run in runs.values():
         if run.program is None:
             continue
         try:
             machine = MorphoSysM1(architecture)
-            report = Simulator(machine).run(run.program, functional=True)
+            report = Simulator(machine, trace=False).run(
+                run.program, functional=True
+            )
         except ReproError as exc:
             failures.append(OracleFailure(
                 "functional", case.name, str(exc), scheduler=run.scheduler,
@@ -981,6 +988,16 @@ def _check_functional(case, runs, architecture) -> List[OracleFailure]:
                 "functional", case.name,
                 f"functional verification outcome: "
                 f"{report.functional_verified}",
+                scheduler=run.scheduler,
+            ))
+        if run.report is None:
+            continue
+        diverging = _diverging(report, run.report, skip="functional_verified")
+        if diverging:
+            failures.append(OracleFailure(
+                "functional", case.name,
+                f"functional and timing-only simulations diverge on "
+                f"{diverging}",
                 scheduler=run.scheduler,
             ))
     return failures

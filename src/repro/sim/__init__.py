@@ -6,11 +6,12 @@ overlaps transfers with computation through the two frame-buffer sets
 traffic broken down by kind, and the RC-array stall time — the numbers
 behind the paper's Figure 6 / Table 1.
 
-In *functional* mode the simulator additionally moves real values:
-external inputs flow through loads, kernel executions and stores, and
-the resulting outputs are compared against a direct (unscheduled)
-reference execution — proving the schedule preserves semantics, not
-just capacity constraints.
+In *functional* mode the run is followed by a program-order replay on
+real values (:mod:`repro.sim.functional`): external inputs flow
+through loads, kernel executions and stores, and the resulting outputs
+are compared against a direct (unscheduled) reference execution —
+proving the schedule preserves semantics, not just capacity
+constraints.
 """
 
 from repro.sim.engine import Simulator

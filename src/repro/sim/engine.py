@@ -57,10 +57,10 @@ neighbours have the template round's rows, and the template round's
 own neighbours have them as well.  Rows are compared, not assumed from
 the templates, so an edited visit of a materialised program is walked.
 
-An untraced, non-functional run of five rounds or more therefore walks
-only part of each stretch of equal-row rounds.  It compares the
-boundary states before the stretch's rounds 2 to 4; from the first
-repeat up to the stretch's last round, the rounds are shifted: the run
+An untraced run of five rounds or more therefore walks only part of
+each stretch of equal-row rounds.  It compares the boundary states
+before the stretch's rounds 2 to 4; from the first repeat up to the
+stretch's last round, the rounds are shifted: the run
 records them as one ``(template, first, count, delta)`` stretch and
 adds their channel totals (:meth:`~repro.arch.dma.DmaChannel.repeat`).
 It then walks on from the stretch's last round.  The rounds it shifts
@@ -69,22 +69,21 @@ are never built, and no :class:`VisitTiming` is made for them: the
 report's :class:`~repro.sim.report.PeriodicVisits` stamps a shifted
 visit only when it is read.  Every run returns that one sequence type;
 a run that shifts nothing holds only walked timings.  A probe that
-finds no repeat walks the whole program again, visit by visit.  Traced
-and functional runs always walk every visit, which makes the traced
-run the oracle (``tests/sim/test_steady_state.py`` and the
-``simengine`` fuzz oracle).  :attr:`Simulator.rounds_walked` and
+finds no repeat walks the whole program again, visit by visit.  Only
+traced runs always walk every visit, which makes the traced run the
+oracle (``tests/sim/test_steady_state.py`` and the ``simengine`` fuzz
+oracle).  :attr:`Simulator.rounds_walked` and
 :attr:`Simulator.rounds_shifted` say which path a run took.
 
-Functional mode additionally moves real values through the machine's
-external memory and checks every final output against the reference
-execution.
+The engine moves no values.  A functional run times the program like
+any other run, then replays it on real values in program order with
+:func:`repro.sim.functional.execute_functional`, which checks every
+final output against the reference execution.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.arch.dma import DmaChannel, DmaTransfer, TransferKind
 from repro.arch.machine import MorphoSysM1
@@ -104,12 +103,7 @@ from repro.schedule.context_scheduler import (
     issue_order,
 )
 from repro.schedule.plan import Schedule
-from repro.sim.functional import (
-    KernelImpl,
-    build_impls,
-    populate_external_inputs,
-    reference_outputs,
-)
+from repro.sim.functional import KernelImpl, execute_functional
 from repro.sim.report import PeriodicVisits, SimulationReport, VisitTiming
 
 __all__ = ["Simulator", "simulated_cycles"]
@@ -158,13 +152,10 @@ class Simulator:
         self.functional_dead_words: Optional[int] = None
         #: After a run: the rounds whose visits were walked step by
         #: step, and the rounds stamped by shift from a steady state
-        #: (only untraced, non-functional runs shift).  They add up to
-        #: the program's rounds.  ``None`` until a run completes.
+        #: (only untraced runs shift).  They add up to the program's
+        #: rounds.  ``None`` until a run completes.
         self.rounds_walked: Optional[int] = None
         self.rounds_shifted: Optional[int] = None
-        self._load_watch: Dict[tuple, int] = {}
-        self._dead_words = 0
-        self._loaded_words = 0
 
     # -- public API --------------------------------------------------------
 
@@ -180,9 +171,10 @@ class Simulator:
 
         Args:
             program: the lowered schedule.
-            functional: move and compute real values and check the
-                final outputs against a reference execution; leave False
-                for timing-only runs (much lighter).
+            functional: after timing, replay the program on real values
+                and check the final outputs against a reference
+                execution (:func:`~repro.sim.functional.execute_functional`);
+                leave False for timing-only runs (much lighter).
             kernel_impls: per-kernel implementations for functional
                 mode; kernels not listed get surrogates.
             seed: seed for auto-populated external inputs (only used if
@@ -196,44 +188,24 @@ class Simulator:
             ):
                 verify_program(program)
 
-        application = program.schedule.application
-        impls: Dict[str, KernelImpl] = {}
-        golden = {}
-        if functional:
-            impls = build_impls(application, kernel_impls or {})
-            if not any(
-                self.machine.external_memory.exists(name, 0)
-                for name in application.external_inputs()
-            ):
-                populate_external_inputs(
-                    application, self.machine.external_memory, seed=seed
-                )
-            golden = reference_outputs(
-                application, self.machine.external_memory, impls
-            )
-
-        if functional:
-            self._load_watch = {}
-            self._dead_words = 0
-            self._loaded_words = 0
         transfers: List[DmaTransfer] = []
-        visits, compute_cycles, stall, dma = self._execute(
-            program, functional, impls, transfers
-        )
+        visits, compute_cycles, stall, dma = self._execute(program, transfers)
 
         verified: Optional[bool] = None
         if functional:
-            verified = self._check_outputs(application, golden)
-            # Loads still unread at program end were pure wasted traffic.
-            self.functional_loaded_words = self._loaded_words
-            self.functional_dead_words = (
-                self._dead_words + sum(self._load_watch.values())
+            (
+                verified,
+                self.functional_loaded_words,
+                self.functional_dead_words,
+            ) = execute_functional(
+                program, self.machine.external_memory, kernel_impls,
+                seed=seed,
             )
 
         total = max(dma.busy_until, visits[-1].compute_end if visits else 0)
         return SimulationReport(
             scheduler=program.schedule.scheduler,
-            application=application.name,
+            application=program.schedule.application.name,
             total_cycles=total,
             compute_cycles=compute_cycles,
             rc_stall_cycles=stall,
@@ -302,40 +274,33 @@ class Simulator:
         ], idents
 
     def _execute(
-        self,
-        program: Program,
-        functional: bool,
-        impls: Mapping[str, KernelImpl],
-        transfers: List[DmaTransfer],
+        self, program: Program, transfers: List[DmaTransfer]
     ) -> Tuple[PeriodicVisits, int, int, DmaChannel]:
         """Time the program on a fresh channel; return ``(visits,
         compute_cycles, stall_cycles, channel)``.
 
-        An untraced, non-functional run walks its periodic stretches
-        only until their steady state shows and stamps the rest by
-        shift (module docstring); a probe that finds no steady state
-        falls back to walking every visit, as every other run does.
+        An untraced run walks its periodic stretches only until their
+        steady state shows and stamps the rest by shift (module
+        docstring); a probe that finds no steady state falls back to
+        walking every visit, as a traced run does.
         """
         schedule = program.schedule
         width = len(schedule.clustering)
         rounds = schedule.rounds
         tails, idents = self._round_tails(program.visits, width)
         if (
-            not (self.trace or functional)
+            not self.trace
             and rounds >= _MIN_SHIFT_ROUNDS
             and len(program.visits) == rounds * width
         ):
             gaps = _steady_gaps(tails)
             if gaps:
                 walked = self._walk(
-                    program, tails, idents, width, gaps, False, {},
-                    transfers,
+                    program, tails, idents, width, gaps, transfers
                 )
                 if walked is not None:
                     return walked
-        return self._walk(
-            program, tails, idents, width, (), functional, impls, transfers
-        )
+        return self._walk(program, tails, idents, width, (), transfers)
 
     def _walk(
         self,
@@ -344,8 +309,6 @@ class Simulator:
         idents: Optional[List[Tuple[int, int]]],
         width: int,
         gaps: Sequence[Tuple[int, int, int]],
-        functional: bool,
-        impls: Mapping[str, KernelImpl],
         transfers: List[DmaTransfer],
     ) -> Optional[Tuple[PeriodicVisits, int, int, DmaChannel]]:
         """Time every :func:`issue_order` step of the program without
@@ -358,7 +321,6 @@ class Simulator:
         """
         visits = program.visits
         timing = self.machine.architecture.timing
-        fb_values: Tuple[Dict, Dict] = ({}, {})
         steady = _SteadyState(gaps, width)
         rows = []
         for round_index, round_tails in enumerate(tails):
@@ -416,17 +378,6 @@ class Simulator:
                 compute += compute_cycles
                 end = start + compute_cycles
                 compute_end[index] = end
-                if functional:
-                    # Functional data movement follows strict program
-                    # order (the verifier's order); DMA timing is
-                    # tracked independently.
-                    ops = visits[index]
-                    for load in ops.data_loads:
-                        self._do_load(load, fb_values)
-                    self._do_compute(program, index, fb_values, impls)
-                    for store in ops.stores:
-                        self._do_store(store, fb_values)
-                    self._drain_set(program, index, fb_values)
                 timings.append(
                     VisitTiming(
                         index=visit_index,
@@ -467,97 +418,6 @@ class Simulator:
             ),
             compute, stall, dma,
         )
-
-    # -- functional data movement ---------------------------------------
-
-    def _do_load(self, load, fb_values) -> None:
-        values = self.machine.external_memory.read(
-            load.name, load.iteration, load.words
-        )
-        if values is None:
-            raise SimulationError(
-                f"functional load of {load.name}#{load.iteration}: external "
-                f"memory holds no values"
-            )
-        fb_values[load.fb_set][(load.name, load.iteration)] = values
-        watch_key = (load.fb_set, load.name, load.iteration)
-        # A reload over an unread copy means the first copy was dead.
-        self._dead_words += self._load_watch.pop(watch_key, 0)
-        self._load_watch[watch_key] = load.words
-        self._loaded_words += load.words
-
-    def _do_store(self, store, fb_values) -> None:
-        key = (store.name, store.iteration)
-        if key not in fb_values[store.fb_set]:
-            raise SimulationError(
-                f"functional store of {store.name}#{store.iteration}: "
-                f"not in set{store.fb_set}"
-            )
-        self.machine.external_memory.write(
-            store.name, store.iteration, store.words,
-            values=fb_values[store.fb_set][key],
-        )
-
-    def _do_compute(self, program: Program, index: int, fb_values, impls) -> None:
-        ops = program.visits[index]
-        application = program.schedule.application
-        dataflow = program.schedule.dataflow
-        keeps_by_name = {k.name: k for k in program.schedule.keeps}
-        for run in ops.compute:
-            kernel = application.kernel(run.kernel)
-            inputs = {}
-            for in_name in kernel.inputs:
-                instance = 0 if dataflow[in_name].invariant else run.iteration
-                key = (in_name, instance)
-                if key in fb_values[run.fb_set]:
-                    inputs[in_name] = fb_values[run.fb_set][key]
-                    self._load_watch.pop((run.fb_set, *key), None)
-                    continue
-                keep = keeps_by_name.get(in_name)
-                if (
-                    keep is not None
-                    and keep.fb_set != run.fb_set
-                    and key in fb_values[keep.fb_set]
-                ):
-                    # Cross-set retention: read the operand in place.
-                    inputs[in_name] = fb_values[keep.fb_set][key]
-                    self._load_watch.pop((keep.fb_set, *key), None)
-                    continue
-                raise SimulationError(
-                    f"kernel {run.kernel!r}#{run.iteration}: input "
-                    f"{in_name!r} not in set{run.fb_set}"
-                )
-            outputs = impls[run.kernel](inputs, run.iteration)
-            for out_name in kernel.outputs:
-                fb_values[run.fb_set][(out_name, run.iteration)] = np.asarray(
-                    outputs[out_name], dtype=np.int64
-                )
-
-    def _drain_set(self, program: Program, index: int, fb_values) -> None:
-        """Drop non-kept contents after a visit's stores complete."""
-        schedule = program.schedule
-        visit = program.visits[index].visit
-        survivors = schedule.survivors(visit.cluster_index, visit.fb_set)
-        if visit.cluster_index == len(schedule.clustering) - 1:
-            survivors = frozenset()
-        retained = {
-            key: value
-            for key, value in fb_values[visit.fb_set].items()
-            if key[0] in survivors
-        }
-        fb_values[visit.fb_set].clear()
-        fb_values[visit.fb_set].update(retained)
-
-    def _check_outputs(self, application, golden) -> bool:
-        memory = self.machine.external_memory
-        for (name, iteration), expected in golden.items():
-            actual = memory.get(name, iteration)
-            if actual is None or not np.array_equal(actual, expected):
-                raise SimulationError(
-                    f"functional mismatch: final output {name}#{iteration} "
-                    f"differs from the reference execution"
-                )
-        return True
 
 
 def simulated_cycles(schedule: Schedule, architecture: Architecture) -> int:

@@ -1,6 +1,10 @@
-"""Functional execution support: values, surrogates and the reference.
+"""Functional execution: values, surrogates, the reference and the replay.
 
-The functional simulator needs a concrete function for every kernel.
+:func:`execute_functional` replays a program on real values in strict
+program order (the verifier's order), apart from DMA timing; a
+functional ``Simulator.run`` calls it after its timing run.
+
+The replay needs a concrete function for every kernel.
 Real DSP kernels come from :mod:`repro.kernels`; for workloads defined
 only by sizes (the paper's synthetic experiments) a *surrogate kernel*
 provides a deterministic, input-sensitive stand-in: every output word
@@ -13,16 +17,18 @@ caught by comparing against :func:`reference_outputs`.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.external_memory import ExternalMemory
+from repro.codegen.program import Program
 from repro.core.application import Application
 from repro.errors import SimulationError
 
 __all__ = [
     "KernelImpl",
+    "execute_functional",
     "surrogate_kernel",
     "populate_external_inputs",
     "reference_outputs",
@@ -144,3 +150,106 @@ def reference_outputs(
         for final_name in application.final_outputs:
             golden[(final_name, iteration)] = values[final_name]
     return golden
+
+
+def execute_functional(
+    program: Program,
+    memory: ExternalMemory,
+    kernel_impls: Optional[Mapping[str, KernelImpl]] = None,
+    *,
+    seed: int = 2002,
+) -> Tuple[bool, int, int]:
+    """Replay *program* on real values and check its final outputs
+    against :func:`reference_outputs`; raise :class:`SimulationError`
+    on a missing value or a mismatch.
+
+    Visits run in program order: loads from *memory* (populated from
+    *seed* if it holds no inputs), kernel runs (*kernel_impls*, else
+    surrogates) reading their own set or a cross-set keep's home set,
+    stores to *memory*, then the visit-end drain to the schedule's
+    :meth:`~repro.schedule.plan.Schedule.survivors`.
+
+    Returns ``(True, loaded_words, dead_words)``: the words data loads
+    brought in, and those no kernel read before a reload or program
+    end (the dynamic counterpart of the static ``DFA001`` pass).
+    """
+    schedule = program.schedule
+    application = schedule.application
+    dataflow = schedule.dataflow
+    impls = build_impls(application, kernel_impls or {})
+    if not any(
+        memory.exists(name, 0) for name in application.external_inputs()
+    ):
+        populate_external_inputs(application, memory, seed=seed)
+    golden = reference_outputs(application, memory, impls)
+
+    keeps_by_name = {keep.name: keep for keep in schedule.keeps}
+    fb_values: Tuple[Dict, Dict] = ({}, {})
+    # Words of each resident load no kernel has read yet, by
+    # ``(fb_set, name, iteration)``.
+    unread: Dict[tuple, int] = {}
+    loaded = dead = 0
+    for ops in program.visits:
+        for load in ops.data_loads:
+            values = memory.read(load.name, load.iteration, load.words)
+            if values is None:
+                raise SimulationError(
+                    f"functional load of {load.name}#{load.iteration}: "
+                    f"external memory holds no values"
+                )
+            fb_values[load.fb_set][(load.name, load.iteration)] = values
+            watch_key = (load.fb_set, load.name, load.iteration)
+            # A reload over an unread copy means the first copy was dead.
+            dead += unread.pop(watch_key, 0)
+            unread[watch_key] = load.words
+            loaded += load.words
+        for run in ops.compute:
+            kernel = application.kernel(run.kernel)
+            inputs = {}
+            for in_name in kernel.inputs:
+                instance = 0 if dataflow[in_name].invariant else run.iteration
+                key = (in_name, instance)
+                home = run.fb_set
+                if key not in fb_values[home]:
+                    keep = keeps_by_name.get(in_name)
+                    # Cross-set retention: read the operand in place.
+                    if keep is None or key not in fb_values[keep.fb_set]:
+                        raise SimulationError(
+                            f"kernel {run.kernel!r}#{run.iteration}: input "
+                            f"{in_name!r} not in set{run.fb_set}"
+                        )
+                    home = keep.fb_set
+                inputs[in_name] = fb_values[home][key]
+                unread.pop((home, *key), None)
+            outputs = impls[run.kernel](inputs, run.iteration)
+            for out_name in kernel.outputs:
+                fb_values[run.fb_set][(out_name, run.iteration)] = np.asarray(
+                    outputs[out_name], dtype=np.int64
+                )
+        for store in ops.stores:
+            key = (store.name, store.iteration)
+            if key not in fb_values[store.fb_set]:
+                raise SimulationError(
+                    f"functional store of {store.name}#{store.iteration}: "
+                    f"not in set{store.fb_set}"
+                )
+            memory.write(
+                store.name, store.iteration, store.words,
+                values=fb_values[store.fb_set][key],
+            )
+        # Visit end: the set keeps only the keeps still spanning it.
+        visit = ops.visit
+        survivors = schedule.survivors(visit.cluster_index, visit.fb_set)
+        in_set = fb_values[visit.fb_set]
+        for key in [key for key in in_set if key[0] not in survivors]:
+            del in_set[key]
+
+    for (name, iteration), expected in golden.items():
+        actual = memory.get(name, iteration)
+        if actual is None or not np.array_equal(actual, expected):
+            raise SimulationError(
+                f"functional mismatch: final output {name}#{iteration} "
+                f"differs from the reference execution"
+            )
+    # Loads still unread at program end were pure wasted traffic.
+    return True, loaded, dead + sum(unread.values())

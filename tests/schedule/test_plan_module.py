@@ -5,11 +5,14 @@ from dataclasses import replace
 import pytest
 
 from repro.arch.params import Architecture
-from repro.errors import ReproError
+from repro.errors import InfeasibleScheduleError, ReproError
+from repro.schedule import SCHEDULERS
 from repro.schedule.basic import BasicScheduler
 from repro.schedule.complete import CompleteDataScheduler
 from repro.schedule.data_scheduler import DataScheduler
 from repro.schedule.plan import TransferSummary
+from repro.workloads.random_gen import random_application
+from repro.workloads.spec import paper_experiments
 
 
 @pytest.fixture
@@ -33,6 +36,44 @@ class TestLoadOrder:
             schedule, cluster_plans=(shuffled,) + schedule.cluster_plans[1:]
         )
         assert schedule.load_order(0) == ("a", "b")
+
+
+def _survivor_workloads():
+    """``(label, application, clustering, architecture, schedulers)``:
+    every paper experiment, and corpus seeds 0-29 at 2K and 16K."""
+    for spec in paper_experiments():
+        application, clustering = spec.build()
+        yield (spec.id, application, clustering, Architecture.m1(spec.fb),
+               tuple(SCHEDULERS))
+    for seed in range(30):
+        application, clustering = random_application(seed, iterations=48)
+        for fb in ("2K", "16K"):
+            yield (f"random-{seed}@{fb}", application, clustering,
+                   Architecture.m1(fb), ("cds",))
+
+
+def test_nothing_survives_the_last_cluster():
+    """Every keep's span ends at its last consumer, so no keep outlives
+    the round's last cluster: the visit-end drain after it empties the
+    set with no special case."""
+    checked = 0
+    for label, application, clustering, architecture, schedulers in (
+        _survivor_workloads()
+    ):
+        for name in schedulers:
+            try:
+                schedule = SCHEDULERS[name](architecture).schedule(
+                    application, clustering
+                )
+            except InfeasibleScheduleError:
+                continue
+            last = len(schedule.clustering) - 1
+            for fb_set in (0, 1):
+                assert schedule.survivors(last, fb_set) == frozenset(), (
+                    f"{label}/{name}/set{fb_set}"
+                )
+            checked += bool(schedule.keeps)
+    assert checked > 0
 
 
 class TestClusterPlan:

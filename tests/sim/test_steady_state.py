@@ -1,6 +1,6 @@
 """Steady-state shifting: the untraced walk stamps periodic rounds.
 
-An untraced, non-functional run walks each stretch of equal-row rounds
+An untraced run, functional or not, walks each stretch of equal-row rounds
 only until two consecutive round-boundary states are equal, then
 stamps the stretch's remaining rounds by shift (``repro.sim.engine``).
 A traced run walks every visit, so it is the oracle: every case here
@@ -174,6 +174,25 @@ def test_edited_visit_past_the_steady_point_is_walked():
     assert unedited.data_load_words > Simulator(
         MorphoSysM1(architecture), trace=False, verify=False
     ).run(program).data_load_words
+
+
+def test_untraced_functional_run_shifts_rounds():
+    """Values are replayed outside the timing walk, so an untraced
+    functional run shifts rounds like any untraced run and reports
+    exactly what the traced functional run does."""
+    architecture, program = paper_program("E1")
+    assert program.schedule.rounds >= 5
+    untraced = Simulator(MorphoSysM1(architecture), trace=False)
+    report = untraced.run(program, functional=True)
+    assert untraced.rounds_shifted > 0
+    assert report.functional_verified is True
+    traced = Simulator(MorphoSysM1(architecture), trace=True)
+    reference = traced.run(program, functional=True)
+    assert traced.rounds_shifted == 0
+    assert dataclasses.replace(reference, transfers=()) == report
+    assert (
+        untraced.functional_loaded_words, untraced.functional_dead_words
+    ) == (traced.functional_loaded_words, traced.functional_dead_words)
 
 
 def test_every_table1_run_shifts_rounds():
