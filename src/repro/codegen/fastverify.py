@@ -3,15 +3,17 @@
 The reference verifier (:mod:`repro.codegen.verifier`) replays every
 emitted op against dict/set state — O(total ops) per program.  For a
 template-compiled program the same replay collapses: visits of one
-cluster differ only in their iteration window, and rounds repeat a
-fixed cluster sequence, so the whole-program verdict is decided by
+cluster differ only in their iteration window, and the rounds of one
+stretch of :meth:`~repro.schedule.plan.Schedule.round_stretches` repeat
+a fixed cluster sequence, so the whole-program verdict is decided by
 
 * a CM-capacity check per cluster template (every visit refills its
   block with its own cluster's contexts), plus
 * an FB-set replay of **three sampled rounds** — the first (iteration
   0 is special: invariant operands read instance 0, which only round
-  0's windows produce), one steady-state round, and the last (its
-  window may be partial) — advanced template-by-template instead of
+  0's windows produce), the first stretch's second, a steady-state
+  round, and the last stretch's last (a partial last round is a
+  stretch of its own) — advanced template-by-template instead of
   op-by-op.
 
 The replay keeps each object's presence timeline (per FB set) and its
@@ -22,12 +24,13 @@ iteration ``i``.  A visit's iteration window is the mask ``((1 <<
 ``bits & mask`` and publishing is ``bits | mask``: one integer
 operation per template entry, whatever the window's width.
 
-Every middle round is bitwise-identical in shape and state to the
-sampled steady round (windows are disjoint, FB sets drain at round
-end, and the external-store timeline a round queries is written either
-by round 0 or within the round itself), so the sampled verdict equals
-the full replay's — the batched per-kernel membership checks are exact
-because presence bits are only ever added mid-visit, never removed.
+Every other round of the first stretch checks what its second round
+checks, shifted to its own window (windows are disjoint, FB sets drain
+at round end, and the external-store timeline a round queries is
+written either by round 0 or within the round itself), so the sampled
+verdict equals the full replay's — the batched per-kernel membership
+checks are exact because presence bits are only ever added mid-visit,
+never removed.
 
 The fast path only decides *clean or not*.  A clean program returns no
 violations, byte-identical to the reference by construction; any
@@ -88,10 +91,12 @@ def fast_violation_free(program: Program) -> bool:
     keeps_by_name = {keep.name: keep for keep in schedule.keeps}
     survivors_memo: Dict[Tuple[int, int], FrozenSet[str]] = {}
 
-    # Rounds 0, one steady-state round, and the last round decide the
-    # FB verdict for every round (module docstring).
-    rounds = schedule.rounds
-    sampled = sorted({0, min(1, rounds - 1), rounds - 1})
+    # Round 0, the first stretch's second round and the last stretch's
+    # last round decide the FB verdict for every round (module
+    # docstring).
+    stretches = schedule.round_stretches()
+    first, count, _ = stretches[-1]
+    sampled = sorted({0, min(1, stretches[0][1] - 1), first + count - 1})
     stored: Dict[str, int] = {}
     for round_index in sampled:
         start = round_index * schedule.rf

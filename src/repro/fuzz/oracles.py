@@ -913,8 +913,8 @@ def _check_simengine(case, runs, architecture) -> List[OracleFailure]:
     :class:`~repro.sim.report.SimulationReport` field except the trace
     itself, per-visit timings included, so it checks every shifted
     round.  The same program with its visits materialised into a plain
-    tuple is timed from rows summed from its ops, shifted where those
-    rows repeat, and must reproduce the report exactly.
+    tuple is timed from rows summed from its ops, walked visit by
+    visit, and must reproduce the report exactly.
     """
     failures = []
     for run in runs.values():

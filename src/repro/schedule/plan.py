@@ -148,6 +148,22 @@ class Schedule:
             return self.rf
         return total - self.rf * (self.rounds - 1)
 
+    def round_stretches(self) -> Tuple[Tuple[int, int, int], ...]:
+        """``(first_round, count, iterations)`` per run of alike rounds.
+
+        Loop fission at the common ``RF`` makes a schedule
+        round-periodic: the ``N // RF`` full rounds differ only in
+        their iteration window (and the CM-block parity), and a
+        partial last round of ``N % RF`` iterations is a stretch of its
+        own.  The one statement of the round structure: the simulator,
+        the fast verifier and :class:`TransferSummary` read it.
+        """
+        full, partial = divmod(self.application.total_iterations, self.rf)
+        stretches = ((0, full, self.rf),) if full else ()
+        if partial:
+            stretches += ((full, 1, partial),)
+        return stretches
+
     def plan_for(self, cluster_index: int) -> ClusterPlan:
         """The plan of one cluster."""
         return self.cluster_plans[cluster_index]
@@ -280,11 +296,10 @@ class TransferSummary:
         dataflow = schedule.dataflow
         loaded = 0
         stored = 0
-        for round_index in range(schedule.rounds):
-            iterations = schedule.iterations_in_round(round_index)
+        for _, count, iterations in schedule.round_stretches():
             for plan in schedule.cluster_plans:
-                loaded += plan.load_words(dataflow, iterations)
-                stored += plan.store_words(dataflow, iterations)
+                loaded += count * plan.load_words(dataflow, iterations)
+                stored += count * plan.store_words(dataflow, iterations)
         context_per_round = sum(
             schedule.context_words_per_visit(plan.cluster_index)
             for plan in schedule.cluster_plans

@@ -38,40 +38,43 @@ so every traced run cross-checks the timing rows against the ops.
 oracle compare traced against untraced runs, and templated against
 materialised programs.
 
-**Steady state.**  A schedule is round-periodic: every round visits
-the same clusters on the same FB sets, and only the last round may be
-partial.  The engine applies only ``max`` and ``+`` to per-row
-constants, so its update is shift-invariant: two walks from states
-that differ by a constant shift stay that shift apart (max-plus
-periodicity; Heidergott, Olsder & van der Woude, *Max Plus at Work*).
-At a round boundary, just before the round's first visit runs, the
-state that later steps read is that visit's ``prep_finish`` and the
-channel's ``busy_until``, both measured from the previous visit's
-``compute_end``.  When the boundary state before round ``r`` equals the
-one before round ``r - 1``, round ``r`` repeats round ``r - 1`` shifted
-by the difference of their boundaries, and so does every later round
-whose steps read the same rows.  A round's steps read its neighbours'
-rows too: the next round's first preparation, and the previous round's
-last stores and sets.  So a round is shifted only if it and both its
-neighbours have the template round's rows, and the template round's
-own neighbours have them as well.  Rows are compared, not assumed from
-the templates, so an edited visit of a materialised program is walked.
+**Steady state.**  A schedule is round-periodic
+(:meth:`~repro.schedule.plan.Schedule.round_stretches`): every full
+round visits the same clusters on the same FB sets over ``RF``
+iterations, and only the last round may be partial.  The engine
+applies only ``max`` and ``+`` to per-row constants, so its update is
+shift-invariant: two walks from states that differ by a constant shift
+stay that shift apart (max-plus periodicity; Heidergott, Olsder & van
+der Woude, *Max Plus at Work*).  At a round boundary, just before the
+round's first visit runs, the state that later steps read is that
+visit's ``prep_finish`` and the channel's ``busy_until``, both measured
+from the previous visit's ``compute_end``.  When the boundary state
+before round ``r`` equals the one before round ``r - 1``, round ``r``
+repeats round ``r - 1`` shifted by the difference of their boundaries,
+and so does every later round whose steps read the same rows.  A
+round's steps read its neighbours' rows too: the next round's first
+preparation, and the previous round's last stores and sets.  So a
+round is shifted only if it and both its neighbours are full rounds,
+and the template round's own neighbours are as well.  Rows are not
+compared: the rounds of a template-compiled program are alike because
+its schedule says so, and the rows of the full rounds are one tuple.
 
-An untraced run of five rounds or more therefore walks only part of
-each stretch of equal-row rounds.  It compares the boundary states
-before the stretch's rounds 2 to 4; from the first repeat up to the
-stretch's last round, the rounds are shifted: the run
-records them as one ``(template, first, count, delta)`` stretch and
-adds their channel totals (:meth:`~repro.arch.dma.DmaChannel.repeat`).
-It then walks on from the stretch's last round.  The rounds it shifts
-are left out of the :func:`issue_order` call, so their rows and steps
-are never built, and no :class:`VisitTiming` is made for them: the
-report's :class:`~repro.sim.report.PeriodicVisits` stamps a shifted
-visit only when it is read.  Every run returns that one sequence type;
-a run that shifts nothing holds only walked timings.  A probe that
-finds no repeat walks the whole program again, visit by visit.  Only
-traced runs always walk every visit, which makes the traced run the
-oracle (``tests/sim/test_steady_state.py`` and the ``simengine`` fuzz
+An untraced run of a template-compiled program of five rounds or more
+therefore walks only part of its full rounds.  It compares the
+boundary states before rounds 2 to 4; from the first repeat up to the
+last full round, the rounds are shifted: the run records them as one
+``(template, first, count, delta)`` stretch and adds their channel
+totals (:meth:`~repro.arch.dma.DmaChannel.repeat`).  It then walks on
+from the last full round.  The rounds it shifts are left out of the
+:func:`issue_order` call, so their rows and steps are never built, and
+no :class:`VisitTiming` is made for them: the report's
+:class:`~repro.sim.report.PeriodicVisits` stamps a shifted visit only
+when it is read.  Every run returns that one sequence type; a run that
+shifts nothing holds only walked timings.  A probe that finds no
+repeat walks the whole program again, visit by visit.  Traced runs,
+and runs of materialised programs (whose visits may be edited apart
+from their schedule), walk every visit; the traced run is the oracle
+(``tests/sim/test_steady_state.py`` and the ``simengine`` fuzz
 oracle).  :attr:`Simulator.rounds_walked` and
 :attr:`Simulator.rounds_shifted` say which path a run took.
 
@@ -83,7 +86,7 @@ final output against the reference execution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.arch.dma import DmaChannel, DmaTransfer, TransferKind
 from repro.arch.machine import MorphoSysM1
@@ -236,12 +239,14 @@ class Simulator:
         round_index)``, or is ``None`` when the position gives it.
 
         A template-compiled program yields its group totals from its
-        :class:`ClusterTemplate` tables, once per round length, without
+        :class:`ClusterTemplate` tables, once per stretch of
+        :meth:`~repro.schedule.plan.Schedule.round_stretches`, without
         stamping a single op; its visit ``m * width + k`` is the
         ``k``-th of round ``m``.  Any other visit sequence (the
         reference generator, pickled programs, fuzz mutations) has each
         visit's totals summed from its own ops, so a visit edited apart
-        from its cluster's other visits is timed as it is.
+        from its cluster's other visits is timed as it is; such a
+        program is walked visit by visit.
         """
         timing = self.machine.architecture.timing
         ctx_cycles = timing.context_transfer_cycles
@@ -279,28 +284,33 @@ class Simulator:
         """Time the program on a fresh channel; return ``(visits,
         compute_cycles, stall_cycles, channel)``.
 
-        An untraced run walks its periodic stretches only until their
-        steady state shows and stamps the rest by shift (module
-        docstring); a probe that finds no steady state falls back to
-        walking every visit, as a traced run does.
+        An untraced run of a template-compiled program walks its full
+        rounds only until their steady state shows and stamps the rest
+        by shift (module docstring); a probe that finds no steady state
+        falls back to walking every visit, as a traced run does.
         """
-        schedule = program.schedule
-        width = len(schedule.clustering)
-        rounds = schedule.rounds
-        tails, idents = self._round_tails(program.visits, width)
+        visits = program.visits
+        width = len(program.schedule.clustering)
+        rounds = program.schedule.rounds
+        tails, idents = self._round_tails(visits, width)
         if (
             not self.trace
+            and isinstance(visits, TemplateVisits)
             and rounds >= _MIN_SHIFT_ROUNDS
-            and len(program.visits) == rounds * width
+            and len(visits) == rounds * width
         ):
-            gaps = _steady_gaps(tails)
-            if gaps:
-                walked = self._walk(
-                    program, tails, idents, width, gaps, transfers
-                )
-                if walked is not None:
-                    return walked
-        return self._walk(program, tails, idents, width, (), transfers)
+            # The full rounds, the first stretch, hold at least four
+            # rounds here: the probe ends before the stretch's last
+            # round, which is walked.
+            _, count, _ = visits.schedule.round_stretches()[0]
+            end = count - 1
+            walked = self._walk(
+                program, tails, idents, width,
+                (min(_PROBE_ROUNDS, end - 1), end), transfers,
+            )
+            if walked is not None:
+                return walked
+        return self._walk(program, tails, idents, width, None, transfers)
 
     def _walk(
         self,
@@ -308,20 +318,20 @@ class Simulator:
         tails: List[Tuple[Tuple, ...]],
         idents: Optional[List[Tuple[int, int]]],
         width: int,
-        gaps: Sequence[Tuple[int, int, int]],
+        gap: Optional[Tuple[int, int]],
         transfers: List[DmaTransfer],
     ) -> Optional[Tuple[PeriodicVisits, int, int, DmaChannel]]:
         """Time every :func:`issue_order` step of the program without
-        the rounds of *gaps* (see :func:`_steady_gaps`); with the trace
+        the rounds of *gap* (see :class:`_SteadyState`); with the trace
         on, append each group's stamped transfers to *transfers*.
 
-        Each gap's rounds are recorded as a shifted stretch once the
-        walk reaches its stretch's steady state.  Returns ``None`` when
-        a probe ends without one.
+        The gap's rounds are recorded as a shifted stretch once the
+        walk reaches its steady state.  Returns ``None`` when the probe
+        ends without one.
         """
         visits = program.visits
         timing = self.machine.architecture.timing
-        steady = _SteadyState(gaps, width)
+        steady = _SteadyState(gap, width)
         rows = []
         for round_index, round_tails in enumerate(tails):
             if round_index in steady.left_out:
@@ -410,12 +420,8 @@ class Simulator:
                 prep_finish[index] = finish
         self.rounds_shifted = steady.shifted
         self.rounds_walked = program.schedule.rounds - steady.shifted
-        stretches = tuple(steady.stretches)
         return (
-            PeriodicVisits(
-                tuple(timings), width, stretches,
-                idents if stretches else None,
-            ),
+            PeriodicVisits(tuple(timings), width, steady.stretch),
             compute, stall, dma,
         )
 
@@ -438,71 +444,40 @@ def simulated_cycles(schedule: Schedule, architecture: Architecture) -> int:
 #: round at most.
 _MIN_SHIFT_ROUNDS = 5
 
-#: A periodic stretch's steady state is looked for at the boundaries
-#: before its rounds 2 to _PROBE_ROUNDS.
+#: The steady state is looked for at the boundaries before rounds 2 to
+#: _PROBE_ROUNDS.
 _PROBE_ROUNDS = 4
-
-
-def _steady_gaps(tails: List[Tuple[Tuple, ...]]) -> List[Tuple[int, int, int]]:
-    """``(start, probe_end, end)`` per stretch ``start .. end`` of rounds
-    with equal rows long enough to shift.
-
-    The walk compares the round-boundary states before the stretch's
-    rounds ``start + 2`` to ``probe_end``.  Once two consecutive ones
-    are equal, the rounds from there to ``end - 1`` are stamped by
-    shift, so rounds ``probe_end`` to ``end - 1`` are left out of the
-    walk.  A round's steps read the rows of both its neighbours, so the
-    template round (the one before the repeat) and every shifted round
-    must lie strictly inside the stretch: the template round is
-    ``start + 1`` or later, and round ``end`` itself is walked.
-    """
-    gaps = []
-    start = 0
-    for round_index in range(1, len(tails) + 1):
-        if round_index < len(tails) and tails[round_index] == tails[start]:
-            continue
-        end = round_index - 1
-        if end - start >= 3:
-            gaps.append((start, min(start + _PROBE_ROUNDS, end - 1), end))
-        start = round_index
-    return gaps
 
 
 class _SteadyState:
     """Looks for a walk's steady state at the round boundaries of its
-    probes, and records the rounds it then skips as shifted stretches.
+    probe, and records the rounds it then skips as one shifted stretch.
 
-    Each gap ``(start, probe_end, end)`` of :func:`_steady_gaps` leaves
-    program rounds ``probe_end`` to ``end - 1`` out of the walk
-    (:attr:`left_out`) and becomes a probe ``(first, last, offset,
-    resume)``: walk rounds ``first`` to ``last`` of the stretch, where
-    walk round ``c`` is program round ``c + offset``, and the walk's
-    round ``last`` is program round ``resume``.
+    The gap ``(probe_end, end)`` lies in the first stretch of
+    :meth:`~repro.schedule.plan.Schedule.round_stretches`, whose last
+    round is ``end``.  The walk compares the boundary states before
+    rounds 2 to ``probe_end``.  Once two consecutive ones are equal,
+    the rounds from there to ``end - 1`` are stamped by shift, so
+    program rounds ``probe_end`` to ``end - 1`` are left out of the
+    walk (:attr:`left_out`) and the walk's round ``probe_end`` is
+    program round ``end``.  A round's steps read the rows of both its
+    neighbours, so the template round (the one before the repeat) is
+    round 1 or later, and round ``end`` itself is walked.  Without a
+    gap (``None``) nothing is left out or probed.
     """
 
-    def __init__(self, gaps, width: int) -> None:
-        #: Program rounds the walk leaves out.
-        self.left_out: Set[int] = set()
-        probes = []
-        for start, probe_end, end in gaps:
-            offset = len(self.left_out)
-            probes.append((start + 1 - offset, probe_end - offset, offset, end))
-            self.left_out.update(range(probe_end, end))
-        self._probes = iter(probes)
+    def __init__(self, gap: Optional[Tuple[int, int]], width: int) -> None:
         self._width = width
-        #: ``(template, first, count, delta)`` per stretch of program
-        #: rounds stamped by shift (:class:`PeriodicVisits`).
-        self.stretches: List[Tuple[int, int, int, int]] = []
-        #: Program rounds stamped by shift so far.
-        self.shifted = 0
-        self._next_probe()
-
-    def _next_probe(self) -> None:
-        self._probe = next(self._probes, None)
+        self._probe_end, self._end = gap or (0, 0)
+        #: Program rounds the walk leaves out.
+        self.left_out = range(self._probe_end, self._end)
         #: The walk visit before whose run :meth:`boundary` is due.
-        self.checkpoint = (
-            self._probe[0] * self._width if self._probe else -1
-        )
+        self.checkpoint = width if gap else -1
+        #: ``(template, first, count, delta)`` of the program rounds
+        #: stamped by shift (:class:`PeriodicVisits`), or ``None``.
+        self.stretch: Optional[Tuple[int, int, int, int]] = None
+        #: Program rounds stamped by shift.
+        self.shifted = 0
         self._previous: Optional[Tuple] = None
 
     def boundary(
@@ -511,9 +486,9 @@ class _SteadyState:
         """The walk is about to run visit *index*, a round's first.
 
         Compares the round-boundary state with the previous round's.
-        On a repeat, records the probe's remaining program rounds as a
+        On a repeat, records the rounds up to the stretch's last as a
         stretch that repeats the last walked round, advances *dma*,
-        *prep_finish* and *compute_end* to the resume round's boundary
+        *prep_finish* and *compute_end* to the last round's boundary
         and returns ``(resume_index, compute, stall)`` with the sums
         grown to match.  Otherwise records the
         state and returns ``(index, compute, stall)``, or ``None`` when
@@ -523,26 +498,25 @@ class _SteadyState:
         base = compute_end[index - 1]
         state = (prep_finish[index] - base, dma.busy_until - base)
         previous = self._previous
-        _, last, offset, resume = self._probe
+        resume = self._probe_end * width
         if previous is None or previous[0] != state:
-            if index == last * width:
+            if index == resume:
                 return None
             self._previous = (state, base, dma.mark(), compute, stall)
             self.checkpoint = index + width
             return index, compute, stall
         _, then, mark, compute_then, stall_then = previous
         delta = base - then
-        start = index // width + offset
-        times = resume - start
-        self.stretches.append((start - 1, start, times, delta))
+        start = index // width
+        times = self._end - start
+        self.stretch = (start - 1, start, times, delta)
         dma.repeat(mark, times)
-        self.shifted += times
-        at = last * width
-        prep_finish[at] = prep_finish[index] + times * delta
-        compute_end[at - 1] = base + times * delta
-        self._next_probe()
+        self.shifted = times
+        prep_finish[resume] = prep_finish[index] + times * delta
+        compute_end[resume - 1] = base + times * delta
+        self.checkpoint = -1
         return (
-            at,
+            resume,
             compute + times * (compute - compute_then),
             stall + times * (stall - stall_then),
         )
@@ -599,37 +573,29 @@ def _template_tails(
 ) -> List[Tuple[Tuple, ...]]:
     """:meth:`Simulator._round_tails` straight from the codegen
     templates: per-cluster group totals scaled by the round length.
-    Rounds of one length share one tuple of rows."""
-    schedule = visits.schedule
-    clusters = []
+    The rounds of one :meth:`~repro.schedule.plan.Schedule.round_stretches`
+    stretch share one tuple of rows."""
+    contexts = []
     for template in visits.templates:
-        contexts = template.context_loads[0]
-        clusters.append((
-            template,
-            (template.context_total,
-             sum(ctx_cycles(load.words) for load in contexts),
-             len(contexts)),
+        loads = template.context_loads[0]
+        contexts.append((
+            template.context_total,
+            sum(ctx_cycles(load.words) for load in loads),
+            len(loads),
         ))
-    by_length: Dict[int, Tuple[Tuple, ...]] = {}
-
-    def round_tails(round_index: int) -> Tuple[Tuple, ...]:
-        n_iters = schedule.iterations_in_round(round_index)
-        if n_iters not in by_length:
-            rows = []
-            for template, contexts in clusters:
-                compute, loads, stores = _template_groups(
-                    template, n_iters, data_cycles
-                )
-                rows.append((
-                    template.cluster_index, template.fb_set, n_iters,
-                    compute, contexts, loads, stores,
-                ))
-            by_length[n_iters] = tuple(rows)
-        return by_length[n_iters]
-
-    # Only the last round may be partial.
-    last = schedule.rounds - 1
-    return [round_tails(0)] * last + [round_tails(last)]
+    tails: List[Tuple[Tuple, ...]] = []
+    for _, count, n_iters in visits.schedule.round_stretches():
+        rows = []
+        for template, context in zip(visits.templates, contexts):
+            compute, loads, stores = _template_groups(
+                template, n_iters, data_cycles
+            )
+            rows.append((
+                template.cluster_index, template.fb_set, n_iters,
+                compute, context, loads, stores,
+            ))
+        tails.extend([tuple(rows)] * count)
+    return tails
 
 
 def _template_groups(

@@ -41,13 +41,15 @@ class PeriodicVisits(Sequence):
     """A run's per-visit timings, its shifted rounds kept in periodic
     form.
 
-    Holds the walked timings in program order and one ``(template,
-    first, count, delta)`` per stretch of rounds the simulator stamped
-    by shift: program rounds ``first`` to ``first + count - 1`` repeat
-    the walked round ``template``, each one *delta* cycles later than
-    the one before.  A shifted visit becomes a :class:`VisitTiming`
-    only when it is read, the way
-    :class:`~repro.codegen.templated.TemplateVisits` stamps ops.
+    Holds the walked timings in program order and at most one
+    ``(template, first, count, delta)`` stretch of rounds the simulator
+    stamped by shift: program rounds ``first`` to ``first + count - 1``
+    repeat the walked round ``template``, each one *delta* cycles later
+    than the one before.  Only a template-compiled program is shifted,
+    so a shifted visit's index and round are its position's.  A
+    shifted visit becomes a :class:`VisitTiming` only when it is read,
+    the way :class:`~repro.codegen.templated.TemplateVisits` stamps
+    ops.
 
     Behaves exactly like the tuple of every visit's timing: ``len``,
     indexing (negative too), slicing (to a plain tuple), iteration,
@@ -56,57 +58,47 @@ class PeriodicVisits(Sequence):
     pickles in the periodic form.
     """
 
-    __slots__ = ("_walked", "_width", "_stretches", "_idents", "_count")
+    __slots__ = ("_walked", "_width", "_stretch", "_count")
 
     def __init__(
         self,
         walked: Tuple[VisitTiming, ...],
         width: int,
-        stretches: Tuple[Tuple[int, int, int, int], ...],
-        idents: Optional[Sequence],
+        stretch: Optional[Tuple[int, int, int, int]],
     ) -> None:
-        """*width* is the visits per round.  *idents* gives every
-        visit's ``(index, round_index)`` when its position does not."""
+        """*width* is the visits per round; *stretch* is ``None`` when
+        every visit was walked."""
         self._walked = walked
         self._width = width
-        self._stretches = stretches
-        self._idents = idents
-        self._count = len(walked) + width * sum(
-            count for _, _, count, _ in stretches
-        )
+        self._stretch = stretch
+        self._count = len(walked) + (width * stretch[2] if stretch else 0)
 
     def _at(self, position: int) -> VisitTiming:
         """The timing of visit *position*, ``0 <= position < len``."""
+        if self._stretch is None:
+            return self._walked[position]
         width = self._width
+        template, first, count, delta = self._stretch
         round_index = position // width
-        skipped = 0
-        for template, first, count, delta in self._stretches:
-            if round_index < first:
-                break
-            if round_index < first + count:
-                visit = self._walked[
-                    (template - skipped) * width + position % width
-                ]
-                shift = (round_index - template) * delta
-                index, visit_round = (
-                    self._idents[position] if self._idents
-                    else (position, round_index)
-                )
-                # The frozen dataclass's generated __init__ is bypassed
-                # as in TemplateVisits._stamp.
-                stamped = object.__new__(VisitTiming)
-                stamped.__dict__.update(
-                    index=index,
-                    round_index=visit_round,
-                    cluster_index=visit.cluster_index,
-                    fb_set=visit.fb_set,
-                    prep_finish=visit.prep_finish + shift,
-                    compute_start=visit.compute_start + shift,
-                    compute_end=visit.compute_end + shift,
-                )
-                return stamped
-            skipped += count
-        return self._walked[position - skipped * width]
+        if round_index < first:
+            return self._walked[position]
+        if round_index >= first + count:
+            return self._walked[position - count * width]
+        visit = self._walked[template * width + position % width]
+        shift = (round_index - template) * delta
+        # The frozen dataclass's generated __init__ is bypassed as in
+        # TemplateVisits._stamp.
+        stamped = object.__new__(VisitTiming)
+        stamped.__dict__.update(
+            index=position,
+            round_index=round_index,
+            cluster_index=visit.cluster_index,
+            fb_set=visit.fb_set,
+            prep_finish=visit.prep_finish + shift,
+            compute_start=visit.compute_start + shift,
+            compute_end=visit.compute_end + shift,
+        )
+        return stamped
 
     # -- sequence protocol -------------------------------------------------
 
@@ -127,7 +119,7 @@ class PeriodicVisits(Sequence):
         return self._at(position)
 
     def __iter__(self):
-        if not self._stretches:
+        if self._stretch is None:
             return iter(self._walked)
         return map(self._at, range(self._count))
 
@@ -145,7 +137,7 @@ class PeriodicVisits(Sequence):
     def __reduce__(self):
         return (
             PeriodicVisits,
-            (self._walked, self._width, self._stretches, self._idents),
+            (self._walked, self._width, self._stretch),
         )
 
 
@@ -192,7 +184,7 @@ class SimulationReport:
     def __getstate__(self):
         state = dict(self.__dict__)
         visits = self.visits
-        if isinstance(visits, PeriodicVisits) and not visits._stretches:
+        if isinstance(visits, PeriodicVisits) and visits._stretch is None:
             # Stored as the walked tuple itself, so the report pickles to
             # the bytes it had before visits were kept periodic.
             state["visits"] = visits._walked

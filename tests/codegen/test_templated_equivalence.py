@@ -21,6 +21,7 @@ import pytest
 from repro.arch.params import Architecture
 from repro.codegen.fastverify import fast_violation_free
 from repro.codegen.generator import generate_program
+from repro.codegen.ops import LoadData
 from repro.codegen.reference import reference_generate_program
 from repro.codegen.templated import ClusterTemplate, TemplateVisits
 from repro.codegen.verifier import (
@@ -360,3 +361,104 @@ def test_bitmask_edges_broken_schedule(iterations):
     program = generate_program(broken)
     assert not _assert_verdicts_agree(program, "broken")
     assert generate_program(broken) == reference_generate_program(broken)
+
+
+# -- round stretches ----------------------------------------------------------
+#
+# ``Schedule.round_stretches()`` is the one statement of which rounds
+# are alike: the simulator shifts, the fast verifier samples and the
+# traffic totals multiply by it.  Each case holds it against the
+# reference generator's rounds.
+
+#: ``make fuzz-quick`` sweeps seeds 0-59 round-robin over the regimes.
+_FUZZ_QUICK_CASES = tuple(
+    (regime_names()[seed % len(regime_names())], seed) for seed in range(60)
+)
+
+
+def _round_shape(visits, shift, invariant):
+    """The ops of *visits* with every iteration moved by *shift* (but an
+    invariant operand's instance-0 load) and CM blocks dropped."""
+
+    def moved(items):
+        return tuple(
+            item if isinstance(item, LoadData) and item.name in invariant
+            else item._replace(iteration=item.iteration + shift)
+            for item in items
+        )
+
+    return [
+        (
+            ops.visit.cluster_index, ops.visit.fb_set,
+            tuple(iteration + shift for iteration in ops.visit.iterations),
+            tuple((load.kernel, load.words) for load in ops.context_loads),
+            moved(ops.data_loads), moved(ops.compute), moved(ops.stores),
+        )
+        for ops in visits
+    ]
+
+
+def _assert_round_stretches(schedule, label):
+    """The stretches tile the rounds, carry each round's iteration count,
+    and every round of a stretch is its first round shifted by ``RF``
+    iterations per round."""
+    stretches = schedule.round_stretches()
+    rounds = [
+        round_index
+        for first, count, _ in stretches
+        for round_index in range(first, first + count)
+    ]
+    assert rounds == list(range(schedule.rounds)), label
+    assert all(count >= 1 for _, count, _ in stretches), label
+    visits = reference_generate_program(schedule).visits
+    width = len(schedule.clustering)
+    invariant = {info.name for info in schedule.dataflow if info.invariant}
+    for first, count, iterations in stretches:
+        shape = _round_shape(
+            visits[first * width:(first + 1) * width], 0, invariant
+        )
+        for round_index in range(first, first + count):
+            assert schedule.iterations_in_round(round_index) == iterations, (
+                f"{label}: round {round_index}"
+            )
+            round_visits = visits[round_index * width:(round_index + 1) * width]
+            assert [
+                (ops.visit.index, ops.visit.round_index)
+                for ops in round_visits
+            ] == [
+                (round_index * width + k, round_index) for k in range(width)
+            ], f"{label}: round {round_index}"
+            assert _round_shape(
+                round_visits, (first - round_index) * schedule.rf, invariant
+            ) == shape, f"{label}: round {round_index}"
+    return stretches
+
+
+def test_round_stretches_of_paper_experiments():
+    for spec in paper_experiments():
+        application, clustering = spec.build()
+        architecture = Architecture.m1(spec.fb)
+        for name, schedule in _schedules_of(
+            application, clustering, architecture
+        ):
+            _assert_round_stretches(schedule, f"{spec.id}/{name}")
+
+
+def test_round_stretches_of_fuzz_quick_cases():
+    """The ``make fuzz-quick`` cases include partial last rounds
+    (``nondivisor_rf``) and odd cluster counts, whose CM-block parity
+    flips from one round to the next."""
+    partial = odd = 0
+    for regime, seed in _FUZZ_QUICK_CASES:
+        case = generate_case(regime, seed)
+        application, clustering = case.build()
+        for name, schedule in _schedules_of(
+            application, clustering, case.architecture()
+        ):
+            stretches = _assert_round_stretches(
+                schedule, f"{case.name}/{name}"
+            )
+            partial += stretches[-1][2] < schedule.rf
+            odd += len(clustering) % 2 == 1 and schedule.rounds > 1
+    assert partial >= 10
+    assert odd >= 10

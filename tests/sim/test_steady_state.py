@@ -1,8 +1,9 @@
 """Steady-state shifting: the untraced walk stamps periodic rounds.
 
-An untraced run, functional or not, walks each stretch of equal-row rounds
-only until two consecutive round-boundary states are equal, then
-stamps the stretch's remaining rounds by shift (``repro.sim.engine``).
+An untraced run of a template-compiled program, functional or not,
+walks the full rounds of ``Schedule.round_stretches()`` only until two
+consecutive round-boundary states are equal, then stamps the
+remaining full rounds by shift (``repro.sim.engine``).
 A traced run walks every visit, so it is the oracle: every case here
 compares the untraced report with the traced one, all fields except
 the per-transfer trace, and checks the ``rounds_walked`` /
@@ -151,10 +152,11 @@ def test_every_policy_shifts_exactly(policy, scheduler):
     assert simulator.rounds_shifted > 0
 
 
-def test_edited_visit_past_the_steady_point_is_walked():
-    """Periodicity comes from the rows, not the templates: a
-    materialised program with one visit's loads edited in round 30 of
-    48 is walked through that visit and its neighbours."""
+def test_edited_materialised_program_walks_every_round():
+    """Periodicity comes from the schedule, so only a template-compiled
+    program is shifted: a materialised program, here with one visit's
+    loads edited in round 30 of 48, walks all its rounds and times the
+    edited visit as it is."""
     architecture, program = paper_program("E1")
     width = len(program.schedule.clustering)
     visits = list(program.visits)
@@ -165,9 +167,7 @@ def test_edited_visit_past_the_steady_point_is_walked():
     )
     program = dataclasses.replace(program, visits=tuple(visits))
     simulator = untraced_matches_traced(architecture, program)
-    # Rounds 0-1, 29-32 and 47 are walked: round 30 and its neighbours,
-    # and the second stretch's probe rounds 31-32.
-    assert (simulator.rounds_walked, simulator.rounds_shifted) == (7, 41)
+    assert (simulator.rounds_walked, simulator.rounds_shifted) == (48, 0)
     unedited = Simulator(
         MorphoSysM1(architecture), trace=False, verify=False
     ).run(paper_program("E1")[1])
